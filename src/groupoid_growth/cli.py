@@ -19,16 +19,10 @@ from . import shift_algebra as sa
 from .fields import parse_field
 from .groupoid import GermGroupoidModel, SubshiftModel, WindowUnit, ball_to_dot, delta_enumerated
 from .matrix_recursion import IdentityError
-from .selfsimilar import (
-    EventuallyPeriodicPoint,
-    NotContracting,
-    SelfSimilarGroup,
-    StateCapExceeded,
-    group_from_spec,
-)
+from .selfsimilar import EventuallyPeriodicPoint, NotContracting, StateCapExceeded, group_from_spec
 from .shift_algebra import RadiusExhausted
-from .subshift import build_language
-from .verify import report_text, run_checks
+from .subshift import Language, build_language
+from .verify import format_report, run_checks
 from .words import UndeterminedPosition, source_from_config
 
 EXIT_USAGE = 2
@@ -42,13 +36,16 @@ class UsageError(Exception):
     pass
 
 
-def _load_json_arg(text: str) -> dict:
-    """Accept inline JSON or a path to a JSON file."""
+def _read_spec(text: str):
+    """Inline JSON or a path to a JSON file; any other text is returned
+    stripped, as a preset name."""
     text = text.strip()
     if text.startswith("{"):
         return json.loads(text)
-    with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    if os.path.exists(text):
+        with open(text, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    return text
 
 
 def _config_digest(payload) -> str:
@@ -76,38 +73,31 @@ def _csv_cell(value) -> str:
     return s
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("GROUPOID_GROWTH_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as e:
-        raise UsageError(f"GROUPOID_GROWTH_THREADS must be an integer, got {raw!r}") from e
-    if cap < 1:
-        raise UsageError("GROUPOID_GROWTH_THREADS must be >= 1")
-    return cap
-
-
 def _positive(name: str, value: int) -> int:
     if value < 1:
         raise UsageError(f"{name} must be >= 1")
     return value
 
 
-def _language_from_args(args, n_needed: int):
-    cfg = _load_json_arg(args.source)
-    source = source_from_config(cfg)
-    budget = getattr(args, "budget", None) or max(8192, 40 * n_needed * n_needed)
-    return cfg, build_language(source, n_max=n_needed, prefix_budget=budget)
+def _language(cfg, n_max: int, budget=None) -> Language:
+    """Factor language of a source descriptor up to length ``n_max``.
+
+    The prefix budget is max(8192, 40 n_max^2) when none is given; a given
+    budget must be positive.
+    """
+    if not isinstance(cfg, dict):
+        raise UsageError(f"a source must be a JSON object or a path to one, got {cfg!r}")
+    budget = max(8192, 40 * n_max * n_max) if budget is None else _positive("budget", int(budget))
+    return build_language(source_from_config(cfg), n_max=n_max, prefix_budget=budget)
 
 
 def _model_from_arg(text: str):
-    cfg = _load_json_arg(text) if (text.strip().startswith("{") or os.path.exists(text)) else {"kind": "germ", "group": text}
+    cfg = _read_spec(text)
+    if not isinstance(cfg, dict):
+        cfg = {"kind": "germ", "group": cfg}
     kind = cfg.get("kind")
     if kind == "subshift":
-        source = source_from_config(cfg["source"])
-        n_max = int(cfg.get("n_max", 30))
-        budget = int(cfg.get("budget", max(8192, 40 * n_max * n_max)))
-        return cfg, SubshiftModel(build_language(source, n_max=n_max, prefix_budget=budget))
+        return cfg, SubshiftModel(_language(cfg["source"], int(cfg.get("n_max", 30)), cfg.get("budget")))
     if kind == "germ":
         return cfg, GermGroupoidModel(group_from_spec(cfg["group"]))
     raise UsageError(f"model kind must be 'subshift' or 'germ', got {kind!r}")
@@ -127,7 +117,8 @@ def _parse_unit(model, text: str):
 
 def cmd_complexity(args) -> int:
     n_max = _positive("--n-max", args.n_max)
-    cfg, lang = _language_from_args(args, n_max)
+    cfg = _read_spec(args.source)
+    lang = _language(cfg, n_max, args.budget)
     rows = [[n, lang.complexity(n)] for n in range(1, n_max + 1)]
     _emit_csv(args.csv, ["n", "p_n"], rows, {"cmd": "complexity", "source": cfg, "n_max": n_max})
     return 0
@@ -173,13 +164,12 @@ def cmd_ball(args) -> int:
 def cmd_algebra_growth(args) -> int:
     n_max = _positive("--n-max", args.n_max)
     field = parse_field(args.field)
-    cfg, lang = _language_from_args_depth(args, 2 * n_max + 1)
+    cfg = _read_spec(args.source)
+    lang = _language(cfg, 2 * n_max + 1, args.budget)
     dims = sa.growth_dims(lang, n_max, field)
     if args.oracle_upto:
-        from .verify import _bruteforce_dims
-
         k = min(args.oracle_upto, n_max)
-        if dims[:k] != _bruteforce_dims(lang, k, field)[:k]:
+        if dims[:k] != sa.bruteforce_dims(lang, k, field)[:k]:
             raise IdentityError("levelwise growth disagrees with brute-force oracle")
     rows = []
     for n, dim in dims:
@@ -197,16 +187,10 @@ def cmd_algebra_growth(args) -> int:
     return 0
 
 
-def _language_from_args_depth(args, depth: int):
-    cfg = _load_json_arg(args.source)
-    source = source_from_config(cfg)
-    budget = getattr(args, "budget", None) or max(8192, 40 * depth * depth)
-    return cfg, build_language(source, n_max=depth, prefix_budget=budget)
-
-
 def cmd_semigroup_growth(args) -> int:
     n_max = _positive("--n-max", args.n_max)
-    cfg, lang = _language_from_args(args, n_max)
+    cfg = _read_spec(args.source)
+    lang = _language(cfg, n_max, args.budget)
     rows = [[n, d] for n, d in sa.semigroup_dims(lang, n_max)]
     _emit_csv(args.csv, ["n", "dim"], rows, {"cmd": "semigroup-growth", "source": cfg, "n_max": n_max})
     return 0
@@ -215,7 +199,8 @@ def cmd_semigroup_growth(args) -> int:
 def cmd_module_growth(args) -> int:
     n_max = _positive("--n-max", args.n_max)
     field = parse_field(args.field)
-    cfg, lang = _language_from_args_depth(args, 2 * n_max + 1)
+    cfg = _read_spec(args.source)
+    lang = _language(cfg, 2 * n_max + 1, args.budget)
     rows = [[n, d, 2 * n + 1] for n, d in sa.module_growth(lang, n_max, field)]
     _emit_csv(
         args.csv,
@@ -228,7 +213,8 @@ def cmd_module_growth(args) -> int:
 
 def cmd_expansive(args) -> int:
     n = _positive("--n", args.n)
-    cfg, lang = _language_from_args_depth(args, 2 * n)
+    cfg = _read_spec(args.source)
+    lang = _language(cfg, 2 * n, args.budget)
     rows = []
     for m in range(1, n + 1):
         rep = sa.expansive_certificate(lang, m)
@@ -238,7 +224,7 @@ def cmd_expansive(args) -> int:
 
 
 def cmd_nucleus(args) -> int:
-    group = group_from_spec(_group_arg(args.group))
+    group = group_from_spec(_read_spec(args.group))
     nuc = group.nucleus(cap=args.cap)
     names = sorted(mr.element_name(group, s) for s in nuc.states)
     print(f"nucleus size {len(nuc)} (closure complete: {nuc.complete})")
@@ -247,7 +233,7 @@ def cmd_nucleus(args) -> int:
 
 
 def cmd_germ(args) -> int:
-    group = group_from_spec(_group_arg(args.group))
+    group = group_from_spec(_read_spec(args.group))
     g = group.element(args.element)
     point = EventuallyPeriodicPoint.parse(args.point)
     print("unit" if group.germ_is_unit(g, point) else "nontrivial")
@@ -255,7 +241,7 @@ def cmd_germ(args) -> int:
 
 
 def cmd_matrix_recursion(args) -> int:
-    group = group_from_spec(_group_arg(args.group))
+    group = group_from_spec(_read_spec(args.group))
     field = parse_field(args.field)
     elem = mr.parse_element(group, args.element, field)
     m = mr.image_at_level(elem, _positive("--levels", args.levels))
@@ -267,7 +253,7 @@ def cmd_matrix_recursion(args) -> int:
 
 
 def cmd_thinned_growth(args) -> int:
-    group = group_from_spec(_group_arg(args.group))
+    group = group_from_spec(_read_spec(args.group))
     field = parse_field(args.field)
     n_max = _positive("--n-max", args.n_max)
     res = mr.thinned_growth(group, n_max, field)
@@ -282,19 +268,9 @@ def cmd_thinned_growth(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    if not args.profile:
-        raise UsageError("--profile must be 'quick' or 'full'")
-    text = report_text(args.profile, seed=args.seed)
-    sys.stdout.write(text)
     results = run_checks(args.profile, seed=args.seed)
+    sys.stdout.write(format_report(args.profile, args.seed, results))
     return 0 if all(r.ok for r in results) else 1
-
-
-def _group_arg(text: str):
-    text = text.strip()
-    if text.startswith("{") or os.path.exists(text):
-        return _load_json_arg(text)
-    return text  # preset name
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -397,7 +373,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()  # validate the parallelism cap early
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -186,13 +186,6 @@ class SparseVector:
             if not (0 <= i < dim):
                 raise IndexError(f"coordinate {i} outside ambient dimension {dim}")
 
-    @classmethod
-    def from_pairs(cls, dim, pairs, field):
-        entries: dict = {}
-        for i, c in pairs:
-            entries[i] = field.add(entries.get(i, field.zero()), field.from_int(c) if isinstance(c, int) else c)
-        return cls(dim, entries, field)
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -292,6 +285,11 @@ class RowBasis:
         self.rows[pivot] = row
         return True
 
+    def insert_support(self, indices) -> bool:
+        """Insert the 0/1 vector that is 1 exactly at ``indices``."""
+        one = self.field.one()
+        return self.insert(SparseVector(self.dim, dict.fromkeys(indices, one), self.field))
+
 
 class BitRowBasis:
     """Rank accumulator over GF(2) with rows as int bit masks.
@@ -325,3 +323,16 @@ class BitRowBasis:
             return False
         self.rows[mask.bit_length() - 1] = mask
         return True
+
+    def insert_support(self, indices) -> bool:
+        """Insert the 0/1 vector that is 1 exactly at ``indices``."""
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return self.insert(mask)
+
+
+def new_basis(field: Field, dim: int):
+    """Empty rank accumulator of ambient dimension ``dim`` over ``field``:
+    a :class:`BitRowBasis` over GF(2), a :class:`RowBasis` otherwise."""
+    return BitRowBasis(dim) if field == GF2 else RowBasis(field, dim)

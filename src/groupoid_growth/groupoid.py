@@ -11,7 +11,7 @@ exact and entirely adequate at ball sizes in the low hundreds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .selfsimilar import EventuallyPeriodicPoint, SelfSimilarGroup
 from .subshift import Language

@@ -5,9 +5,11 @@ ring, rows and columns indexed by length-n words (lexicographic, read as
 base-d integers).  The recursion map sends a group-ring entry g at
 (u, v) to the entries g|_x at (u.g(x), v.x), one per letter; iterating
 embeds A_0 = k[G] into arbitrarily deep levels.  Ranks of these images
-are nondecreasing in the level and eventually equal dimensions in the
-convolution algebra, which is how the thinned-algebra growth table is
-computed: raise the level until two consecutive levels agree.
+are nonincreasing in the level, since each level's vectors are a linear
+image of the previous level's, and eventually equal dimensions in the
+convolution algebra.  The thinned-algebra growth table raises the level
+until two consecutive levels agree; that agreement is a heuristic stopping
+rule, not a proof that the limit has been reached.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .fields import GF2, BitRowBasis, Field, RowBasis, SparseVector
+from .fields import GF2, Field, new_basis
 from .selfsimilar import SelfSimilarGroup
 
 
@@ -306,28 +308,15 @@ def thinned_dims_at_level(
     if cache is None:
         cache = {}
     coord_index: dict = {}
-    use_bits = field == GF2
-    basis = BitRowBasis(1 << 62) if use_bits else RowBasis(field, 1 << 62)
-    one = field.one()
+    basis = new_basis(field, 1 << 62)
     gens = [group.intern(group.gens[n]) for n in group.gen_names]
-    d = group.d
 
-    def vectorize(rid: int):
+    def vectorize(rid: int) -> list[int]:
         entries = _element_entries(group, rid, level, cache)
-        idxs = []
-        for col, (row, e) in enumerate(entries):
-            coord = (row, col, e)
-            i = coord_index.get(coord)
-            if i is None:
-                i = len(coord_index)
-                coord_index[coord] = i
-            idxs.append(i)
-        if use_bits:
-            mask = 0
-            for i in idxs:
-                mask |= 1 << i
-            return mask
-        return SparseVector(1 << 62, {i: one for i in idxs}, field)
+        return [
+            coord_index.setdefault((row, col, e), len(coord_index))
+            for col, (row, e) in enumerate(entries)
+        ]
 
     seen = set()
     new: list[int] = []
@@ -336,7 +325,7 @@ def thinned_dims_at_level(
         if rid in seen:
             return
         seen.add(rid)
-        if basis.insert(vectorize(rid)):
+        if basis.insert_support(vectorize(rid)):
             new.append(rid)
 
     consider(group.intern(group.identity))
@@ -362,9 +351,11 @@ def thinned_growth(
 ) -> ThinnedGrowthResult:
     """Thinned-algebra growth table with the level raised to stabilization.
 
-    Ranks are nondecreasing in the level and eventually exact (the level
-    algebras embed compatibly into the convolution algebra), so equality
-    of two consecutive levels is the stabilization certificate.
+    Ranks are nonincreasing in the level and eventually exact (the level
+    algebras embed compatibly into the convolution algebra).  The level is
+    raised until two consecutive levels give equal tables; ``stabilized``
+    means only that this happened before ``level_cap``, not that later
+    levels could not drop further.
     """
     if level_start is None:
         est = group.contraction_estimate(length_cap=8, depth_cap=3)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import GF2, BitRowBasis, Field, RowBasis, SparseVector
+from .fields import Field, RowBasis, SparseVector, new_basis
 from .subshift import Language
-from .words import WordSource
 
 
 class RadiusExhausted(RuntimeError):
@@ -55,12 +54,6 @@ class Monomial:
 
     k: int
     support: frozenset
-
-    def to_sparse(self, space: WindowSpace, field: Field) -> SparseVector:
-        one = field.one()
-        return SparseVector(
-            space.dim, {space.index(self.k, i): one for i in self.support}, field
-        )
 
 
 GENERATOR_NAMES = ("1", "T", "T-", "D")  # D takes a letter suffix: "D:0"
@@ -123,19 +116,8 @@ class _BlockRank:
             return False
         blk = self.blocks.get(mono.k)
         if blk is None:
-            if self.field == GF2:
-                blk = BitRowBasis(self.space.p)
-            else:
-                blk = RowBasis(self.field, self.space.p)
-            self.blocks[mono.k] = blk
-        if isinstance(blk, BitRowBasis):
-            mask = 0
-            for i in mono.support:
-                mask |= 1 << i
-            return blk.insert(mask)
-        one = self.field.one()
-        vec = SparseVector(self.space.p, {i: one for i in mono.support}, self.field)
-        return blk.insert(vec)
+            blk = self.blocks[mono.k] = new_basis(self.field, self.space.p)
+        return blk.insert_support(mono.support)
 
     @property
     def rank(self) -> int:
@@ -177,6 +159,45 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
                     frontier.append(cand)
         new = frontier
         dims.append((n, rank.rank))
+    return dims
+
+
+def bruteforce_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int]]:
+    """Rank of all explicit generator products, evaluated straight from the
+    germ-composition definition — an oracle independent of :func:`growth_dims`."""
+    n = n_max
+    windows = lang.factors[2 * n + 1]
+    p = len(windows)
+    names = generator_names(lang)
+
+    def evaluate(word):
+        # value at (k, u): simulate the product from the right at the point
+        # with central window u; D_x tests the letter at the running shift.
+        support = []
+        for ui, u in enumerate(windows):
+            j = 0
+            alive = True
+            for tok in reversed(word):
+                if tok == "T":
+                    j += 1
+                elif tok == "T-":
+                    j -= 1
+                elif tok.startswith("D:"):
+                    if u[j + n] != int(tok[2:]):
+                        alive = False
+                        break
+            if alive:
+                support.append((j + n) * p + ui)
+        return support
+
+    basis = new_basis(field, (2 * n + 1) * p)
+    words = [[]]
+    dims = []
+    for m in range(1, n_max + 1):
+        words = [w + [t] for w in words for t in names]
+        for w in words:
+            basis.insert_support(evaluate(w))
+        dims.append((m, basis.rank))
     return dims
 
 
@@ -304,10 +325,11 @@ def expansive_certificate(lang: Language, n: int) -> ExpansiveReport:
     """Partition the length-2n windows into atoms of the <=n-step domains."""
     if 2 * n > lang.n_max:
         raise ValueError(f"language too shallow for n={n}")
-    keys = set()
-    for w in lang.factors[2 * n]:
-        keys.add(atom_key(lambda k, w=w: w[k + n], n))
-    return ExpansiveReport(n=n, window_count=lang.complexity(2 * n), atom_count=len(keys))
+    # Every atom key of a window w holds the all-S path, which spells w[n:],
+    # and the all-S^-1 path, which spells w[:n] reversed.  Those two paths
+    # give back w, so atoms are in bijection with these pairs of paths.
+    paths = {(w[n:], w[n - 1 :: -1]) for w in lang.factors[2 * n]}
+    return ExpansiveReport(n=n, window_count=lang.complexity(2 * n), atom_count=len(paths))
 
 
 def separation_radius(letters_a, letters_b, n_cap: int):

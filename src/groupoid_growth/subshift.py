@@ -60,24 +60,21 @@ class _SuffixAutomaton:
 
     def factors_by_length(self, n_max: int, cap: int = 2_000_000) -> list[list[bytes]]:
         """Distinct substrings of each length 0..n_max, sorted lexicographically."""
-        out: list[list[bytes]] = [[b""]] + [[] for _ in range(n_max)]
-        count = 0
-        # Iterative DFS in letter order yields each length class already sorted.
+        out: list[list[bytes]] = [[] for _ in range(n_max + 1)]
+        count = -1  # the empty word is not counted against the cap
+        # Iterative DFS in letter order, recording each factor when it is
+        # popped, yields each length class already sorted.
         stack = [(0, b"")]
         while stack:
             state, word = stack.pop()
-            depth = len(word)
-            if depth >= n_max:
-                continue
-            for ch in sorted(self.next[state], reverse=True):
-                w = word + bytes([ch])
-                out[len(w)].append(w)
-                count += 1
-                if count > cap:
-                    raise LanguageError(f"factor enumeration exceeded cap {cap}")
-                stack.append((self.next[state][ch], w))
-        for bucket in out:
-            bucket.sort()
+            out[len(word)].append(word)
+            count += 1
+            if count > cap:
+                raise LanguageError(f"factor enumeration exceeded cap {cap}")
+            if len(word) < n_max:
+                nxt = self.next[state]
+                for ch in sorted(nxt, reverse=True):
+                    stack.append((nxt[ch], word + bytes([ch])))
         return out
 
 
@@ -156,14 +153,6 @@ def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Langua
         for n in range(1, min(lang.extendable_up_to, n_max)):
             assert lang.complexity(n + 1) >= lang.complexity(n)
     return lang
-
-
-def complexity(lang: Language, n: int) -> int:
-    return lang.complexity(n)
-
-
-def delta_formula(lang: Language, r: int) -> int:
-    return lang.delta_formula(r)
 
 
 def recurrence_check(lang: Language, source: WordSource, n: int, R: int) -> bool:

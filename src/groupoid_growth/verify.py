@@ -13,7 +13,7 @@ from .fields import GF2, QQ
 from .groupoid import GermGroupoidModel, SubshiftModel, delta_enumerated, gamma
 from .selfsimilar import ADDING_MACHINE, GRIGORCHUK, EventuallyPeriodicPoint, SelfSimilarGroup
 from .subshift import build_language
-from .words import SturmianSource, ToeplitzSource, golden_sturmian, source_from_config, thue_morse
+from .words import SturmianSource, ToeplitzSource, golden_sturmian, thue_morse
 
 
 @dataclass(frozen=True)
@@ -122,61 +122,12 @@ def check_04_sturmian_sandwich(s: Scale) -> CheckResult:
     return CheckResult("04-sturmian-sandwich", ok, detail)
 
 
-def _bruteforce_dims(lang, n_max, field):
-    """Rank of all explicit generator products, evaluated straight from the
-    germ-composition definition — independent of the levelwise path."""
-    from .fields import BitRowBasis, RowBasis, SparseVector
-
-    n = n_max
-    windows = lang.factors[2 * n + 1]
-    p = len(windows)
-    names = ["1", "T", "T-"] + [f"D:{x}" for x in range(lang.alphabet_size)]
-
-    def evaluate(word):
-        # value at (k, u): simulate the product from the right at the point
-        # with central window u; D_x tests the letter at the running shift.
-        vec = {}
-        for ui, u in enumerate(windows):
-            j = 0
-            alive = True
-            for tok in reversed(word):
-                if tok == "T":
-                    j += 1
-                elif tok == "T-":
-                    j -= 1
-                elif tok.startswith("D:"):
-                    if u[j + n] != int(tok[2:]):
-                        alive = False
-                        break
-            if alive:
-                vec[(j + n) * p + ui] = 1
-        return vec
-
-    dim = (2 * n + 1) * p
-    basis = BitRowBasis(dim) if field == GF2 else RowBasis(field, dim)
-    words = [[]]
-    dims = []
-    for m in range(1, n_max + 1):
-        words = [w + [t] for w in words for t in names]
-        for w in words:
-            vec = evaluate(w)
-            if field == GF2:
-                mask = 0
-                for i in vec:
-                    mask |= 1 << i
-                basis.insert(mask)
-            else:
-                basis.insert(SparseVector(dim, {i: field.one() for i in vec}, field))
-        dims.append((m, basis.rank))
-    return dims
-
-
 def check_05_oracle_equivalence(s: Scale) -> CheckResult:
     n_max = s.oracle_n
     lang = _lang(golden_sturmian(), 2 * n_max + 1, 8192)
     bad = []
     for field in (QQ, GF2):
-        if sa.growth_dims(lang, n_max, field) != _bruteforce_dims(lang, n_max, field):
+        if sa.growth_dims(lang, n_max, field) != sa.bruteforce_dims(lang, n_max, field):
             bad.append(field.name)
     ok = not bad
     detail = f"levelwise dims == brute-force product rank, n<={n_max}, both fields" if ok else f"mismatch over {bad}"
@@ -327,8 +278,12 @@ def run_checks(profile: str, seed: int = 0, include_determinism: bool = True) ->
     return results
 
 
-def report_text(profile: str, seed: int = 0, include_determinism: bool = True) -> str:
+def format_report(profile: str, seed: int, results: list[CheckResult]) -> str:
     lines = [f"profile={profile} seed={seed}"]
-    for res in run_checks(profile, seed=seed, include_determinism=include_determinism):
+    for res in results:
         lines.append(f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}")
     return "\n".join(lines) + "\n"
+
+
+def report_text(profile: str, seed: int = 0, include_determinism: bool = True) -> str:
+    return format_report(profile, seed, run_checks(profile, seed=seed, include_determinism=include_determinism))

@@ -14,7 +14,7 @@ enumeration re-queries heavily.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class WordSourceError(ValueError):

@@ -42,6 +42,14 @@ class TestComplexity:
         code, _, err = run(capsys, ["complexity", "--source", GOLDEN, "--n-max", "0"])
         assert code == 2 and "usage error" in err
 
+    def test_zero_budget_exit_2(self, capsys):
+        code, out, err = run(capsys, ["complexity", "--source", GOLDEN, "--n-max", "5", "--budget", "0"])
+        assert code == 2 and "budget" in err and out == ""
+
+    def test_missing_source_file_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["complexity", "--source", str(tmp_path / "nope.json"), "--n-max", "2"])
+        assert code == 2 and "usage error" in err
+
     def test_bad_json_exit_2(self, capsys):
         code, _, _ = run(capsys, ["complexity", "--source", '{"kind":"nope"}', "--n-max", "2"])
         assert code == 2
@@ -198,18 +206,6 @@ class TestGroupCommands:
         )
         code, out, _ = run(capsys, ["nucleus", "--group", grp])
         assert code == 0 and "nucleus size 3" in out
-
-
-class TestEnvironment:
-    def test_thread_cap_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROUPOID_GROWTH_THREADS", "zero")
-        code, _, err = run(capsys, ["nucleus", "--group", "grigorchuk"])
-        assert code == 2 and "GROUPOID_GROWTH_THREADS" in err
-
-    def test_thread_cap_positive(self, capsys, monkeypatch):
-        monkeypatch.setenv("GROUPOID_GROWTH_THREADS", "0")
-        code, _, _ = run(capsys, ["nucleus", "--group", "grigorchuk"])
-        assert code == 2
 
 
 class TestVerifyAll:
