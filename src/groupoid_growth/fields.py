@@ -4,13 +4,16 @@ Every dimension computed by this package is the rank of a set of exact
 vectors, either over the rationals or over a prime field.  Rational
 scalars are `fractions.Fraction` (arbitrary precision, always reduced,
 positive denominator); prime-field scalars are plain ints in ``[0, p)``.
-A :class:`Field` instance bundles the arithmetic so that the linear
-algebra below is field-agnostic.
+A :class:`Field` instance bundles that scalar arithmetic for the callers
+that build vectors (group-ring elements, module vectors).
 
 Row reduction is incremental (rank-by-insertion): growth computations
 extend a basis level by level, so a batch eliminator would be the wrong
 shape.  :class:`RowBasis` keeps its rows in reduced echelon form, which
 makes membership tests and explicit linear-combination witnesses cheap.
+It does not go through :class:`Field`: its rows hold Python ints only
+(primitive integer rows over Q, residues mod p over F_p), because
+``Fraction`` arithmetic dominated the exact rank computations.
 :class:`BitRowBasis` is a dense GF(2) specialization (rows are Python
 ints used as bit masks) for the larger mod-2 rank computations.
 """
@@ -18,6 +21,7 @@ ints used as bit masks) for the larger mod-2 rank computations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Scalar = Union[Fraction, int]
@@ -64,9 +68,6 @@ class Field:
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         raise NotImplementedError
 
-    def neg(self, a: Scalar) -> Scalar:
-        raise NotImplementedError
-
     def inv(self, a: Scalar) -> Scalar:
         raise NotImplementedError
 
@@ -95,9 +96,6 @@ class Rationals(Field):
 
     def mul(self, a, b):
         return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -141,9 +139,6 @@ class PrimeField(Field):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -178,13 +173,11 @@ class SparseVector:
     __slots__ = ("dim", "entries", "field")
 
     def __init__(self, dim: int, entries: dict, field: Field):
-        zero = field.zero()
         self.dim = dim
         self.field = field
-        self.entries = {i: c for i, c in entries.items() if c != zero}
-        for i in self.entries:
-            if not (0 <= i < dim):
-                raise IndexError(f"coordinate {i} outside ambient dimension {dim}")
+        self.entries = {i: c for i, c in entries.items() if c}
+        if self.entries and (min(self.entries) < 0 or max(self.entries) >= dim):
+            raise IndexError(f"coordinate outside ambient dimension {dim}")
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -201,18 +194,67 @@ class SparseVector:
         return f"SparseVector(dim={self.dim}, {self.entries})"
 
 
-class RowBasis:
-    """Incrementally built reduced row echelon basis over an exact field.
+def _check_support(indices, dim: int) -> None:
+    """Raise :class:`DimensionMismatch` unless every index lies in ``[0, dim)``."""
+    if indices and (min(indices) < 0 or max(indices) >= dim):
+        raise DimensionMismatch(f"support index outside ambient dimension {dim}")
 
-    Invariants: each row's pivot (smallest nonzero index) is unique, the
-    pivot coefficient is 1, and the pivot coordinate is zero in every
-    other row.  ``rank`` equals the number of rows.
+
+def _cancel(target: dict, q: int, row: dict, p: int) -> tuple[int, int]:
+    """Clear coordinate q of the int vector ``target`` with ``row``, whose pivot is q.
+
+    Sets ``target = beta*target - alpha*row`` in place and returns
+    ``(alpha, beta)``.  Over F_p (``p`` > 0, ``row[q] == 1``) alpha is
+    ``target[q]`` and beta is 1.  Over Z (``p == 0``) it is the
+    fraction-free step: alpha = a/g and beta = b/g for a = ``target[q]``,
+    b = ``row[q]`` > 0 and g = gcd(a, b).
+    """
+    a = target[q]
+    if p:
+        for i, c in row.items():
+            new = (target.get(i, 0) - a * c) % p
+            if new:
+                target[i] = new
+            else:  # only an entry already in target can cancel
+                del target[i]
+        return a, 1
+    b = row[q]
+    g = gcd(a, b)
+    beta = b // g
+    if beta != 1:
+        for i in target:
+            target[i] *= beta
+    a //= g
+    for i, c in row.items():
+        new = target.get(i, 0) - a * c
+        if new:
+            target[i] = new
+        else:  # only an entry already in target can cancel
+            del target[i]
+    return a, beta
+
+
+class RowBasis:
+    """Incrementally built reduced row echelon basis over Q or F_p.
+
+    ``rows`` maps each pivot to its row, a dict index -> nonzero Python int.
+    Each row's pivot (smallest nonzero index) is unique, the pivot
+    coordinate is zero in every other row, and ``rank`` equals the number
+    of rows.  The field fixes how rows are scaled:
+
+    - Q: a row is a primitive integer vector (the gcd of its entries is 1)
+      with a positive pivot entry.  Elimination is fraction-free: a vector
+      r with entry a at the pivot of a row whose pivot entry is b becomes
+      ``(b/g)*r - (a/g)*row`` with ``g = gcd(a, b)`` (Bareiss, Math. Comp.
+      22, 1968).  ``Fraction`` input is put over a common denominator on
+      entry, so no ``Fraction`` is built while reducing.
+    - F_p: entries are ints in ``[0, p)`` and the pivot entry is 1.
     """
 
     def __init__(self, field: Field, dim: int):
         self.field = field
         self.dim = dim
-        self.rows: dict[int, dict] = {}  # pivot -> row entries (pivot coeff 1)
+        self.rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -224,37 +266,54 @@ class RowBasis:
         if v.field != self.field:
             raise DimensionMismatch(f"vector field {v.field} != basis field {self.field}")
 
-    def _eliminate(self, entries: dict, record: list | None = None) -> dict:
-        f = self.field
-        zero = f.zero()
-        residue = dict(entries)
-        # Reduced echelon form: eliminating a pivot only introduces
-        # non-pivot coordinates, so one pass over the pivot hits suffices.
-        for p in sorted(set(residue) & set(self.rows)):
-            coeff = residue.get(p, zero)
-            if coeff == zero:
-                continue
+    def _eliminate(self, entries: dict, record: list | None = None) -> tuple[dict, int]:
+        """Reduce v (``entries``) by every row; return ``(r, m)``.
+
+        r is an int vector with ``r = m * (v - sum(c * rows[q]))``, zero at
+        every pivot; m is 1 over F_p.  ``record`` receives the pairs (q, c).
+        Reduced echelon form makes one pass over the pivot hits suffice:
+        eliminating pivot q only touches non-pivot coordinates, so the
+        entries at the other pivots stay nonzero until their turn.
+        """
+        rows = self.rows
+        p = self.field.characteristic
+        m = 1
+        if p:
+            r = dict(entries)
+        else:  # put v over the common denominator m of its entries
+            for c in entries.values():
+                d = c.denominator
+                if d != 1:
+                    m = m // gcd(m, d) * d
+            r = {i: c.numerator * (m // c.denominator) for i, c in entries.items()}
+        for q in sorted(r.keys() & rows.keys()):
+            alpha, beta = _cancel(r, q, rows[q], p)
+            m *= beta
             if record is not None:
-                record.append((p, coeff))
-            row = self.rows[p]
-            for i, c in row.items():
-                new = f.sub(residue.get(i, zero), f.mul(coeff, c))
-                if new == zero:
-                    residue.pop(i, None)
-                else:
-                    residue[i] = new
-        return residue
+                record.append((q, alpha if p else Fraction(alpha, m)))
+        return r, m
 
     def reduce_against(self, v: SparseVector) -> SparseVector:
-        """Residue of v after elimination by all rows; zero iff v is in the span."""
+        """Residue of v after elimination by all rows; zero iff v is in the span.
+
+        The residue is the unique vector in v + span(rows) that is zero at
+        every pivot, so it does not depend on how the rows are scaled.
+        """
         self._check(v)
-        return SparseVector(self.dim, self._eliminate(v.entries), self.field)
+        r, m = self._eliminate(v.entries)
+        if self.field.characteristic == 0:
+            r = {i: Fraction(c, m) for i, c in r.items()}
+        return SparseVector(self.dim, r, self.field)
 
     def express(self, v: SparseVector):
-        """Return [(pivot, coeff)] with v = sum(coeff * row[pivot]), or None if v not in span."""
+        """Return [(pivot, coeff)] with v = sum(coeff * rows[pivot]), or None if v not in span.
+
+        The coefficients refer to ``rows`` as stored: Fractions over Q,
+        ints in ``[0, p)`` over F_p.
+        """
         self._check(v)
         record: list = []
-        residue = self._eliminate(v.entries, record)
+        residue, _ = self._eliminate(v.entries, record)
         return record if not residue else None
 
     def insert(self, v: SparseVector) -> bool:
@@ -263,32 +322,38 @@ class RowBasis:
         Returns True iff the rank increased.
         """
         self._check(v)
-        f = self.field
-        residue = self._eliminate(v.entries)
-        if not residue:
+        row, _ = self._eliminate(v.entries)
+        if not row:
             return False
-        pivot = min(residue)
-        scale = f.inv(residue[pivot])
-        row = {i: f.mul(scale, c) for i, c in residue.items()}
+        pivot = min(row)
+        p = self.field.characteristic
+        if p:
+            scale = pow(row[pivot], -1, p)
+            if scale != 1:
+                row = {i: c * scale % p for i, c in row.items()}
+        else:
+            g = gcd(*row.values())
+            if row[pivot] < 0:
+                g = -g
+            if g != 1:
+                row = {i: c // g for i, c in row.items()}
         # Back-substitute into existing rows to keep reduced echelon form.
-        zero = f.zero()
-        for q, other in self.rows.items():
-            coeff = other.get(pivot)
-            if coeff is None:
-                continue
-            for i, c in row.items():
-                new = f.sub(other.get(i, zero), f.mul(coeff, c))
-                if new == zero:
-                    other.pop(i, None)
-                else:
-                    other[i] = new
+        for other in self.rows.values():
+            if pivot in other:
+                _cancel(other, pivot, row, p)
+                if not p:
+                    g = gcd(*other.values())
+                    if g != 1:
+                        for i in other:
+                            other[i] //= g
         self.rows[pivot] = row
         return True
 
     def insert_support(self, indices) -> bool:
-        """Insert the 0/1 vector that is 1 exactly at ``indices``."""
-        one = self.field.one()
-        return self.insert(SparseVector(self.dim, dict.fromkeys(indices, one), self.field))
+        """Insert the 0/1 vector that is 1 exactly at the collection ``indices``."""
+        entries = dict.fromkeys(indices, 1)
+        _check_support(entries, self.dim)
+        return self.insert(SparseVector(self.dim, entries, self.field))
 
 
 class BitRowBasis:
@@ -325,7 +390,8 @@ class BitRowBasis:
         return True
 
     def insert_support(self, indices) -> bool:
-        """Insert the 0/1 vector that is 1 exactly at ``indices``."""
+        """Insert the 0/1 vector that is 1 exactly at the collection ``indices``."""
+        _check_support(indices, self.dim)
         mask = 0
         for i in indices:
             mask |= 1 << i

@@ -1,6 +1,6 @@
 import pytest
 
-from groupoid_growth.fields import GF2, QQ
+from groupoid_growth.fields import GF2, QQ, PrimeField
 from groupoid_growth.matrix_recursion import (
     GroupRingElement,
     IdentityError,
@@ -149,6 +149,21 @@ class TestThinnedGrowth:
         q = thinned_growth(grig, 6, QQ)
         f2 = thinned_growth(grig, 6, GF2)
         assert [d for _, d in q.dims] == [d for _, d in f2.dims]
+
+    @pytest.mark.parametrize(
+        "field, tail",
+        [
+            (GF2, [240, 276, 314, 354]),
+            (PrimeField(3), [248, 284, 322, 362]),
+            (QQ, [248, 284, 322, 362]),
+        ],
+        ids=["F2", "F3", "Q"],
+    )
+    def test_field_dependence_at_scale(self, grig, field, tail):
+        # At n=16 the rank over F2 falls below the rank over F3 and Q.
+        res = thinned_growth(grig, 16, field)
+        assert [d for _, d in res.dims][-4:] == tail
+        assert (res.level, res.stabilized) == (5, True)
 
     def test_quadratic_slope(self, grig):
         res = thinned_growth(grig, 24, GF2)
