@@ -27,7 +27,7 @@ class IdentityError(AssertionError):
 
 
 class GroupRingElement:
-    """Finitely supported map from group elements (interned states) to scalars."""
+    """Finitely supported map from group elements (canonical ids) to scalars."""
 
     __slots__ = ("group", "field", "coeffs")
 
@@ -35,7 +35,7 @@ class GroupRingElement:
         zero = field.zero()
         merged: dict = {}
         for g, c in coeffs.items():
-            rid = group.intern(g)
+            rid = group.canonical_key(g)
             merged[rid] = field.add(merged.get(rid, zero), c)
         self.group = group
         self.field = field
@@ -60,7 +60,7 @@ class GroupRingElement:
         out: dict = {}
         for g, cg in self.coeffs.items():
             for h, ch in other.coeffs.items():
-                k = grp.intern(grp.multiply(g, h))
+                k = grp.canonical_key(grp.multiply(g, h))
                 out[k] = f.add(out.get(k, f.zero()), f.mul(cg, ch))
         return GroupRingElement(grp, f, out)
 
@@ -93,23 +93,22 @@ def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> GroupRing
             g = group.identity
         else:
             g = group.element(term)
-        rid = group.intern(g)
-        coeffs[rid] = field.add(coeffs.get(rid, zero), coeff)
+        coeffs[g] = field.add(coeffs.get(g, zero), coeff)
     return GroupRingElement(group, field, coeffs)
 
 
 def element_name(group: SelfSimilarGroup, rid: int) -> str:
     """Short display name: generator/identity if recognizable, else a state tag."""
-    if group.is_identity(rid):
-        return "1"
     key = group.canonical_key(rid)
+    if key == group.identity:
+        return "1"
     for name in group.gen_names:
         if group.canonical_key(group.gens[name]) == key:
             return name
     for name in group.gen_names:
         if group.canonical_key(group.inverse(group.gens[name])) == key:
             return name.upper()
-    return f"g{rid}"
+    return f"g{key}"
 
 
 def format_element(elem: GroupRingElement) -> str:
@@ -240,8 +239,7 @@ def random_element(group, field, rng: random.Random, max_terms: int = 3, max_len
         word = "".join(rng.choice(names) for _ in range(rng.randint(0, max_len)))
         g = group.element(word)
         c = field.from_int(rng.randint(1, 5))
-        rid = group.intern(g)
-        coeffs[rid] = field.add(coeffs.get(rid, field.zero()), c)
+        coeffs[g] = field.add(coeffs.get(g, field.zero()), c)
     return GroupRingElement(group, field, coeffs)
 
 
@@ -268,7 +266,7 @@ def homomorphism_check(
 
 def _element_entries(group: SelfSimilarGroup, rid: int, level: int, cache: dict):
     """Level-`level` image of a single group element: tuple over columns of
-    (row, interned restriction)."""
+    (row, canonical id of the restriction)."""
     key = (rid, level)
     hit = cache.get(key)
     if hit is not None:
@@ -280,7 +278,7 @@ def _element_entries(group: SelfSimilarGroup, rid: int, level: int, cache: dict)
         sub_size = d ** (level - 1)
         cells = []
         for x in range(d):
-            child = group.intern(group.child(rid, x))
+            child = group.canonical_key(group.child(rid, x))
             sub = _element_entries(group, child, level - 1, cache)
             px = group.perms[rid][x]
             cells.append([(px * sub_size + r, e) for (r, e) in sub])
@@ -301,7 +299,7 @@ def thinned_dims_at_level(
 ) -> list[tuple[int, int]]:
     """dim V^n for n=1..n_max with elements vectorized at a fixed level.
 
-    Coordinates are (matrix cell, interned group element); V is spanned
+    Coordinates are (matrix cell, canonical id of a group element); V is spanned
     by 1 and the generators, and each level adds candidates s*h for the
     elements h that were newly independent.
     """
@@ -309,7 +307,7 @@ def thinned_dims_at_level(
         cache = {}
     coord_index: dict = {}
     basis = new_basis(field, 1 << 62)
-    gens = [group.intern(group.gens[n]) for n in group.gen_names]
+    gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
 
     def vectorize(rid: int) -> list[int]:
         entries = _element_entries(group, rid, level, cache)
@@ -328,7 +326,7 @@ def thinned_dims_at_level(
         if basis.insert_support(vectorize(rid)):
             new.append(rid)
 
-    consider(group.intern(group.identity))
+    consider(group.identity)
     for g in gens:
         consider(g)
     dims = [(1, basis.rank)]
@@ -337,7 +335,7 @@ def thinned_dims_at_level(
         new = []
         for h in frontier:
             for s in gens:
-                consider(group.intern(group.multiply(s, h)))
+                consider(group.canonical_key(group.multiply(s, h)))
         dims.append((n, basis.rank))
     return dims
 

@@ -5,20 +5,23 @@ permutation of the alphabet and one child state per letter.  States are
 created through memoized product/inverse constructors; child states are
 resolved lazily from a stored recipe, which makes cyclic definitions
 (generators whose restrictions mention each other, formal inverses, the
-products they induce) well founded.  *Semantic* equality — equality as
-maps on the tree — is decided by minimizing the reachable sub-automaton
-and comparing canonical encodings.  The canonical encoding doubles as
-the interning key, so equality, identity tests, and group-ring
-coefficient merging are exact and cheap.
+products they induce) well founded.  A state's canonical id is the state
+id of its class representative.  Invariant: two states of one group have
+equal ids iff they are the same automorphism of the tree; ids are valid
+within that group only.  Ids are given bottom-up over strongly connected
+components: an acyclic state is hash-consed by (permutation, child ids),
+a cyclic component is minimized by Moore refinement.  So equality,
+identity tests and group-ring coefficient merging are int compares.
 
 Boundary points are restricted to eventually periodic sequences, for
 which germ triviality is decidable by cycle detection over (canonical
-state, phase) pairs.
+id, phase) pairs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,7 +111,7 @@ class EventuallyPeriodicPoint:
 
 
 class SelfSimilarGroup:
-    """Interned-state realization of a wreath recursion."""
+    """Hash-consed realization of a wreath recursion."""
 
     def __init__(self, recursion: WreathRecursion, state_cap: int = 2_000_000):
         self.recursion = recursion
@@ -119,12 +122,15 @@ class SelfSimilarGroup:
         self._recipes: dict[int, tuple] = {}  # state -> how to build missing children
         self._product_cache: dict[tuple[int, int], int] = {}
         self._inverse_cache: dict[int, int] = {}
-        self._key_cache: dict[int, str] = {}
-        self._intern: dict[str, int] = {}
+        self._canon: list[int] = []  # state -> canonical id, -1 until computed
+        self._by_children: dict[tuple, int] = {}  # (perm, child ids) -> canonical id
+        self._by_cycle: dict[tuple, int] = {}  # BFS encoding of a cyclic class -> canonical id
 
         idperm = tuple(range(self.d))
         self.identity = self._new_state(idperm)
         self.children[self.identity] = [self.identity] * self.d
+        # First class to get an id, so the identity is its own representative.
+        self.canonical_key(self.identity)
 
         self.gens: dict[str, int] = {}
         for name, (perm, rests) in recursion.generators.items():
@@ -132,7 +138,6 @@ class SelfSimilarGroup:
             self._recipes[sid] = ("word", rests)
             self.gens[name] = sid
         self.gen_names = list(recursion.generators)
-        self.identity_key = self.canonical_key(self.identity)
 
     # -- state construction ------------------------------------------------
 
@@ -141,6 +146,7 @@ class SelfSimilarGroup:
             raise StateCapExceeded(f"automaton state cap {self.state_cap} exceeded")
         self.perms.append(perm)
         self.children.append([-1] * self.d)  # resolved on demand via the recipe
+        self._canon.append(-1)
         return len(self.perms) - 1
 
     def child(self, g: int, x: int) -> int:
@@ -155,7 +161,7 @@ class SelfSimilarGroup:
             return c
         recipe = self._recipes[g]
         if recipe[0] == "word":
-            c = self._word_state(recipe[1][x])
+            c = self.element(recipe[1][x])
         elif recipe[0] == "inv":
             (_, orig) = recipe
             inv_perm = self.perms[g]
@@ -167,7 +173,8 @@ class SelfSimilarGroup:
         self.children[g][x] = c
         return c
 
-    def _word_state(self, word: str) -> int:
+    def element(self, word: str) -> int:
+        """State of a product of generators given as a name word ('' = identity)."""
         sid = self.identity
         for ch in word:
             g = self.gens[ch.lower()]
@@ -175,10 +182,6 @@ class SelfSimilarGroup:
                 g = self.inverse(g)
             sid = self.multiply(sid, g)
         return sid
-
-    def element(self, word: str) -> int:
-        """State of a product of generators given as a name word ('' = identity)."""
-        return self._word_state(word)
 
     def multiply(self, g: int, h: int) -> int:
         """State of g*h (g applied after h).  (g*h)|_x = g|_{h(x)} * h|_x."""
@@ -234,78 +237,77 @@ class SelfSimilarGroup:
             sid = self.child(sid, x)
         return sid
 
-    # -- semantic equality ----------------------------------------------------
+    # -- canonical ids --------------------------------------------------------
 
-    def canonical_key(self, g: int) -> str:
-        """Canonical encoding of the minimized automaton reachable from g.
+    def canonical_key(self, g: int) -> int:
+        """Canonical id of g: the state id of the representative of its class.
 
-        Two states have equal keys iff they are equal as automorphisms of
-        the tree (bisimulation equivalence).
+        Two states of this group have equal ids iff they act as the same
+        automorphism of the tree; ids are valid within this group only.
         """
-        cached = self._key_cache.get(g)
-        if cached is not None:
-            return cached
-        # Reachable states (forcing all children along the way).
-        reach = []
-        seen = set()
-        stack = [g]
+        if self._canon[g] < 0:
+            for comp in _strongly_connected_components([g], self._pending_children):
+                self._canonicalize(comp)
+        return self._canon[g]
+
+    def _pending_children(self, s: int) -> list[int]:
+        return [c for c in (self.child(s, x) for x in range(self.d)) if self._canon[c] < 0]
+
+    def _canonicalize(self, comp: list[int]) -> None:
+        """Give ids to one strongly connected component of states whose
+        children outside it already have ids."""
+        canon, children, perms = self._canon, self.children, self.perms
+        s = comp[0]
+        if len(comp) == 1 and s not in children[s]:
+            canon[s] = self._by_children.setdefault((perms[s], tuple(canon[c] for c in children[s])), s)
+            return
+        # Moore refinement over the component plus the known classes below
+        # it, so that a cyclic state can merge with an existing representative.
+        nodes = list(comp)
+        pos = {s: i for i, s in enumerate(nodes)}
+        stack = [canon[c] for s in comp for c in children[s] if c not in pos]
         while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            reach.append(s)
-            stack.extend(self.child(s, x) for x in range(self.d))
-        # Moore partition refinement by (perm, child blocks).
-        block = {s: self.perms[s] for s in reach}
-        while True:
-            sig = {
-                s: (block[s], tuple(block[self.children[s][x]] for x in range(self.d)))
-                for s in reach
-            }
-            if len(set(sig.values())) == len(set(block.values())):
-                block = sig
-                break
-            block = sig
-        # Canonical BFS over blocks starting from g's block, letter order.
-        order: dict = {}
-        rep: dict = {}
-        for s in reach:
-            rep.setdefault(block[s], s)
-        queue = [block[g]]
-        order[block[g]] = 0
-        idx = 0
-        encoded = []
-        while idx < len(queue):
-            b = queue[idx]
-            idx += 1
-            s = rep[b]
-            childblocks = []
-            for x in range(self.d):
-                cb = block[self.children[s][x]]
-                if cb not in order:
-                    order[cb] = len(queue)
-                    queue.append(cb)
-                childblocks.append(order[cb])
-            encoded.append((self.perms[s], tuple(childblocks)))
-        key = repr(encoded)
-        self._key_cache[g] = key
-        return key
+            k = stack.pop()
+            if k not in pos:
+                pos[k] = len(nodes)
+                nodes.append(k)
+                stack.extend(canon[c] for c in children[k])
+        kids = [[pos[c] if c in pos else pos[canon[c]] for c in children[s]] for s in nodes]
+        labels = _relabel(perms[s] for s in nodes)
+        while (refined := _relabel((labels[i], *(labels[j] for j in ks)) for i, ks in enumerate(kids))) != labels:
+            labels = refined
+        known = {labels[i]: nodes[i] for i in range(len(comp), len(nodes))}
+        if labels[0] not in known:  # else every state is known: they reach each other
+            rep = {labels[i]: comp[i] for i in reversed(range(len(comp)))}  # first member
+
+            def encode(start: int) -> tuple:
+                # Minimized automaton in BFS order from a block, known classes
+                # as ~id: equal encodings iff equal classes.
+                order, queue, out = {start: 0}, [start], []
+                for b in queue:
+                    out.extend(perms[rep[b]])
+                    for c in kids[pos[rep[b]]]:
+                        cb = labels[c]
+                        if cb not in known and cb not in order:
+                            order[cb] = len(queue)
+                            queue.append(cb)
+                        out.append(~known[cb] if cb in known else order[cb])
+                return tuple(out)
+
+            if encode(labels[0]) not in self._by_cycle:  # new classes: register every entry
+                ids = known | rep
+                for b, r in rep.items():
+                    self._by_cycle[encode(b)] = r
+                    self._by_children[(perms[r], tuple(ids[labels[c]] for c in kids[pos[r]]))] = r
+            known.update({b: self._by_cycle[encode(b)] for b in rep})  # encode reads known
+        for i, s in enumerate(comp):
+            canon[s] = known[labels[i]]
 
     def equal(self, g: int, h: int) -> bool:
         return g == h or self.canonical_key(g) == self.canonical_key(h)
 
     def is_identity(self, g: int) -> bool:
-        return g == self.identity or self.canonical_key(g) == self.identity_key
-
-    def intern(self, g: int) -> int:
-        """Canonical representative state id for g's bisimulation class."""
-        key = self.canonical_key(g)
-        rep = self._intern.get(key)
-        if rep is None:
-            self._intern[key] = g
-            rep = g
-        return rep
+        return self.canonical_key(g) == self.identity
 
     # -- germs ---------------------------------------------------------------
 
@@ -313,103 +315,78 @@ class SelfSimilarGroup:
         """Whether the germ of g at an eventually periodic point is a unit.
 
         Follows the point through g: a moved prefix letter kills all longer
-        prefixes; reaching the identity state certifies a unit; a repeated
-        (canonical state, period phase) pair is a nonidentity cycle.
+        prefixes; reaching the identity certifies a unit; a repeated
+        (canonical id, period phase) pair is a nonidentity cycle.
         """
+        if any(not 0 <= x < self.d for x in point.preperiod + point.period):
+            raise ValueError(f"point has a letter outside the alphabet of size {self.d}")
         sid = g
-        pos = 0
         seen = set()
-        for _ in range(cap):
-            if self.is_identity(sid):
+        for pos in range(cap):
+            k = self.canonical_key(sid)
+            if k == self.identity:
                 return True
             x = point.letter(pos)
-            if self.perms[sid][x] != x:
+            if self.perms[k][x] != x:
                 return False
             phase = point.phase(pos)
             if phase is not None:
-                key = (self.canonical_key(sid), phase)
-                if key in seen:
+                if (k, phase) in seen:
                     return False
-                seen.add(key)
-            sid = self.child(sid, x)
-            pos += 1
+                seen.add((k, phase))
+            sid = self.child(k, x)
         raise StateCapExceeded(f"germ decision did not settle within {cap} steps")
 
     # -- nucleus and contraction ----------------------------------------------
 
-    def generator_states(self, with_inverses: bool = True) -> list[int]:
+    def generator_states(self) -> list[int]:
         out = [self.gens[n] for n in self.gen_names]
-        if with_inverses:
-            for n in self.gen_names:
-                inv = self.inverse(self.gens[n])
-                if self.canonical_key(inv) not in {self.canonical_key(s) for s in out}:
-                    out.append(inv)
+        for n in self.gen_names:
+            inv = self.inverse(self.gens[n])
+            if self.canonical_key(inv) not in {self.canonical_key(s) for s in out}:
+                out.append(inv)
         return out
 
     def nucleus(self, cap: int = 10_000) -> "Nucleus":
-        """Restriction closure of pairwise generator products, pruned to the
-        recurrently reachable core."""
+        """The nucleus, certified.
+
+        N is the recurrent core of the restriction closure of the pairwise
+        products of 1, the generators and their inverses.  It is returned
+        only if the recurrent core for {g*h : g, h in N} lies in N, which
+        certifies that the group is contracting with nucleus N; else, or
+        when a closure grows past ``cap`` ids, NotContracting is raised.
+        """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         seeds = [self.identity] + self.generator_states()
-        closure: dict[str, int] = {}
+        core = self._recurrent_core([self.multiply(g, h) for g in seeds for h in seeds], cap)
+        square = self._recurrent_core([self.multiply(g, h) for g in core for h in core], cap)
+        if not square <= core:
+            raise NotContracting(f"not contracting: products of the {len(core)} candidates recur outside them")
+        return Nucleus(group=self, states=frozenset(core), complete=True)
 
-        def add(state: int) -> int | None:
-            k = self.canonical_key(state)
-            if k in closure:
-                return None
-            if len(closure) >= cap:
-                raise NotContracting(
-                    f"restriction closure exceeded cap {cap}: not contracting within cap"
-                )
-            rep = self.intern(state)
-            closure[k] = rep
-            return rep
-
-        frontier = []
-        for g in seeds:
-            for h in seeds:
-                rep = add(self.multiply(g, h))
-                if rep is not None:
-                    frontier.append(rep)
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for x in range(self.d):
-                    rep = add(self.child(s, x))
-                    if rep is not None:
-                        nxt.append(rep)
-            frontier = nxt
-        # Restriction graph on the closure; keep states reachable from a cycle.
-        nodes = list(closure.values())
-        succ = {
-            s: {self.intern(self.child(s, x)) for x in range(self.d)} for s in nodes
-        }
-        on_cycle = set()
-        for s in nodes:
-            stack, seen = list(succ[s]), set()
-            while stack:
-                t = stack.pop()
-                if t == s:
-                    on_cycle.add(s)
-                    break
-                if t in seen:
-                    continue
-                seen.add(t)
-                stack.extend(succ[t])
-        recurrent = set()
-        stack = list(on_cycle)
+    def _recurrent_core(self, states: list[int], cap: int) -> set[int]:
+        """Ids reachable from a cycle in the restriction closure of states."""
+        succ: dict[int, list[int]] = {}
+        stack = [self.canonical_key(s) for s in states]
         while stack:
-            s = stack.pop()
-            if s in recurrent:
-                continue
-            recurrent.add(s)
-            stack.extend(succ[s])
-        return Nucleus(group=self, states=sorted(recurrent), complete=True)
+            k = stack.pop()
+            if k not in succ:
+                if len(succ) >= cap:
+                    raise NotContracting(f"restriction closure exceeded cap {cap}: not contracting within cap")
+                succ[k] = [self.canonical_key(self.child(k, x)) for x in range(self.d)]
+                stack.extend(succ[k])
+        core: set[int] = set()
+        # Components in topological order: each after every one reaching it.
+        for comp in reversed(list(_strongly_connected_components(succ, succ.__getitem__))):
+            if len(comp) > 1 or comp[0] in succ[comp[0]] or not core.isdisjoint(comp):
+                core.update(comp)
+                core.update(c for s in comp for c in succ[s])
+        return core
 
-    def ball(self, radius: int) -> dict[str, tuple[int, int]]:
-        """Exact ball of the group: canonical key -> (word length, state id)."""
-        lengths: dict[str, tuple[int, int]] = {self.identity_key: (0, self.identity)}
+    def ball(self, radius: int) -> dict[int, tuple[int, int]]:
+        """Exact ball of the group: canonical id -> (word length, state id)."""
+        lengths: dict[int, tuple[int, int]] = {self.identity: (0, self.identity)}
         frontier = [self.identity]
         gens = self.generator_states()
         for r in range(1, radius + 1):
@@ -430,7 +407,8 @@ class SelfSimilarGroup:
         Over all group elements with word length in [length_cap/2,
         length_cap], takes the worst ratio l(g|_v)/l(g) at each depth and
         returns the best (smallest) depth ratio found: an upper-bound
-        witness at that depth, not the true limsup.
+        witness at that depth, not the true limsup.  The restrictions of
+        each element are walked level by level as a set of canonical ids.
         """
         if length_cap < 2:
             raise ValueError("length_cap must be >= 2")
@@ -439,46 +417,70 @@ class SelfSimilarGroup:
         band = [(l, g) for (l, g) in lengths.values() if lo <= l <= length_cap]
         if not band:
             return ContractionEstimate(Fraction(0), 1, length_cap)
+        levels = [{self.canonical_key(g)} for _, g in band]
         best_ratio, best_depth = None, 1
         for depth in range(1, depth_cap + 1):
             worst = Fraction(0)
-            for l, g in band:
-                for v in _all_words(self.d, depth):
-                    r = self.restriction(g, v)
-                    rk = self.canonical_key(r)
-                    if rk in lengths:
-                        rl = lengths[rk][0]
-                    else:
-                        rl = l + 1  # restriction left the ball: length grew
-                    ratio = Fraction(rl, l)
-                    if ratio > worst:
-                        worst = ratio
+            for i, (l, _) in enumerate(band):
+                levels[i] = {self.canonical_key(self.child(s, x)) for s in levels[i] for x in range(self.d)}
+                # A restriction outside the ball is longer than the cap.
+                rl = max(lengths[k][0] if k in lengths else l + 1 for k in levels[i])
+                worst = max(worst, Fraction(rl, l))
             if best_ratio is None or worst < best_ratio:
                 best_ratio, best_depth = worst, depth
         return ContractionEstimate(best_ratio, best_depth, length_cap)
 
 
-def _all_words(d: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for w in _all_words(d, n - 1):
-        for x in range(d):
-            yield w + (x,)
+def _relabel(signatures) -> list[int]:
+    """Number the distinct signatures 0, 1, ... in order of first appearance."""
+    ids: dict = {}
+    return [ids.setdefault(sig, len(ids)) for sig in signatures]
+
+
+def _strongly_connected_components(roots, successors):
+    """Tarjan's algorithm, iterative: yield the strongly connected
+    components of the graph reachable from roots, each after every
+    component it reaches."""
+    index, low, stack = {}, {}, []  # index: discovery order, math.inf once yielded
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(successors(w))))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = math.inf
+                    yield comp
 
 
 @dataclass
 class Nucleus:
     group: SelfSimilarGroup
-    states: list[int]
+    states: frozenset[int]  # canonical ids
     complete: bool
 
     def __len__(self):
         return len(self.states)
 
     def contains(self, g: int) -> bool:
-        key = self.group.canonical_key(g)
-        return any(self.group.canonical_key(s) == key for s in self.states)
+        return self.group.canonical_key(g) in self.states
 
     def closed_under_restriction(self) -> bool:
         return all(

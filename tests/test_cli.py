@@ -163,6 +163,26 @@ class TestGroupCommands:
         )
         assert code == 0 and out.strip() == "nontrivial"
 
+    @pytest.mark.parametrize("element", ["ab", ""])
+    def test_germ_point_outside_alphabet_exit_2(self, capsys, element):
+        code, _, err = run(
+            capsys, ["germ", "--group", "grigorchuk", "--element", element, "--point", "|2"]
+        )
+        assert code == 2 and "outside the alphabet" in err
+
+    def test_nucleus_not_contracting_exit_3(self, capsys):
+        lamplighter = json.dumps(
+            {
+                "alphabet": 2,
+                "generators": {
+                    "a": {"perm": [1, 0], "rest": ["a", "b"]},
+                    "b": {"perm": [0, 1], "rest": ["a", "b"]},
+                },
+            }
+        )
+        code, out, err = run(capsys, ["nucleus", "--group", lamplighter])
+        assert code == 3 and "not contracting" in err and out == ""
+
     def test_matrix_recursion_print(self, capsys):
         code, out, _ = run(
             capsys,

@@ -179,4 +179,4 @@ class TestElementName:
     def test_generators_and_identity(self, grig):
         assert element_name(grig, grig.identity) == "1"
         assert element_name(grig, grig.gens["a"]) == "a"
-        assert element_name(grig, grig.intern(grig.element("bc"))) == "d"
+        assert element_name(grig, grig.canonical_key(grig.element("bc"))) == "d"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -14,6 +15,62 @@ from groupoid_growth.selfsimilar import (
     group_from_spec,
     recursion_from_config,
 )
+
+
+BASILICA = WreathRecursion(2, {"a": ((0, 1), ("", "b")), "b": ((1, 0), ("", "a"))})
+
+HANOI = WreathRecursion(
+    3,
+    {
+        "a": ((1, 0, 2), ("", "", "a")),
+        "b": ((2, 1, 0), ("", "b", "")),
+        "c": ((0, 2, 1), ("c", "", "")),
+    },
+)
+
+# a|_1 = a^-1: a restriction given by a formal inverse.
+SELF_INVERSE = recursion_from_config(
+    {"alphabet": 2, "generators": {"a": {"perm": [1, 0], "rest": ["", "A"]}}}
+)
+
+# Not contracting: restrictions of a word are words of the same length.
+LAMPLIGHTER = WreathRecursion(2, {"a": ((1, 0), ("a", "b")), "b": ((0, 1), ("a", "b"))})
+
+
+def reference_key(grp, g):
+    """Independent equality oracle: Moore refinement of the whole automaton
+    reachable from g, then a BFS encoding of the minimized automaton from
+    g's block, as a string.  Equal strings iff equal automorphisms."""
+    reach, seen, stack = [], set(), [g]
+    while stack:
+        s = stack.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        reach.append(s)
+        stack.extend(grp.child(s, x) for x in range(grp.d))
+    block = {s: grp.perms[s] for s in reach}
+    while True:
+        sig = {s: (block[s], tuple(block[grp.children[s][x]] for x in range(grp.d))) for s in reach}
+        done = len(set(sig.values())) == len(set(block.values()))
+        block = sig
+        if done:
+            break
+    rep = {}
+    for s in reach:
+        rep.setdefault(block[s], s)
+    order, queue, encoded = {block[g]: 0}, [block[g]], []
+    for b in queue:
+        s = rep[b]
+        childblocks = []
+        for x in range(grp.d):
+            cb = block[grp.children[s][x]]
+            if cb not in order:
+                order[cb] = len(queue)
+                queue.append(cb)
+            childblocks.append(order[cb])
+        encoded.append((grp.perms[s], tuple(childblocks)))
+    return repr(encoded)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +153,36 @@ class TestGroupOperations:
 
     def test_interning_merges_equal_elements(self, grig):
         b, c, d = grig.gens["b"], grig.gens["c"], grig.gens["d"]
-        assert grig.intern(grig.multiply(b, c)) == grig.intern(d)
+        assert grig.canonical_key(grig.multiply(b, c)) == grig.canonical_key(d)
+
+
+class TestCanonicalIds:
+    @pytest.mark.parametrize(
+        "rec, count, max_len",
+        [
+            (GRIGORCHUK, 500, 8),
+            (ADDING_MACHINE, 500, 8),
+            (BASILICA, 500, 8),
+            (HANOI, 500, 8),
+            (SELF_INVERSE, 500, 8),
+            (LAMPLIGHTER, 200, 6),
+        ],
+        ids=["grigorchuk", "adding_machine", "basilica", "hanoi", "self_inverse", "lamplighter"],
+    )
+    def test_same_classes_as_reference(self, rec, count, max_len):
+        grp = SelfSimilarGroup(rec)
+        letters = grp.gen_names + [n.upper() for n in grp.gen_names]
+        rng = random.Random(3)
+        elems = [
+            grp.element("".join(rng.choice(letters) for _ in range(rng.randint(0, max_len))))
+            for _ in range(count)
+        ]
+        ids = [grp.canonical_key(g) for g in elems]
+        refs = [reference_key(grp, g) for g in elems]
+        assert all(isinstance(k, int) for k in ids)
+        assert len(set(ids)) == len(set(refs)) == len(set(zip(ids, refs)))
+        assert all(grp.canonical_key(k) == k for k in ids)
+        assert len(set(ids)) > 1
 
 
 class TestNucleus:
@@ -119,6 +205,23 @@ class TestNucleus:
             assert nuc.contains(grig.gens[name])
         assert nuc.contains(grig.identity)
         assert nuc.closed_under_restriction()
+
+    def test_basilica(self):
+        grp = SelfSimilarGroup(BASILICA)
+        nuc = grp.nucleus()
+        assert len(nuc) == 7
+        assert nuc.closed_under_restriction()
+
+    def test_hanoi(self):
+        grp = SelfSimilarGroup(HANOI)
+        nuc = grp.nucleus()
+        assert len(nuc) == 4
+        assert nuc.contains(grp.identity)
+        assert all(nuc.contains(g) for g in grp.gens.values())
+
+    def test_not_contracting(self):
+        with pytest.raises(NotContracting):
+            SelfSimilarGroup(LAMPLIGHTER).nucleus()
 
     def test_trivial_group(self):
         rec = WreathRecursion(2, {"e": ((0, 1), ("", ""))})
@@ -156,6 +259,11 @@ class TestGerms:
 
     def test_b_at_one(self, grig):
         assert not grig.germ_is_unit(grig.gens["b"], EventuallyPeriodicPoint((), (1,)))
+
+    def test_point_outside_alphabet(self, grig):
+        for g in (grig.element("ab"), grig.identity):
+            with pytest.raises(ValueError):
+                grig.germ_is_unit(g, EventuallyPeriodicPoint((), (2,)))
 
     def test_moved_letter(self, grig):
         assert not grig.germ_is_unit(grig.gens["a"], EventuallyPeriodicPoint((), (0,)))
@@ -198,8 +306,10 @@ class TestRecursionParsing:
         }
         grp = group_from_spec(json.dumps(cfg))
         ref = SelfSimilarGroup(GRIGORCHUK)
+        words = list(itertools.product(range(2), repeat=6))
         for w in ("ab", "bc", "abab", "dcb"):
-            assert grp.canonical_key(grp.element(w)) == ref.canonical_key(ref.element(w))
+            g, h = grp.element(w), ref.element(w)
+            assert [grp.act(g, v) for v in words] == [ref.act(h, v) for v in words]
 
     def test_formal_inverse_in_restriction(self):
         # b is defined by an uppercase (formal inverse) restriction and must
