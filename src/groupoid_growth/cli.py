@@ -91,6 +91,12 @@ def _language(cfg, n_max: int, budget=None) -> Language:
     return build_language(source_from_config(cfg), n_max=n_max, prefix_budget=budget)
 
 
+def _with_budget(config: dict, budget) -> dict:
+    """A digest payload plus ``budget`` when one was given.  The default
+    budget is a function of the length, which the payload already holds."""
+    return config if budget is None else {**config, "budget": budget}
+
+
 def _model_from_arg(text: str):
     cfg = _read_spec(text)
     if not isinstance(cfg, dict):
@@ -120,7 +126,8 @@ def cmd_complexity(args) -> int:
     cfg = _read_spec(args.source)
     lang = _language(cfg, n_max, args.budget)
     rows = [[n, lang.complexity(n)] for n in range(1, n_max + 1)]
-    _emit_csv(args.csv, ["n", "p_n"], rows, {"cmd": "complexity", "source": cfg, "n_max": n_max})
+    config = _with_budget({"cmd": "complexity", "source": cfg, "n_max": n_max}, args.budget)
+    _emit_csv(args.csv, ["n", "p_n"], rows, config)
     return 0
 
 
@@ -182,7 +189,7 @@ def cmd_algebra_growth(args) -> int:
         args.csv,
         ["n", "dim", "lower_bound", "upper_bound", "bound_ok"],
         rows,
-        {"cmd": "algebra-growth", "source": cfg, "n_max": n_max, "field": args.field},
+        _with_budget({"cmd": "algebra-growth", "source": cfg, "n_max": n_max, "field": args.field}, args.budget),
     )
     return 0
 
@@ -192,7 +199,8 @@ def cmd_semigroup_growth(args) -> int:
     cfg = _read_spec(args.source)
     lang = _language(cfg, n_max, args.budget)
     rows = [[n, d] for n, d in sa.semigroup_dims(lang, n_max)]
-    _emit_csv(args.csv, ["n", "dim"], rows, {"cmd": "semigroup-growth", "source": cfg, "n_max": n_max})
+    config = _with_budget({"cmd": "semigroup-growth", "source": cfg, "n_max": n_max}, args.budget)
+    _emit_csv(args.csv, ["n", "dim"], rows, config)
     return 0
 
 
@@ -206,7 +214,7 @@ def cmd_module_growth(args) -> int:
         args.csv,
         ["n", "dim", "gamma"],
         rows,
-        {"cmd": "module-growth", "source": cfg, "n_max": n_max, "field": args.field},
+        _with_budget({"cmd": "module-growth", "source": cfg, "n_max": n_max, "field": args.field}, args.budget),
     )
     return 0
 
@@ -219,7 +227,8 @@ def cmd_expansive(args) -> int:
     for m in range(1, n + 1):
         rep = sa.expansive_certificate(lang, m)
         rows.append([m, rep.window_count, rep.atom_count])
-    _emit_csv(args.csv, ["n", "windows", "atoms"], rows, {"cmd": "expansive", "source": cfg, "n": n})
+    config = _with_budget({"cmd": "expansive", "source": cfg, "n": n}, args.budget)
+    _emit_csv(args.csv, ["n", "windows", "atoms"], rows, config)
     return 0
 
 

@@ -111,12 +111,19 @@ class GermGroupoidModel:
         gens = [grp.gens[n] for n in grp.gen_names]
         steps = gens + [grp.inverse(s) for s in gens]
         reps = [grp.identity]  # germ representatives, vertex i = reps[i]
+        # Canonical id -> its vertex, once known.  Equal ids are equal
+        # elements, and reps only grows at the end, so a scan for a known id
+        # would return the same vertex.
+        vertex = {grp.canonical_key(grp.identity): 0}
 
         def find(g: int):
-            for i, h in enumerate(reps):
-                if self._same_germ(g, h, unit):
-                    return i
-            return None
+            k = grp.canonical_key(g)
+            if k not in vertex:
+                for i, h in enumerate(reps):
+                    if self._same_germ(g, h, unit):
+                        vertex[k] = i
+                        break
+            return vertex.get(k)
 
         frontier = [grp.identity]
         for _ in range(r):
@@ -125,6 +132,7 @@ class GermGroupoidModel:
                 for s in steps:
                     p = grp.multiply(s, g)
                     if find(p) is None:
+                        vertex[grp.canonical_key(p)] = len(reps)
                         reps.append(p)
                         nxt.append(p)
             frontier = nxt

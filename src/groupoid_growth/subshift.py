@@ -6,14 +6,19 @@ the largest length at which right-extendability held instead of claiming
 more; for uniformly recurrent sources with an adequate budget the
 enumeration is the full factor set.
 
-Internally a suffix automaton of the prefix is built once, so that the
-factor sets of all lengths up to ``n_max`` come out of a single linear
-pass even for budgets in the hundreds of thousands.
+All factor sets come from one downward pass over the lengths.  In a
+prefix P of length L, a length-n factor that starts before position L-n is
+the first n letters of the length-(n+1) factor that starts at the same
+place, and the only other length-n factor is the suffix P[L-n:].  So the
+factors of length ``n_max`` are read off P in one scan, and each shorter
+class is the next longer one with the last letter of each factor dropped,
+plus that suffix.  The suffix is also the only factor that can fail to
+extend to the right, which gives ``extendable_up_to`` from the same pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .words import WordSource
 
@@ -22,60 +27,8 @@ class LanguageError(ValueError):
     pass
 
 
-class _SuffixAutomaton:
-    """Standard online suffix automaton over bytes."""
-
-    def __init__(self, text: bytes):
-        self.next: list[dict[int, int]] = [{}]
-        self.link = [-1]
-        self.maxlen = [0]
-        last = 0
-        for ch in text:
-            cur = len(self.maxlen)
-            self.maxlen.append(self.maxlen[last] + 1)
-            self.link.append(-1)
-            self.next.append({})
-            p = last
-            while p != -1 and ch not in self.next[p]:
-                self.next[p][ch] = cur
-                p = self.link[p]
-            if p == -1:
-                self.link[cur] = 0
-            else:
-                q = self.next[p][ch]
-                if self.maxlen[p] + 1 == self.maxlen[q]:
-                    self.link[cur] = q
-                else:
-                    clone = len(self.maxlen)
-                    self.maxlen.append(self.maxlen[p] + 1)
-                    self.link.append(self.link[q])
-                    self.next.append(dict(self.next[q]))
-                    while p != -1 and self.next[p].get(ch) == q:
-                        self.next[p][ch] = clone
-                        p = self.link[p]
-                    self.link[q] = clone
-                    self.link[cur] = clone
-            last = cur
-        self.last = last
-
-    def factors_by_length(self, n_max: int, cap: int = 2_000_000) -> list[list[bytes]]:
-        """Distinct substrings of each length 0..n_max, sorted lexicographically."""
-        out: list[list[bytes]] = [[] for _ in range(n_max + 1)]
-        count = -1  # the empty word is not counted against the cap
-        # Iterative DFS in letter order, recording each factor when it is
-        # popped, yields each length class already sorted.
-        stack = [(0, b"")]
-        while stack:
-            state, word = stack.pop()
-            out[len(word)].append(word)
-            count += 1
-            if count > cap:
-                raise LanguageError(f"factor enumeration exceeded cap {cap}")
-            if len(word) < n_max:
-                nxt = self.next[state]
-                for ch in sorted(nxt, reverse=True):
-                    stack.append((nxt[ch], word + bytes([ch])))
-        return out
+# Most nonempty factors one language may hold, all lengths together.
+FACTOR_CAP = 2_000_000
 
 
 @dataclass
@@ -93,9 +46,7 @@ class Language:
     prefix_len: int
     extendable_up_to: int
     finite_source: bool
-
-    def __post_init__(self):
-        self._sets = [set(bucket) for bucket in self.factors]
+    factor_sets: list[set[bytes]] = field(repr=False, compare=False)  # factors[n] as a set
 
     def complexity(self, n: int) -> int:
         """p(n), the number of distinct length-n factors."""
@@ -111,7 +62,7 @@ class Language:
 
     def contains(self, word: bytes) -> bool:
         n = len(word)
-        return n <= self.n_max and word in self._sets[n]
+        return n <= self.n_max and word in self.factor_sets[n]
 
 
 def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Language:
@@ -123,32 +74,38 @@ def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Langua
     prefix = source.prefix(prefix_budget)
     if len(prefix) < n_max:
         raise LanguageError("source ended before n_max letters were produced")
-    sam = _SuffixAutomaton(prefix)
-    factors = sam.factors_by_length(n_max)
-
-    # Factor closure: the boundary subwords of every factor must be factors
-    # (interior subwords follow by induction).  This is a structural check
-    # on the enumeration itself and must never fail.
-    sets = [set(bucket) for bucket in factors]
-    for n in range(1, n_max + 1):
-        for f in factors[n]:
-            assert f[:-1] in sets[n - 1] and f[1:] in sets[n - 1], f"closure broken at {f!r}"
-
+    L = len(prefix)
+    level = {prefix[i : i + n_max] for i in range(L - n_max + 1)}
+    sets = [level]
+    count = len(level)  # nonempty factors so far
     extendable = n_max
-    for n in range(1, n_max + 1):
-        prefixes = {f[:-1] for f in factors[n]}
-        if not set(factors[n - 1]) <= prefixes:
-            extendable = n - 1
-            break
+    for n in range(n_max - 1, -1, -1):
+        if count > FACTOR_CAP:
+            raise LanguageError(f"factor enumeration exceeded cap {FACTOR_CAP}")
+        level = {f[:-1] for f in level}
+        suffix = prefix[L - n :]
+        if suffix not in level:  # it does not extend; the last such n is the least
+            extendable = n
+            level.add(suffix)
+        count += len(level)
+        sets.append(level)
+    sets.reverse()
 
     lang = Language(
         alphabet_size=source.alphabet.size,
-        factors=factors,
+        factors=[sorted(s) for s in sets],
         n_max=n_max,
-        prefix_len=len(prefix),
+        prefix_len=L,
         extendable_up_to=extendable,
         finite_source=source.finite_length is not None,
+        factor_sets=sets,
     )
+    # Factor closure: the boundary subwords of every factor must be factors
+    # (interior subwords follow by induction).  This is a structural check
+    # on the enumeration itself and must never fail.
+    for n in range(1, n_max + 1):
+        for f in lang.factors[n]:
+            assert lang.contains(f[:-1]) and lang.contains(f[1:]), f"closure broken at {f!r}"
     if not lang.finite_source:
         for n in range(1, min(lang.extendable_up_to, n_max)):
             assert lang.complexity(n + 1) >= lang.complexity(n)

@@ -46,6 +46,34 @@ class TestComplexity:
         code, out, err = run(capsys, ["complexity", "--source", GOLDEN, "--n-max", "5", "--budget", "0"])
         assert code == 2 and "budget" in err and out == ""
 
+    def test_budget_changes_digest(self, capsys):
+        # A budget of 250 truncates the enumeration (p(100) = 151, not 326),
+        # so the digest must tell the two tables apart.  The default-budget
+        # digest is the value printed before the budget joined the payload.
+        argv = ["complexity", "--source", TM, "--n-max", "100"]
+        outs = [run(capsys, argv + extra)[1].splitlines() for extra in ([], ["--budget", "250"])]
+        assert outs[0][0] == "#config=6ecf0b15c151c009529fcd5891cd3c04bf5f1c1e0859db2d4051c5ffd539a51b"
+        assert (outs[0][-1], outs[1][-1]) == ("100,326", "100,151")
+        assert outs[1][0] != outs[0][0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complexity", "--n-max", "4"],
+            ["algebra-growth", "--n-max", "2"],
+            ["semigroup-growth", "--n-max", "4"],
+            ["module-growth", "--n-max", "2"],
+            ["expansive", "--n", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_budget_in_digest(self, capsys, argv):
+        digests = [
+            run(capsys, argv + ["--source", GOLDEN] + extra)[1].splitlines()[0]
+            for extra in ([], ["--budget", "300"], ["--budget", "400"])
+        ]
+        assert len(set(digests)) == 3
+
     def test_missing_source_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["complexity", "--source", str(tmp_path / "nope.json"), "--n-max", "2"])
         assert code == 2 and "usage error" in err

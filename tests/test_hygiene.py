@@ -33,3 +33,62 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants, and private
+    methods, that no module of ``sources`` references besides defining them.
+
+    References are matched by name, not by scope: a load of the name, an
+    attribute of that name or an import of it counts.
+    """
+    defined = []  # (label, name)
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{module}:{node.name}", node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(f"{module}:{t.id}", t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defined.append((f"{module}:{node.name}.{item.name}", item.name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                used.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                used.update(alias.name for alias in n.names)
+    return sorted(label for label, name in defined if _is_private(name) and name not in used)
+
+
+def test_detects_dead_private_code():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_USED = 4\n__all__ = []\n"
+            "def _dead(): pass\n"
+            "def _alive(): return _USED\n"
+            "class _Gone:\n    pass\n"
+            "class Box:\n"
+            "    def __init__(self): self._helper()\n"
+            "    def _helper(self): pass\n"
+            "    def _unused(self): pass\n"
+            "    def public(self): return _alive()\n"
+        ),
+        "b": "from .a import _Imported\n",
+        "c": "class _Imported: pass\n",
+    }
+    assert dead_private_names(sources) == ["a:Box._unused", "a:_Gone", "a:_LIMIT", "a:_dead"]
+
+
+def test_no_dead_private_code():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
+from groupoid_growth import subshift
 from groupoid_growth.subshift import LanguageError, build_language, recurrence_check
 from groupoid_growth.words import (
     Alphabet,
     ExplicitSource,
     SubstitutionSource,
     golden_sturmian,
+    source_from_config,
     thue_morse,
 )
 
@@ -108,3 +112,82 @@ class TestRecurrence:
         src = ExplicitSource(tuple([0] * 30 + [1]), Alphabet(2))
         lang = build_language(src, n_max=1, prefix_budget=64)
         assert not recurrence_check(lang, src, 1, 3)
+
+
+def window_scan(prefix: bytes, n: int) -> list[bytes]:
+    """Every distinct length-n window of the prefix, sorted."""
+    return sorted({prefix[i : i + n] for i in range(len(prefix) - n + 1)})
+
+
+def brute_extendable(prefix: bytes, n_max: int) -> int:
+    """The least m < n_max with a length-m window that no window of length m+1 extends."""
+    for m in range(n_max):
+        longer = set(window_scan(prefix, m + 1))
+        if any(all(f + bytes([a]) not in longer for a in range(256)) for f in window_scan(prefix, m)):
+            return m
+    return n_max
+
+
+def seeded_configs(seed: int) -> list[dict]:
+    """Two descriptors of each of the five source kinds; the explicit words
+    have 7 and 25 letters, shorter than some n_max and than some budgets."""
+    rng = random.Random(seed)
+    out = []
+    for length in (7, 25):
+        out.append({"kind": "sturmian", "cf": [rng.randint(1, 4) for _ in range(3)], "cf_periodic": True})
+        tail = "".join(str(rng.randrange(3)) for _ in range(rng.randint(1, 3)))
+        rules = {"0": "0" + tail, "1": "".join(str(rng.randrange(3)) for _ in range(rng.randint(1, 3))), "2": "10"}
+        out.append({"kind": "substitution", "rules": rules, "seed": "0"})
+        skeleton = str(rng.randrange(2)) + "".join(rng.choice("01?") for _ in range(3)) + "?"
+        out.append({"kind": "toeplitz", "skeleton": skeleton, "alphabet": 2})
+        pre = "".join(rng.choice("012") for _ in range(rng.randint(0, 6)))
+        out.append({"kind": "eventually_periodic", "pre": pre, "period": "".join(rng.choice("012") for _ in range(3))})
+        out.append({"kind": "explicit", "word": "".join(rng.choice("01") for _ in range(length))})
+    return out
+
+
+class TestAgainstWindowScan:
+    """Every factor class and ``extendable_up_to`` against a brute-force scan."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep(self, seed):
+        truncated = 0
+        for cfg in seeded_configs(seed):
+            for n_max in (1, 4, 9):
+                for budget in (n_max, n_max + 1, 3 * n_max, 40):
+                    source = source_from_config(cfg)
+                    prefix = source.prefix(budget)
+                    if len(prefix) < n_max:
+                        with pytest.raises(LanguageError):
+                            build_language(source, n_max, budget)
+                        continue
+                    lang = build_language(source, n_max, budget)
+                    assert lang.factors == [window_scan(prefix, n) for n in range(n_max + 1)], cfg
+                    assert lang.extendable_up_to == brute_extendable(prefix, n_max), (cfg, n_max, budget)
+                    assert lang.prefix_len == len(prefix)
+                    truncated += lang.extendable_up_to < n_max
+        assert truncated > 0
+
+    def test_finite_word_shorter_than_budget(self):
+        # 01101: "101" ends the word and occurs nowhere else.
+        source = ExplicitSource((0, 1, 1, 0, 1), Alphabet(2))
+        lang = build_language(source, n_max=4, prefix_budget=100)
+        assert lang.prefix_len == 5 and lang.finite_source
+        assert lang.factors[3] == [b"\x00\x01\x01", b"\x01\x00\x01", b"\x01\x01\x00"]
+        assert lang.extendable_up_to == 3 == brute_extendable(source.prefix(100), 4)
+
+    def test_truncated_budget(self):
+        # Thue-Morse begins 011010: "010" is its length-3 suffix and occurs
+        # nowhere else, so a budget of 6 leaves it unextended.
+        lang = build_language(thue_morse(), n_max=5, prefix_budget=6)
+        assert lang.extendable_up_to == 3 == brute_extendable(thue_morse().prefix(6), 5)
+        assert build_language(thue_morse(), n_max=5, prefix_budget=64).extendable_up_to == 5
+
+    def test_cap(self, monkeypatch):
+        lang = build_language(thue_morse(), n_max=8, prefix_budget=512)
+        total = sum(len(bucket) for bucket in lang.factors[1:])
+        monkeypatch.setattr(subshift, "FACTOR_CAP", total)
+        assert build_language(thue_morse(), n_max=8, prefix_budget=512).factors == lang.factors
+        monkeypatch.setattr(subshift, "FACTOR_CAP", total - 1)
+        with pytest.raises(LanguageError, match=f"exceeded cap {total - 1}"):
+            build_language(thue_morse(), n_max=8, prefix_budget=512)
