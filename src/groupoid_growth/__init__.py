@@ -45,7 +45,7 @@ from .shift_algebra import (
     semigroup_dims,
     separation_radius,
 )
-from .subshift import Language, build_language, recurrence_check
+from .subshift import Language, build_language
 from .words import (
     Alphabet,
     EventuallyPeriodicSource,

@@ -23,13 +23,13 @@ from .selfsimilar import EventuallyPeriodicPoint, NotContracting, StateCapExceed
 from .shift_algebra import RadiusExhausted
 from .subshift import Language, build_language
 from .verify import format_report, run_checks
-from .words import UndeterminedPosition, source_from_config
+from .words import BudgetExceeded, source_from_config
 
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IDENTITY = 4
 
-RESOURCE_ERRORS = (StateCapExceeded, NotContracting, RadiusExhausted, UndeterminedPosition)
+RESOURCE_ERRORS = (StateCapExceeded, NotContracting, RadiusExhausted, BudgetExceeded)
 
 
 class UsageError(Exception):
@@ -82,8 +82,8 @@ def _positive(name: str, value: int) -> int:
 def _language(cfg, n_max: int, budget=None) -> Language:
     """Factor language of a source descriptor up to length ``n_max``.
 
-    The prefix budget is max(8192, 40 n_max^2) when none is given; a given
-    budget must be positive.
+    The budget bounds the letters read.  It is max(8192, 40 n_max^2) when
+    none is given; a given budget must be positive.
     """
     if not isinstance(cfg, dict):
         raise UsageError(f"a source must be a JSON object or a path to one, got {cfg!r}")
@@ -262,7 +262,8 @@ def cmd_matrix_recursion(args) -> int:
 
 
 def cmd_thinned_growth(args) -> int:
-    group = group_from_spec(_read_spec(args.group))
+    spec = _read_spec(args.group)
+    group = group_from_spec(spec)
     field = parse_field(args.field)
     n_max = _positive("--n-max", args.n_max)
     res = mr.thinned_growth(group, n_max, field)
@@ -271,7 +272,7 @@ def cmd_thinned_growth(args) -> int:
         args.csv,
         ["n", "dim", "level", "stabilized"],
         rows,
-        {"cmd": "thinned-growth", "group": args.group, "n_max": n_max, "field": args.field},
+        {"cmd": "thinned-growth", "group": spec, "n_max": n_max, "field": args.field},
     )
     return 0
 

@@ -256,7 +256,8 @@ def delta_enumerated(model, units, r: int, exact: bool | None = None) -> DeltaRe
     """Number of distinct ball classes at the given units.
 
     Exact delta when the unit family is class-complete (subshift window
-    units for all length-2r factors); otherwise a certified lower bound.
+    units for all length-2r factors of a certified language); otherwise a
+    certified lower bound.
     """
     if not units:
         raise ValueError("unit family must be nonempty")
@@ -267,7 +268,8 @@ def delta_enumerated(model, units, r: int, exact: bool | None = None) -> DeltaRe
 
 
 def _windows_complete(model: SubshiftModel, units, r: int) -> bool:
-    if 2 * r > model.lang.n_max:
+    """The units show every length-2r factor of a certified language."""
+    if not model.lang.exact or 2 * r > model.lang.n_max:
         return False
     have = {bytes(u.letter(k) for k in range(-r, r)) for u in units}
     return set(model.lang.factors[2 * r]) <= have

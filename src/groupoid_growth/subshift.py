@@ -1,19 +1,26 @@
 """Factor languages, subword complexity p(n), and the subshift complexity p(2r).
 
-The language of a source is enumerated from an explicit finite prefix.
-Completeness cannot be certified from finite data, so the builder records
-the largest length at which right-extendability held instead of claiming
-more; for uniformly recurrent sources with an adequate budget the
-enumeration is the full factor set.
+A language is read off a list of witness words: finite words whose factors
+of length <= ``n_max`` are exactly its factors.  The source chooses them
+(:meth:`~groupoid_growth.words.WordSource.witnesses`).  For a primitive,
+growing substitution and for a Sturmian word they are certified to hold
+every factor of the source, and the language is marked ``exact``; when the
+budget is too small for that, the builder raises instead of returning a
+truncated table.  Every other source gives one prefix of ``budget``
+letters, which is exact only when it covers the whole language (an
+eventually periodic word read one period past its preperiod, or a whole
+explicit word).  An inexact language records the largest length at which
+right-extendability held instead of claiming more.
 
-All factor sets come from one downward pass over the lengths.  In a
-prefix P of length L, a length-n factor that starts before position L-n is
-the first n letters of the length-(n+1) factor that starts at the same
-place, and the only other length-n factor is the suffix P[L-n:].  So the
-factors of length ``n_max`` are read off P in one scan, and each shorter
-class is the next longer one with the last letter of each factor dropped,
-plus that suffix.  The suffix is also the only factor that can fail to
-extend to the right, which gives ``extendable_up_to`` from the same pass.
+All factor sets come from one downward pass over the lengths.  In a word
+P of length L, a length-n factor that starts before position L-n is the
+first n letters of the length-(n+1) factor that starts at the same place,
+and the only other length-n factor is the suffix P[L-n:].  So the factors
+of length ``n_max`` are read off the witnesses in one scan, and each
+shorter class is the next longer one with the last letter of each factor
+dropped, plus the suffix of each witness.  In a one-prefix language the
+suffix is also the only factor that can fail to extend to the right,
+which gives ``extendable_up_to`` from the same pass.
 """
 
 from __future__ import annotations
@@ -35,9 +42,13 @@ FACTOR_CAP = 2_000_000
 class Language:
     """Length-indexed factor sets of a subshift, up to ``n_max``.
 
-    ``extendable_up_to`` is the largest n such that every factor of each
-    length below n extends on the right within the enumerated prefix;
-    beyond it the enumeration may be budget-truncated.
+    ``exact`` says the sets are certified to be every factor of the source
+    up to ``n_max``.  ``prefix_len`` is the number of witness letters they
+    were read from.  ``extendable_up_to`` is the largest n such that every
+    factor of each length below n extends on the right within the
+    witnesses; beyond it an inexact enumeration may be budget-truncated.
+    An exact language of an infinite word has ``extendable_up_to == n_max``,
+    since every factor of such a word extends on the right.
     """
 
     alphabet_size: int
@@ -46,6 +57,7 @@ class Language:
     prefix_len: int
     extendable_up_to: int
     finite_source: bool
+    exact: bool
     factor_sets: list[set[bytes]] = field(repr=False, compare=False)  # factors[n] as a set
 
     def complexity(self, n: int) -> int:
@@ -66,16 +78,29 @@ class Language:
 
 
 def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Language:
-    """Enumerate all factors of length <= n_max seen in the prefix of the source."""
+    """Every factor of length <= n_max of the source's witness words, read
+    within ``prefix_budget`` letters.
+
+    Raises :class:`~groupoid_growth.words.BudgetExceeded` when the source
+    can certify its language but not within the budget.
+    """
     if n_max < 1:
         raise LanguageError("n_max must be >= 1")
     if prefix_budget < n_max:
         raise LanguageError(f"prefix budget {prefix_budget} smaller than n_max {n_max}")
-    prefix = source.prefix(prefix_budget)
-    if len(prefix) < n_max:
+    witnesses, exact = source.witnesses(n_max, prefix_budget)
+    return language_from_witnesses(
+        witnesses, n_max, source.alphabet.size, exact=exact, finite_source=source.finite_length is not None
+    )
+
+
+def language_from_witnesses(
+    witnesses: list[bytes], n_max: int, alphabet_size: int, *, exact: bool, finite_source: bool
+) -> Language:
+    """The factors of length <= n_max of the witness words, in one downward pass."""
+    if any(len(w) < n_max for w in witnesses):
         raise LanguageError("source ended before n_max letters were produced")
-    L = len(prefix)
-    level = {prefix[i : i + n_max] for i in range(L - n_max + 1)}
+    level = {w[i : i + n_max] for w in witnesses for i in range(len(w) - n_max + 1)}
     sets = [level]
     count = len(level)  # nonempty factors so far
     extendable = n_max
@@ -83,21 +108,23 @@ def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Langua
         if count > FACTOR_CAP:
             raise LanguageError(f"factor enumeration exceeded cap {FACTOR_CAP}")
         level = {f[:-1] for f in level}
-        suffix = prefix[L - n :]
-        if suffix not in level:  # it does not extend; the last such n is the least
-            extendable = n
-            level.add(suffix)
+        for w in witnesses:
+            suffix = w[len(w) - n :]
+            if suffix not in level:  # it does not extend; the last such n is the least
+                extendable = n
+                level.add(suffix)
         count += len(level)
         sets.append(level)
     sets.reverse()
 
     lang = Language(
-        alphabet_size=source.alphabet.size,
+        alphabet_size=alphabet_size,
         factors=[sorted(s) for s in sets],
         n_max=n_max,
-        prefix_len=L,
+        prefix_len=sum(map(len, witnesses)),
         extendable_up_to=extendable,
-        finite_source=source.finite_length is not None,
+        finite_source=finite_source,
+        exact=exact,
         factor_sets=sets,
     )
     # Factor closure: the boundary subwords of every factor must be factors
@@ -110,31 +137,3 @@ def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Langua
         for n in range(1, min(lang.extendable_up_to, n_max)):
             assert lang.complexity(n + 1) >= lang.complexity(n)
     return lang
-
-
-def recurrence_check(lang: Language, source: WordSource, n: int, R: int) -> bool:
-    """Bounded-scale uniform-recurrence certificate.
-
-    True iff every length-n factor occurs in every length-(R+n) window of
-    the prefix the language was built from.
-    """
-    if not (1 <= n <= lang.n_max):
-        raise LanguageError(f"n={n} out of range for this language")
-    prefix = source.prefix(lang.prefix_len)
-    L = len(prefix)
-    if L < R + n:
-        return True  # no full window to inspect
-    occurrences: dict[bytes, list[int]] = {f: [] for f in lang.factors[n]}
-    for i in range(L - n + 1):
-        w = prefix[i : i + n]
-        if w in occurrences:
-            occurrences[w].append(i)
-    last_window_start = L - (R + n)
-    for occs in occurrences.values():
-        if not occs or occs[0] > R:
-            return False
-        if any(b - a > R + 1 for a, b in zip(occs, occs[1:])):
-            return False
-        if occs[-1] < last_window_start:
-            return False
-    return True

@@ -9,6 +9,13 @@ two-sided indexing and the Sturmian cut-point subtlety.
 
 Prefixes are memoized in a byte buffer grown geometrically, since factor
 enumeration re-queries heavily.
+
+Each source also says how its factor language is read off finite words
+(:meth:`WordSource.witnesses`): words whose factors of length <= n are
+exactly the factors of length <= n that the language is built from.  A
+primitive, growing substitution and a Sturmian word give a certified,
+exact language from a few thousand letters; every other source gives one
+prefix, which is exact only when it covers the whole language.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ class WordSourceError(ValueError):
     """Invalid word-source construction parameters."""
 
 
-class UndeterminedPosition(RuntimeError):
-    """A Toeplitz position was not resolved within the iteration cap."""
+class BudgetExceeded(RuntimeError):
+    """An exact language needs more letters than the budget allows."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,16 @@ class WordSource:
     def prefix_str(self, n: int) -> str:
         return "".join(self.alphabet.display(c) for c in self.prefix(n))
 
+    def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
+        """Witness words for the factors of length <= n, read within
+        ``budget`` letters in all, and whether they are certified to hold
+        every such factor of the source.
+
+        Here the one witness is the prefix of ``budget`` letters, which is
+        not certified; subclasses that can do better override this.
+        """
+        return [self.prefix(budget)], False
+
 
 class SturmianSource(WordSource):
     """Characteristic Sturmian word from continued-fraction terms.
@@ -135,6 +152,26 @@ class SturmianSource(WordSource):
             self._prev, self._cur = self._cur, self._cur * a + self._prev
         self._buf = bytearray(self._cur)
 
+    def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
+        """The shortest prefix among 2n, 4n, ... (capped at ``budget``) that
+        holds n + 1 distinct factors of length n.
+
+        A Sturmian word has exactly n + 1 of them (Morse-Hedlund 1940;
+        Coven-Hedlund 1973), so such a prefix holds them all, and every
+        shorter factor is the start of one of them.
+        """
+        m = min(2 * n, budget)
+        while True:
+            w = self.prefix(m)
+            if len({w[i : i + n] for i in range(m - n + 1)}) == n + 1:
+                return [w], True
+            if m == budget:
+                raise BudgetExceeded(
+                    f"a prefix of {budget} letters holds fewer than the {n + 1} "
+                    f"Sturmian factors of length {n}; raise the budget"
+                )
+            m = min(2 * m, budget)
+
 
 class SubstitutionSource(WordSource):
     """One-sided fixed point of a substitution whose seed image starts with the seed."""
@@ -157,6 +194,59 @@ class SubstitutionSource(WordSource):
     def _apply(self, w: bytes) -> bytes:
         return b"".join(self.rules[x] for x in w)
 
+    def _is_primitive(self) -> bool:
+        """Whether some power of the incidence matrix is positive.
+
+        By Wielandt's bound it suffices to test the power (d-1)^2 + 1, read
+        here as letter sets: ``reach[x]`` holds the letters of sigma^j(x).
+        """
+        d = self.alphabet.size
+        letters = [set(self.rules[x]) for x in range(d)]
+        reach = letters
+        for _ in range((d - 1) ** 2):
+            reach = [set().union(*(letters[y] for y in r)) for r in reach]
+        return all(len(r) == d for r in reach)
+
+    def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
+        """For a primitive substitution that grows, the words
+        sigma^k(a) sigma^k(b), one for each two-letter factor ab, with k the
+        least power at which every |sigma^k(x)| >= n - 1.
+
+        A length-n window of a concatenation of such blocks lies in two
+        consecutive ones, so these words hold every factor of length <= n
+        (Queffelec, LNM 1294).  The two-letter factors are those inside each
+        sigma(c), closed under ab -> (last letter of sigma(a), first letter
+        of sigma(b)).  Any other substitution reads one prefix.
+        """
+        rules = self.rules
+        # A primitive substitution grows unless it is the one-letter 0 -> 0.
+        if all(len(w) == 1 for w in rules.values()) or not self._is_primitive():
+            return super().witnesses(n, budget)
+        pairs = {w[i : i + 2] for w in rules.values() for i in range(len(w) - 1)}
+        todo = list(pairs)
+        while todo:
+            a, b = todo.pop()
+            ab = bytes((rules[a][-1], rules[b][0]))
+            if ab not in pairs:
+                pairs.add(ab)
+                todo.append(ab)
+        pairs = sorted(pairs)
+        # Lengths first, so an over-budget request allocates nothing.
+        lengths, k = {x: 1 for x in rules}, 0
+        while min(lengths.values()) < n - 1:
+            lengths = {x: sum(lengths[y] for y in w) for x, w in rules.items()}
+            k += 1
+        need = sum(lengths[a] + lengths[b] for a, b in pairs)
+        if need > budget:
+            raise BudgetExceeded(
+                f"the exact language up to length {n} needs {need} letters, "
+                f"more than the budget of {budget}"
+            )
+        images = {x: bytes((x,)) for x in rules}
+        for _ in range(k):
+            images = {x: b"".join(images[y] for y in w) for x, w in rules.items()}
+        return [images[a] + images[b] for a, b in pairs], True
+
     def _extend(self, n: int) -> None:
         w = bytes(self._buf)
         while len(w) < n:
@@ -174,14 +264,15 @@ class ToeplitzSource(WordSource):
 
     The skeleton is repeated periodically; the hole positions, read in
     order, are filled with the sequence itself.  Resolution of a position
-    follows hole redirections until a concrete skeleton letter is hit;
-    the iteration cap makes nontermination a loud error instead of a
-    silent guess.
+    follows hole redirections until a concrete skeleton letter is hit.  It
+    always ends: with h holes in a period of length q, the position
+    qm + r of a hole goes to hm + (the rank of r among the holes), which
+    is smaller, since the skeleton does not start with a hole.
     """
 
     HOLE = -1
 
-    def __init__(self, skeleton: tuple[int, ...], alphabet: Alphabet, depth_cap: int = 12):
+    def __init__(self, skeleton: tuple[int, ...], alphabet: Alphabet):
         super().__init__(alphabet)
         if all(c == self.HOLE for c in skeleton):
             raise WordSourceError("skeleton must contain at least one letter")
@@ -190,7 +281,6 @@ class ToeplitzSource(WordSource):
         if skeleton[0] == self.HOLE:
             raise WordSourceError("skeleton must not start with a hole")
         self.skeleton = tuple(skeleton)
-        self.depth_cap = depth_cap
         self.hole_rank = {}
         rank = 0
         for i, c in enumerate(skeleton):
@@ -199,31 +289,19 @@ class ToeplitzSource(WordSource):
                 rank += 1
         self.holes_per_period = rank
 
-    def _resolve(self, pos: int) -> tuple[int, int]:
-        """Return (letter, depth) for a position; depth 0 = direct skeleton letter."""
+    def _resolve(self, pos: int) -> int:
         q = len(self.skeleton)
-        depth = 0
         while True:
             r = pos % q
             c = self.skeleton[r]
             if c != self.HOLE:
-                return c, depth
-            depth += 1
-            if depth > self.depth_cap:
-                raise UndeterminedPosition(
-                    f"position {pos} not determined within {self.depth_cap} filling levels"
-                )
+                return c
             pos = (pos // q) * self.holes_per_period + self.hole_rank[r]
-
-    def period(self, pos: int) -> int:
-        """A period p with w(pos + k*p) = w(pos) for all k >= 0."""
-        _, depth = self._resolve(pos)
-        return len(self.skeleton) ** (depth + 1)
 
     def _extend(self, n: int) -> None:
         buf = self._buf
         for i in range(len(buf), n):
-            buf.append(self._resolve(i)[0])
+            buf.append(self._resolve(i))
 
 
 class EventuallyPeriodicSource(WordSource):
@@ -242,6 +320,13 @@ class EventuallyPeriodicSource(WordSource):
         reps = max(0, need // len(per) + 1)
         self._buf = bytearray(pre + per * reps)
 
+    def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
+        """The prefix of ``budget`` letters; exact once it runs n letters
+        past the preperiod and one period, since a factor that starts later
+        also starts one period earlier."""
+        prefix = self.prefix(budget)
+        return [prefix], len(prefix) >= len(self.preperiod) + len(self.periodic) + n
+
 
 class ExplicitSource(WordSource):
     """A finite word, contributing only its factor set."""
@@ -255,6 +340,11 @@ class ExplicitSource(WordSource):
 
     def _extend(self, n: int) -> None:
         pass  # buffer is complete at construction
+
+    def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
+        """The prefix of ``budget`` letters; exact when it is the whole word."""
+        prefix = self.prefix(budget)
+        return [prefix], len(prefix) == self.finite_length
 
 
 def _parse_letters(s: str, alphabet_size: int, extra: dict | None = None) -> tuple[int, ...]:
@@ -295,7 +385,7 @@ def source_from_config(cfg: dict) -> WordSource:
         skel = cfg["skeleton"]
         size = int(cfg.get("alphabet", max((int(c) for c in skel if c != "?"), default=0) + 1))
         skeleton = _parse_letters(skel, size, extra={"?": ToeplitzSource.HOLE})
-        return ToeplitzSource(skeleton, Alphabet(size), depth_cap=int(cfg.get("depth_cap", 12)))
+        return ToeplitzSource(skeleton, Alphabet(size))
     if kind == "eventually_periodic":
         pre, per = cfg.get("pre", ""), cfg["period"]
         letters = pre + per

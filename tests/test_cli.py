@@ -47,14 +47,21 @@ class TestComplexity:
         assert code == 2 and "budget" in err and out == ""
 
     def test_budget_changes_digest(self, capsys):
-        # A budget of 250 truncates the enumeration (p(100) = 151, not 326),
-        # so the digest must tell the two tables apart.  The default-budget
+        # The exact Thue-Morse language up to n = 100 reads 1024 letters.  A
+        # smaller budget exits 3 instead of printing a truncated table (a
+        # 250-letter prefix gives p(100) = 151, not 326); a sufficient one
+        # prints the default table under its own digest.  The default-budget
         # digest is the value printed before the budget joined the payload.
         argv = ["complexity", "--source", TM, "--n-max", "100"]
-        outs = [run(capsys, argv + extra)[1].splitlines() for extra in ([], ["--budget", "250"])]
-        assert outs[0][0] == "#config=6ecf0b15c151c009529fcd5891cd3c04bf5f1c1e0859db2d4051c5ffd539a51b"
-        assert (outs[0][-1], outs[1][-1]) == ("100,326", "100,151")
-        assert outs[1][0] != outs[0][0]
+        default = run(capsys, argv)[1].splitlines()
+        assert default[0] == "#config=6ecf0b15c151c009529fcd5891cd3c04bf5f1c1e0859db2d4051c5ffd539a51b"
+        assert default[-1] == "100,326"
+        for budget in ("250", "1023"):
+            code, out, err = run(capsys, argv + ["--budget", budget])
+            assert (code, out) == (3, "") and f"budget of {budget}" in err
+        code, out, _ = run(capsys, argv + ["--budget", "1024"])
+        lines = out.splitlines()
+        assert code == 0 and lines[1:] == default[1:] and lines[0] != default[0]
 
     @pytest.mark.parametrize(
         "argv",
@@ -82,6 +89,16 @@ class TestComplexity:
         code, _, _ = run(capsys, ["complexity", "--source", '{"kind":"nope"}', "--n-max", "2"])
         assert code == 2
 
+    def test_paperfolding(self, capsys):
+        # A two-hole Toeplitz word resolves at any depth; its complexity is
+        # 4n from n = 7 on (Allouche 1992).  The default 8192-letter prefix
+        # reaches 14 filling levels; a "depth_cap" key is ignored.
+        for extra in ("", ',"depth_cap":1'):
+            source = '{"kind":"toeplitz","skeleton":"0?1?"' + extra + "}"
+            code, out, _ = run(capsys, ["complexity", "--source", source, "--n-max", "12"])
+            assert code == 0
+            assert out.splitlines()[8:] == [f"{n},{4 * n}" for n in range(7, 13)]
+
 
 class TestDelta:
     def test_subshift_exact(self, capsys):
@@ -105,6 +122,15 @@ class TestDelta:
         )
         assert code == 0
         assert out.strip().splitlines()[-1].endswith(",lower_bound")
+
+    def test_uncertified_language_lower_bound(self, capsys):
+        # Paperfolding is read off a prefix, which certifies nothing, so
+        # delta is a lower bound even with every window of the prefix.
+        source = {"kind": "toeplitz", "skeleton": "0?1?"}
+        model = json.dumps({"kind": "subshift", "source": source, "n_max": 12})
+        code, out, _ = run(capsys, ["delta", "--model", model, "--r", "3"])
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "3,23,lower_bound"
 
     def test_policy_mismatch(self, capsys):
         code, _, _ = run(
@@ -247,6 +273,20 @@ class TestGroupCommands:
         rows = [l.split(",") for l in out.strip().splitlines()[2:]]
         assert [r[1] for r in rows] == ["5", "11", "19"]
         assert all(r[3] == "True" for r in rows)
+
+    def test_thinned_growth_digests_the_group(self, capsys, tmp_path):
+        # Two different groups written to one path print different #config
+        # rows; a preset name digests as the name itself, as before.
+        path = tmp_path / "group.json"
+        configs = []
+        for rest in (["", "a"], ["a", ""]):
+            path.write_text(json.dumps({"alphabet": 2, "generators": {"a": {"perm": [1, 0], "rest": rest}}}))
+            code, out, _ = run(capsys, ["thinned-growth", "--group", str(path), "--n-max", "2"])
+            assert code == 0
+            configs.append(out.splitlines()[0])
+        assert configs[0] != configs[1]
+        out = run(capsys, ["thinned-growth", "--group", "grigorchuk", "--n-max", "3"])[1]
+        assert out.splitlines()[0] == "#config=022181fe34c6d24104f8bd477476e5b51664c0b106cb95c9cd34f738d8fe6a0f"
 
     def test_custom_group_json(self, capsys):
         grp = json.dumps(

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from groupoid_growth import subshift
-from groupoid_growth.subshift import LanguageError, build_language, recurrence_check
+from groupoid_growth.subshift import LanguageError, build_language, language_from_witnesses
 from groupoid_growth.words import (
     Alphabet,
+    BudgetExceeded,
     ExplicitSource,
+    SturmianSource,
     SubstitutionSource,
     golden_sturmian,
     source_from_config,
@@ -99,21 +101,6 @@ class TestDeltaFormula:
             lang.delta_formula(6)
 
 
-class TestRecurrence:
-    def test_constant_true(self):
-        lang = build_language(constant_source(), n_max=4, prefix_budget=128)
-        assert recurrence_check(lang, constant_source(), 2, 1)
-
-    def test_golden_gap(self):
-        lang = build_language(golden_sturmian(), n_max=5, prefix_budget=4096)
-        assert recurrence_check(lang, golden_sturmian(), 3, 13)
-
-    def test_non_recurrent_explicit(self):
-        src = ExplicitSource(tuple([0] * 30 + [1]), Alphabet(2))
-        lang = build_language(src, n_max=1, prefix_budget=64)
-        assert not recurrence_check(lang, src, 1, 3)
-
-
 def window_scan(prefix: bytes, n: int) -> list[bytes]:
     """Every distinct length-n window of the prefix, sorted."""
     return sorted({prefix[i : i + n] for i in range(len(prefix) - n + 1)})
@@ -146,8 +133,16 @@ def seeded_configs(seed: int) -> list[dict]:
     return out
 
 
+def prefix_language(source, n_max: int, budget: int):
+    """The one-pass language of the single witness ``source.prefix(budget)``."""
+    prefix = source.prefix(budget)
+    finite = source.finite_length is not None
+    return prefix, language_from_witnesses([prefix], n_max, source.alphabet.size, exact=False, finite_source=finite)
+
+
 class TestAgainstWindowScan:
-    """Every factor class and ``extendable_up_to`` against a brute-force scan."""
+    """Every factor class and ``extendable_up_to`` of the one-pass builder
+    against a brute-force scan of one prefix."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sweep(self, seed):
@@ -156,32 +151,47 @@ class TestAgainstWindowScan:
             for n_max in (1, 4, 9):
                 for budget in (n_max, n_max + 1, 3 * n_max, 40):
                     source = source_from_config(cfg)
-                    prefix = source.prefix(budget)
-                    if len(prefix) < n_max:
+                    if len(source.prefix(budget)) < n_max:
                         with pytest.raises(LanguageError):
-                            build_language(source, n_max, budget)
+                            prefix_language(source, n_max, budget)
                         continue
-                    lang = build_language(source, n_max, budget)
+                    prefix, lang = prefix_language(source, n_max, budget)
                     assert lang.factors == [window_scan(prefix, n) for n in range(n_max + 1)], cfg
                     assert lang.extendable_up_to == brute_extendable(prefix, n_max), (cfg, n_max, budget)
                     assert lang.prefix_len == len(prefix)
                     truncated += lang.extendable_up_to < n_max
         assert truncated > 0
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_several_witnesses(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            n_max = rng.randint(1, 6)
+            lengths = [rng.randint(n_max, n_max + 6) for _ in range(rng.randint(1, 4))]
+            words = [bytes(rng.randrange(2) for _ in range(length)) for length in lengths]
+            lang = language_from_witnesses(words, n_max, 2, exact=False, finite_source=True)
+            union = [sorted({f for w in words for f in window_scan(w, n)}) for n in range(n_max + 1)]
+            assert lang.factors == union, words
+            assert lang.prefix_len == sum(map(len, words))
+
     def test_finite_word_shorter_than_budget(self):
         # 01101: "101" ends the word and occurs nowhere else.
         source = ExplicitSource((0, 1, 1, 0, 1), Alphabet(2))
         lang = build_language(source, n_max=4, prefix_budget=100)
-        assert lang.prefix_len == 5 and lang.finite_source
+        assert lang.prefix_len == 5 and lang.finite_source and lang.exact
         assert lang.factors[3] == [b"\x00\x01\x01", b"\x01\x00\x01", b"\x01\x01\x00"]
         assert lang.extendable_up_to == 3 == brute_extendable(source.prefix(100), 4)
 
     def test_truncated_budget(self):
         # Thue-Morse begins 011010: "010" is its length-3 suffix and occurs
-        # nowhere else, so a budget of 6 leaves it unextended.
-        lang = build_language(thue_morse(), n_max=5, prefix_budget=6)
-        assert lang.extendable_up_to == 3 == brute_extendable(thue_morse().prefix(6), 5)
-        assert build_language(thue_morse(), n_max=5, prefix_budget=64).extendable_up_to == 5
+        # nowhere else, so a prefix of 6 letters leaves it unextended.
+        prefix, lang = prefix_language(thue_morse(), 5, 6)
+        assert lang.extendable_up_to == 3 == brute_extendable(prefix, 5)
+        # The exact language reads sigma^2(a) sigma^2(b) for ab in 00, 01, 10, 11.
+        with pytest.raises(BudgetExceeded, match="needs 32 letters"):
+            build_language(thue_morse(), n_max=5, prefix_budget=31)
+        lang = build_language(thue_morse(), n_max=5, prefix_budget=32)
+        assert (lang.exact, lang.prefix_len, lang.extendable_up_to) == (True, 32, 5)
 
     def test_cap(self, monkeypatch):
         lang = build_language(thue_morse(), n_max=8, prefix_budget=512)
@@ -191,3 +201,77 @@ class TestAgainstWindowScan:
         monkeypatch.setattr(subshift, "FACTOR_CAP", total - 1)
         with pytest.raises(LanguageError, match=f"exceeded cap {total - 1}"):
             build_language(thue_morse(), n_max=8, prefix_budget=512)
+
+
+def primitive_configs(seed: int) -> list[dict]:
+    """Seeded substitutions on two and three letters (some primitive, some
+    not) and Sturmian continued-fraction lists."""
+    rng = random.Random(seed)
+    out = []
+    for size in (2, 2, 3, 3, 3):
+        rules = {str(x): "".join(str(rng.randrange(size)) for _ in range(rng.randint(1, 3))) for x in range(size)}
+        rules["0"] = "0" + rules["0"]
+        out.append({"kind": "substitution", "rules": rules, "seed": "0"})
+    for _ in range(5):
+        cf = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        out.append({"kind": "sturmian", "cf": cf, "cf_periodic": True})
+    return out
+
+
+class TestExactPaths:
+    """Certified languages against the window scan of a long prefix."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweep(self, seed):
+        exact = 0
+        for cfg in primitive_configs(seed) + seeded_configs(seed):
+            source = source_from_config(cfg)
+            long_prefix = source.prefix(3000)
+            scans = [window_scan(long_prefix, n) for n in range(min(len(long_prefix), 20) + 1)]
+            for n_max in (1, 4, 9, 20):
+                if len(long_prefix) < n_max:
+                    continue
+                for budget in (2 * n_max, 8192):
+                    try:
+                        lang = build_language(source, n_max, budget)
+                    except BudgetExceeded:
+                        assert budget < 8192 and cfg["kind"] in ("substitution", "sturmian"), cfg
+                        continue
+                    if not lang.exact:
+                        assert budget < 8192 or cfg["kind"] in ("substitution", "toeplitz"), cfg
+                        continue
+                    assert lang.factors == scans[: n_max + 1], (cfg, n_max)
+                    if not lang.finite_source:
+                        assert lang.extendable_up_to == n_max
+                    exact += cfg["kind"] == "substitution"
+        assert exact > 0
+
+    def test_primitivity_needs_a_power(self):
+        # 0 -> 01, 1 -> 2, 2 -> 0: the fourth power of the incidence matrix
+        # is the first positive one.
+        src = SubstitutionSource({0: (0, 1), 1: (2,), 2: (0,)}, 0, Alphabet(3))
+        lang = build_language(src, 12, 8192)
+        assert lang.exact and lang.factors == [window_scan(src.prefix(4000), n) for n in range(13)]
+
+    @pytest.mark.parametrize(
+        "rules",
+        [{0: (0,)}, {0: (0, 1), 1: (1,)}, {0: (0, 1), 1: (1, 0), 2: (2, 2)}],
+        ids=["constant", "reducible", "unreachable-letter"],
+    )
+    def test_other_substitutions_read_a_prefix(self, rules):
+        src = SubstitutionSource(rules, 0, Alphabet(len(rules)))
+        lang = build_language(src, 6, 300)
+        assert not lang.exact and lang.prefix_len == 300
+        assert lang.factors == [window_scan(src.prefix(300), n) for n in range(7)]
+
+    def test_witness_letters(self):
+        # Thue-Morse at n = 200: sigma^8(a) sigma^8(b) for four pairs ab.
+        lang = build_language(thue_morse(), 200, 40 * 200 * 200)
+        assert (lang.exact, lang.prefix_len, lang.complexity(200)) == (True, 2048, 654)
+        # cf [3, 1] needs 771 letters at n = 200; the prefixes tried are 400 and 800.
+        lang = build_language(SturmianSource([3, 1], cf_periodic=True), 200, 40 * 200 * 200)
+        assert (lang.exact, lang.prefix_len, lang.complexity(200)) == (True, 800, 201)
+
+    def test_sturmian_over_budget(self):
+        with pytest.raises(BudgetExceeded, match="fewer than the 51"):
+            build_language(golden_sturmian(), 50, 60)

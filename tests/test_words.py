@@ -114,7 +114,12 @@ class TestToeplitz:
     def test_periodicity(self):
         src = ToeplitzSource((1, 0, -1, -1), Alphabet(2))
         for n in range(32):
-            p = src.period(n)
+            # After `depth` redirections through the holes, position n reads
+            # a skeleton letter, so the letter repeats with period 4^(depth+1).
+            pos, depth = n, 0
+            while pos % 4 >= 2:
+                pos, depth = (pos // 4) * 2 + pos % 4 - 2, depth + 1
+            p = 4 ** (depth + 1)
             for k in range(1, 8):
                 assert src.letter(n + k * p) == src.letter(n)
 
