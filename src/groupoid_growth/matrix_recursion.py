@@ -8,8 +8,10 @@ embeds A_0 = k[G] into arbitrarily deep levels.  Ranks of these images
 are nonincreasing in the level, since each level's vectors are a linear
 image of the previous level's, and eventually equal dimensions in the
 convolution algebra.  The thinned-algebra growth table raises the level
-until two consecutive levels agree; that agreement is a heuristic stopping
-rule, not a proof that the limit has been reached.
+until two consecutive levels agree.  That the next level agrees is proved
+without its pass whenever one recursion step is injective on the span of
+the current level's cells (:func:`step_is_injective`); that no later level
+drops further is a heuristic, not a proof that the limit has been reached.
 """
 
 from __future__ import annotations
@@ -295,17 +297,24 @@ class ThinnedGrowthResult:
 
 
 def thinned_dims_at_level(
-    group: SelfSimilarGroup, n_max: int, field: Field, level: int, cache: dict | None = None
+    group: SelfSimilarGroup,
+    n_max: int,
+    field: Field,
+    level: int,
+    cache: dict | None = None,
+    coord_index: dict | None = None,
 ) -> list[tuple[int, int]]:
     """dim V^n for n=1..n_max with elements vectorized at a fixed level.
 
-    Coordinates are (matrix cell, canonical id of a group element); V is spanned
+    Coordinates are (row, col, canonical id of a group element); V is spanned
     by 1 and the generators, and each level adds candidates s*h for the
-    elements h that were newly independent.
+    elements h that were newly independent.  A ``coord_index`` passed in is
+    filled with every coordinate the pass used.
     """
     if cache is None:
         cache = {}
-    coord_index: dict = {}
+    if coord_index is None:
+        coord_index = {}
     basis = new_basis(field, 1 << 62)
     gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
 
@@ -340,6 +349,34 @@ def thinned_dims_at_level(
     return dims
 
 
+def step_is_injective(group: SelfSimilarGroup, field: Field, cells, cache: dict) -> bool:
+    """True when one recursion step is injective on the span of ``cells``.
+
+    The step T sends a level-L cell (row, col, e) to the sum over letters x
+    of the cells (row*d + e(x), col*d + x, e|_x), so that the level-(L+1)
+    vector of g is T of its level-L vector.  Cells with different (row, col)
+    have disjoint images, so T is injective on their span iff, for each
+    (row, col), the level-1 images of that cell's entries are independent
+    over ``field``.  When they are, every dependency among level-(L+1)
+    vectors already holds at level L, and the two levels' tables agree.
+    """
+    blocks: dict = {}
+    for row, col, e in cells:
+        blocks.setdefault((row, col), []).append(e)
+    for entries in blocks.values():
+        if len(entries) == 1:
+            continue  # a level-1 image is never zero
+        index: dict = {}
+        basis = new_basis(field, group.d * len(entries))
+        for e in entries:
+            image = _element_entries(group, e, 1, cache)
+            if not basis.insert_support(
+                [index.setdefault((x, r, f), len(index)) for x, (r, f) in enumerate(image)]
+            ):
+                return False
+    return True
+
+
 def thinned_growth(
     group: SelfSimilarGroup,
     n_max: int,
@@ -353,7 +390,10 @@ def thinned_growth(
     algebras embed compatibly into the convolution algebra).  The level is
     raised until two consecutive levels give equal tables; ``stabilized``
     means only that this happened before ``level_cap``, not that later
-    levels could not drop further.
+    levels could not drop further.  After each level's pass,
+    :func:`step_is_injective` is tried on the cells it used; when it holds,
+    the next level's table equals this one, so it is returned at that level
+    without running its pass.  Otherwise the next level's pass runs.
     """
     if level_start is None:
         est = group.contraction_estimate(length_cap=8, depth_cap=3)
@@ -367,9 +407,13 @@ def thinned_growth(
         level_start = min(level_start, 8)
     cache: dict = {}
     level = max(1, level_start)
-    prev = thinned_dims_at_level(group, n_max, field, level, cache)
+    cells: dict = {}
+    prev = thinned_dims_at_level(group, n_max, field, level, cache, cells)
     while level < level_cap:
-        nxt = thinned_dims_at_level(group, n_max, field, level + 1, cache)
+        if step_is_injective(group, field, cells, cache):
+            return ThinnedGrowthResult(dims=prev, level=level + 1, stabilized=True)
+        cells = {}
+        nxt = thinned_dims_at_level(group, n_max, field, level + 1, cache, cells)
         level += 1
         if nxt == prev:
             return ThinnedGrowthResult(dims=nxt, level=level, stabilized=True)

@@ -420,12 +420,14 @@ class SelfSimilarGroup:
         levels = [{self.canonical_key(g)} for _, g in band]
         best_ratio, best_depth = None, 1
         for depth in range(1, depth_cap + 1):
-            worst = Fraction(0)
+            worst_num, worst_den = 0, 1
             for i, (l, _) in enumerate(band):
                 levels[i] = {self.canonical_key(self.child(s, x)) for s in levels[i] for x in range(self.d)}
                 # A restriction outside the ball is longer than the cap.
                 rl = max(lengths[k][0] if k in lengths else l + 1 for k in levels[i])
-                worst = max(worst, Fraction(rl, l))
+                if rl * worst_den > worst_num * l:
+                    worst_num, worst_den = rl, l
+            worst = Fraction(worst_num, worst_den)
             if best_ratio is None or worst < best_ratio:
                 best_ratio, best_depth = worst, depth
         return ContractionEstimate(best_ratio, best_depth, length_cap)

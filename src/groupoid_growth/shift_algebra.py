@@ -56,9 +56,6 @@ class Monomial:
     support: frozenset
 
 
-GENERATOR_NAMES = ("1", "T", "T-", "D")  # D takes a letter suffix: "D:0"
-
-
 def apply_generator(space: WindowSpace, name: str, mono: Monomial) -> Monomial:
     """Left-multiply the algebra element by a generator, on evaluations.
 
@@ -135,8 +132,7 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     rank = _BlockRank(space, field)
     seen: set = set()
     new: list[Monomial] = []
-    for name in names:
-        mono = generator_monomials(space)[name]
+    for mono in generator_monomials(space).values():
         key = (mono.k, mono.support)
         if key in seen:
             continue

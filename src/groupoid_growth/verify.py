@@ -81,7 +81,7 @@ def _growth_suite():
     return (
         ("golden", golden_sturmian()),
         ("thue-morse", thue_morse()),
-        ("toeplitz-10??", ToeplitzSource((1, 0, -1, -1), alphabet=_binary())),
+        ("paperfolding-0?1?", ToeplitzSource((0, -1, 1, -1), alphabet=_binary())),
     )
 
 

@@ -1,10 +1,12 @@
 import pytest
 
+from groupoid_growth import matrix_recursion as mr
 from groupoid_growth.fields import GF2, QQ, PrimeField
 from groupoid_growth.matrix_recursion import (
     GroupRingElement,
     IdentityError,
     LevelMatrix,
+    ThinnedGrowthResult,
     element_name,
     format_element,
     format_matrix,
@@ -16,6 +18,7 @@ from groupoid_growth.matrix_recursion import (
     loglog_slope,
     parse_element,
     recursion_step,
+    step_is_injective,
     thinned_dims_at_level,
     thinned_growth,
 )
@@ -24,6 +27,19 @@ from groupoid_growth.selfsimilar import (
     GRIGORCHUK,
     SelfSimilarGroup,
     WreathRecursion,
+)
+
+F3 = PrimeField(3)
+
+BASILICA = WreathRecursion(2, {"a": ((0, 1), ("", "b")), "b": ((1, 0), ("", "a"))})
+
+HANOI = WreathRecursion(
+    3,
+    {
+        "a": ((1, 0, 2), ("", "", "a")),
+        "b": ((2, 1, 0), ("", "b", "")),
+        "c": ((0, 2, 1), ("c", "", "")),
+    },
 )
 
 
@@ -180,3 +196,102 @@ class TestElementName:
         assert element_name(grig, grig.identity) == "1"
         assert element_name(grig, grig.gens["a"]) == "a"
         assert element_name(grig, grig.canonical_key(grig.element("bc"))) == "d"
+
+
+def two_pass_growth(group, n_max, field, level_start, level_cap=14):
+    """Raise the level until two consecutive passes agree, one pass per level."""
+    cache: dict = {}
+    level = max(1, level_start)
+    prev = thinned_dims_at_level(group, n_max, field, level, cache)
+    while level < level_cap:
+        nxt = thinned_dims_at_level(group, n_max, field, level + 1, cache)
+        level += 1
+        if nxt == prev:
+            return ThinnedGrowthResult(dims=nxt, level=level, stabilized=True)
+        prev = nxt
+    return ThinnedGrowthResult(dims=prev, level=level, stabilized=False)
+
+
+@pytest.fixture
+def level_passes(monkeypatch):
+    """Levels of the thinned_dims_at_level passes run while the fixture is live."""
+    levels = []
+    inner = mr.thinned_dims_at_level
+
+    def counted(group, n_max, field, level, *rest):
+        levels.append(level)
+        return inner(group, n_max, field, level, *rest)
+
+    monkeypatch.setattr(mr, "thinned_dims_at_level", counted)
+    return levels
+
+
+class TestInjectiveStep:
+    @pytest.mark.parametrize("field", [GF2, F3, QQ], ids=["F2", "F3", "Q"])
+    @pytest.mark.parametrize(
+        "rec, sizes",
+        [(GRIGORCHUK, (6, 10)), (ADDING_MACHINE, (6, 10)), (BASILICA, (6, 10)), (HANOI, (4, 6))],
+        ids=["grig", "adding", "basilica", "hanoi"],
+    )
+    def test_sound(self, rec, sizes, field):
+        # Wherever the step is injective on the level-L cells, the level-(L+1)
+        # pass gives the level-L table.
+        grp = SelfSimilarGroup(rec)
+        for n in sizes:
+            for level in (1, 2, 3):
+                cache, cells = {}, {}
+                dims = thinned_dims_at_level(grp, n, field, level, cache, cells)
+                if step_is_injective(grp, field, cells, cache):
+                    assert thinned_dims_at_level(grp, n, field, level + 1, cache) == dims
+
+    @pytest.mark.parametrize("field", [GF2, F3, QQ], ids=["F2", "F3", "Q"])
+    def test_fails_where_the_table_drops(self, grig, field):
+        # At level 1 the recursion map has a kernel on the span of the cells:
+        # the n=16 table falls at the next level.
+        cache, cells = {}, {}
+        dims = thinned_dims_at_level(grig, 16, field, 1, cache, cells)
+        assert not step_is_injective(grig, field, cells, cache)
+        assert thinned_dims_at_level(grig, 16, field, 2, cache)[-1][1] < dims[-1][1]
+
+    def test_rank_is_over_the_run_field(self):
+        # Four level-1 images in one cell, (1,1,1), (1,p,q), (p,1,q) and
+        # (p,p,1) with trivial permutations, cover each coordinate twice: they
+        # sum to zero over F2 but are independent over F3 and Q.
+        rec = WreathRecursion(
+            3,
+            {
+                "p": ((1, 2, 0), ("", "", "")),
+                "q": ((1, 0, 2), ("", "", "")),
+                "s": ((0, 1, 2), ("", "p", "q")),
+                "t": ((0, 1, 2), ("p", "", "q")),
+                "u": ((0, 1, 2), ("p", "p", "")),
+            },
+        )
+        grp = SelfSimilarGroup(rec)
+        entries = [grp.identity] + [grp.canonical_key(grp.gens[name]) for name in "stu"]
+        cells = {(0, 0, e): i for i, e in enumerate(entries)}
+        assert not step_is_injective(grp, GF2, cells, {})
+        assert step_is_injective(grp, F3, cells, {})
+        assert step_is_injective(grp, QQ, cells, {})
+
+    @pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
+    def test_fallback_matches_two_passes(self, grig, field, level_passes):
+        for start in range(1, 6):
+            level_passes.clear()
+            res = thinned_growth(grig, 10, field, level_start=start)
+            assert res == two_pass_growth(grig, 10, field, start)
+            # Levels 1 and 2 have a kernel; from level 3 on one pass suffices.
+            assert level_passes == list(range(start, max(start, 3) + 1))
+            assert res.level == level_passes[-1] + 1
+        for cap in (1, 2, 3):
+            assert thinned_growth(grig, 10, field, level_start=1, level_cap=cap) == two_pass_growth(
+                grig, 10, field, 1, cap
+            )
+
+    @pytest.mark.parametrize(
+        "n, field", [(4, QQ), (6, GF2), (10, GF2), (12, F3), (16, QQ)], ids=["4-Q", "6-F2", "10-F2", "12-F3", "16-Q"]
+    )
+    def test_default_runs_make_one_pass(self, grig, n, field, level_passes):
+        res = thinned_growth(grig, n, field)
+        assert len(level_passes) == 1
+        assert (res.level, res.stabilized) == (level_passes[0] + 1, True)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -248,6 +249,27 @@ class TestContraction:
         grp = SelfSimilarGroup(rec)
         est = grp.contraction_estimate(length_cap=4)
         assert est.ratio == 0
+
+    @pytest.mark.parametrize("rec", [GRIGORCHUK, ADDING_MACHINE, BASILICA], ids=["grig", "adding", "basilica"])
+    @pytest.mark.parametrize("length_cap, depth_cap", [(2, 2), (4, 5), (6, 3), (7, 4)])
+    def test_matches_fraction_loop(self, rec, length_cap, depth_cap):
+        # The worst ratio per depth, found with one Fraction per element.
+        grp = SelfSimilarGroup(rec)
+        lengths = grp.ball(length_cap)
+        lo = (length_cap + 1) // 2
+        band = [(l, g) for (l, g) in lengths.values() if lo <= l <= length_cap]
+        levels = [{grp.canonical_key(g)} for _, g in band]
+        best_ratio, best_depth = None, 1
+        for depth in range(1, depth_cap + 1):
+            worst = Fraction(0)
+            for i, (l, _) in enumerate(band):
+                levels[i] = {grp.canonical_key(grp.child(s, x)) for s in levels[i] for x in range(grp.d)}
+                rl = max(lengths[k][0] if k in lengths else l + 1 for k in levels[i])
+                worst = max(worst, Fraction(rl, l))
+            if best_ratio is None or worst < best_ratio:
+                best_ratio, best_depth = worst, depth
+        est = grp.contraction_estimate(length_cap=length_cap, depth_cap=depth_cap)
+        assert (est.ratio, est.depth, est.length_cap) == (best_ratio, best_depth, length_cap)
 
 
 class TestGerms:
