@@ -1,7 +1,7 @@
 """Exact growth and complexity computations for subshift groupoids,
 groupoids of germs of self-similar groups, and their convolution algebras."""
 
-from .fields import GF2, QQ, BitRowBasis, PrimeField, Rationals, RowBasis, SparseVector, parse_field
+from .fields import GF2, QQ, BitRowBasis, PrimeField, Rationals, RowBasis, parse_field
 from .groupoid import (
     DeltaResult,
     GermGroupoidModel,
@@ -40,10 +40,8 @@ from .shift_algebra import (
     WindowSpace,
     expansive_certificate,
     growth_dims,
-    module_apply,
     module_growth,
     semigroup_dims,
-    separation_radius,
 )
 from .subshift import Language, build_language
 from .words import (

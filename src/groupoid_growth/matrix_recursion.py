@@ -179,11 +179,6 @@ def level0(elem: GroupRingElement) -> LevelMatrix:
     return LevelMatrix(elem.group, elem.field, 0, {(0, 0): elem})
 
 
-def identity_matrix(group, field, level: int) -> LevelMatrix:
-    one = GroupRingElement.of(group, field, group.identity)
-    return LevelMatrix(group, field, level, {(i, i): one for i in range(group.d**level)})
-
-
 def recursion_step(m: LevelMatrix) -> LevelMatrix:
     """The matrix recursion A_n -> A_(n+1): entry g at (u, v) contributes
     g|_x at (u.g(x), v.x) for every letter x, same coefficient."""
@@ -315,7 +310,7 @@ def thinned_dims_at_level(
         cache = {}
     if coord_index is None:
         coord_index = {}
-    basis = new_basis(field, 1 << 62)
+    basis = new_basis(field)
     gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
 
     def vectorize(rid: int) -> list[int]:
@@ -332,7 +327,7 @@ def thinned_dims_at_level(
         if rid in seen:
             return
         seen.add(rid)
-        if basis.insert_support(vectorize(rid)):
+        if basis.insert(vectorize(rid)):
             new.append(rid)
 
     consider(group.identity)
@@ -367,10 +362,10 @@ def step_is_injective(group: SelfSimilarGroup, field: Field, cells, cache: dict)
         if len(entries) == 1:
             continue  # a level-1 image is never zero
         index: dict = {}
-        basis = new_basis(field, group.d * len(entries))
+        basis = new_basis(field)
         for e in entries:
             image = _element_entries(group, e, 1, cache)
-            if not basis.insert_support(
+            if not basis.insert(
                 [index.setdefault((x, r, f), len(index)) for x, (r, f) in enumerate(image)]
             ):
                 return False

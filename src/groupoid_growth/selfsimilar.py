@@ -363,7 +363,7 @@ class SelfSimilarGroup:
         square = self._recurrent_core([self.multiply(g, h) for g in core for h in core], cap)
         if not square <= core:
             raise NotContracting(f"not contracting: products of the {len(core)} candidates recur outside them")
-        return Nucleus(group=self, states=frozenset(core), complete=True)
+        return Nucleus(group=self, states=frozenset(core))
 
     def _recurrent_core(self, states: list[int], cap: int) -> set[int]:
         """Ids reachable from a cycle in the restriction closure of states."""
@@ -474,22 +474,17 @@ def _strongly_connected_components(roots, successors):
 
 @dataclass
 class Nucleus:
+    """A certified nucleus.  Its states are closed under restriction by
+    construction: ``_recurrent_core`` adds every successor of a core member."""
+
     group: SelfSimilarGroup
     states: frozenset[int]  # canonical ids
-    complete: bool
 
     def __len__(self):
         return len(self.states)
 
     def contains(self, g: int) -> bool:
         return self.group.canonical_key(g) in self.states
-
-    def closed_under_restriction(self) -> bool:
-        return all(
-            self.contains(self.group.child(s, x))
-            for s in self.states
-            for x in range(self.group.d)
-        )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Field, RowBasis, SparseVector, new_basis
+from .fields import Field, new_basis
 from .subshift import Language
 
 
@@ -32,7 +32,6 @@ class WindowSpace:
         self.n = n
         self.windows = lang.factors[2 * n + 1]
         self.p = len(self.windows)
-        self.dim = (2 * n + 1) * self.p
         # letter_mask[j][x] = window ranks whose letter at position j-n is x
         self.letter_mask = [
             [
@@ -56,29 +55,21 @@ class Monomial:
     support: frozenset
 
 
-def apply_generator(space: WindowSpace, name: str, mono: Monomial) -> Monomial:
+def apply_generator(space: WindowSpace, gen: tuple, mono: Monomial) -> Monomial:
     """Left-multiply the algebra element by a generator, on evaluations.
 
-    On values: (T f)(k, u) = f(k-1, u); (T^-1 f)(k, u) = f(k+1, u);
+    A generator is a pair (step, letter): (0, None), (1, None) and
+    (-1, None) are 1, T and T^-1, and (0, x) is D_x.  On values:
+    (T f)(k, u) = f(k-1, u); (T^-1 f)(k, u) = f(k+1, u);
     (D_x f)(k, u) = f(k, u) if u has letter x at position k, else 0.
     """
-    if name == "1":
-        return mono
-    if name == "T":
-        k = mono.k + 1
-        if k > space.n:
+    step, x = gen
+    if x is None:
+        k = mono.k + step
+        if not -space.n <= k <= space.n:
             raise RadiusExhausted(f"radius exhausted: exponent {k} outside window")
         return Monomial(k, mono.support)
-    if name == "T-":
-        k = mono.k - 1
-        if k < -space.n:
-            raise RadiusExhausted(f"radius exhausted: exponent {k} outside window")
-        return Monomial(k, mono.support)
-    if name.startswith("D:"):
-        x = int(name[2:])
-        mask = space.letter_mask[mono.k + space.n][x]
-        return Monomial(mono.k, mono.support & mask)
-    raise ValueError(f"unknown generator {name!r}")
+    return Monomial(mono.k, mono.support & space.letter_mask[mono.k + space.n][x])
 
 
 def unit_monomial(space: WindowSpace) -> Monomial:
@@ -86,25 +77,21 @@ def unit_monomial(space: WindowSpace) -> Monomial:
     return Monomial(0, frozenset(range(space.p)))
 
 
-def generator_monomials(space: WindowSpace) -> dict[str, Monomial]:
-    """Evaluations of the generating set {1, T, T^-1, D_x}."""
-    gens = {"1": unit_monomial(space)}
-    gens["T"] = Monomial(1, frozenset(range(space.p)))
-    gens["T-"] = Monomial(-1, frozenset(range(space.p)))
+def generator_monomials(space: WindowSpace) -> dict[tuple, Monomial]:
+    """Evaluations of the generating set {1, T, T^-1, D_x}, keyed by
+    (step, letter) as in :func:`apply_generator`."""
+    gens = {(0, None): unit_monomial(space)}
+    gens[(1, None)] = Monomial(1, frozenset(range(space.p)))
+    gens[(-1, None)] = Monomial(-1, frozenset(range(space.p)))
     for x in range(space.lang.alphabet_size):
-        gens[f"D:{x}"] = Monomial(0, space.letter_mask[space.n][x])
+        gens[(0, x)] = Monomial(0, space.letter_mask[space.n][x])
     return gens
-
-
-def generator_names(lang: Language) -> list[str]:
-    return ["1", "T", "T-"] + [f"D:{x}" for x in range(lang.alphabet_size)]
 
 
 class _BlockRank:
     """Rank accumulator split by exponent block (monomials never mix blocks)."""
 
-    def __init__(self, space: WindowSpace, field: Field):
-        self.space = space
+    def __init__(self, field: Field):
         self.field = field
         self.blocks: dict[int, object] = {}
 
@@ -113,8 +100,8 @@ class _BlockRank:
             return False
         blk = self.blocks.get(mono.k)
         if blk is None:
-            blk = self.blocks[mono.k] = new_basis(self.field, self.space.p)
-        return blk.insert_support(mono.support)
+            blk = self.blocks[mono.k] = new_basis(self.field)
+        return blk.insert(mono.support)
 
     @property
     def rank(self) -> int:
@@ -128,11 +115,12 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     spans the same space as the full product set.
     """
     space = WindowSpace(lang, n_max)
-    names = generator_names(lang)
-    rank = _BlockRank(space, field)
+    gens = generator_monomials(space)
+    moves = [g for g in gens if g != (0, None)]
+    rank = _BlockRank(field)
     seen: set = set()
     new: list[Monomial] = []
-    for mono in generator_monomials(space).values():
+    for mono in gens.values():
         key = (mono.k, mono.support)
         if key in seen:
             continue
@@ -143,10 +131,8 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     for n in range(2, n_max + 1):
         frontier = []
         for mono in new:
-            for name in names:
-                if name == "1":
-                    continue
-                cand = apply_generator(space, name, mono)
+            for g in moves:
+                cand = apply_generator(space, g, mono)
                 key = (cand.k, cand.support)
                 if key in seen:
                     continue
@@ -164,7 +150,7 @@ def bruteforce_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int,
     n = n_max
     windows = lang.factors[2 * n + 1]
     p = len(windows)
-    names = generator_names(lang)
+    gens = [(0, None), (1, None), (-1, None)] + [(0, x) for x in range(lang.alphabet_size)]
 
     def evaluate(word):
         # value at (k, u): simulate the product from the right at the point
@@ -173,26 +159,23 @@ def bruteforce_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int,
         for ui, u in enumerate(windows):
             j = 0
             alive = True
-            for tok in reversed(word):
-                if tok == "T":
-                    j += 1
-                elif tok == "T-":
-                    j -= 1
-                elif tok.startswith("D:"):
-                    if u[j + n] != int(tok[2:]):
-                        alive = False
-                        break
+            for step, x in reversed(word):
+                if x is None:
+                    j += step
+                elif u[j + n] != x:
+                    alive = False
+                    break
             if alive:
                 support.append((j + n) * p + ui)
         return support
 
-    basis = new_basis(field, (2 * n + 1) * p)
+    basis = new_basis(field)
     words = [[]]
     dims = []
     for m in range(1, n_max + 1):
-        words = [w + [t] for w in words for t in names]
+        words = [w + [g] for w in words for g in gens]
         for w in words:
-            basis.insert_support(evaluate(w))
+            basis.insert(evaluate(w))
         dims.append((m, basis.rank))
     return dims
 
@@ -212,74 +195,28 @@ def semigroup_dims(lang: Language, n_max: int) -> list[tuple[int, int]]:
 # -- the module kG_w ----------------------------------------------------------
 
 
-def module_apply(tokens, vec: dict, letters, radius: int, field: Field) -> dict:
-    """Apply a product of generators to a module vector.
+def module_growth(lang: Language, n_max: int) -> list[tuple[int, int]]:
+    """dim V^n . e_0 for n = 0..n_max, for the module at a point of the subshift.
 
-    The module has basis {e_j : |j| <= radius}; ``vec`` maps j to a
-    scalar.  Actions: T e_j = e_{j+1}, T^-1 e_j = e_{j-1},
-    D_x e_j = e_j if the point's letter at j is x, else 0.  ``letters``
-    is a callable giving the point's letter at a (possibly negative)
-    position.  ``tokens`` is the product left-to-right; the rightmost
-    factor acts first.
-    """
-    zero = field.zero()
-    cur = {j: c for j, c in vec.items() if c != zero}
-    for name in reversed(list(tokens)):
-        if name == "1":
-            continue
-        nxt: dict = {}
-        if name == "T" or name == "T-":
-            step = 1 if name == "T" else -1
-            for j, c in cur.items():
-                jj = j + step
-                if abs(jj) > radius:
-                    raise RadiusExhausted(f"module window exhausted at index {jj}")
-                nxt[jj] = field.add(nxt.get(jj, zero), c)
-        elif name.startswith("D:"):
-            x = int(name[2:])
-            for j, c in cur.items():
-                if letters(j) == x:
-                    nxt[j] = field.add(nxt.get(j, zero), c)
-        else:
-            raise ValueError(f"unknown generator {name!r}")
-        cur = {j: c for j, c in nxt.items() if c != zero}
-    return cur
-
-
-def module_growth(lang: Language, n_max: int, field: Field) -> list[tuple[int, int]]:
-    """dim V^n . delta_0 for n = 0..n_max, for the module at a point of the subshift.
-
-    The point is represented through a central window (a factor of length
-    2*n_max+1), which determines every D_x action a length-<=n_max
-    product can see.
+    The module has basis {e_j}, j an integer position of the point: T and
+    T^-1 send e_j to e_(j+1) and e_(j-1), and D_x sends e_j to e_j or to 0,
+    by the point's letter at j.  So every product of generators sends e_0
+    to a basis vector or to 0, D_x never reaches a new position, and
+    V^n . e_0 is spanned by the e_j at the positions j reached from 0 by
+    at most n shifts.  Its dimension counts those positions, over any
+    field and at any point.  The point's central window of length
+    2*n_max+1 determines every D_x action a length-<=n_max product can
+    see, so the language must hold factors of that length.
     """
     if 2 * n_max + 1 > lang.n_max:
         raise ValueError(f"language too shallow: need factors of length {2 * n_max + 1}")
-    window = lang.factors[2 * n_max + 1][0]
-
-    def letters(j: int) -> int:
-        return window[j + n_max]
-
-    names = [t for t in generator_names(lang) if t != "1"]
-    dim = 2 * n_max + 1
-    basis = RowBasis(field, dim)
-    one = field.one()
-
-    def insert(vec: dict) -> bool:
-        return basis.insert(SparseVector(dim, {j + n_max: c for j, c in vec.items()}, field))
-
-    new = [{0: one}]
-    insert(new[0])
-    out = [(0, basis.rank)]
+    reached = {0}
+    frontier = {0}
+    out = [(0, len(reached))]
     for n in range(1, n_max + 1):
-        frontier = []
-        for vec in new:
-            for name in names:
-                cand = module_apply([name], vec, letters, n_max, field)
-                if cand and insert(cand):
-                    frontier.append(cand)
-        new = frontier
-        out.append((n, basis.rank))
+        frontier = {j + step for j in frontier for step in (1, -1)} - reached
+        reached |= frontier
+        out.append((n, len(reached)))
     return out
 
 
@@ -293,44 +230,14 @@ class ExpansiveReport:
     atom_count: int
 
 
-def atom_key(letters, n: int) -> frozenset:
-    """Membership pattern of a point in the domains of all products of
-    <= n shift bisections and their inverses.
-
-    ``letters(k)`` must be defined for k in [-n, n-1].  The key is the
-    set of surviving generator sequences (in application order): S_x
-    needs letter x at the current origin and shifts it right, S_x^-1
-    needs letter x just left of the origin and shifts it left.
-    """
-    accepted = set()
-    stack = [((), 0)]
-    while stack:
-        seq, o = stack.pop()
-        if len(seq) >= n:
-            continue
-        # Only the token matching the letter at the origin survives, so
-        # exactly two extensions are ever viable.
-        for tok, no in ((("S", letters(o)), o + 1), (("S-", letters(o - 1)), o - 1)):
-            nseq = seq + (tok,)
-            accepted.add(nseq)
-            stack.append((nseq, no))
-    return frozenset(accepted)
-
-
 def expansive_certificate(lang: Language, n: int) -> ExpansiveReport:
     """Partition the length-2n windows into atoms of the <=n-step domains."""
     if 2 * n > lang.n_max:
         raise ValueError(f"language too shallow for n={n}")
-    # Every atom key of a window w holds the all-S path, which spells w[n:],
-    # and the all-S^-1 path, which spells w[:n] reversed.  Those two paths
-    # give back w, so atoms are in bijection with these pairs of paths.
+    # A window's atom is the set of <=n-step paths of shift bisections S_x
+    # and S_x^-1 that are defined at it.  That set holds the all-S path,
+    # which spells w[n:], and the all-S^-1 path, which spells w[:n]
+    # reversed.  Those two paths give back w, so atoms are in bijection
+    # with these pairs of paths.
     paths = {(w[n:], w[n - 1 :: -1]) for w in lang.factors[2 * n]}
     return ExpansiveReport(n=n, window_count=lang.complexity(2 * n), atom_count=len(paths))
-
-
-def separation_radius(letters_a, letters_b, n_cap: int):
-    """Smallest n <= n_cap at which the two points' atom keys differ, or None."""
-    for n in range(1, n_cap + 1):
-        if atom_key(letters_a, n) != atom_key(letters_b, n):
-            return n
-    return None

@@ -89,9 +89,6 @@ class WordSource:
             n = min(n, self.finite_length)
         return bytes(self._buf[:n])
 
-    def prefix_str(self, n: int) -> str:
-        return "".join(self.alphabet.display(c) for c in self.prefix(n))
-
     def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
         """Witness words for the factors of length <= n, read within
         ``budget`` letters in all, and whether they are certified to hold

@@ -39,27 +39,25 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Private top-level functions, classes and constants, and private
-    methods, that no module of ``sources`` references besides defining them.
-
-    References are matched by name, not by scope: a load of the name, an
-    attribute of that name or an import of it counts.
-    """
-    defined = []  # (label, name)
+def _definitions_and_uses(sources: dict[str, str]):
+    """(label, name, top level?) of every top-level function, class and
+    constant and every method in ``sources``, and the set of names they
+    reference: a load of the name, an attribute of that name or an import
+    of it.  References are matched by name, not by scope."""
+    defined = []
     used = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((f"{module}:{node.name}", node.name))
+                defined.append((f"{module}:{node.name}", node.name, True))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(f"{module}:{t.id}", t.id) for t in targets if isinstance(t, ast.Name)]
+                defined += [(f"{module}:{t.id}", t.id, True) for t in targets if isinstance(t, ast.Name)]
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        defined.append((f"{module}:{node.name}.{item.name}", item.name))
+                        defined.append((f"{module}:{node.name}.{item.name}", item.name, False))
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
                 used.add(n.id)
@@ -67,7 +65,24 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 used.add(n.attr)
             elif isinstance(n, ast.ImportFrom):
                 used.update(alias.name for alias in n.names)
-    return sorted(label for label, name in defined if _is_private(name) and name not in used)
+    return defined, used
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions, classes and constants, and private
+    methods, that no module of ``sources`` references besides defining them."""
+    defined, used = _definitions_and_uses(sources)
+    return sorted(label for label, name, _ in defined if _is_private(name) and name not in used)
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """Public top-level functions, classes and constants that the package's
+    ``__init__`` does not export and no module of ``sources`` references
+    besides defining them."""
+    defined, used = _definitions_and_uses(sources)
+    return sorted(
+        label for label, name, top in defined if top and not name.startswith("_") and name not in used
+    )
 
 
 def test_detects_dead_private_code():
@@ -92,3 +107,24 @@ def test_detects_dead_private_code():
 def test_no_dead_private_code():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def test_detects_unreferenced_public_code():
+    sources = {
+        "__init__": "from .a import exported\n__version__ = '0'\n",
+        "a": (
+            "LIMIT = 3\nUSED = 4\n"
+            "def exported(): pass\n"
+            "def helper(): return USED\n"
+            "def orphan(): return helper()\n"
+            "class Orphan:\n    def unused_method(self): pass\n"
+            "def used_elsewhere(): pass\n"
+        ),
+        "b": "from . import a\ndef _f(): return a.used_elsewhere()\n",
+    }
+    assert unreferenced_public_names(sources) == ["a:LIMIT", "a:Orphan", "a:orphan"]
+
+
+def test_no_unreferenced_public_code():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_public_names(sources) == []

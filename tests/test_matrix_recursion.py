@@ -12,7 +12,6 @@ from groupoid_growth.matrix_recursion import (
     format_matrix,
     grig_witness,
     homomorphism_check,
-    identity_matrix,
     image_at_level,
     level0,
     loglog_slope,
@@ -28,6 +27,12 @@ from groupoid_growth.selfsimilar import (
     SelfSimilarGroup,
     WreathRecursion,
 )
+
+
+def identity_matrix(group, field, level: int) -> LevelMatrix:
+    one = GroupRingElement.of(group, field, group.identity)
+    return LevelMatrix(group, field, level, {(i, i): one for i in range(group.d**level)})
+
 
 F3 = PrimeField(3)
 

@@ -17,6 +17,11 @@ from groupoid_growth.words import (
 )
 
 
+def letters(digits: str) -> bytes:
+    """The word spelled by the decimal digits, as the bytes ``prefix`` returns."""
+    return bytes(map(int, digits))
+
+
 class TestAlphabet:
     def test_display_names(self):
         a = Alphabet(2, ("x", "y"))
@@ -35,8 +40,8 @@ class TestSturmian:
         w = "0"
         for _ in range(8):
             w = "".join("01" if c == "0" else "0" for c in w)
-        assert golden_sturmian().prefix_str(13) == "0100101001001"
-        assert golden_sturmian().prefix_str(len(w)) == w
+        assert golden_sturmian().prefix(13) == letters("0100101001001")
+        assert golden_sturmian().prefix(len(w)) == letters(w)
 
     def test_p1_is_two(self):
         letters = set(golden_sturmian().prefix(64))
@@ -67,7 +72,8 @@ class TestSubstitution:
         w = "0"
         for _ in range(4):
             w = "".join("01" if c == "0" else "10" for c in w)
-        assert thue_morse().prefix_str(16) == w == "0110100110010110"
+        assert w == "0110100110010110"
+        assert thue_morse().prefix(16) == letters(w)
 
     def test_constant(self):
         src = SubstitutionSource({0: (0,)}, 0, Alphabet(1))
@@ -75,7 +81,7 @@ class TestSubstitution:
 
     def test_fibonacci_prefix(self):
         src = SubstitutionSource({0: (0, 1), 1: (0,)}, 0, Alphabet(2))
-        assert src.prefix_str(8) == "01001010"
+        assert src.prefix(8) == letters("01001010")
 
     def test_prefix_coherence(self):
         src = thue_morse()
@@ -84,7 +90,7 @@ class TestSubstitution:
             nxt = "".join("01" if c == "0" else "10" for c in w)
             assert nxt.startswith(w)
             w = nxt
-        assert src.prefix_str(64) == w[:64]
+        assert src.prefix(64) == letters(w[:64])
 
     def test_seed_rule_must_start_with_seed(self):
         with pytest.raises(WordSourceError):
@@ -136,7 +142,7 @@ class TestEventuallyPeriodic:
     def test_indexing(self):
         src = EventuallyPeriodicSource((1, 1, 0), (0, 1), Alphabet(2))
         assert src.letter(5) == 0
-        assert src.prefix_str(8) == "11001010"
+        assert src.prefix(8) == letters("11001010")
 
     def test_pure_period(self):
         src = EventuallyPeriodicSource((), (1,), Alphabet(2))
@@ -194,7 +200,7 @@ class TestConfig:
 
     def test_json(self):
         src = source_from_json('{"kind":"sturmian","cf":[1],"cf_periodic":true}')
-        assert src.prefix_str(5) == "01001"
+        assert src.prefix(5) == letters("01001")
 
     def test_unknown_kind(self):
         with pytest.raises(WordSourceError):
