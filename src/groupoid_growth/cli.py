@@ -18,10 +18,10 @@ from . import matrix_recursion as mr
 from . import shift_algebra as sa
 from .fields import parse_field
 from .groupoid import GermGroupoidModel, SubshiftModel, WindowUnit, ball_to_dot, delta_enumerated
-from .matrix_recursion import IdentityError
+from .matrix_recursion import CoordinateCapExceeded, IdentityError
 from .selfsimilar import EventuallyPeriodicPoint, NotContracting, StateCapExceeded, group_from_spec
 from .shift_algebra import RadiusExhausted
-from .subshift import Language, build_language
+from .subshift import FactorCapExceeded, Language, build_language
 from .verify import format_report, run_checks
 from .words import BudgetExceeded, source_from_config
 
@@ -29,7 +29,14 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IDENTITY = 4
 
-RESOURCE_ERRORS = (StateCapExceeded, NotContracting, RadiusExhausted, BudgetExceeded)
+RESOURCE_ERRORS = (
+    StateCapExceeded,
+    NotContracting,
+    RadiusExhausted,
+    BudgetExceeded,
+    FactorCapExceeded,
+    CoordinateCapExceeded,
+)
 
 
 class UsageError(Exception):

@@ -8,7 +8,11 @@ embeds A_0 = k[G] into arbitrarily deep levels.  Ranks of these images
 are nonincreasing in the level, since each level's vectors are a linear
 image of the previous level's, and eventually equal dimensions in the
 convolution algebra.  The thinned-algebra growth table raises the level
-until two consecutive levels agree.  That the next level agrees is proved
+until two consecutive levels agree.  Its pass works on level-L vectors,
+not on group elements: the level-L image psi_L of a group element is
+injective and multiplicative, so each candidate s*h is the vector
+psi_L(s)*psi_L(h), deduplicated by vector, and only products of sections
+are ever built as automata.  That the next level agrees is proved
 without its pass whenever one recursion step is injective on the span of
 the current level's cells (:func:`step_is_injective`); that no later level
 drops further is a heuristic, not a proof that the limit has been reached.
@@ -284,6 +288,29 @@ def _element_entries(group: SelfSimilarGroup, rid: int, level: int, cache: dict)
     return out
 
 
+# Most coordinates one thinned_dims_at_level pass may use: three times what
+# the default n=128 Grigorchuk run needs.
+COORDINATE_CAP = 100_000
+
+
+class CoordinateCapExceeded(RuntimeError):
+    """A thinned pass needed more than ``COORDINATE_CAP`` coordinates."""
+
+
+class _CoordinateMap(dict):
+    """Coordinate index -> coordinate index, filled on first lookup."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, c: int) -> int:
+        out = self[c] = self.image(c)
+        return out
+
+
 @dataclass
 class ThinnedGrowthResult:
     dims: list[tuple[int, int]]  # (n, dim V^n)
@@ -301,10 +328,16 @@ def thinned_dims_at_level(
 ) -> list[tuple[int, int]]:
     """dim V^n for n=1..n_max with elements vectorized at a fixed level.
 
-    Coordinates are (row, col, canonical id of a group element); V is spanned
-    by 1 and the generators, and each level adds candidates s*h for the
-    elements h that were newly independent.  A ``coord_index`` passed in is
-    filled with every coordinate the pass used.
+    Coordinates are (row, col, canonical id of a group element), one per
+    column: g has the coordinate (g(col), col, g|_col).  V is spanned by 1
+    and the generators, and each length adds the candidates s*h for the
+    elements h that were newly independent.  A candidate is never built as
+    an automaton: its vector is psi(s)*psi(h), read coordinate by coordinate
+    through the map of s, which sends (row, col, e) to (s(row), col,
+    s|_row * e).  The level-L image holds every section, so it is injective
+    and candidates are deduplicated by vector.  A ``coord_index`` passed in
+    is filled with every coordinate the pass used; more than
+    ``COORDINATE_CAP`` of them raise :class:`CoordinateCapExceeded`.
     """
     if cache is None:
         cache = {}
@@ -312,34 +345,53 @@ def thinned_dims_at_level(
         coord_index = {}
     basis = new_basis(field)
     gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
+    cells = list(coord_index)
 
-    def vectorize(rid: int) -> list[int]:
+    def index(cell: tuple) -> int:
+        i = coord_index.get(cell)
+        if i is None:
+            if len(cells) >= COORDINATE_CAP:
+                raise CoordinateCapExceeded(
+                    f"level-{level} pass exceeded cap {COORDINATE_CAP} on coordinates"
+                )
+            i = coord_index[cell] = len(cells)
+            cells.append(cell)
+        return i
+
+    def vectorize(rid: int) -> tuple[int, ...]:
         entries = _element_entries(group, rid, level, cache)
-        return [
-            coord_index.setdefault((row, col, e), len(coord_index))
-            for col, (row, e) in enumerate(entries)
-        ]
+        return tuple(index((row, col, e)) for col, (row, e) in enumerate(entries))
+
+    def coordinate_map(s: int) -> _CoordinateMap:
+        entries = _element_entries(group, s, level, cache)
+
+        def image(c: int) -> int:
+            row, col, e = cells[c]
+            s_row, section = entries[row]
+            return index((s_row, col, group.canonical_key(group.multiply(section, e))))
+
+        return _CoordinateMap(image)
 
     seen = set()
-    new: list[int] = []
+    new: list[tuple[int, ...]] = []
 
-    def consider(rid: int) -> None:
-        if rid in seen:
+    def consider(vec: tuple[int, ...]) -> None:
+        if vec in seen:
             return
-        seen.add(rid)
-        if basis.insert(vectorize(rid)):
-            new.append(rid)
+        seen.add(vec)
+        if basis.insert(vec):
+            new.append(vec)
 
-    consider(group.identity)
+    consider(vectorize(group.identity))
     for g in gens:
-        consider(g)
+        consider(vectorize(g))
+    maps = [coordinate_map(s).__getitem__ for s in gens]
     dims = [(1, basis.rank)]
     for n in range(2, n_max + 1):
-        frontier = list(new)
-        new = []
+        frontier, new = new, []
         for h in frontier:
-            for s in gens:
-                consider(group.canonical_key(group.multiply(s, h)))
+            for phi in maps:
+                consider(tuple(map(phi, h)))
         dims.append((n, basis.rank))
     return dims
 

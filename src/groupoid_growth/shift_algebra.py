@@ -41,11 +41,6 @@ class WindowSpace:
             for j in range(2 * n + 1)
         ]
 
-    def index(self, k: int, urank: int) -> int:
-        if not (-self.n <= k <= self.n):
-            raise RadiusExhausted(f"radius exhausted: exponent {k} outside [-{self.n}, {self.n}]")
-        return (k + self.n) * self.p + urank
-
 
 @dataclass(frozen=True)
 class Monomial:

@@ -34,6 +34,10 @@ class LanguageError(ValueError):
     pass
 
 
+class FactorCapExceeded(LanguageError):
+    """A language would hold more than ``FACTOR_CAP`` factors."""
+
+
 # Most nonempty factors one language may hold, all lengths together.
 FACTOR_CAP = 2_000_000
 
@@ -106,7 +110,7 @@ def language_from_witnesses(
     extendable = n_max
     for n in range(n_max - 1, -1, -1):
         if count > FACTOR_CAP:
-            raise LanguageError(f"factor enumeration exceeded cap {FACTOR_CAP}")
+            raise FactorCapExceeded(f"factor enumeration exceeded cap {FACTOR_CAP}")
         level = {f[:-1] for f in level}
         for w in witnesses:
             suffix = w[len(w) - n :]

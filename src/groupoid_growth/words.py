@@ -35,19 +35,10 @@ class BudgetExceeded(RuntimeError):
 @dataclass(frozen=True)
 class Alphabet:
     size: int
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise WordSourceError("alphabet must have at least one letter")
-        if self.names is not None:
-            if len(self.names) != self.size or len(set(self.names)) != self.size:
-                raise WordSourceError("display names must be distinct, one per letter")
-
-    def display(self, letter: int) -> str:
-        if self.names is not None:
-            return self.names[letter]
-        return str(letter)
 
 
 class WordSource:

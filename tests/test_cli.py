@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from groupoid_growth import cli
+from groupoid_growth import cli, matrix_recursion, subshift
 
 GOLDEN = '{"kind":"sturmian","cf":[1],"cf_periodic":true}'
 TM = '{"kind":"substitution","rules":{"0":"01","1":"10"},"seed":"0"}'
@@ -80,6 +80,11 @@ class TestComplexity:
             for extra in ([], ["--budget", "300"], ["--budget", "400"])
         ]
         assert len(set(digests)) == 3
+
+    def test_factor_cap_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(subshift, "FACTOR_CAP", 100)
+        code, out, err = run(capsys, ["complexity", "--source", GOLDEN, "--n-max", "40"])
+        assert code == 3 and "resource cap: factor enumeration exceeded cap 100" in err and out == ""
 
     def test_missing_source_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["complexity", "--source", str(tmp_path / "nope.json"), "--n-max", "2"])
@@ -273,6 +278,11 @@ class TestGroupCommands:
         rows = [l.split(",") for l in out.strip().splitlines()[2:]]
         assert [r[1] for r in rows] == ["5", "11", "19"]
         assert all(r[3] == "True" for r in rows)
+
+    def test_thinned_growth_coordinate_cap_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(matrix_recursion, "COORDINATE_CAP", 50)
+        code, out, err = run(capsys, ["thinned-growth", "--group", "grigorchuk", "--n-max", "16"])
+        assert code == 3 and "exceeded cap 50 on coordinates" in err and out == ""
 
     def test_thinned_growth_digests_the_group(self, capsys, tmp_path):
         # Two different groups written to one path print different #config

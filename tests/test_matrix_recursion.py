@@ -1,7 +1,7 @@
 import pytest
 
 from groupoid_growth import matrix_recursion as mr
-from groupoid_growth.fields import GF2, QQ, PrimeField
+from groupoid_growth.fields import GF2, QQ, PrimeField, new_basis
 from groupoid_growth.matrix_recursion import (
     GroupRingElement,
     IdentityError,
@@ -300,3 +300,62 @@ class TestInjectiveStep:
         res = thinned_growth(grig, n, field)
         assert len(level_passes) == 1
         assert (res.level, res.stabilized) == (level_passes[0] + 1, True)
+
+
+def element_pass(group, n_max, field, level, coord_index):
+    """The thinned pass run on group elements: each candidate s*h is built as
+    a product automaton, deduplicated by canonical id, and vectorized through
+    its level-L image."""
+    cache: dict = {}
+    basis = new_basis(field)
+    gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
+
+    def vectorize(rid):
+        entries = mr._element_entries(group, rid, level, cache)
+        return [coord_index.setdefault((row, col, e), len(coord_index)) for col, (row, e) in enumerate(entries)]
+
+    seen, new = set(), []
+
+    def consider(rid):
+        if rid not in seen:
+            seen.add(rid)
+            if basis.insert(vectorize(rid)):
+                new.append(rid)
+
+    for g in [group.identity] + gens:
+        consider(g)
+    dims = [(1, basis.rank)]
+    for n in range(2, n_max + 1):
+        frontier, new = new, []
+        for h in frontier:
+            for s in gens:
+                consider(group.canonical_key(group.multiply(s, h)))
+        dims.append((n, basis.rank))
+    return dims
+
+
+class TestVectorPass:
+    @pytest.mark.parametrize("field", [GF2, F3, QQ], ids=["F2", "F3", "Q"])
+    @pytest.mark.parametrize(
+        "rec, n",
+        [(GRIGORCHUK, 12), (ADDING_MACHINE, 12), (BASILICA, 8), (HANOI, 5)],
+        ids=["grig", "adding", "basilica", "hanoi"],
+    )
+    def test_matches_element_pass(self, rec, n, field):
+        # Candidates multiplied as level-L vectors give the table and the
+        # coordinates, in order, of candidates built as automata.
+        for level in (1, 2, 3, 4):
+            grp = SelfSimilarGroup(rec)
+            cells, oracle_cells = {}, {}
+            dims = thinned_dims_at_level(grp, n, field, level, {}, cells)
+            assert dims == element_pass(grp, n, field, level, oracle_cells)
+            assert list(cells) == list(oracle_cells)
+
+    def test_coordinate_cap(self, grig, monkeypatch):
+        cells: dict = {}
+        dims = thinned_dims_at_level(grig, 8, GF2, 2, {}, cells)
+        monkeypatch.setattr(mr, "COORDINATE_CAP", len(cells))
+        assert thinned_dims_at_level(grig, 8, GF2, 2) == dims
+        monkeypatch.setattr(mr, "COORDINATE_CAP", len(cells) - 1)
+        with pytest.raises(mr.CoordinateCapExceeded, match=f"exceeded cap {len(cells) - 1}"):
+            thinned_growth(grig, 8, GF2, level_start=2)

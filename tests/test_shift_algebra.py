@@ -41,11 +41,6 @@ class TestWindowSpace:
         with pytest.raises(ValueError):
             WindowSpace(golden, 13)
 
-    def test_index_bounds(self, golden):
-        space = WindowSpace(golden, 2)
-        with pytest.raises(RadiusExhausted):
-            space.index(3, 0)
-
 
 class TestGeneratorAction:
     def test_partition_of_unity(self, golden):

@@ -23,15 +23,9 @@ def letters(digits: str) -> bytes:
 
 
 class TestAlphabet:
-    def test_display_names(self):
-        a = Alphabet(2, ("x", "y"))
-        assert a.display(1) == "y"
-
     def test_invalid(self):
         with pytest.raises(WordSourceError):
             Alphabet(0)
-        with pytest.raises(WordSourceError):
-            Alphabet(2, ("x", "x"))
 
 
 class TestSturmian:
