@@ -177,6 +177,8 @@ def cmd_ball(args) -> int:
 
 def cmd_algebra_growth(args) -> int:
     n_max = _positive("--n-max", args.n_max)
+    if args.oracle_upto < 0:
+        raise UsageError("--oracle-upto must be >= 0")
     field = parse_field(args.field)
     cfg = _read_spec(args.source)
     lang = _language(cfg, 2 * n_max + 1, args.budget)

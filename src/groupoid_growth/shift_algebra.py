@@ -2,12 +2,16 @@
 
 An algebra element spanned by products of length <= n is determined by
 its values on germs (s^k, w) with |k| <= n and w seen through its
-central window of length 2n+1.  That evaluation space is finite —
-(2n+1) * p(2n+1) coordinates — so algebra growth is exact finite linear
-algebra.  Every product of the generators {1, T, T^-1, D_x} evaluates to
-a 0/1 vector supported in a single shift exponent k, which this module
-exploits: candidates are (exponent, window subset) pairs and the rank
-splits into one small elimination block per exponent.
+central window of length 2n+1.  Every product of the generators
+{1, T, T^-1, D_x} evaluates to a 0/1 vector supported in a single shift
+exponent k, which this module exploits: candidates are (exponent, window
+subset) pairs and the rank splits into one small elimination block per
+exponent.  A product ending at exponent k walks from 0 to k and tests a
+letter only where it stands, so it sees only the positions J_k of
+:class:`WindowSpace`; block k has one column per distinct restriction
+u[J_k] of a window, not one per window.  The evaluation space therefore
+has at most sum_k p(|J_k|) <= (2n+1) * p(2n+1) coordinates, and algebra
+growth is exact finite linear algebra.
 """
 
 from __future__ import annotations
@@ -23,7 +27,16 @@ class RadiusExhausted(RuntimeError):
 
 
 class WindowSpace:
-    """Coordinates (k, u): shift exponent k in [-n, n], u a length-(2n+1) factor."""
+    """Coordinates (k, u): shift exponent k in [-n, n], u a length-(2n+1) factor.
+
+    A product of at most n generators that ends at exponent k tests a
+    letter at position j only if it walks from 0 to j and on to k with one
+    generator left for the test: |j| + |k - j| <= n - 1.  Those positions
+    are J_k = [min(0, k) - t, max(0, k) + t] with t = (n - 1 - |k|) // 2,
+    and none when t < 0.  So the product's support is a union of fibres
+    of u -> u[J_k], and ``block_class[k + n][i]`` numbers the fibre of
+    window i (in order of first appearance).
+    """
 
     def __init__(self, lang: Language, n: int):
         if 2 * n + 1 > lang.n_max:
@@ -40,6 +53,12 @@ class WindowSpace:
             ]
             for j in range(2 * n + 1)
         ]
+        self.block_class = []
+        for k in range(-n, n + 1):
+            t = (n - 1 - abs(k)) // 2
+            lo, hi = (min(0, k) - t + n, max(0, k) + t + n + 1) if t >= 0 else (0, 0)
+            ids: dict[bytes, int] = {}
+            self.block_class.append([ids.setdefault(u[lo:hi], len(ids)) for u in self.windows])
 
 
 @dataclass(frozen=True)
@@ -84,9 +103,16 @@ def generator_monomials(space: WindowSpace) -> dict[tuple, Monomial]:
 
 
 class _BlockRank:
-    """Rank accumulator split by exponent block (monomials never mix blocks)."""
+    """Rank accumulator split by exponent block (monomials never mix blocks).
 
-    def __init__(self, field: Field):
+    Block k's columns are the fibre ids ``space.block_class[k + n]``.  A
+    support that is a union of fibres is the preimage of its set of ids,
+    and linear combinations of such supports are constant on fibres, so
+    the rank over ids equals the rank over windows.
+    """
+
+    def __init__(self, space: WindowSpace, field: Field):
+        self.space = space
         self.field = field
         self.blocks: dict[int, object] = {}
 
@@ -96,7 +122,8 @@ class _BlockRank:
         blk = self.blocks.get(mono.k)
         if blk is None:
             blk = self.blocks[mono.k] = new_basis(self.field)
-        return blk.insert(mono.support)
+        cls = self.space.block_class[mono.k + self.space.n]
+        return blk.insert({cls[u] for u in mono.support})
 
     @property
     def rank(self) -> int:
@@ -107,12 +134,18 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     """Exact dim V^n for n = 1..n_max, V = span{1, T, T^-1, D_x}.
 
     Levelwise closure: V^(m+1) = V^m + sum_g g * (new part of V^m), which
-    spans the same space as the full product set.
+    spans the same space as the full product set.  D_x for the last letter
+    x is not applied to a monomial m: D_x m = m - sum_(y != x) D_y m, since
+    sum_x D_x = 1 at m's exponent, and the right side is already spanned
+    once the level's other moves are inserted.  Ranks are taken over the
+    fibre ids of :class:`WindowSpace`, see :class:`_BlockRank`.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     space = WindowSpace(lang, n_max)
     gens = generator_monomials(space)
-    moves = [g for g in gens if g != (0, None)]
-    rank = _BlockRank(field)
+    moves = [g for g in gens if g not in ((0, None), (0, lang.alphabet_size - 1))]
+    rank = _BlockRank(space, field)
     seen: set = set()
     new: list[Monomial] = []
     for mono in gens.values():

@@ -25,7 +25,7 @@ which gives ``extendable_up_to`` from the same pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import WordSource
 
@@ -62,7 +62,6 @@ class Language:
     extendable_up_to: int
     finite_source: bool
     exact: bool
-    factor_sets: list[set[bytes]] = field(repr=False, compare=False)  # factors[n] as a set
 
     def complexity(self, n: int) -> int:
         """p(n), the number of distinct length-n factors."""
@@ -75,10 +74,6 @@ class Language:
         if r < 0 or 2 * r > self.n_max:
             raise LanguageError(f"delta_formula needs 2r <= n_max; got r={r}, n_max={self.n_max}")
         return self.complexity(2 * r)
-
-    def contains(self, word: bytes) -> bool:
-        n = len(word)
-        return n <= self.n_max and word in self.factor_sets[n]
 
 
 def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Language:
@@ -129,14 +124,12 @@ def language_from_witnesses(
         extendable_up_to=extendable,
         finite_source=finite_source,
         exact=exact,
-        factor_sets=sets,
     )
-    # Factor closure: the boundary subwords of every factor must be factors
-    # (interior subwords follow by induction).  This is a structural check
-    # on the enumeration itself and must never fail.
+    # Factor closure: every factor's prefix is a factor by construction, so
+    # only its suffix is checked (interior subwords follow by induction).
+    # This is a structural check on the enumeration itself and must never fail.
     for n in range(1, n_max + 1):
-        for f in lang.factors[n]:
-            assert lang.contains(f[:-1]) and lang.contains(f[1:]), f"closure broken at {f!r}"
+        assert {f[1:] for f in sets[n]} <= sets[n - 1], f"closure broken at length {n}"
     if not lang.finite_source:
         for n in range(1, min(lang.extendable_up_to, n_max)):
             assert lang.complexity(n + 1) >= lang.complexity(n)

@@ -184,6 +184,11 @@ class TestAlgebraGrowth:
         assert [r[1] for r in rows] == ["4", "10", "20", "34"]
         assert all(r[4] == "True" for r in rows)
 
+    def test_negative_oracle_upto_exit_2(self, capsys):
+        argv = ["algebra-growth", "--source", GOLDEN, "--n-max", "4", "--oracle-upto", "-2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "--oracle-upto" in err and out == ""
+
     def test_semigroup(self, capsys):
         code, out, _ = run(capsys, ["semigroup-growth", "--source", GOLDEN, "--n-max", "3"])
         assert code == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from groupoid_growth import cli
-from groupoid_growth.fields import GF2, QQ, PrimeField
+from groupoid_growth.fields import GF2, QQ, PrimeField, new_basis
 from groupoid_growth.shift_algebra import (
     RadiusExhausted,
     WindowSpace,
@@ -15,10 +15,61 @@ from groupoid_growth.shift_algebra import (
     unit_monomial,
 )
 from groupoid_growth.subshift import build_language
-from groupoid_growth.words import golden_sturmian, thue_morse
+from groupoid_growth.words import golden_sturmian, source_from_config, thue_morse
 
 ONE, T, T_INV, D0, D1 = (0, None), (1, None), (-1, None), (0, 0), (0, 1)
 GOLDEN_JSON = '{"kind": "sturmian", "cf": [1], "cf_periodic": true}'
+
+# One source of each kind, with a 3-letter alphabet among them.
+SOURCES = {
+    "golden": {"kind": "sturmian", "cf": [1], "cf_periodic": True},
+    "thue-morse": {"kind": "substitution", "rules": {"0": "01", "1": "10"}, "seed": 0},
+    "sturmian-3-1": {"kind": "sturmian", "cf": [3, 1], "cf_periodic": True},
+    "tribonacci": {"kind": "substitution", "rules": {"0": "01", "1": "02", "2": "0"}, "seed": 0},
+    "paperfolding": {"kind": "toeplitz", "skeleton": "0?1?"},
+    "eventually-periodic": {"kind": "eventually_periodic", "pre": "1101", "period": "001"},
+    "explicit": {"kind": "explicit", "word": "0110100110010110100101100110100101"},
+}
+
+
+def source_language(name: str, n_max: int):
+    return build_language(source_from_config(SOURCES[name]), n_max=n_max, prefix_budget=4096)
+
+
+def uncompressed_growth_dims(lang, n_max, field):
+    """The levelwise loop of :func:`growth_dims` with one column per window
+    in every block and every D_x applied: the reference it must match."""
+    space = WindowSpace(lang, n_max)
+    gens = generator_monomials(space)
+    moves = [g for g in gens if g != ONE]
+    blocks = {}
+
+    def insert(mono):
+        return bool(mono.support) and blocks.setdefault(mono.k, new_basis(field)).insert(mono.support)
+
+    def rank():
+        return sum(b.rank for b in blocks.values())
+
+    seen = set()
+    new = []
+    for mono in gens.values():
+        if (mono.k, mono.support) not in seen:
+            seen.add((mono.k, mono.support))
+            if insert(mono):
+                new.append(mono)
+    dims = [(1, rank())]
+    for n in range(2, n_max + 1):
+        frontier = []
+        for mono in new:
+            for g in moves:
+                cand = apply_generator(space, g, mono)
+                if (cand.k, cand.support) not in seen:
+                    seen.add((cand.k, cand.support))
+                    if insert(cand):
+                        frontier.append(cand)
+        new = frontier
+        dims.append((n, rank()))
+    return dims
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +91,30 @@ class TestWindowSpace:
     def test_too_shallow(self, golden):
         with pytest.raises(ValueError):
             WindowSpace(golden, 13)
+
+    @pytest.mark.parametrize("name", ["thue-morse", "tribonacci", "paperfolding"])
+    def test_products_are_unions_of_fibres(self, name):
+        # Every product of <= n generators, reached breadth first, is
+        # constant on each fibre of u -> u[J_k] of its exponent block.
+        n = 5
+        space = WindowSpace(source_language(name, 2 * n + 1), n)
+        gens = list(generator_monomials(space))
+        level = {unit_monomial(space)}
+        for _ in range(n):
+            level = {apply_generator(space, g, m) for m in level for g in gens}
+            for m in level:
+                cls = space.block_class[m.k + n]
+                hit = {cls[u] for u in m.support}
+                assert m.support == {u for u in range(space.p) if cls[u] in hit}
+
+    def test_block_columns(self, tm):
+        # J_k has 2t + |k| + 1 positions; no position is tested at |k| = n.
+        n = 4
+        space = WindowSpace(tm, n)
+        for k in range(-n, n + 1):
+            t = (n - 1 - abs(k)) // 2
+            width = 2 * t + abs(k) + 1 if t >= 0 else 0
+            assert len(set(space.block_class[k + n])) == tm.complexity(width)
 
 
 class TestGeneratorAction:
@@ -93,9 +168,22 @@ class TestGrowthDims:
         assert q == f2 == f3
 
     def test_oracle_agreement(self, golden, tm):
-        for lang in (golden, tm):
+        langs = (golden, tm, source_language("sturmian-3-1", 9), source_language("paperfolding", 9))
+        for lang in langs:
             for field in (QQ, GF2):
                 assert growth_dims(lang, 4, field) == bruteforce_dims(lang, 4, field)
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_matches_uncompressed_loop(self, name):
+        n = 9
+        lang = source_language(name, 2 * n + 1)
+        for field in (QQ, GF2, PrimeField(3)):
+            assert growth_dims(lang, n, field) == uncompressed_growth_dims(lang, n, field)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_below_one(self, golden, n_max):
+        with pytest.raises(ValueError):
+            growth_dims(golden, n_max, QQ)
 
     def test_monotone_and_bounded(self, tm):
         dims = growth_dims(tm, 6, QQ)
