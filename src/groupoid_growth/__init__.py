@@ -38,7 +38,6 @@ from .selfsimilar import (
 from .shift_algebra import (
     RadiusExhausted,
     WindowSpace,
-    expansive_certificate,
     growth_dims,
     module_growth,
     semigroup_dims,

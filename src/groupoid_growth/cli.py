@@ -20,7 +20,7 @@ from .fields import parse_field
 from .groupoid import GermGroupoidModel, SubshiftModel, WindowUnit, ball_to_dot, delta_enumerated
 from .matrix_recursion import CoordinateCapExceeded, IdentityError
 from .selfsimilar import EventuallyPeriodicPoint, NotContracting, StateCapExceeded, group_from_spec
-from .shift_algebra import RadiusExhausted
+from .shift_algebra import OracleCapExceeded, RadiusExhausted
 from .subshift import FactorCapExceeded, Language, build_language
 from .verify import format_report, run_checks
 from .words import BudgetExceeded, source_from_config
@@ -36,6 +36,7 @@ RESOURCE_ERRORS = (
     BudgetExceeded,
     FactorCapExceeded,
     CoordinateCapExceeded,
+    OracleCapExceeded,
 )
 
 
@@ -232,10 +233,7 @@ def cmd_expansive(args) -> int:
     n = _positive("--n", args.n)
     cfg = _read_spec(args.source)
     lang = _language(cfg, 2 * n, args.budget)
-    rows = []
-    for m in range(1, n + 1):
-        rep = sa.expansive_certificate(lang, m)
-        rows.append([m, rep.window_count, rep.atom_count])
+    rows = [[m, lang.complexity(2 * m), sa.expansive_certificate(lang, m)] for m in range(1, n + 1)]
     config = _with_budget({"cmd": "expansive", "source": cfg, "n": n}, args.budget)
     _emit_csv(args.csv, ["n", "windows", "atoms"], rows, config)
     return 0

@@ -26,6 +26,15 @@ class RadiusExhausted(RuntimeError):
     """A product's support left the window space (|k| > n)."""
 
 
+class OracleCapExceeded(RuntimeError):
+    """The brute-force oracle would evaluate more than ``ORACLE_CAP`` words."""
+
+
+# Most generator words :func:`bruteforce_dims` evaluates at its top level;
+# (3 + 2)^8 = 390,625 lets it reach n = 8 on two letters.
+ORACLE_CAP = 400_000
+
+
 class WindowSpace:
     """Coordinates (k, u): shift exponent k in [-n, n], u a length-(2n+1) factor.
 
@@ -174,11 +183,19 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
 
 def bruteforce_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int]]:
     """Rank of all explicit generator products, evaluated straight from the
-    germ-composition definition — an oracle independent of :func:`growth_dims`."""
+    germ-composition definition — an oracle independent of :func:`growth_dims`.
+
+    Level m has (3 + |A|)^m words, held in memory; a top level of more than
+    ``ORACLE_CAP`` words raises :class:`OracleCapExceeded` before any is built.
+    """
     n = n_max
+    gens = [(0, None), (1, None), (-1, None)] + [(0, x) for x in range(lang.alphabet_size)]
+    if len(gens) ** n > ORACLE_CAP:
+        raise OracleCapExceeded(
+            f"the oracle would evaluate {len(gens) ** n} generator words at n={n}, over its cap {ORACLE_CAP}"
+        )
     windows = lang.factors[2 * n + 1]
     p = len(windows)
-    gens = [(0, None), (1, None), (-1, None)] + [(0, x) for x in range(lang.alphabet_size)]
 
     def evaluate(word):
         # value at (k, u): simulate the product from the right at the point
@@ -251,21 +268,13 @@ def module_growth(lang: Language, n_max: int) -> list[tuple[int, int]]:
 # -- expansiveness -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansiveReport:
-    n: int
-    window_count: int
-    atom_count: int
+def expansive_certificate(lang: Language, n: int) -> int:
+    """Number of atoms of the <=n-step domains on the length-2n windows: p(2n).
 
-
-def expansive_certificate(lang: Language, n: int) -> ExpansiveReport:
-    """Partition the length-2n windows into atoms of the <=n-step domains."""
-    if 2 * n > lang.n_max:
-        raise ValueError(f"language too shallow for n={n}")
-    # A window's atom is the set of <=n-step paths of shift bisections S_x
-    # and S_x^-1 that are defined at it.  That set holds the all-S path,
-    # which spells w[n:], and the all-S^-1 path, which spells w[:n]
-    # reversed.  Those two paths give back w, so atoms are in bijection
-    # with these pairs of paths.
-    paths = {(w[n:], w[n - 1 :: -1]) for w in lang.factors[2 * n]}
-    return ExpansiveReport(n=n, window_count=lang.complexity(2 * n), atom_count=len(paths))
+    A window's atom is the set of <=n-step paths of shift bisections S_x
+    and S_x^-1 that are defined at it.  That set holds the all-S path,
+    which spells w[n:], and the all-S^-1 path, which spells w[:n]
+    reversed.  Those two paths give back w, so the atoms are in bijection
+    with the windows.
+    """
+    return lang.complexity(2 * n)

@@ -12,19 +12,24 @@ eventually periodic word read one period past its preperiod, or a whole
 explicit word).  An inexact language records the largest length at which
 right-extendability held instead of claiming more.
 
-All factor sets come from one downward pass over the lengths.  In a word
-P of length L, a length-n factor that starts before position L-n is the
-first n letters of the length-(n+1) factor that starts at the same place,
-and the only other length-n factor is the suffix P[L-n:].  So the factors
-of length ``n_max`` are read off the witnesses in one scan, and each
-shorter class is the next longer one with the last letter of each factor
-dropped, plus the suffix of each witness.  In a one-prefix language the
-suffix is also the only factor that can fail to extend to the right,
-which gives ``extendable_up_to`` from the same pass.
+Every factor class comes from one sorted list of *heads*: the distinct
+words w[i : i + n_max] over every witness w and every start i, so the last
+n_max - 1 heads of a witness are its short suffixes.  Every factor of
+length n <= n_max is the length-n prefix of the head that starts where it
+does, and the heads that share a length-n prefix are contiguous in sorted
+order.  With lcp the length of the longest common prefix of a head and the
+one before it, the length-n factors are therefore the prefixes h[:n] of the
+heads h with lcp < n <= len(h), met already sorted (suffix sorting and
+adjacent LCP counting: Manber-Myers 1993, Kasai et al. 2001).  So
+p(1) + ... + p(n_max) is the sum of len(h) - lcp, known before a factor
+is built.  A short head is a witness suffix, and it extends to the right
+within the witnesses exactly when the next head starts with it, which
+gives ``extendable_up_to`` from the same list.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .words import WordSource
@@ -96,40 +101,42 @@ def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Langua
 def language_from_witnesses(
     witnesses: list[bytes], n_max: int, alphabet_size: int, *, exact: bool, finite_source: bool
 ) -> Language:
-    """The factors of length <= n_max of the witness words, in one downward pass."""
+    """The factors of length <= n_max of the witness words, read off their
+    sorted heads (see the module docstring)."""
     if any(len(w) < n_max for w in witnesses):
         raise LanguageError("source ended before n_max letters were produced")
-    level = {w[i : i + n_max] for w in witnesses for i in range(len(w) - n_max + 1)}
-    sets = [level]
-    count = len(level)  # nonempty factors so far
-    extendable = n_max
-    for n in range(n_max - 1, -1, -1):
-        if count > FACTOR_CAP:
-            raise FactorCapExceeded(f"factor enumeration exceeded cap {FACTOR_CAP}")
-        level = {f[:-1] for f in level}
-        for w in witnesses:
-            suffix = w[len(w) - n :]
-            if suffix not in level:  # it does not extend; the last such n is the least
-                extendable = n
-                level.add(suffix)
-        count += len(level)
-        sets.append(level)
-    sets.reverse()
+    heads = sorted({w[i : i + n_max] for w in witnesses for i in range(len(w))})
+    # lcps[j] = lcp(heads[j - 1], heads[j]), from the highest differing byte
+    # of the heads zero-padded to n_max letters, capped by the shorter one.
+    keys = [int.from_bytes(h.ljust(n_max, b"\0"), "big") for h in heads]
+    lcps = [0] + [
+        min(len(a), len(b), n_max - ((x ^ y).bit_length() + 7) // 8)
+        for a, b, x, y in zip(heads, heads[1:], keys, keys[1:])
+    ]
+    if sum(map(len, heads)) - sum(lcps) > FACTOR_CAP:
+        raise FactorCapExceeded(f"factor enumeration exceeded cap {FACTOR_CAP}")
+    factors: list[list[bytes]] = [[b""]] + [[] for _ in range(n_max)]
+    for h, lcp in zip(heads, lcps):
+        for n in range(lcp + 1, len(h) + 1):
+            factors[n].append(h[:n])
+    # A short head is a witness suffix; it extends iff the next head starts with it.
+    extendable = min((len(h) for h, nxt in zip(heads, lcps[1:] + [0]) if nxt < len(h) < n_max), default=n_max)
 
     lang = Language(
         alphabet_size=alphabet_size,
-        factors=[sorted(s) for s in sets],
+        factors=factors,
         n_max=n_max,
         prefix_len=sum(map(len, witnesses)),
         extendable_up_to=extendable,
         finite_source=finite_source,
         exact=exact,
     )
-    # Factor closure: every factor's prefix is a factor by construction, so
-    # only its suffix is checked (interior subwords follow by induction).
-    # This is a structural check on the enumeration itself and must never fail.
-    for n in range(1, n_max + 1):
-        assert {f[1:] for f in sets[n]} <= sets[n - 1], f"closure broken at length {n}"
+    # Factor closure: every factor is a prefix of a head, so every head's
+    # tail must be a prefix of a head too (interior subwords follow by
+    # induction).  This is a structural check on the enumeration itself
+    # and must never fail.
+    for h in heads:
+        assert heads[bisect_left(heads, h[1:])].startswith(h[1:]), f"closure broken at head {h!r}"
     if not lang.finite_source:
         for n in range(1, min(lang.extendable_up_to, n_max)):
             assert lang.complexity(n + 1) >= lang.complexity(n)

@@ -189,6 +189,12 @@ class TestAlgebraGrowth:
         code, out, err = run(capsys, argv)
         assert code == 2 and "--oracle-upto" in err and out == ""
 
+    def test_oracle_over_cap_exit_3(self, capsys):
+        # 5^9 = 1,953,125 generator words at n = 9: refused before level 1 is built.
+        argv = ["algebra-growth", "--source", GOLDEN, "--n-max", "9", "--oracle-upto", "9"]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and "1953125 generator words" in err and out == ""
+
     def test_semigroup(self, capsys):
         code, out, _ = run(capsys, ["semigroup-growth", "--source", GOLDEN, "--n-max", "3"])
         assert code == 0

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,28 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Root packages named by the top-level imports of ``source`` that are
+    neither relative nor in the standard library."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return sorted({name.split(".")[0] for name in found} - set(sys.stdlib_module_names))
+
+
+def test_detects_a_foreign_import():
+    source = "import os.path\nimport numpy as np\nfrom .fields import QQ\nfrom yaml import load\n"
+    assert foreign_imports(source) == ["numpy", "yaml"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_stdlib_only(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _is_private(name: str) -> bool:

@@ -1,8 +1,9 @@
 import pytest
 
-from groupoid_growth import cli
+from groupoid_growth import cli, shift_algebra
 from groupoid_growth.fields import GF2, QQ, PrimeField, new_basis
 from groupoid_growth.shift_algebra import (
+    OracleCapExceeded,
     RadiusExhausted,
     WindowSpace,
     apply_generator,
@@ -173,6 +174,14 @@ class TestGrowthDims:
             for field in (QQ, GF2):
                 assert growth_dims(lang, 4, field) == bruteforce_dims(lang, 4, field)
 
+    def test_oracle_cap(self, golden, monkeypatch):
+        # Two letters: 5^4 = 625 generator words at n = 4.
+        monkeypatch.setattr(shift_algebra, "ORACLE_CAP", 625)
+        assert bruteforce_dims(golden, 4, GF2) == growth_dims(golden, 4, GF2)
+        monkeypatch.setattr(shift_algebra, "ORACLE_CAP", 624)
+        with pytest.raises(OracleCapExceeded, match="625 generator words at n=4, over its cap 624"):
+            bruteforce_dims(golden, 4, GF2)
+
     @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_matches_uncompressed_loop(self, name):
         n = 9
@@ -232,7 +241,7 @@ class TestModule:
 def atom_key(letters, n: int) -> frozenset:
     """Membership pattern of a point in the domains of all products of
     <= n shift bisections and their inverses: the definition of an atom,
-    the oracle for :func:`expansive_certificate`.
+    the oracle for :func:`expansive_certificate`, which counts the atoms as p(2n).
 
     ``letters(k)`` must be defined for k in [-n, n-1].  The key is the
     set of surviving generator sequences (in application order): S_x
@@ -262,15 +271,12 @@ def _enumerated_atoms(lang, n):
 class TestExpansive:
     def test_atoms_separate_golden_windows(self, golden):
         for n in range(1, 7):
-            rep = expansive_certificate(golden, n)
-            assert rep.atom_count == rep.window_count == golden.complexity(2 * n)
-            assert rep.atom_count == _enumerated_atoms(golden, n)
+            assert _enumerated_atoms(golden, n) == expansive_certificate(golden, n) == 2 * n + 1
+            assert golden.complexity(2 * n) == 2 * n + 1
 
     def test_atoms_separate_tm_windows(self, tm):
         for n in range(1, 7):
-            rep = expansive_certificate(tm, n)
-            assert rep.atom_count == rep.window_count
-            assert rep.atom_count == _enumerated_atoms(tm, n)
+            assert _enumerated_atoms(tm, n) == expansive_certificate(tm, n) == tm.complexity(2 * n)
 
     def test_atom_key_depends_on_letters(self):
         a = atom_key(lambda k: 0, 2)

@@ -106,11 +106,17 @@ def window_scan(prefix: bytes, n: int) -> list[bytes]:
     return sorted({prefix[i : i + n] for i in range(len(prefix) - n + 1)})
 
 
-def brute_extendable(prefix: bytes, n_max: int) -> int:
-    """The least m < n_max with a length-m window that no window of length m+1 extends."""
+def union_scan(words: list[bytes], n: int) -> list[bytes]:
+    """Every distinct length-n window of any of the words, sorted."""
+    return sorted({f for w in words for f in window_scan(w, n)})
+
+
+def brute_extendable(words: list[bytes], n_max: int) -> int:
+    """The least m < n_max with a length-m window of the words that no
+    window of length m+1 extends."""
     for m in range(n_max):
-        longer = set(window_scan(prefix, m + 1))
-        if any(all(f + bytes([a]) not in longer for a in range(256)) for f in window_scan(prefix, m)):
+        longer = set(union_scan(words, m + 1))
+        if any(all(f + bytes([a]) not in longer for a in range(256)) for f in union_scan(words, m)):
             return m
     return n_max
 
@@ -134,15 +140,16 @@ def seeded_configs(seed: int) -> list[dict]:
 
 
 def prefix_language(source, n_max: int, budget: int):
-    """The one-pass language of the single witness ``source.prefix(budget)``."""
+    """The language of the single witness ``source.prefix(budget)``."""
     prefix = source.prefix(budget)
     finite = source.finite_length is not None
     return prefix, language_from_witnesses([prefix], n_max, source.alphabet.size, exact=False, finite_source=finite)
 
 
 class TestAgainstWindowScan:
-    """Every factor class and ``extendable_up_to`` of the one-pass builder
-    against a brute-force scan of one prefix."""
+    """Every factor class and ``extendable_up_to`` of
+    :func:`language_from_witnesses` against a brute-force window scan of
+    its witnesses."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sweep(self, seed):
@@ -157,7 +164,7 @@ class TestAgainstWindowScan:
                         continue
                     prefix, lang = prefix_language(source, n_max, budget)
                     assert lang.factors == [window_scan(prefix, n) for n in range(n_max + 1)], cfg
-                    assert lang.extendable_up_to == brute_extendable(prefix, n_max), (cfg, n_max, budget)
+                    assert lang.extendable_up_to == brute_extendable([prefix], n_max), (cfg, n_max, budget)
                     assert lang.prefix_len == len(prefix)
                     truncated += lang.extendable_up_to < n_max
         assert truncated > 0
@@ -170,9 +177,29 @@ class TestAgainstWindowScan:
             lengths = [rng.randint(n_max, n_max + 6) for _ in range(rng.randint(1, 4))]
             words = [bytes(rng.randrange(2) for _ in range(length)) for length in lengths]
             lang = language_from_witnesses(words, n_max, 2, exact=False, finite_source=True)
-            union = [sorted({f for w in words for f in window_scan(w, n)}) for n in range(n_max + 1)]
-            assert lang.factors == union, words
+            assert lang.factors == [union_scan(words, n) for n in range(n_max + 1)], words
             assert lang.prefix_len == sum(map(len, words))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_witness_heads(self, seed):
+        # Up to four witnesses of n_max..n_max+8 letters over 1-3 letters,
+        # with a repeated witness or one a prefix of another.
+        rng = random.Random(seed)
+        for case in range(40):
+            n_max = rng.randint(1, 64)
+            size = rng.randint(1, 3)
+            lengths = [rng.randint(n_max, n_max + 8) for _ in range(rng.randint(1, 4))]
+            words = [bytes(rng.randrange(size) for _ in range(length)) for length in lengths]
+            if case % 3 == 1:
+                words.append(words[0])
+            elif case % 3 == 2:
+                words.append(words[0][: rng.randint(n_max, len(words[0]))])
+            rng.shuffle(words)
+            lang = language_from_witnesses(words, n_max, size, exact=False, finite_source=True)
+            scans = [union_scan(words, n) for n in range(n_max + 1)]
+            assert lang.factors == scans, words
+            assert [lang.complexity(n) for n in range(n_max + 1)] == list(map(len, scans))
+            assert lang.extendable_up_to == brute_extendable(words, n_max), words
 
     def test_finite_word_shorter_than_budget(self):
         # 01101: "101" ends the word and occurs nowhere else.
@@ -180,13 +207,13 @@ class TestAgainstWindowScan:
         lang = build_language(source, n_max=4, prefix_budget=100)
         assert lang.prefix_len == 5 and lang.finite_source and lang.exact
         assert lang.factors[3] == [b"\x00\x01\x01", b"\x01\x00\x01", b"\x01\x01\x00"]
-        assert lang.extendable_up_to == 3 == brute_extendable(source.prefix(100), 4)
+        assert lang.extendable_up_to == 3 == brute_extendable([source.prefix(100)], 4)
 
     def test_truncated_budget(self):
         # Thue-Morse begins 011010: "010" is its length-3 suffix and occurs
         # nowhere else, so a prefix of 6 letters leaves it unextended.
         prefix, lang = prefix_language(thue_morse(), 5, 6)
-        assert lang.extendable_up_to == 3 == brute_extendable(prefix, 5)
+        assert lang.extendable_up_to == 3 == brute_extendable([prefix], 5)
         # The exact language reads sigma^2(a) sigma^2(b) for ab in 00, 01, 10, 11.
         with pytest.raises(BudgetExceeded, match="needs 32 letters"):
             build_language(thue_morse(), n_max=5, prefix_budget=31)
@@ -201,6 +228,16 @@ class TestAgainstWindowScan:
         monkeypatch.setattr(subshift, "FACTOR_CAP", total - 1)
         with pytest.raises(LanguageError, match=f"exceeded cap {total - 1}"):
             build_language(thue_morse(), n_max=8, prefix_budget=512)
+
+    def test_cap_several_witnesses(self, monkeypatch):
+        words = [thue_morse().prefix(50), golden_sturmian().prefix(37), thue_morse().prefix(45)]
+        total = sum(len(union_scan(words, n)) for n in range(1, 13))
+        monkeypatch.setattr(subshift, "FACTOR_CAP", total)
+        lang = language_from_witnesses(words, 12, 2, exact=False, finite_source=True)
+        assert sum(lang.complexity(n) for n in range(1, 13)) == total
+        monkeypatch.setattr(subshift, "FACTOR_CAP", total - 1)
+        with pytest.raises(LanguageError, match=f"exceeded cap {total - 1}"):
+            language_from_witnesses(words, 12, 2, exact=False, finite_source=True)
 
 
 def primitive_configs(seed: int) -> list[dict]:
