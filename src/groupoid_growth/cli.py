@@ -250,7 +250,7 @@ def cmd_nucleus(args) -> int:
 
 def cmd_germ(args) -> int:
     group = group_from_spec(_read_spec(args.group))
-    g = group.element(args.element)
+    g = group.word_id(args.element)
     point = EventuallyPeriodicPoint.parse(args.point)
     print("unit" if group.germ_is_unit(g, point) else "nontrivial")
     return 0

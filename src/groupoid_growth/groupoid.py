@@ -101,8 +101,7 @@ class GermGroupoidModel:
         self.labels = tuple(group.gen_names)
 
     def _same_germ(self, g: int, h: int, point: EventuallyPeriodicPoint) -> bool:
-        inv = self.group.inverse(h)
-        return self.group.germ_is_unit(self.group.multiply(inv, g), point)
+        return self.group.germ_is_unit(self.group.product(self.group.inverse(h), g), point)
 
     def ball(self, unit: EventuallyPeriodicPoint, r: int) -> LabeledBall:
         if r < 0:
@@ -110,17 +109,16 @@ class GermGroupoidModel:
         grp = self.group
         gens = [grp.gens[n] for n in grp.gen_names]
         steps = gens + [grp.inverse(s) for s in gens]
-        reps = [grp.identity]  # germ representatives, vertex i = reps[i]
+        reps = [grp.identity]  # germ representatives (canonical ids), vertex i = reps[i]
         # Canonical id -> its vertex, once known.  Equal ids are equal
         # elements, and reps only grows at the end, so a scan for a known id
         # would return the same vertex.
-        vertex = {grp.canonical_key(grp.identity): 0}
+        vertex = {grp.identity: 0}
 
-        def find(g: int):
-            k = grp.canonical_key(g)
+        def find(k: int):
             if k not in vertex:
                 for i, h in enumerate(reps):
-                    if self._same_germ(g, h, unit):
+                    if self._same_germ(k, h, unit):
                         vertex[k] = i
                         break
             return vertex.get(k)
@@ -130,16 +128,16 @@ class GermGroupoidModel:
             nxt = []
             for g in frontier:
                 for s in steps:
-                    p = grp.multiply(s, g)
+                    p = grp.product(s, g)
                     if find(p) is None:
-                        vertex[grp.canonical_key(p)] = len(reps)
+                        vertex[p] = len(reps)
                         reps.append(p)
                         nxt.append(p)
             frontier = nxt
         edges = set()
         for i, g in enumerate(reps):
             for lid, s in enumerate(gens):
-                j = find(grp.multiply(s, g))
+                j = find(grp.product(s, g))
                 if j is not None:
                     edges.add((i, j, lid))  # g -> s.g, labeled by s
         return LabeledBall(len(reps), sorted(edges), r, self.labels)

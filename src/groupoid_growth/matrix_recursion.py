@@ -66,7 +66,7 @@ class GroupRingElement:
         out: dict = {}
         for g, cg in self.coeffs.items():
             for h, ch in other.coeffs.items():
-                k = grp.canonical_key(grp.multiply(g, h))
+                k = grp.product(g, h)
                 out[k] = f.add(out.get(k, f.zero()), f.mul(cg, ch))
         return GroupRingElement(grp, f, out)
 
@@ -98,7 +98,7 @@ def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> GroupRing
             coeff = field.mul(coeff, field.from_int(int(term)))
             g = group.identity
         else:
-            g = group.element(term)
+            g = group.word_id(term)
         coeffs[g] = field.add(coeffs.get(g, zero), coeff)
     return GroupRingElement(group, field, coeffs)
 
@@ -200,10 +200,16 @@ def recursion_step(m: LevelMatrix) -> LevelMatrix:
 
 
 def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
-    m = level0(elem)
-    for _ in range(level):
-        m = recursion_step(m)
-    return m
+    """The recursion map iterated ``level`` times, read off the level
+    images of the support's elements (the ones thinned growth uses)."""
+    grp, f = elem.group, elem.field
+    cache: dict = {}
+    cells: dict = {}
+    for g, c in elem.coeffs.items():
+        for col, (row, e) in enumerate(_element_entries(grp, g, level, cache)):
+            cell = cells.setdefault((row, col), {})
+            cell[e] = f.add(cell[e], c) if e in cell else c
+    return LevelMatrix(grp, f, level, {rc: GroupRingElement(grp, f, cs) for rc, cs in cells.items()})
 
 
 def format_matrix(m: LevelMatrix) -> str:
@@ -291,10 +297,15 @@ def _element_entries(group: SelfSimilarGroup, rid: int, level: int, cache: dict)
 # Most coordinates one thinned_dims_at_level pass may use: three times what
 # the default n=128 Grigorchuk run needs.
 COORDINATE_CAP = 100_000
+# Largest rank x coordinates a pass may reach: the basis holds up to that many
+# bits.  The default n=128 Grigorchuk run over F2 ends at 21,326 x 32,960,
+# about 7e8.
+RANK_COORDINATE_CAP = 2_000_000_000
 
 
 class CoordinateCapExceeded(RuntimeError):
-    """A thinned pass needed more than ``COORDINATE_CAP`` coordinates."""
+    """A thinned pass needed more than ``COORDINATE_CAP`` coordinates, or
+    its rank times its coordinates exceeded ``RANK_COORDINATE_CAP``."""
 
 
 class _CoordinateMap(dict):
@@ -337,7 +348,8 @@ def thinned_dims_at_level(
     s|_row * e).  The level-L image holds every section, so it is injective
     and candidates are deduplicated by vector.  A ``coord_index`` passed in
     is filled with every coordinate the pass used; more than
-    ``COORDINATE_CAP`` of them raise :class:`CoordinateCapExceeded`.
+    ``COORDINATE_CAP`` of them, or a rank times coordinates above
+    ``RANK_COORDINATE_CAP``, raise :class:`CoordinateCapExceeded`.
     """
     if cache is None:
         cache = {}
@@ -368,7 +380,7 @@ def thinned_dims_at_level(
         def image(c: int) -> int:
             row, col, e = cells[c]
             s_row, section = entries[row]
-            return index((s_row, col, group.canonical_key(group.multiply(section, e))))
+            return index((s_row, col, group.product(section, e)))
 
         return _CoordinateMap(image)
 
@@ -381,6 +393,10 @@ def thinned_dims_at_level(
         seen.add(vec)
         if basis.insert(vec):
             new.append(vec)
+            if basis.rank * len(cells) > RANK_COORDINATE_CAP:
+                raise CoordinateCapExceeded(
+                    f"level-{level} pass exceeded cap {RANK_COORDINATE_CAP} on rank x coordinates"
+                )
 
     consider(vectorize(group.identity))
     for g in gens:

@@ -1,17 +1,25 @@
 """Groups acting on rooted trees by wreath recursions.
 
 Elements are states of a deterministic automaton: a state carries a
-permutation of the alphabet and one child state per letter.  States are
-created through memoized product/inverse constructors; child states are
-resolved lazily from a stored recipe, which makes cyclic definitions
-(generators whose restrictions mention each other, formal inverses, the
-products they induce) well founded.  A state's canonical id is the state
-id of its class representative.  Invariant: two states of one group have
-equal ids iff they are the same automorphism of the tree; ids are valid
-within that group only.  Ids are given bottom-up over strongly connected
-components: an acyclic state is hash-consed by (permutation, child ids),
-a cyclic component is minimized by Moore refinement.  So equality,
-identity tests and group-ring coefficient merging are int compares.
+permutation of the alphabet and one child state per letter.  A state's
+canonical id is the state id of its class representative.  Invariant: two
+states of one group have equal ids iff they are the same automorphism of
+the tree; ids are valid within that group only.  So equality, identity
+tests and group-ring coefficient merging are int compares.
+
+Generators, formal inverses and the lazy products ``multiply`` builds are
+recipes: their child states are resolved on demand, which makes cyclic
+definitions (generators whose restrictions mention each other, formal
+inverses, the products they induce) well founded.  Such states get ids
+bottom-up over strongly connected components: an acyclic state is
+hash-consed by (permutation, child ids), a cyclic component is minimized
+by Moore refinement.  Every class representative is registered by
+(permutation, child ids), so ``product`` gives the id of g*h from the ids
+of its sections, product(g|_{h(x)}, h|_x), before it builds anything: a
+state exists only for a new class (Filliatre and Conchon 2006).  Sections
+of a product are short in a contracting group (Nekrashevych, Self-Similar
+Groups, 2005), which keeps that recursion shallow; a pair that recurs on
+its own call stack takes the lazy path.
 
 Boundary points are restricted to eventually periodic sequences, for
 which germ triviality is decidable by cycle detection over (canonical
@@ -24,6 +32,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+# Deepest recursion of ``SelfSimilarGroup.product`` before it takes the lazy
+# path; contracting groups need about log2 of the word length.
+_PRODUCT_DEPTH = 100
 
 
 class StateCapExceeded(RuntimeError):
@@ -120,7 +133,8 @@ class SelfSimilarGroup:
         self.perms: list[tuple[int, ...]] = []
         self.children: list[list[int]] = []
         self._recipes: dict[int, tuple] = {}  # state -> how to build missing children
-        self._product_cache: dict[tuple[int, int], int] = {}
+        self._product_cache: dict[tuple[int, int], int] = {}  # lazy states
+        self._product_ids: dict[tuple[int, int], int] = {}  # canonical ids
         self._inverse_cache: dict[int, int] = {}
         self._canon: list[int] = []  # state -> canonical id, -1 until computed
         self._by_children: dict[tuple, int] = {}  # (perm, child ids) -> canonical id
@@ -198,6 +212,65 @@ class SelfSimilarGroup:
         self._product_cache[key] = sid
         self._recipes[sid] = ("mul", g, h)
         return sid
+
+    def product(self, g: int, h: int) -> int:
+        """Canonical id of g*h, built from the canonical ids of its sections.
+
+        The child ids product(g|_{h(x)}, h|_x) are computed first and
+        (permutation, child ids) is looked up among the registered classes;
+        a state is allocated only on a miss, which is a new acyclic class.
+        A pair that recurs on its own call stack is cyclic and takes the
+        lazy path, ``canonical_key(multiply(g, h))``; so does a pair deeper
+        than ``_PRODUCT_DEPTH`` levels, which bounds the recursion.
+        """
+        canon = self._canon
+        g = canon[g] if canon[g] >= 0 else self.canonical_key(g)
+        h = canon[h] if canon[h] >= 0 else self.canonical_key(h)
+        # The checks at the top of _product, inlined: most calls end here.
+        if g == self.identity:
+            return h
+        if h == self.identity:
+            return g
+        k = self._product_ids.get((g, h))
+        return self._product(g, h, set(), 0) if k is None else k
+
+    def _product(self, g: int, h: int, active: set, depth: int) -> int:
+        """product() on canonical ids; ``active`` holds the pairs on the call stack."""
+        if g == self.identity:
+            return h
+        if h == self.identity:
+            return g
+        key = (g, h)
+        k = self._product_ids.get(key)
+        if k is not None:
+            return k
+        if key in active or depth >= _PRODUCT_DEPTH:
+            k = self.canonical_key(self.multiply(g, h))
+        else:
+            active.add(key)
+            canon, pg, ph = self._canon, self.perms[g], self.perms[h]
+            cg, ch = self.children[g], self.children[h]
+            kids = []
+            for x, y in enumerate(ph):
+                kids.append(self._product(canon[cg[y]], canon[ch[x]], active, depth + 1))
+            active.discard(key)
+            sig = (tuple(pg[y] for y in ph), tuple(kids))
+            k = self._by_children.get(sig)
+            if k is None:
+                k = self._new_state(sig[0])
+                self.children[k] = kids
+                self._canon[k] = self._by_children[sig] = k
+        self._product_ids[key] = k
+        return k
+
+    def word_id(self, word: str) -> int:
+        """Canonical id of a word over generator names, folded with
+        :meth:`product`: no lazy chain as long as the word is built."""
+        k = self.identity
+        for ch in word:
+            g = self.gens[ch.lower()]
+            k = self.product(k, self.inverse(g) if ch.isupper() else g)
+        return k
 
     def inverse(self, g: int) -> int:
         if g == self.identity:
@@ -359,8 +432,8 @@ class SelfSimilarGroup:
         if cap < 1:
             raise ValueError("cap must be >= 1")
         seeds = [self.identity] + self.generator_states()
-        core = self._recurrent_core([self.multiply(g, h) for g in seeds for h in seeds], cap)
-        square = self._recurrent_core([self.multiply(g, h) for g in core for h in core], cap)
+        core = self._recurrent_core([self.product(g, h) for g in seeds for h in seeds], cap)
+        square = self._recurrent_core([self.product(g, h) for g in core for h in core], cap)
         if not square <= core:
             raise NotContracting(f"not contracting: products of the {len(core)} candidates recur outside them")
         return Nucleus(group=self, states=frozenset(core))
@@ -385,19 +458,19 @@ class SelfSimilarGroup:
         return core
 
     def ball(self, radius: int) -> dict[int, tuple[int, int]]:
-        """Exact ball of the group: canonical id -> (word length, state id)."""
+        """Exact ball of the group: canonical id -> (word length, state id),
+        where the state id is the canonical id itself."""
         lengths: dict[int, tuple[int, int]] = {self.identity: (0, self.identity)}
         frontier = [self.identity]
-        gens = self.generator_states()
+        gens = [self.canonical_key(s) for s in self.generator_states()]
         for r in range(1, radius + 1):
             nxt = []
             for g in frontier:
                 for s in gens:
-                    p = self.multiply(s, g)
-                    k = self.canonical_key(p)
+                    k = self.product(s, g)
                     if k not in lengths:
-                        lengths[k] = (r, p)
-                        nxt.append(p)
+                        lengths[k] = (r, k)
+                        nxt.append(k)
             frontier = nxt
         return lengths
 
@@ -407,24 +480,46 @@ class SelfSimilarGroup:
         Over all group elements with word length in [length_cap/2,
         length_cap], takes the worst ratio l(g|_v)/l(g) at each depth and
         returns the best (smallest) depth ratio found: an upper-bound
-        witness at that depth, not the true limsup.  The restrictions of
-        each element are walked level by level as a set of canonical ids.
+        witness at that depth, not the true limsup.  One table per depth
+        holds, for every id k reachable from the band, the longest
+        in-ball restriction k|_v with |v| = depth and whether some k|_v
+        lies outside the ball; depth j is read off depth j-1 through the
+        restriction ids k|_x, computed once per id.
         """
         if length_cap < 2:
             raise ValueError("length_cap must be >= 2")
         lengths = self.ball(length_cap)
         lo = (length_cap + 1) // 2
-        band = [(l, g) for (l, g) in lengths.values() if lo <= l <= length_cap]
+        band = [(l, k) for (l, k) in lengths.values() if lo <= l <= length_cap]
         if not band:
             return ContractionEstimate(Fraction(0), 1, length_cap)
-        levels = [{self.canonical_key(g)} for _, g in band]
+        # Every id within depth_cap restrictions of the band, by distance.
+        layers = [[k for _, k in band]]
+        kids: dict[int, tuple[int, ...]] = {}
+        for _ in range(depth_cap):
+            nxt = []
+            for k in layers[-1]:
+                kids[k] = tuple(self._canon[c] for c in self.children[k])
+                nxt.extend(kids[k])
+            layers.append([c for c in dict.fromkeys(nxt) if c not in kids])
+        # (longest in-ball restriction or -1, some restriction outside the ball)
+        table = {k: (lengths[k][0], False) if k in lengths else (-1, True) for layer in layers for k in layer}
         best_ratio, best_depth = None, 1
         for depth in range(1, depth_cap + 1):
+            nxt_table = {}
+            for layer in layers[: depth_cap + 1 - depth]:
+                for k in layer:
+                    longest, outside = -1, False
+                    for c in kids[k]:
+                        m, o = table[c]
+                        longest, outside = max(longest, m), outside or o
+                    nxt_table[k] = (longest, outside)
+            table = nxt_table
             worst_num, worst_den = 0, 1
-            for i, (l, _) in enumerate(band):
-                levels[i] = {self.canonical_key(self.child(s, x)) for s in levels[i] for x in range(self.d)}
+            for l, k in band:
+                longest, outside = table[k]
                 # A restriction outside the ball is longer than the cap.
-                rl = max(lengths[k][0] if k in lengths else l + 1 for k in levels[i])
+                rl = max(longest, l + 1) if outside else longest
                 if rl * worst_den > worst_num * l:
                     worst_num, worst_den = rl, l
             worst = Fraction(worst_num, worst_den)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -294,6 +295,19 @@ class TestGroupCommands:
         monkeypatch.setattr(matrix_recursion, "COORDINATE_CAP", 50)
         code, out, err = run(capsys, ["thinned-growth", "--group", "grigorchuk", "--n-max", "16"])
         assert code == 3 and "exceeded cap 50 on coordinates" in err and out == ""
+
+    def test_thinned_growth_rank_coordinate_cap_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(matrix_recursion, "RANK_COORDINATE_CAP", 1000)
+        code, out, err = run(capsys, ["thinned-growth", "--group", "grigorchuk", "--n-max", "16"])
+        assert code == 3 and "exceeded cap 1000 on rank x coordinates" in err and out == ""
+
+    def test_long_element_words(self, capsys):
+        word = "".join(random.Random(2).choice("abcd") for _ in range(2000))
+        code, out, _ = run(capsys, ["germ", "--group", "grigorchuk", "--element", word, "--point", "0|1"])
+        assert code == 0 and out.strip() in ("unit", "nontrivial")
+        argv = ["matrix-recursion", "--group", "grigorchuk", "--element", word + "+1", "--levels", "3"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.startswith("level 3: ")
 
     def test_thinned_growth_digests_the_group(self, capsys, tmp_path):
         # Two different groups written to one path print different #config

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from groupoid_growth import matrix_recursion as mr
@@ -132,6 +134,24 @@ class TestWitness:
     def test_characteristic_guard(self, grig):
         with pytest.raises(ValueError):
             grig_witness(grig, QQ)
+
+
+class TestImageAtLevel:
+    @pytest.mark.parametrize("field", [GF2, QQ, F3], ids=["F2", "Q", "F3"])
+    @pytest.mark.parametrize("rec", [GRIGORCHUK, HANOI], ids=["grig", "hanoi"])
+    def test_matches_iterated_step(self, rec, field):
+        grp = SelfSimilarGroup(rec)
+        rng = random.Random(8)
+        for _ in range(12):
+            elem = mr.random_element(grp, field, rng, max_terms=4, max_len=5)
+            m = level0(elem)
+            for level in range(1, 5):
+                m = recursion_step(m)
+                assert image_at_level(elem, level) == m
+
+    def test_level_zero(self, grig):
+        elem = parse_element(grig, "ab+2*c+1", QQ)
+        assert image_at_level(elem, 0) == level0(elem)
 
 
 class TestHomomorphism:
@@ -359,3 +379,11 @@ class TestVectorPass:
         monkeypatch.setattr(mr, "COORDINATE_CAP", len(cells) - 1)
         with pytest.raises(mr.CoordinateCapExceeded, match=f"exceeded cap {len(cells) - 1}"):
             thinned_growth(grig, 8, GF2, level_start=2)
+
+    def test_rank_coordinate_cap(self):
+        # Level 1 is far too shallow for n=64: its basis would reach rank x
+        # coordinates ~1e10.  The pass stops before the coordinate cap.
+        cells: dict = {}
+        with pytest.raises(mr.CoordinateCapExceeded, match="rank x coordinates"):
+            thinned_dims_at_level(SelfSimilarGroup(GRIGORCHUK), 64, GF2, 1, {}, cells)
+        assert len(cells) < mr.COORDINATE_CAP

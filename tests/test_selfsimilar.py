@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from groupoid_growth import selfsimilar
 from groupoid_growth.selfsimilar import (
     ADDING_MACHINE,
     GRIGORCHUK,
@@ -33,6 +34,11 @@ HANOI = WreathRecursion(
 SELF_INVERSE = recursion_from_config(
     {"alphabet": 2, "generators": {"a": {"perm": [1, 0], "rest": ["", "A"]}}}
 )
+
+# Sections longer than the element: b|_0 = a^3 here, b|_1 = ac below.  Some
+# restrictions of a ball's elements leave the ball.
+LONG_SECTION = WreathRecursion(2, {"a": ((1, 0), ("", "a")), "b": ((0, 1), ("aaa", ""))})
+LONG_SECTION_2 = WreathRecursion(2, {"a": ((1, 0), ("", "")), "b": ((0, 1), ("", "ac")), "c": ((0, 1), ("a", "b"))})
 
 # Not contracting: restrictions of a word are words of the same length.
 LAMPLIGHTER = WreathRecursion(2, {"a": ((1, 0), ("a", "b")), "b": ((0, 1), ("a", "b"))})
@@ -157,19 +163,40 @@ class TestGroupOperations:
         assert grig.canonical_key(grig.multiply(b, c)) == grig.canonical_key(d)
 
 
+SIX_RECURSIONS = pytest.mark.parametrize(
+    "rec, count, max_len",
+    [
+        (GRIGORCHUK, 500, 8),
+        (ADDING_MACHINE, 500, 8),
+        (BASILICA, 500, 8),
+        (HANOI, 500, 8),
+        (SELF_INVERSE, 500, 8),
+        (LAMPLIGHTER, 200, 6),
+    ],
+    ids=["grigorchuk", "adding_machine", "basilica", "hanoi", "self_inverse", "lamplighter"],
+)
+
+
+def lazy_ball(grp, radius):
+    """Ball by lazy products: canonical id -> word length."""
+    lengths = {grp.identity: 0}
+    frontier = [grp.identity]
+    gens = grp.generator_states()
+    for r in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                p = grp.multiply(s, g)
+                k = grp.canonical_key(p)
+                if k not in lengths:
+                    lengths[k] = r
+                    nxt.append(p)
+        frontier = nxt
+    return lengths
+
+
 class TestCanonicalIds:
-    @pytest.mark.parametrize(
-        "rec, count, max_len",
-        [
-            (GRIGORCHUK, 500, 8),
-            (ADDING_MACHINE, 500, 8),
-            (BASILICA, 500, 8),
-            (HANOI, 500, 8),
-            (SELF_INVERSE, 500, 8),
-            (LAMPLIGHTER, 200, 6),
-        ],
-        ids=["grigorchuk", "adding_machine", "basilica", "hanoi", "self_inverse", "lamplighter"],
-    )
+    @SIX_RECURSIONS
     def test_same_classes_as_reference(self, rec, count, max_len):
         grp = SelfSimilarGroup(rec)
         letters = grp.gen_names + [n.upper() for n in grp.gen_names]
@@ -184,6 +211,77 @@ class TestCanonicalIds:
         assert len(set(ids)) == len(set(refs)) == len(set(zip(ids, refs)))
         assert all(grp.canonical_key(k) == k for k in ids)
         assert len(set(ids)) > 1
+
+    @SIX_RECURSIONS
+    def test_product_matches_lazy_path(self, rec, count, max_len):
+        # Both paths in one group, in seeded order, on words and on products
+        # of two words: each must find the classes the other registered.
+        grp = SelfSimilarGroup(rec)
+        letters = grp.gen_names + [n.upper() for n in grp.gen_names]
+        rng = random.Random(4)
+        pool = []  # products of two words, as canonical ids or lazy states
+        for _ in range(count):
+            g, h = (
+                grp.element("".join(rng.choice(letters) for _ in range(rng.randint(0, max_len))))
+                for _ in range(2)
+            )
+            from_pool = pool and rng.random() < 0.4
+            if from_pool:
+                g = rng.choice(pool)
+            if rng.random() < 0.5:
+                fast = grp.product(g, h)
+                lazy = grp.canonical_key(grp.multiply(g, h))
+            else:
+                lazy = grp.canonical_key(grp.multiply(g, h))
+                fast = grp.product(g, h)
+            assert fast == lazy
+            if not from_pool:
+                pool.append(fast if rng.random() < 0.5 else grp.multiply(g, h))
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_product_past_depth_cap(self, monkeypatch, depth):
+        # Past the depth cap a product takes the lazy path, with equal ids.
+        monkeypatch.setattr(selfsimilar, "_PRODUCT_DEPTH", depth)
+        grp = SelfSimilarGroup(BASILICA)
+        rng = random.Random(depth)
+        for _ in range(100):
+            g, h = (grp.element("".join(rng.choice("abAB") for _ in range(rng.randint(0, 12)))) for _ in range(2))
+            assert grp.product(g, h) == grp.canonical_key(grp.multiply(g, h))
+
+    @pytest.mark.parametrize("rec", [GRIGORCHUK, BASILICA], ids=["grigorchuk", "basilica"])
+    def test_long_words(self, rec):
+        # element() would build a 3,000-deep lazy chain; word_id folds product.
+        grp = SelfSimilarGroup(rec)
+        letters = grp.gen_names + [n.upper() for n in grp.gen_names]
+        rng = random.Random(6)
+        word = "".join(rng.choice(letters) for _ in range(3000))
+        inverse = word[::-1].swapcase()
+        k = grp.word_id(word)
+        assert grp.word_id(word + inverse) == grp.identity
+        assert grp.product(k, grp.word_id(inverse)) == grp.identity
+        for v in itertools.product(range(2), repeat=4):
+            image = v
+            for ch in reversed(word):  # the rightmost letter acts first
+                g = grp.gens[ch.lower()]
+                image = grp.act(grp.inverse(g) if ch.isupper() else g, image)
+            assert grp.act(k, v) == image
+
+    @pytest.mark.parametrize(
+        "rec, radius",
+        [(GRIGORCHUK, 8), (ADDING_MACHINE, 8), (BASILICA, 6), (HANOI, 5), (LAMPLIGHTER, 4)],
+        ids=["grigorchuk", "adding_machine", "basilica", "hanoi", "lamplighter"],
+    )
+    @pytest.mark.parametrize("ball_first", [True, False], ids=["ball_first", "lazy_first"])
+    def test_ball_matches_lazy_builder(self, rec, radius, ball_first):
+        grp = SelfSimilarGroup(rec)
+        if ball_first:
+            ball = grp.ball(radius)
+            lengths = lazy_ball(grp, radius)
+        else:
+            lengths = lazy_ball(grp, radius)
+            ball = grp.ball(radius)
+        assert {k: l for k, (l, _) in ball.items()} == lengths
+        assert all(s == k for k, (_, s) in ball.items())
 
 
 def closed_under_restriction(nuc) -> bool:
@@ -241,6 +339,23 @@ class TestNucleus:
             grig.nucleus(cap=2)
 
 
+def fraction_loop(grp, length_cap, depth_cap):
+    """(ratio, depth) of the contraction estimate, by a set of restriction ids
+    per band element and one Fraction per element."""
+    lengths = grp.ball(length_cap)
+    band = [(l, g) for (l, g) in lengths.values() if (length_cap + 1) // 2 <= l]
+    levels = [{grp.canonical_key(g)} for _, g in band]
+    best = None
+    for depth in range(1, depth_cap + 1):
+        worst = Fraction(0)
+        for i, (l, _) in enumerate(band):
+            levels[i] = {grp.canonical_key(grp.child(s, x)) for s in levels[i] for x in range(grp.d)}
+            worst = max(worst, *(Fraction(lengths[k][0] if k in lengths else l + 1, l) for k in levels[i]))
+        if best is None or worst < best[0]:
+            best = (worst, depth)
+    return best
+
+
 class TestContraction:
     def test_adding_machine(self, adding):
         est = adding.contraction_estimate(length_cap=16)
@@ -276,6 +391,18 @@ class TestContraction:
                 best_ratio, best_depth = worst, depth
         est = grp.contraction_estimate(length_cap=length_cap, depth_cap=depth_cap)
         assert (est.ratio, est.depth, est.length_cap) == (best_ratio, best_depth, length_cap)
+
+
+    @pytest.mark.parametrize(
+        "rec, length_cap, depth_cap",
+        [(LONG_SECTION, c, d) for c, d in ((2, 2), (4, 5), (6, 3), (7, 4), (10, 6))]
+        + [(LONG_SECTION_2, c, d) for c, d in ((2, 2), (3, 2), (4, 5), (5, 3))],
+    )
+    def test_restrictions_outside_the_ball(self, rec, length_cap, depth_cap):
+        # The estimate runs on a fresh group, the loop on another, so neither
+        # sees the states and ids the other built.
+        est = SelfSimilarGroup(rec).contraction_estimate(length_cap=length_cap, depth_cap=depth_cap)
+        assert (est.ratio, est.depth) == fraction_loop(SelfSimilarGroup(rec), length_cap, depth_cap)
 
 
 class TestGerms:
