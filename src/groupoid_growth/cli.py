@@ -17,7 +17,14 @@ import sys
 from . import matrix_recursion as mr
 from . import shift_algebra as sa
 from .fields import parse_field
-from .groupoid import GermGroupoidModel, SubshiftModel, WindowUnit, ball_to_dot, delta_enumerated
+from .groupoid import (
+    GermGroupoidModel,
+    SubshiftModel,
+    UnitCapExceeded,
+    WindowUnit,
+    ball_to_dot,
+    delta_enumerated,
+)
 from .matrix_recursion import CoordinateCapExceeded, IdentityError
 from .selfsimilar import EventuallyPeriodicPoint, NotContracting, StateCapExceeded, group_from_spec
 from .shift_algebra import OracleCapExceeded, RadiusExhausted
@@ -37,6 +44,7 @@ RESOURCE_ERRORS = (
     FactorCapExceeded,
     CoordinateCapExceeded,
     OracleCapExceeded,
+    UnitCapExceeded,
 )
 
 

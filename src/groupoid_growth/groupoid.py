@@ -4,9 +4,11 @@ Two groupoid models are supported: the groupoid of a subshift (units are
 2r-letter windows, fibers are copies of Z) and the groupoid of germs of
 a self-similar group (units are eventually periodic boundary points,
 germ equality decided by the automaton machinery).  Complexity counts
-isomorphism classes of rooted edge-labeled balls, via a canonical code:
-color refinement plus individualization with backtracking, which is
-exact and entirely adequate at ball sizes in the low hundreds.
+isomorphism classes of rooted edge-labeled balls, via a canonical code.
+Generators are bisections, so each label is a partial injection on the
+vertices of a ball: a neighbour is named by its (label, direction) from
+a named vertex, and one breadth-first walk from the root in label order
+numbers the vertices canonically, in time linear in the ball.
 """
 
 from __future__ import annotations
@@ -17,23 +19,38 @@ from .selfsimilar import EventuallyPeriodicPoint, SelfSimilarGroup
 from .subshift import Language
 
 
+class UnitCapExceeded(RuntimeError):
+    """A periodic unit family would hold more than ``UNIT_CAP`` points."""
+
+
+# Most points :meth:`GermGroupoidModel.periodic_units` builds; the largest
+# germ delta run timed so far, pre=3, period=3 over two letters, uses 210.
+UNIT_CAP = 100_000
+
+
 @dataclass
 class LabeledBall:
-    """Rooted directed edge-labeled multigraph; vertex 0 is the root."""
+    """Rooted directed edge-labeled graph; vertex 0 is the root.
+
+    Each label is a partial injection on the vertices: a vertex has at most
+    one out-edge and at most one in-edge of each label.  That holds for
+    every Cayley ball, since its generators are bisections.
+    """
 
     num_vertices: int
-    edges: list[tuple[int, int, int]]  # (from, to, label id), no duplicates
+    edges: list[tuple[int, int, int]]  # (from, to, label id)
     radius: int
     labels: tuple[str, ...]  # label id -> bisection name
 
     def __post_init__(self):
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("duplicate labeled edge")
         for a, b, l in self.edges:
             if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
                 raise ValueError("edge endpoint out of range")
             if not (0 <= l < len(self.labels)):
                 raise ValueError("edge label out of range")
+        n = len(self.edges)
+        if len({(a, l) for a, _, l in self.edges}) != n or len({(b, l) for _, b, l in self.edges}) != n:
+            raise ValueError("a label is not a partial injection: two edges share a label and an endpoint")
 
 
 @dataclass(frozen=True)
@@ -74,9 +91,8 @@ class SubshiftModel:
         # the germ s^k with k = _vertex_k(j), and s^k -> s^(k+1) is an
         # edge labeled by the letter at position k.
         index = {k: j for j, k in enumerate(_path_vertex_order(r))}
-        edges = [
-            (index[k], index[k + 1], unit.letter(k)) for k in range(-r, r)
-        ]
+        window = unit.word[unit.origin - r : unit.origin + r]
+        edges = [(index[k], index[k + 1], window[k + r]) for k in range(-r, r)]
         return LabeledBall(2 * r + 1, edges, r, self.labels)
 
     def class_complete_units(self, r: int) -> list[WindowUnit]:
@@ -143,8 +159,18 @@ class GermGroupoidModel:
         return LabeledBall(len(reps), sorted(edges), r, self.labels)
 
     def periodic_units(self, pre_cap: int, period_cap: int) -> list[EventuallyPeriodicPoint]:
-        """All eventually periodic points with bounded preperiod and period."""
+        """All eventually periodic points with bounded preperiod and period.
+
+        There are sum_{q <= period_cap} d^q * sum_{p <= pre_cap} d^p of them
+        (periods from 1, preperiods from 0); past ``UNIT_CAP`` this raises
+        :class:`UnitCapExceeded` before any point is built.
+        """
         d = self.group.d
+        count = _power_sum(d, 1, period_cap) * _power_sum(d, 0, pre_cap)
+        if count > UNIT_CAP:
+            raise UnitCapExceeded(
+                f"pre={pre_cap}, period={period_cap} asks for more than {UNIT_CAP} periodic units"
+            )
         units = []
         for plen in range(1, period_cap + 1):
             for per in _words(d, plen):
@@ -152,6 +178,17 @@ class GermGroupoidModel:
                     for pre in _words(d, klen):
                         units.append(EventuallyPeriodicPoint(pre, per))
         return units
+
+
+def _power_sum(d: int, lo: int, hi: int) -> int:
+    """sum_{lo <= k <= hi} d^k, or ``UNIT_CAP + 1`` once it passes the cap."""
+    total, term = 0, d**lo
+    for _ in range(lo, hi + 1):
+        total += term
+        if total > UNIT_CAP:
+            return UNIT_CAP + 1
+        term *= d
+    return total
 
 
 def _words(d: int, n: int) -> list[tuple[int, ...]]:
@@ -172,75 +209,32 @@ def gamma(model, unit, r: int) -> int:
 def canonical_code(ball: LabeledBall) -> bytes:
     """Canonical form under rooted labeled-digraph isomorphism.
 
-    Colors start from distance-to-root, are refined by in/out label-color
-    multisets to a fixpoint, and remaining ties are broken by
-    individualization with full backtracking, taking the minimum code.
+    One breadth-first walk from the root numbers the vertices in visit
+    order: at each dequeued vertex, label by label, its out-neighbour and
+    then its in-neighbour.  Each label is a partial injection, so these
+    names are structural and any root- and label-preserving isomorphism
+    carries one ball's walk onto the other's: two balls get equal codes
+    exactly when they are isomorphic.  A vertex the walk does not reach
+    raises ``ValueError``.
     """
     m = ball.num_vertices
-    out_adj = [[] for _ in range(m)]
-    in_adj = [[] for _ in range(m)]
-    und = [set() for _ in range(m)]
+    # nbrs[v][2l] is v's out-neighbour by label l, nbrs[v][2l + 1] its
+    # in-neighbour, -1 where there is none.
+    nbrs = [[-1] * (2 * len(ball.labels)) for _ in range(m)]
     for a, b, l in ball.edges:
-        out_adj[a].append((l, b))
-        in_adj[b].append((l, a))
-        und[a].add(b)
-        und[b].add(a)
-    dist = [-1] * m
-    dist[0] = 0
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in und[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-
-    def refine(colors: list[int]) -> list[int]:
-        while True:
-            sigs = []
-            for v in range(m):
-                sigs.append(
-                    (
-                        colors[v],
-                        tuple(sorted((l, colors[w]) for l, w in out_adj[v])),
-                        tuple(sorted((l, colors[w]) for l, w in in_adj[v])),
-                    )
-                )
-            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = [ranking[s] for s in sigs]
-            if new == colors:
-                return colors
-            colors = new
-
-    def encode(colors: list[int]) -> bytes:
-        order = sorted(range(m), key=lambda v: colors[v])
-        rank = {v: i for i, v in enumerate(order)}
-        edges = sorted((rank[a], rank[b], l) for a, b, l in ball.edges)
-        return repr((m, rank[0], tuple(dist[v] for v in order), tuple(edges))).encode()
-
-    def search(colors: list[int]) -> bytes:
-        colors = refine(colors)
-        classes: dict[int, list[int]] = {}
-        for v in range(m):
-            classes.setdefault(colors[v], []).append(v)
-        ambiguous = sorted((c for c, vs in classes.items() if len(vs) > 1))
-        if not ambiguous:
-            return encode(colors)
-        target = classes[ambiguous[0]]
-        best = None
-        for v in target:
-            branched = list(colors)
-            branched[v] = m + max(colors) + 1  # fresh color individualizes v
-            code = search(branched)
-            if best is None or code < best:
-                best = code
-        return best
-
-    # Root gets a distinct parity bit so root-preservation is enforced.
-    initial = [dist[v] * 2 + (1 if v == 0 else 0) for v in range(m)]
-    return search(initial)
+        nbrs[a][2 * l] = b
+        nbrs[b][2 * l + 1] = a
+    num = [-1] * m
+    num[0] = 0
+    order = [0]
+    for v in order:  # order grows while it is walked: a queue
+        for w in nbrs[v]:
+            if w >= 0 and num[w] < 0:
+                num[w] = len(order)
+                order.append(w)
+    if len(order) != m:
+        raise ValueError(f"{m - len(order)} of {m} vertices unreachable from the root")
+    return repr((m, sorted([(num[a], num[b], l) for a, b, l in ball.edges]))).encode()
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,8 @@ def _windows_complete(model: SubshiftModel, units, r: int) -> bool:
     """The units show every length-2r factor of a certified language."""
     if not model.lang.exact or 2 * r > model.lang.n_max:
         return False
-    have = {bytes(u.letter(k) for k in range(-r, r)) for u in units}
+    # Every unit's ball was built first, so each window covers -r .. r-1.
+    have = {u.word[u.origin - r : u.origin + r] for u in units}
     return set(model.lang.factors[2 * r]) <= have
 
 

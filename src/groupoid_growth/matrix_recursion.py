@@ -48,6 +48,17 @@ class GroupRingElement:
         self.coeffs = {g: c for g, c in merged.items() if c != zero}
 
     @classmethod
+    def _merged(cls, group: SelfSimilarGroup, field: Field, coeffs: dict) -> "GroupRingElement":
+        """From coefficients already keyed by canonical id, one per id:
+        only the zero coefficients are dropped."""
+        elem = cls.__new__(cls)
+        zero = field.zero()
+        elem.group = group
+        elem.field = field
+        elem.coeffs = {g: c for g, c in coeffs.items() if c != zero}
+        return elem
+
+    @classmethod
     def of(cls, group, field, g: int, coeff=None):
         return cls(group, field, {g: field.one() if coeff is None else coeff})
 
@@ -59,7 +70,7 @@ class GroupRingElement:
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = f.add(out.get(g, f.zero()), c)
-        return GroupRingElement(self.group, f, out)
+        return GroupRingElement._merged(self.group, f, out)
 
     def mul(self, other: "GroupRingElement") -> "GroupRingElement":
         f, grp = self.field, self.group
@@ -68,7 +79,7 @@ class GroupRingElement:
             for h, ch in other.coeffs.items():
                 k = grp.product(g, h)
                 out[k] = f.add(out.get(k, f.zero()), f.mul(cg, ch))
-        return GroupRingElement(grp, f, out)
+        return GroupRingElement._merged(grp, f, out)
 
     def __eq__(self, other):
         return (
@@ -209,7 +220,7 @@ def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
         for col, (row, e) in enumerate(_element_entries(grp, g, level, cache)):
             cell = cells.setdefault((row, col), {})
             cell[e] = f.add(cell[e], c) if e in cell else c
-    return LevelMatrix(grp, f, level, {rc: GroupRingElement(grp, f, cs) for rc, cs in cells.items()})
+    return LevelMatrix(grp, f, level, {rc: GroupRingElement._merged(grp, f, cs) for rc, cs in cells.items()})
 
 
 def format_matrix(m: LevelMatrix) -> str:

@@ -129,6 +129,12 @@ class TestDelta:
         assert code == 0
         assert out.strip().splitlines()[-1].endswith(",lower_bound")
 
+    def test_unit_family_over_cap_exit_3(self, capsys):
+        # About 5e24 points: refused before the first one is built.
+        argv = ["delta", "--model", "grigorchuk", "--r", "1", "--units-policy", "periodic:pre=40,period=40"]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and "resource cap" in err and "periodic units" in err and out == ""
+
     def test_uncertified_language_lower_bound(self, capsys):
         # Paperfolding is read off a prefix, which certifies nothing, so
         # delta is a lower bound even with every window of the prefix.

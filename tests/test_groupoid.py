@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from groupoid_growth import groupoid
 from groupoid_growth.groupoid import (
     DeltaResult,
     GermGroupoidModel,
@@ -38,6 +39,118 @@ def grig_model():
     return GermGroupoidModel(SelfSimilarGroup(GRIGORCHUK))
 
 
+def reference_code(ball: LabeledBall) -> bytes:
+    """Canonical form for any rooted labeled digraph, partial injections or
+    not: colors start from distance-to-root, are refined by in/out
+    label-color multisets to a fixpoint, and remaining ties are broken by
+    individualization with full backtracking, taking the minimum code."""
+    m = ball.num_vertices
+    out_adj = [[] for _ in range(m)]
+    in_adj = [[] for _ in range(m)]
+    und = [set() for _ in range(m)]
+    for a, b, l in ball.edges:
+        out_adj[a].append((l, b))
+        in_adj[b].append((l, a))
+        und[a].add(b)
+        und[b].add(a)
+    dist = [-1] * m
+    dist[0] = 0
+    queue = [0]
+    for v in queue:
+        for w in und[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+
+    def refine(colors):
+        while True:
+            sigs = [
+                (
+                    colors[v],
+                    tuple(sorted((l, colors[w]) for l, w in out_adj[v])),
+                    tuple(sorted((l, colors[w]) for l, w in in_adj[v])),
+                )
+                for v in range(m)
+            ]
+            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [ranking[s] for s in sigs]
+            if new == colors:
+                return colors
+            colors = new
+
+    def encode(colors):
+        order = sorted(range(m), key=lambda v: colors[v])
+        rank = {v: i for i, v in enumerate(order)}
+        edges = sorted((rank[a], rank[b], l) for a, b, l in ball.edges)
+        return repr((m, rank[0], tuple(dist[v] for v in order), tuple(edges))).encode()
+
+    def search(colors):
+        colors = refine(colors)
+        classes = {}
+        for v in range(m):
+            classes.setdefault(colors[v], []).append(v)
+        ambiguous = sorted(c for c, vs in classes.items() if len(vs) > 1)
+        if not ambiguous:
+            return encode(colors)
+        best = None
+        for v in classes[ambiguous[0]]:
+            branched = list(colors)
+            branched[v] = m + max(colors) + 1  # fresh color individualizes v
+            code = search(branched)
+            if best is None or code < best:
+                best = code
+        return best
+
+    # Root gets a distinct parity bit so root-preservation is enforced.
+    return search([dist[v] * 2 + (1 if v == 0 else 0) for v in range(m)])
+
+
+def assert_same_classes(balls):
+    """canonical_code and reference_code split ``balls`` into the same
+    isomorphism classes: for every ordered pair, equal codes under one
+    exactly when equal under the other."""
+    ours = [canonical_code(b) for b in balls]
+    ref = [reference_code(b) for b in balls]
+    assert len(set(ours)) == len(set(ref)) == len(set(zip(ours, ref)))
+    return len(set(ours))
+
+
+def random_ball(rng: random.Random, max_vertices: int = 9, max_labels: int = 3) -> LabeledBall:
+    """A connected ball in which every label is a partial injection."""
+    m = rng.randint(1, max_vertices)
+    k = rng.randint(1, max_labels)
+    out, inn = set(), set()  # (vertex, label) pairs already used
+    edges = []
+
+    def add(a, b, l):
+        if (a, l) not in out and (b, l) not in inn:
+            out.add((a, l))
+            inn.add((b, l))
+            edges.append((a, b, l))
+            return True
+        return False
+
+    for v in range(1, m):  # attach v to an earlier vertex, either direction
+        while True:
+            u, l = rng.randrange(v), rng.randrange(k)
+            if add(u, v, l) if rng.random() < 0.5 else add(v, u, l):
+                break
+    for _ in range(rng.randint(0, 2 * m)):
+        add(rng.randrange(m), rng.randrange(m), rng.randrange(k))
+    return LabeledBall(m, edges, 1, tuple("xyz"[:k]))
+
+
+def relabeled(rng: random.Random, ball: LabeledBall, permute_labels: bool) -> LabeledBall:
+    """Vertices renamed (the root stays 0) and edges shuffled; optionally
+    labels permuted too, which may change the class."""
+    m, k = ball.num_vertices, len(ball.labels)
+    perm = [0] + rng.sample(range(1, m), m - 1)
+    lperm = rng.sample(range(k), k) if permute_labels else list(range(k))
+    edges = [(perm[a], perm[b], lperm[l]) for a, b, l in ball.edges]
+    rng.shuffle(edges)
+    return LabeledBall(m, edges, ball.radius, ball.labels)
+
+
 class TestLabeledBall:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,6 +159,17 @@ class TestLabeledBall:
             LabeledBall(2, [(0, 1, 1)], 1, ("S",))
         with pytest.raises(ValueError):
             LabeledBall(2, [(0, 1, 0), (0, 1, 0)], 1, ("S",))
+
+    def test_rejects_two_out_edges_with_one_label(self):
+        # A star of same-label out-edges: no bisection makes one.
+        with pytest.raises(ValueError, match="partial injection"):
+            LabeledBall(6, [(0, i, 0) for i in range(1, 6)], 1, ("x",))
+        LabeledBall(3, [(0, 1, 0), (0, 2, 1)], 1, ("x", "y"))
+
+    def test_rejects_two_in_edges_with_one_label(self):
+        with pytest.raises(ValueError, match="partial injection"):
+            LabeledBall(3, [(1, 0, 0), (2, 0, 0)], 1, ("x",))
+        LabeledBall(3, [(1, 0, 0), (2, 0, 1)], 1, ("x", "y"))
 
 
 class TestWindowUnit:
@@ -144,11 +268,43 @@ class TestCanonicalCode:
         b = LabeledBall(3, [(1, 0, 0), (0, 2, 0)], 2, ("x",))
         assert canonical_code(a) != canonical_code(b)
 
-    def test_symmetric_graph_terminates(self):
-        # Fully symmetric star: individualization must backtrack cleanly.
-        edges = [(0, i, 0) for i in range(1, 6)]
-        code = canonical_code(LabeledBall(6, edges, 1, ("x",)))
-        assert isinstance(code, bytes)
+    def test_rejects_unreachable_vertex(self):
+        with pytest.raises(ValueError, match="unreachable"):
+            canonical_code(LabeledBall(4, [(0, 1, 0), (2, 3, 0)], 1, ("x",)))
+
+    def test_same_classes_as_reference_on_random_balls(self):
+        # 160 balls, so 25,600 ordered pairs; half are relabeled copies.
+        rng = random.Random(20)
+        balls = []
+        for _ in range(80):
+            ball = random_ball(rng)
+            balls += [ball, relabeled(rng, ball, permute_labels=rng.random() < 0.5)]
+        classes = assert_same_classes(balls)
+        assert 1 < classes < len(balls)
+
+    @pytest.mark.parametrize("source", [thue_morse, golden_sturmian], ids=["thue_morse", "golden"])
+    def test_same_classes_as_reference_on_windows(self, source):
+        model = SubshiftModel(build_language(source(), n_max=14, prefix_budget=8192))
+        for r in range(8):
+            balls = [model.ball(u, r) for u in model.class_complete_units(r)]
+            assert assert_same_classes(balls) == len(balls)
+
+    @pytest.mark.parametrize("rec", [GRIGORCHUK, ADDING_MACHINE], ids=["grigorchuk", "adding"])
+    def test_same_classes_as_reference_on_germs(self, rec):
+        model = GermGroupoidModel(SelfSimilarGroup(rec))
+        units = model.periodic_units(2, 2)
+        for r in range(4):
+            assert_same_classes([model.ball(u, r) for u in units])
+
+
+class TestPeriodicUnits:
+    @pytest.mark.parametrize("pre, period", [(0, 1), (2, 2), (3, 1), (1, 3)])
+    def test_family_at_the_cap_is_built(self, grig_model, monkeypatch, pre, period):
+        # sum_{q <= period} 2^q * sum_{p <= pre} 2^p points, all distinct.
+        size = (2 ** (period + 1) - 2) * (2 ** (pre + 1) - 1)
+        monkeypatch.setattr(groupoid, "UNIT_CAP", size)
+        units = grig_model.periodic_units(pre, period)
+        assert len(units) == len(set(units)) == size
 
 
 class TestDelta:

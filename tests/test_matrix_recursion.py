@@ -66,6 +66,25 @@ class TestGroupRing:
         e = parse_element(grig, "bc+d", GF2)
         assert e.is_zero()
 
+    @pytest.mark.parametrize("field", [GF2, QQ, F3], ids=["F2", "Q", "F3"])
+    def test_lazy_ids_equal_canonical_ids(self, field):
+        # element() folds multiply(), so its ids are lazy states; word_id()
+        # gives canonical ids.  bc = d and aa = 1 make some terms merge.
+        grp = SelfSimilarGroup(GRIGORCHUK)
+        rng = random.Random(13)
+        words = ["bc", "d", "aa", "", "cb"]
+        words += ["".join(rng.choice("abcdABCD") for _ in range(rng.randint(0, 6))) for _ in range(20)]
+        lazy, canon = {}, {}
+        for word in words:
+            c = field.from_int(rng.randint(1, 5))
+            g, k = grp.element(word), grp.word_id(word)
+            lazy[g] = field.add(lazy.get(g, field.zero()), c)
+            canon[k] = field.add(canon.get(k, field.zero()), c)
+        assert any(g not in canon for g in lazy)
+        a, b = GroupRingElement(grp, field, lazy), GroupRingElement(grp, field, canon)
+        assert a == b
+        assert a.mul(a) == b.mul(b) and a.add(b) == b.add(b)
+
     def test_parse_constants(self, grig):
         e = parse_element(grig, "2*a+1", QQ)
         assert sorted(map(str, e.coeffs.values())) == ["1", "2"]
