@@ -15,8 +15,11 @@ int coordinates in ``support`` and says whether the rank grew.  There is
 no ambient dimension: any nonnegative int is a coordinate.
 :class:`RowBasis` keeps its rows in reduced echelon form with Python ints
 only (primitive integer rows over Q, residues mod p over F_p), so no
-``Fraction`` is built while reducing.  :class:`BitRowBasis` is the GF(2)
-specialization (rows are Python ints used as bit masks).
+``Fraction`` is built while reducing.  A row's pivot is its largest
+coordinate, so a new row whose pivot is above every old pivot needs no
+back-substitution, and a new vector reduces in one accumulation over the
+pivots it hits.  :class:`BitRowBasis` is the GF(2) specialization (rows
+are Python ints used as bit masks, pivot on the highest bit).
 """
 
 from __future__ import annotations
@@ -142,57 +145,32 @@ def parse_field(spec: str) -> Field:
     raise ValueError(f"unknown field spec {spec!r}; expected Q or Fp:<prime>")
 
 
-def _cancel(target: dict, q: int, row: dict, p: int) -> None:
-    """Clear coordinate q of the int vector ``target`` with ``row``, whose pivot is q.
-
-    Sets ``target = beta*target - alpha*row`` in place.  Over F_p (``p`` >
-    0, ``row[q] == 1``) alpha is ``target[q]`` and beta is 1.  Over Z
-    (``p == 0``) it is the fraction-free step: alpha = a/g and beta = b/g
-    for a = ``target[q]``, b = ``row[q]`` > 0 and g = gcd(a, b).
-    """
-    a = target[q]
-    if p:
-        for i, c in row.items():
-            new = (target.get(i, 0) - a * c) % p
-            if new:
-                target[i] = new
-            else:  # only an entry already in target can cancel
-                del target[i]
-        return
-    b = row[q]
-    g = gcd(a, b)
-    beta = b // g
-    if beta != 1:
-        for i in target:
-            target[i] *= beta
-    a //= g
-    for i, c in row.items():
-        new = target.get(i, 0) - a * c
-        if new:
-            target[i] = new
-        else:  # only an entry already in target can cancel
-            del target[i]
-
-
 class RowBasis:
     """Incrementally built reduced row echelon basis over Q or F_p.
 
     ``rows`` maps each pivot to its row, a dict index -> nonzero Python int.
-    Each row's pivot (smallest nonzero index) is unique, the pivot
-    coordinate is zero in every other row, and ``rank`` equals the number
-    of rows.  The field fixes how rows are scaled:
+    A row's pivot is its largest index, so every column of a row is at most
+    its pivot.  Each pivot is unique, the pivot coordinate is zero in every
+    other row, and ``rank`` equals the number of rows.  The field fixes how
+    rows are scaled:
 
     - Q: a row is a primitive integer vector (the gcd of its entries is 1)
-      with a positive pivot entry.  Elimination is fraction-free: a vector
-      r with entry a at the pivot of a row whose pivot entry is b becomes
-      ``(b/g)*r - (a/g)*row`` with ``g = gcd(a, b)`` (Bareiss, Math. Comp.
-      22, 1968).
+      with a positive pivot entry.  Elimination is fraction-free (Bareiss,
+      Math. Comp. 22, 1968): no ``Fraction`` is built.
     - F_p: entries are ints in ``[0, p)`` and the pivot entry is 1.
+
+    ``top`` is the largest pivot (-1 while the basis is empty).  A new row
+    is reduced against the old ones, so its pivot is not an old pivot; when
+    it exceeds ``top`` it is above every column of every old row, none of
+    them holds it, and there is nothing to back-substitute.  Callers that
+    number coordinates in order of first use (thinned growth) mostly insert
+    such rows.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self.rows: dict[int, dict[int, int]] = {}
+        self.top = -1
 
     @property
     def rank(self) -> int:
@@ -200,39 +178,93 @@ class RowBasis:
 
     def insert(self, support) -> bool:
         """Insert the 0/1 vector that is 1 exactly at the coordinates in
-        ``support``; return True iff the rank increased."""
+        ``support``; return True iff the rank increased.  A negative
+        coordinate raises ``ValueError``."""
         rows = self.rows
         p = self.field.characteristic
-        row = dict.fromkeys(support, 1)
-        # Reduced echelon form makes one pass over the pivot hits suffice:
-        # eliminating pivot q only touches non-pivot coordinates, so the
-        # entries at the other pivots stay nonzero until their turn.
-        for q in sorted(row.keys() & rows.keys()):
-            _cancel(row, q, rows[q], p)
-        if not row:
+        vec = dict.fromkeys(support, 1)
+        # Reduced echelon form: subtracting row q changes no entry of vec at
+        # another pivot, so each pivot hit keeps its 0/1 entry until its
+        # turn and vec reduces in one accumulation,
+        # L*vec - sum_q (L/d_q)*row_q with d_q the pivot entry of row q and
+        # L the lcm of the d_q (L = 1 over F_p).  L is raised as the d_q
+        # come: most are 1.
+        scale = 1
+        mixed = False  # whether a row longer than its pivot was subtracted
+        for q in vec.keys() & rows.keys():
+            row = rows[q]
+            if len(row) == 1:  # row q is d_q * e_q
+                del vec[q]
+                continue
+            mixed = True
+            d = row[q]
+            if scale % d:
+                up = d // gcd(scale, d)
+                scale *= up
+                for i in vec:
+                    vec[i] *= up
+            m = scale // d
+            for i, c in row.items():
+                vec[i] = vec.get(i, 0) - m * c
+        if mixed:
+            if p:
+                vec = {i: r for i, c in vec.items() if (r := c % p)}
+            else:
+                vec = {i: c for i, c in vec.items() if c}
+        if not vec:
             return False
-        pivot = min(row)
-        if p:
-            scale = pow(row[pivot], -1, p)
-            if scale != 1:
-                row = {i: c * scale % p for i, c in row.items()}
+        pivot = max(vec)
+        if mixed:  # otherwise vec is still 0/1
+            if p:
+                if vec[pivot] != 1:
+                    inv = pow(vec[pivot], -1, p)
+                    vec = {i: c * inv % p for i, c in vec.items()}
+            else:
+                g = gcd(*vec.values())
+                if vec[pivot] < 0:
+                    g = -g
+                if g != 1:
+                    vec = {i: c // g for i, c in vec.items()}
+        # No coordinate of a stored row is negative, so a negative one in
+        # the support is never cancelled and always reaches this point.
+        if min(vec) < 0:
+            raise ValueError(f"negative coordinate {min(vec)}")
+        if pivot < self.top:
+            self._back_substitute(pivot, vec, p)
         else:
-            g = gcd(*row.values())
-            if row[pivot] < 0:
-                g = -g
-            if g != 1:
-                row = {i: c // g for i, c in row.items()}
-        # Back-substitute into existing rows to keep reduced echelon form.
-        for other in rows.values():
-            if pivot in other:
-                _cancel(other, pivot, row, p)
-                if not p:
-                    g = gcd(*other.values())
-                    if g != 1:
-                        for i in other:
-                            other[i] //= g
-        rows[pivot] = row
+            self.top = pivot
+        rows[pivot] = vec
         return True
+
+    def _back_substitute(self, pivot: int, vec: dict, p: int) -> None:
+        """Clear coordinate ``pivot`` from every stored row with the new row
+        ``vec``, whose pivot it is, keeping each row's scaling."""
+        d = vec[pivot]
+        for q, row in self.rows.items():
+            a = row.get(pivot)
+            if a is None:
+                continue
+            if not p:
+                # Fraction-free: row becomes (d/g)*row - (a/g)*vec, g = gcd(a, d).
+                g = gcd(a, d)
+                a //= g
+                if d != g:
+                    beta = d // g
+                    for i in row:
+                        row[i] *= beta
+            for i, c in vec.items():
+                new = row.get(i, 0) - a * c
+                if p:
+                    new %= p
+                if new:
+                    row[i] = new
+                else:  # only an entry already in row can cancel
+                    del row[i]
+            if not p and row[q] != 1:
+                g = gcd(*row.values())
+                if g != 1:
+                    for i in row:
+                        row[i] //= g
 
 
 class BitRowBasis:

@@ -35,6 +35,13 @@ class OracleCapExceeded(RuntimeError):
 ORACLE_CAP = 400_000
 
 
+def _tested_positions(k: int, n: int) -> tuple[int, int]:
+    """Offsets [lo, hi) from the centre of J_k, the positions a product of
+    at most n generators ending at exponent k can test; see :class:`WindowSpace`."""
+    t = (n - 1 - abs(k)) // 2
+    return (min(0, k) - t, max(0, k) + t + 1) if t >= 0 else (0, 0)
+
+
 class WindowSpace:
     """Coordinates (k, u): shift exponent k in [-n, n], u a length-(2n+1) factor.
 
@@ -45,6 +52,12 @@ class WindowSpace:
     and none when t < 0.  So the product's support is a union of fibres
     of u -> u[J_k], and ``block_class[k + n][i]`` numbers the fibre of
     window i (in order of first appearance).
+
+    The same holds at every length m <= n with J_k(m) in place of J_k: a
+    product of at most m generators is a function of u[J_k(m)], and each
+    u[J_k(m)] is a factor of length |J_k(m)| because the language is
+    factor-closed.  So the products of length <= m ending at exponent k
+    span at most ``rank_bound[m][k + n]`` = p(|J_k(m)|) dimensions.
     """
 
     def __init__(self, lang: Language, n: int):
@@ -64,10 +77,13 @@ class WindowSpace:
         ]
         self.block_class = []
         for k in range(-n, n + 1):
-            t = (n - 1 - abs(k)) // 2
-            lo, hi = (min(0, k) - t + n, max(0, k) + t + n + 1) if t >= 0 else (0, 0)
+            lo, hi = _tested_positions(k, n)
             ids: dict[bytes, int] = {}
-            self.block_class.append([ids.setdefault(u[lo:hi], len(ids)) for u in self.windows])
+            self.block_class.append([ids.setdefault(u[lo + n : hi + n], len(ids)) for u in self.windows])
+        self.rank_bound = [
+            [lang.complexity(hi - lo) for lo, hi in (_tested_positions(k, m) for k in range(-n, n + 1))]
+            for m in range(n + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -125,12 +141,17 @@ class _BlockRank:
         self.field = field
         self.blocks: dict[int, object] = {}
 
-    def insert(self, mono: Monomial) -> bool:
+    def insert(self, mono: Monomial, m: int) -> bool:
+        """Insert ``mono``, a product of at most ``m`` generators; return
+        True iff the rank grew.  A block whose rank has reached
+        ``space.rank_bound`` for length m is full, and ``mono`` is dependent."""
         if not mono.support:
             return False
         blk = self.blocks.get(mono.k)
         if blk is None:
             blk = self.blocks[mono.k] = new_basis(self.field)
+        elif blk.rank >= self.space.rank_bound[m][mono.k + self.space.n]:
+            return False
         cls = self.space.block_class[mono.k + self.space.n]
         return blk.insert({cls[u] for u in mono.support})
 
@@ -148,6 +169,13 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     sum_x D_x = 1 at m's exponent, and the right side is already spanned
     once the level's other moves are inserted.  Ranks are taken over the
     fibre ids of :class:`WindowSpace`, see :class:`_BlockRank`.
+
+    Block k stops taking inserts once it is full: at level n every
+    candidate of exponent k is a function of u[J_k(n)], so the block spans
+    at most p(|J_k(n)|) dimensions (``WindowSpace.rank_bound``; the
+    bound needs only that the language is factor-closed).  When the block
+    has that rank, the candidate lies in its span and inserting it would
+    return False, so skipping it changes no rank and no frontier.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -162,7 +190,7 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
         if key in seen:
             continue
         seen.add(key)
-        if rank.insert(mono):
+        if rank.insert(mono, 1):
             new.append(mono)
     dims = [(1, rank.rank)]
     for n in range(2, n_max + 1):
@@ -174,7 +202,7 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
                 if key in seen:
                     continue
                 seen.add(key)
-                if rank.insert(cand):
+                if rank.insert(cand, n):
                     frontier.append(cand)
         new = frontier
         dims.append((n, rank.rank))

@@ -43,10 +43,12 @@ class TestFieldArithmetic:
 
 class TestRowBasis:
     def test_reduce_empty_basis(self):
-        # Nothing to reduce against: the support is stored as it is.
+        # Nothing to reduce against: the support is stored as it is, with
+        # its largest coordinate as pivot.
         basis = RowBasis(QQ)
         assert basis.insert([2, 0])
-        assert basis.rows == {0: {0: 1, 2: 1}}
+        assert basis.rows == {2: {0: 1, 2: 1}}
+        assert basis.top == 2
 
     def test_reduce_scalar_multiple(self):
         # {0,2} reduces to 2*e_2 over Q, which is stored as the primitive e_2
@@ -62,6 +64,22 @@ class TestRowBasis:
         basis.insert([0, 1])
         assert basis.insert([0])  # residue e_1
         assert basis.rows == {0: {0: 1}, 1: {1: 1}}
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+    def test_pivot_below_top_clears_older_rows(self, field):
+        # Pivot 0 arrives below top = 5 and must be cleared from row 5,
+        # which holds it; a basis that skipped back-substitution would keep
+        # row 5 = e_0 + e_5 and then accept e_5 and e_3 as new.
+        basis = RowBasis(field)
+        assert basis.insert([0, 5])
+        assert basis.insert([3, 5])
+        assert basis.rows[3] == ({0: -1, 3: 1} if field == QQ else {0: 2, 3: 1})
+        assert basis.insert([0])
+        assert basis.rows == {5: {5: 1}, 3: {3: 1}, 0: {0: 1}}
+        assert basis.top == 5
+        assert not basis.insert([5])
+        assert not basis.insert([3])
+        assert basis.rank == 3
 
     def test_insert_rank(self):
         basis = RowBasis(QQ)
@@ -138,6 +156,12 @@ class TestNewBasis:
         assert not basis.insert({10**6, 0})
         assert not basis.insert((0, 0, 10**6))
         assert basis.insert(range(3))
+        assert basis.rank == 2
+        # A negative coordinate fails loudly and leaves the basis unchanged.
+        with pytest.raises(ValueError):
+            basis.insert([-1])
+        with pytest.raises(ValueError):
+            basis.insert([0, 1, -3])
         assert basis.rank == 2
 
 
@@ -239,8 +263,10 @@ class TestAgainstOracle:
             basis = RowBasis(field)
             for support in random_supports(rng, 10, 8):
                 basis.insert(support)
+            assert basis.top == max(basis.rows, default=-1)
             for pivot, row in basis.rows.items():
-                assert min(row) == pivot
+                assert max(row) == pivot
+                assert all(i <= pivot for i in row)
                 assert all(type(c) is int and c for c in row.values())
                 assert all(pivot not in other for q, other in basis.rows.items() if q != pivot)
                 if p:
@@ -251,12 +277,12 @@ class TestAgainstOracle:
                     assert gcd(*row.values()) == 1
 
     def test_pivot_entry_not_one(self):
-        # 2e_0 + e_3 = {0,1} + {0,2,3} - {1,2}, and likewise for the other
+        # 2e_3 + e_0 = {3,2} + {3,1,0} - {2,1}, and likewise for the other
         # rows: primitive over Q, with pivot entry 2.
         basis = RowBasis(QQ)
-        for support in ([0, 1], [1, 2], [0, 2, 3]):
+        for support in ([3, 2], [2, 1], [3, 1, 0]):
             assert basis.insert(support)
-        assert basis.rows == {0: {0: 2, 3: 1}, 1: {1: 2, 3: -1}, 2: {2: 2, 3: 1}}
-        assert not basis.insert([2, 3, 0])
-        assert basis.insert([3])
+        assert basis.rows == {3: {3: 2, 0: 1}, 2: {2: 2, 0: -1}, 1: {1: 2, 0: 1}}
+        assert not basis.insert([1, 0, 3])
+        assert basis.insert([0])
         assert basis.rows == {i: {i: 1} for i in range(4)}

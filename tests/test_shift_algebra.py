@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from groupoid_growth import cli, shift_algebra
@@ -116,6 +118,7 @@ class TestWindowSpace:
             t = (n - 1 - abs(k)) // 2
             width = 2 * t + abs(k) + 1 if t >= 0 else 0
             assert len(set(space.block_class[k + n])) == tm.complexity(width)
+            assert space.rank_bound[n][k + n] == tm.complexity(width)
 
 
 class TestGeneratorAction:
@@ -200,6 +203,107 @@ class TestGrowthDims:
         for n, d in dims:
             assert prev <= d <= (2 * n + 1) * tm.complexity(2 * n)
             prev = d
+
+
+def unbounded_growth_dims(lang, n_max, field):
+    """:func:`growth_dims` without the per-block dimension bound: every
+    candidate is inserted.  It asserts at each level that no block's rank
+    exceeds ``WindowSpace.rank_bound``, the bound the real loop skips on."""
+    space = WindowSpace(lang, n_max)
+    gens = generator_monomials(space)
+    moves = [g for g in gens if g not in (ONE, (0, lang.alphabet_size - 1))]
+    blocks = {}
+
+    def insert(mono):
+        if not mono.support:
+            return False
+        cls = space.block_class[mono.k + n_max]
+        return blocks.setdefault(mono.k, shift_algebra.new_basis(field)).insert({cls[u] for u in mono.support})
+
+    def rank(n):
+        for k, b in blocks.items():
+            assert b.rank <= space.rank_bound[n][k + n_max]
+        return sum(b.rank for b in blocks.values())
+
+    seen = set()
+    new = []
+    for mono in gens.values():
+        if (mono.k, mono.support) not in seen:
+            seen.add((mono.k, mono.support))
+            if insert(mono):
+                new.append(mono)
+    dims = [(1, rank(1))]
+    for n in range(2, n_max + 1):
+        frontier = []
+        for mono in new:
+            for g in moves:
+                cand = apply_generator(space, g, mono)
+                if (cand.k, cand.support) not in seen:
+                    seen.add((cand.k, cand.support))
+                    if insert(cand):
+                        frontier.append(cand)
+        new = frontier
+        dims.append((n, rank(n)))
+    return dims
+
+
+def seeded_sturmian(seed):
+    rng = random.Random(seed)
+    return {"kind": "sturmian", "cf": [rng.randint(1, 3) for _ in range(rng.randint(1, 4))], "cf_periodic": True}
+
+
+class TestBlockBound:
+    N = 10
+    BOUND_SOURCES = {
+        "golden": SOURCES["golden"],
+        "sturmian-seed-1": seeded_sturmian(1),
+        "sturmian-seed-2": seeded_sturmian(2),
+        "thue-morse": SOURCES["thue-morse"],
+        "paperfolding-prefix": SOURCES["paperfolding"],
+    }
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count the basis inserts :func:`growth_dims` makes."""
+        calls = [0]
+
+        def counted_basis(field):
+            basis = new_basis(field)
+            insert = basis.insert
+
+            def counted(support):
+                calls[0] += 1
+                return insert(support)
+
+            basis.insert = counted
+            return basis
+
+        monkeypatch.setattr(shift_algebra, "new_basis", counted_basis)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(BOUND_SOURCES))
+    def test_bounded_matches_unbounded(self, name, monkeypatch):
+        # The paperfolding language is read from a 64-letter prefix, so it
+        # is inexact and its p(n) is not monotone; the bound must hold anyway.
+        budget = 64 if name == "paperfolding-prefix" else 4096
+        lang = build_language(source_from_config(self.BOUND_SOURCES[name]), n_max=2 * self.N + 1, prefix_budget=budget)
+        assert lang.exact == (name != "paperfolding-prefix")
+        calls = self.counting(monkeypatch)
+        for field in (QQ, PrimeField(3), GF2):
+            calls[0] = 0
+            bounded = growth_dims(lang, self.N, field)
+            bounded_inserts, calls[0] = calls[0], 0
+            assert bounded == unbounded_growth_dims(lang, self.N, field)
+            assert calls[0] > bounded_inserts  # the bound was reached and skipped on
+
+    def test_golden_insert_count(self, monkeypatch):
+        # The n=32 golden run over Q, with saturated blocks skipped; it made
+        # 3,851 inserts before the bound.
+        lang = build_language(golden_sturmian(), n_max=65, prefix_budget=1 << 16)
+        calls = self.counting(monkeypatch)
+        dims = growth_dims(lang, 32, QQ)
+        assert dims[-1] == (32, 2 * 32 * 32 + 2)
+        assert calls[0] == 2050
 
 
 class TestSemigroupDims:
