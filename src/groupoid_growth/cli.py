@@ -9,6 +9,7 @@ row), DOT graphs, or plain text.  Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -301,7 +302,10 @@ def cmd_verify_all(args) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves no state in
+    it, since each call fills a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="groupoid-growth",
         description="Exact growth and complexity of subshift/germ groupoids and their algebras",

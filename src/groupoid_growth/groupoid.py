@@ -99,7 +99,7 @@ class SubshiftModel:
         """One unit per length-2r factor: every radius-r ball class appears."""
         if 2 * r > self.lang.n_max:
             raise ValueError(f"language too shallow for radius {r}")
-        return [WindowUnit(f, r) for f in self.lang.factors[2 * r]]
+        return [WindowUnit(f, r) for f in self.lang.factors_at(2 * r)]
 
 
 def _path_vertex_order(r: int) -> list[int]:
@@ -265,7 +265,7 @@ def _windows_complete(model: SubshiftModel, units, r: int) -> bool:
         return False
     # Every unit's ball was built first, so each window covers -r .. r-1.
     have = {u.word[u.origin - r : u.origin + r] for u in units}
-    return set(model.lang.factors[2 * r]) <= have
+    return set(model.lang.factors_at(2 * r)) <= have
 
 
 def ball_to_dot(ball: LabeledBall) -> str:

@@ -65,7 +65,7 @@ class WindowSpace:
             raise ValueError(f"language too shallow: need factors of length {2 * n + 1}")
         self.lang = lang
         self.n = n
-        self.windows = lang.factors[2 * n + 1]
+        self.windows = lang.factors_at(2 * n + 1)
         self.p = len(self.windows)
         # letter_mask[j][x] = window ranks whose letter at position j-n is x
         self.letter_mask = [
@@ -222,7 +222,7 @@ def bruteforce_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int,
         raise OracleCapExceeded(
             f"the oracle would evaluate {len(gens) ** n} generator words at n={n}, over its cap {ORACLE_CAP}"
         )
-    windows = lang.factors[2 * n + 1]
+    windows = lang.factors_at(2 * n + 1)
     p = len(windows)
 
     def evaluate(word):

@@ -20,17 +20,21 @@ does, and the heads that share a length-n prefix are contiguous in sorted
 order.  With lcp the length of the longest common prefix of a head and the
 one before it, the length-n factors are therefore the prefixes h[:n] of the
 heads h with lcp < n <= len(h), met already sorted (suffix sorting and
-adjacent LCP counting: Manber-Myers 1993, Kasai et al. 2001).  So
-p(1) + ... + p(n_max) is the sum of len(h) - lcp, known before a factor
-is built.  A short head is a witness suffix, and it extends to the right
-within the witnesses exactly when the next head starts with it, which
-gives ``extendable_up_to`` from the same list.
+adjacent LCP counting: Manber-Myers 1993, Kasai et al. 2001).  So each
+head adds one factor at every length in (lcp, len(h)], and p(n) for every
+n <= n_max comes from one difference pass over those ranges, with no
+factor built.  A :class:`Language` keeps the heads, their lcps and the
+counts; the factors of one length are built only when a caller asks for
+them (:meth:`Language.factors_at`).  A short head is a witness suffix, and
+it extends to the right within the witnesses exactly when the next head
+starts with it, which gives ``extendable_up_to`` from the same list.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .words import WordSource
 
@@ -49,30 +53,52 @@ FACTOR_CAP = 2_000_000
 
 @dataclass
 class Language:
-    """Length-indexed factor sets of a subshift, up to ``n_max``.
+    """Subword complexity of a subshift up to ``n_max``, and its factors of
+    any one length on request.
 
-    ``exact`` says the sets are certified to be every factor of the source
-    up to ``n_max``.  ``prefix_len`` is the number of witness letters they
-    were read from.  ``extendable_up_to`` is the largest n such that every
-    factor of each length below n extends on the right within the
-    witnesses; beyond it an inexact enumeration may be budget-truncated.
-    An exact language of an infinite word has ``extendable_up_to == n_max``,
-    since every factor of such a word extends on the right.
+    ``heads`` are the sorted witness heads and ``lcps[j]`` the length of
+    the common prefix of ``heads[j - 1]`` and ``heads[j]`` (0 for j = 0);
+    ``counts[n]`` is p(n), read off them without building a factor (see the
+    module docstring).  ``exact`` says the factors are certified to be every
+    factor of the source up to ``n_max``.  ``prefix_len`` is the number of
+    witness letters they were read from.  ``extendable_up_to`` is the
+    largest n such that every factor of each length below n extends on the
+    right within the witnesses; beyond it an inexact enumeration may be
+    budget-truncated.  An exact language of an infinite word has
+    ``extendable_up_to == n_max``, since every factor of such a word
+    extends on the right.
     """
 
     alphabet_size: int
-    factors: list[list[bytes]]  # factors[n] sorted
+    heads: list[bytes]
+    lcps: list[int]
+    counts: list[int]  # counts[n] = p(n), n = 0 .. n_max
     n_max: int
     prefix_len: int
     extendable_up_to: int
     finite_source: bool
     exact: bool
 
+    def _check_length(self, n: int, what: str) -> None:
+        if not (0 <= n <= self.n_max):
+            raise LanguageError(f"{what} queried at n={n} beyond n_max={self.n_max}")
+
     def complexity(self, n: int) -> int:
         """p(n), the number of distinct length-n factors."""
-        if not (0 <= n <= self.n_max):
-            raise LanguageError(f"complexity queried at n={n} beyond n_max={self.n_max}")
-        return len(self.factors[n])
+        self._check_length(n, "complexity")
+        return self.counts[n]
+
+    def factors_at(self, n: int) -> list[bytes]:
+        """The length-n factors, sorted, built from the heads on each call."""
+        self._check_length(n, "factors")
+        if n == 0:
+            return [b""]
+        return [h[:n] for h, lcp in zip(self.heads, self.lcps) if lcp < n <= len(h)]
+
+    @property
+    def factors(self) -> list[list[bytes]]:
+        """Every factor class: ``factors[n] == factors_at(n)`` for n <= n_max."""
+        return [self.factors_at(n) for n in range(self.n_max + 1)]
 
     def delta_formula(self, r: int) -> int:
         """Groupoid complexity of the subshift: delta(r) = p(2r)."""
@@ -82,7 +108,7 @@ class Language:
 
 
 def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Language:
-    """Every factor of length <= n_max of the source's witness words, read
+    """The language up to length n_max of the source's witness words, read
     within ``prefix_budget`` letters.
 
     Raises :class:`~groupoid_growth.words.BudgetExceeded` when the source
@@ -101,8 +127,8 @@ def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Langua
 def language_from_witnesses(
     witnesses: list[bytes], n_max: int, alphabet_size: int, *, exact: bool, finite_source: bool
 ) -> Language:
-    """The factors of length <= n_max of the witness words, read off their
-    sorted heads (see the module docstring)."""
+    """The language of the witness words up to length n_max: their sorted
+    heads, the lcps and p(n) (see the module docstring)."""
     if any(len(w) < n_max for w in witnesses):
         raise LanguageError("source ended before n_max letters were produced")
     heads = sorted({w[i : i + n_max] for w in witnesses for i in range(len(w))})
@@ -113,18 +139,22 @@ def language_from_witnesses(
         min(len(a), len(b), n_max - ((x ^ y).bit_length() + 7) // 8)
         for a, b, x, y in zip(heads, heads[1:], keys, keys[1:])
     ]
-    if sum(map(len, heads)) - sum(lcps) > FACTOR_CAP:
-        raise FactorCapExceeded(f"factor enumeration exceeded cap {FACTOR_CAP}")
-    factors: list[list[bytes]] = [[b""]] + [[] for _ in range(n_max)]
+    # Head h adds one factor at each length in (lcp, len(h)].
+    steps = [0] * (n_max + 2)
     for h, lcp in zip(heads, lcps):
-        for n in range(lcp + 1, len(h) + 1):
-            factors[n].append(h[:n])
+        steps[lcp + 1] += 1
+        steps[len(h) + 1] -= 1
+    counts = [1] + list(accumulate(steps[1 : n_max + 1]))
+    if sum(counts[1:]) > FACTOR_CAP:
+        raise FactorCapExceeded(f"factor enumeration exceeded cap {FACTOR_CAP}")
     # A short head is a witness suffix; it extends iff the next head starts with it.
     extendable = min((len(h) for h, nxt in zip(heads, lcps[1:] + [0]) if nxt < len(h) < n_max), default=n_max)
 
     lang = Language(
         alphabet_size=alphabet_size,
-        factors=factors,
+        heads=heads,
+        lcps=lcps,
+        counts=counts,
         n_max=n_max,
         prefix_len=sum(map(len, witnesses)),
         extendable_up_to=extendable,
@@ -139,5 +169,5 @@ def language_from_witnesses(
         assert heads[bisect_left(heads, h[1:])].startswith(h[1:]), f"closure broken at head {h!r}"
     if not lang.finite_source:
         for n in range(1, min(lang.extendable_up_to, n_max)):
-            assert lang.complexity(n + 1) >= lang.complexity(n)
+            assert counts[n + 1] >= counts[n]
     return lang

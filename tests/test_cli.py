@@ -106,6 +106,35 @@ class TestComplexity:
             assert out.splitlines()[8:] == [f"{n},{4 * n}" for n in range(7, 13)]
 
 
+class TestParserReuse:
+    def test_back_to_back_calls(self, capsys, tmp_path):
+        # One parser serves every call in a process; no option of one call
+        # reaches the next, and a rejected argv leaves the parser usable.
+        calls = [
+            ["complexity", "--source", TM, "--n-max", "6", "--budget", "64", "--csv", str(tmp_path / "p.csv")],
+            ["complexity", "--source", TM, "--n-max", "6"],
+            ["complexity", "--source", TM, "--n-max", "six"],
+            ["semigroup-growth", "--source", GOLDEN, "--n-max", "4"],
+        ]
+
+        def call(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+            return code, capsys.readouterr().out
+
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(call(argv))
+        cli.build_parser.cache_clear()
+        assert [call(argv) for argv in calls] == fresh
+        assert [code for code, _ in fresh] == [0, 0, 2, 0]
+        assert fresh[0][1] == "" and fresh[1][1].startswith("#config=") and fresh[3][1].startswith("#config=")
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestDelta:
     def test_subshift_exact(self, capsys):
         model = json.dumps({"kind": "subshift", "source": json.loads(GOLDEN), "n_max": 10})

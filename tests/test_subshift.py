@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -238,6 +239,43 @@ class TestAgainstWindowScan:
         monkeypatch.setattr(subshift, "FACTOR_CAP", total - 1)
         with pytest.raises(LanguageError, match=f"exceeded cap {total - 1}"):
             language_from_witnesses(words, 12, 2, exact=False, finite_source=True)
+
+
+class TestCountsAndFactors:
+    """p(n) read off the heads against the factors of one length, built
+    on request, and both against a window scan of the witnesses."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counts_match_factors(self, seed):
+        kinds = set()
+        for cfg in seeded_configs(seed):
+            source = source_from_config(cfg)
+            for n_max in (1, 7, 16):
+                if source.finite_length is not None and source.finite_length < n_max:
+                    continue
+                witnesses, _ = source.witnesses(n_max, 4096)
+                lang = build_language(source, n_max, 4096)
+                for n in range(n_max + 1):
+                    factors = lang.factors_at(n)
+                    assert lang.complexity(n) == len(factors), (cfg, n_max, n)
+                    assert factors == union_scan(witnesses, n), (cfg, n_max, n)
+                for n in (-1, n_max + 1):
+                    with pytest.raises(LanguageError):
+                        lang.factors_at(n)
+                kinds.add(cfg["kind"])
+        assert kinds == {"sturmian", "substitution", "toeplitz", "eventually_periodic", "explicit"}
+
+    def test_counts_build_no_factors(self):
+        # Every factor of Thue-Morse up to n = 200 would peak near 11 MiB.
+        tracemalloc.start()
+        try:
+            lang = build_language(thue_morse(), 200, 40 * 200 * 200)
+            ps = [lang.complexity(n) for n in range(201)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps[:4] == [1, 2, 4, 6] and ps[200] == 654
+        assert peak < 2 * 2**20, peak
 
 
 def primitive_configs(seed: int) -> list[dict]:
