@@ -26,7 +26,7 @@ from .groupoid import (
     ball_to_dot,
     delta_enumerated,
 )
-from .matrix_recursion import CoordinateCapExceeded, IdentityError
+from .matrix_recursion import CoordinateCapExceeded, IdentityError, LevelCapExceeded
 from .selfsimilar import EventuallyPeriodicPoint, NotContracting, StateCapExceeded, group_from_spec
 from .shift_algebra import OracleCapExceeded, RadiusExhausted
 from .subshift import FactorCapExceeded, Language, build_language
@@ -44,6 +44,7 @@ RESOURCE_ERRORS = (
     BudgetExceeded,
     FactorCapExceeded,
     CoordinateCapExceeded,
+    LevelCapExceeded,
     OracleCapExceeded,
     UnitCapExceeded,
 )
@@ -268,8 +269,10 @@ def cmd_germ(args) -> int:
 def cmd_matrix_recursion(args) -> int:
     group = group_from_spec(_read_spec(args.group))
     field = parse_field(args.field)
+    level = _positive("--levels", args.levels)
+    mr.check_level(group.d, level, printed=args.print_matrix)
     elem = mr.parse_element(group, args.element, field)
-    m = mr.image_at_level(elem, _positive("--levels", args.levels))
+    m = mr.image_at_level(elem, level)
     if args.print_matrix:
         print(mr.format_matrix(m))
     else:

@@ -210,10 +210,37 @@ def recursion_step(m: LevelMatrix) -> LevelMatrix:
     return LevelMatrix(grp, f, m.level + 1, out)
 
 
+# Most columns d^level an image_at_level call builds: on two letters, level
+# 16 for a+b+1 in the Grigorchuk group takes ~1.9 s and ~210 MiB (Python
+# 3.11, 2 cores), and each further level multiplies both by about d.
+COLUMN_CAP = 1 << 16
+# Most cells d^level x d^level that format_matrix lays out: level 8 on two
+# letters, a printout of ~330 KB for a+b+1.
+PRINT_CELL_CAP = 1 << 16
+
+
+class LevelCapExceeded(RuntimeError):
+    """A level image would have more than ``COLUMN_CAP`` columns, or its
+    printout more than ``PRINT_CELL_CAP`` cells."""
+
+
+def check_level(d: int, level: int, printed: bool = False) -> None:
+    """Raise :class:`LevelCapExceeded` if a level-``level`` image on ``d``
+    letters has more than ``COLUMN_CAP`` columns or, when ``printed``, more
+    than ``PRINT_CELL_CAP`` cells; nothing is built."""
+    cap, what, exponent = (PRINT_CELL_CAP, "cells", 2 * level) if printed else (COLUMN_CAP, "columns", level)
+    # d^e > cap for every d >= 2 once e reaches cap.bit_length(), so the
+    # exponent is clamped there and a huge level costs nothing.
+    if d ** min(exponent, cap.bit_length()) > cap:
+        raise LevelCapExceeded(f"level-{level} image on {d} letters exceeds cap {cap} on {what}")
+
+
 def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
     """The recursion map iterated ``level`` times, read off the level
-    images of the support's elements (the ones thinned growth uses)."""
+    images of the support's elements (the ones thinned growth uses).
+    Past ``COLUMN_CAP`` columns it raises :class:`LevelCapExceeded`."""
     grp, f = elem.group, elem.field
+    check_level(grp.d, level)
     cache: dict = {}
     cells: dict = {}
     for g, c in elem.coeffs.items():
@@ -224,6 +251,9 @@ def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
 
 
 def format_matrix(m: LevelMatrix) -> str:
+    """One bracketed line per row; past ``PRINT_CELL_CAP`` cells it raises
+    :class:`LevelCapExceeded`."""
+    check_level(m.group.d, m.level, printed=True)
     size = m.size
     cells = [
         [format_element(m.entries[(r, c)]) if (r, c) in m.entries else "0" for c in range(size)]

@@ -12,6 +12,15 @@ letter only where it stands, so it sees only the positions J_k of
 u[J_k] of a window, not one per window.  The evaluation space therefore
 has at most sum_k p(|J_k|) <= (2n+1) * p(2n+1) coordinates, and algebra
 growth is exact finite linear algebra.
+
+When the window set W is closed under reversal (Thue-Morse, every
+Sturmian and episturmian language), Phi(f)(k, u) = f(-k, reversed(u)) is
+a linear bijection of the evaluation space.  It fixes 1 and every D_x,
+since reversal sends the letter at position k to position -k, and it
+swaps T with T^-1, since Phi(T f)(k, u) = f(-k-1, reversed(u)) =
+(T^-1 Phi f)(k, u).  So Phi maps V^m onto V^m and block k onto block -k,
+and dim V^m = dim V^m_0 + 2 * sum_(k>0) dim V^m_k: :func:`growth_dims`
+ranks only the blocks k >= 0.
 """
 
 from __future__ import annotations
@@ -58,6 +67,12 @@ class WindowSpace:
     u[J_k(m)] is a factor of length |J_k(m)| because the language is
     factor-closed.  So the products of length <= m ending at exponent k
     span at most ``rank_bound[m][k + n]`` = p(|J_k(m)|) dimensions.
+
+    ``mirror[i]`` is the rank of window i reversed, and ``mirror`` is
+    None unless the window set is closed under reversal, the one condition
+    under which the reversal Phi of the module docstring is defined.  J_-k
+    is J_k reflected about the centre, so p(|J_k(m)|) is symmetric in k
+    and Phi maps the fibres of block k onto those of block -k.
     """
 
     def __init__(self, lang: Language, n: int):
@@ -84,6 +99,9 @@ class WindowSpace:
             [lang.complexity(hi - lo) for lo, hi in (_tested_positions(k, m) for k in range(-n, n + 1))]
             for m in range(n + 1)
         ]
+        rank_of = {u: i for i, u in enumerate(self.windows)}
+        mirror = [rank_of.get(u[::-1]) for u in self.windows]
+        self.mirror = None if None in mirror else mirror
 
 
 @dataclass(frozen=True)
@@ -134,6 +152,10 @@ class _BlockRank:
     support that is a union of fibres is the preimage of its set of ids,
     and linear combinations of such supports are constant on fibres, so
     the rank over ids equals the rank over windows.
+
+    When ``space.mirror`` is set, only blocks k >= 0 are inserted into,
+    and ``rank`` counts each block k > 0 twice: block -k is its image
+    under the reversal Phi and has the same rank.
     """
 
     def __init__(self, space: WindowSpace, field: Field):
@@ -157,7 +179,8 @@ class _BlockRank:
 
     @property
     def rank(self) -> int:
-        return sum(b.rank for b in self.blocks.values())
+        fold = 1 if self.space.mirror is None else 2
+        return sum(b.rank * (fold if k > 0 else 1) for k, b in self.blocks.items())
 
 
 def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int]]:
@@ -176,34 +199,49 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     bound needs only that the language is factor-closed).  When the block
     has that rank, the candidate lies in its span and inserting it would
     return False, so skipping it changes no rank and no frontier.
+
+    When the window set is closed under reversal (``WindowSpace.mirror``),
+    the loop folds by the reversal Phi of the module docstring.  Phi maps
+    V^m onto V^m and block k onto block -k, so every candidate with k < 0
+    is dropped and :class:`_BlockRank` counts blocks k > 0 twice.  Block 0
+    is Phi-invariant, and its level-(m+1) candidates include T * V^m_-1 =
+    Phi(T^-1 * V^m_1): the loop reaches those only as the mirror twin
+    (support mapped through ``mirror``) of a candidate T^-1 * f at k = 0,
+    so each new candidate at k = 0 is followed by its twin.  The twin lies
+    in V^(m+1)_0, so offering it is harmless when it is not needed.  The
+    block bound holds as before, since p(|J_k(m)|) is symmetric in k.  A
+    language that is not closed takes the same loop with nothing dropped.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     space = WindowSpace(lang, n_max)
+    mirror = space.mirror
     gens = generator_monomials(space)
     moves = [g for g in gens if g not in ((0, None), (0, lang.alphabet_size - 1))]
     rank = _BlockRank(space, field)
     seen: set = set()
+
+    def offer(cand: Monomial, m: int, out: list) -> None:
+        if mirror is not None and cand.k < 0:
+            return
+        key = (cand.k, cand.support)
+        if key in seen:
+            return
+        seen.add(key)
+        if rank.insert(cand, m):
+            out.append(cand)
+        if mirror is not None and cand.k == 0:
+            offer(Monomial(0, frozenset(mirror[i] for i in cand.support)), m, out)
+
     new: list[Monomial] = []
     for mono in gens.values():
-        key = (mono.k, mono.support)
-        if key in seen:
-            continue
-        seen.add(key)
-        if rank.insert(mono, 1):
-            new.append(mono)
+        offer(mono, 1, new)
     dims = [(1, rank.rank)]
     for n in range(2, n_max + 1):
         frontier = []
         for mono in new:
             for g in moves:
-                cand = apply_generator(space, g, mono)
-                key = (cand.k, cand.support)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if rank.insert(cand, n):
-                    frontier.append(cand)
+                offer(apply_generator(space, g, mono), n, frontier)
         new = frontier
         dims.append((n, rank.rank))
     return dims

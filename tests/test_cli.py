@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -231,6 +232,29 @@ class TestAlgebraGrowth:
         code, out, err = run(capsys, argv)
         assert code == 3 and "1953125 generator words" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "source, extra, digest",
+        [
+            # Thue-Morse and tribonacci are closed under reversal, the
+            # eventually periodic word 1101|001 is not.
+            (TM, ["--n-max", "12"], "3c13c67875c1616b3972476c032c994eaba6e61c234f486aa21bddcfcb465c9d"),
+            (
+                '{"kind":"substitution","rules":{"0":"01","1":"02","2":"0"},"seed":"0"}',
+                ["--n-max", "10", "--field", "Fp:3", "--oracle-upto", "3"],
+                "68ae13ea379e33227a6988a1038ff09cb1e17a7a8de31827dd81fa3c262b9b19",
+            ),
+            (
+                '{"kind":"eventually_periodic","pre":"1101","period":"001"}',
+                ["--n-max", "10"],
+                "0909f399539a22c2fd1f96e6012f54dc34c59b566474385126b5bcf01e12d7a3",
+            ),
+        ],
+        ids=["thue-morse-q", "tribonacci-f3", "eventually-periodic-q"],
+    )
+    def test_output_bytes(self, capsys, source, extra, digest):
+        code, out, _ = run(capsys, ["algebra-growth", "--source", source] + extra)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_semigroup(self, capsys):
         code, out, _ = run(capsys, ["semigroup-growth", "--source", GOLDEN, "--n-max", "3"])
         assert code == 0
@@ -304,6 +328,21 @@ class TestGroupCommands:
             ],
         )
         assert code == 0 and out.strip().splitlines() == ["[0  a]", "[1  0]"]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--levels", "17"], "level-17 image on 2 letters exceeds cap 65536 on columns"),
+            (["--levels", "9", "--print"], "level-9 image on 2 letters exceeds cap 65536 on cells"),
+            (["--levels", "1000000000"], "level-1000000000 image on 2 letters exceeds cap 65536 on columns"),
+        ],
+        ids=["columns", "cells", "huge-level"],
+    )
+    def test_matrix_recursion_level_cap_exit_3(self, capsys, extra, message):
+        # Refused before any column is built, so each call returns at once.
+        argv = ["matrix-recursion", "--group", "grigorchuk", "--element", "a+b+1"] + extra
+        code, out, err = run(capsys, argv)
+        assert code == 3 and f"resource cap: {message}" in err and out == ""
 
     def test_identity_violation_exit_4(self, capsys, monkeypatch):
         from groupoid_growth.matrix_recursion import IdentityError

@@ -137,6 +137,19 @@ class TestLevelMatrices:
         text = format_matrix(image_at_level(parse_element(adding, "a", QQ), 1))
         assert text.splitlines() == ["[0  a]", "[1  0]"]
 
+    def test_level_caps(self, adding, monkeypatch):
+        # 2^3 = 8 columns and 64 cells at level 3; one more level is refused.
+        monkeypatch.setattr(mr, "COLUMN_CAP", 8)
+        monkeypatch.setattr(mr, "PRINT_CELL_CAP", 64)
+        elem = parse_element(adding, "a+1", QQ)
+        m = image_at_level(elem, 3)
+        assert len(format_matrix(m).splitlines()) == 8
+        with pytest.raises(mr.LevelCapExceeded, match="level-4 image on 2 letters exceeds cap 8 on columns"):
+            image_at_level(elem, 4)
+        monkeypatch.setattr(mr, "PRINT_CELL_CAP", 63)
+        with pytest.raises(mr.LevelCapExceeded, match="exceeds cap 63 on cells"):
+            format_matrix(m)
+
 
 class TestWitness:
     def test_diagonal_form(self, grig):

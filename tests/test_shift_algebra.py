@@ -23,7 +23,14 @@ from groupoid_growth.words import golden_sturmian, source_from_config, thue_mors
 ONE, T, T_INV, D0, D1 = (0, None), (1, None), (-1, None), (0, 0), (0, 1)
 GOLDEN_JSON = '{"kind": "sturmian", "cf": [1], "cf_periodic": true}'
 
-# One source of each kind, with a 3-letter alphabet among them.
+
+def seeded_sturmian(seed):
+    rng = random.Random(seed)
+    return {"kind": "sturmian", "cf": [rng.randint(1, 3) for _ in range(rng.randint(1, 4))], "cf_periodic": True}
+
+
+# One source of each kind, with a 3-letter alphabet among them, and more
+# Sturmian words and a Chacon prefix for the reversal fold.
 SOURCES = {
     "golden": {"kind": "sturmian", "cf": [1], "cf_periodic": True},
     "thue-morse": {"kind": "substitution", "rules": {"0": "01", "1": "10"}, "seed": 0},
@@ -32,6 +39,10 @@ SOURCES = {
     "paperfolding": {"kind": "toeplitz", "skeleton": "0?1?"},
     "eventually-periodic": {"kind": "eventually_periodic", "pre": "1101", "period": "001"},
     "explicit": {"kind": "explicit", "word": "0110100110010110100101100110100101"},
+    "sturmian-seed-3": seeded_sturmian(3),
+    "sturmian-seed-4": seeded_sturmian(4),
+    "sturmian-seed-5": seeded_sturmian(5),
+    "chacon-prefix": {"kind": "substitution", "rules": {"0": "0010", "1": "1"}, "seed": 0},
 }
 
 
@@ -247,9 +258,12 @@ def unbounded_growth_dims(lang, n_max, field):
     return dims
 
 
-def seeded_sturmian(seed):
-    rng = random.Random(seed)
-    return {"kind": "sturmian", "cf": [rng.randint(1, 3) for _ in range(rng.randint(1, 4))], "cf_periodic": True}
+class NoBoundSpace(WindowSpace):
+    """A :class:`WindowSpace` whose blocks are never full."""
+
+    def __init__(self, lang, n):
+        super().__init__(lang, n)
+        self.rank_bound = [[float("inf")] * (2 * n + 1) for _ in range(n + 1)]
 
 
 class TestBlockBound:
@@ -295,15 +309,65 @@ class TestBlockBound:
             bounded_inserts, calls[0] = calls[0], 0
             assert bounded == unbounded_growth_dims(lang, self.N, field)
             assert calls[0] > bounded_inserts  # the bound was reached and skipped on
+            # The reference is also unfolded, so compare with growth_dims
+            # itself, folded or not, when no block is ever full.
+            calls[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(shift_algebra, "WindowSpace", NoBoundSpace)
+                assert growth_dims(lang, self.N, field) == bounded
+            assert calls[0] > bounded_inserts
 
     def test_golden_insert_count(self, monkeypatch):
-        # The n=32 golden run over Q, with saturated blocks skipped; it made
-        # 3,851 inserts before the bound.
+        # The n=32 golden run over Q, with saturated blocks skipped and the
+        # blocks k < 0 folded onto k > 0 by reversal; it made 3,851 inserts
+        # before the bound and 2,050 before the fold.
         lang = build_language(golden_sturmian(), n_max=65, prefix_budget=1 << 16)
         calls = self.counting(monkeypatch)
         dims = growth_dims(lang, 32, QQ)
         assert dims[-1] == (32, 2 * 32 * 32 + 2)
-        assert calls[0] == 2050
+        assert calls[0] == 1041
+
+
+class TestReversalFold:
+    # The sources whose length-19 windows are closed under reversal; the
+    # others (a toeplitz and a Chacon prefix, 1101|001, the explicit word)
+    # take the unfolded loop.  TestGrowthDims.test_matches_uncompressed_loop
+    # compares the dims of all of them with the unfolded reference.
+    N = 9
+    CLOSED = {"golden", "sturmian-3-1", "sturmian-seed-3", "sturmian-seed-4", "sturmian-seed-5", "thue-morse", "tribonacci"}
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_mirror(self, name):
+        space = WindowSpace(source_language(name, 2 * self.N + 1), self.N)
+        assert (space.mirror is not None) == (name in self.CLOSED)
+        if space.mirror is not None:
+            for i, j in enumerate(space.mirror):
+                assert space.windows[j] == space.windows[i][::-1]
+                assert space.mirror[j] == i
+
+    def test_mirror_depends_on_length(self):
+        # The explicit word's windows of length 9 are closed under reversal,
+        # those of length 11 are not; the dims agree on both sides.
+        lang = source_language("explicit", 13)
+        assert [WindowSpace(lang, n).mirror is not None for n in range(1, 7)] == [True] * 4 + [False] * 2
+        for n in (4, 5):
+            assert growth_dims(lang, n, QQ) == uncompressed_growth_dims(lang, n, QQ)
+
+    def test_no_negative_block_when_folded(self, monkeypatch):
+        # A closed language never inserts into a block k < 0; one that is
+        # not closed does.
+        blocks = []
+        init = shift_algebra._BlockRank.__init__
+
+        def recording(self, space, field):
+            init(self, space, field)
+            blocks.append(self.blocks)
+
+        monkeypatch.setattr(shift_algebra._BlockRank, "__init__", recording)
+        for name in ("thue-morse", "eventually-periodic"):
+            growth_dims(source_language(name, 2 * self.N + 1), self.N, QQ)
+        assert min(blocks[0]) == 0 and max(blocks[0]) == self.N
+        assert min(blocks[1]) == -self.N
 
 
 class TestSemigroupDims:
