@@ -53,7 +53,6 @@ from .words import (
     WordSource,
     golden_sturmian,
     source_from_config,
-    source_from_json,
     thue_morse,
 )
 

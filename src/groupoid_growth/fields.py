@@ -2,10 +2,11 @@
 
 Every dimension computed by this package is the rank of a set of 0/1
 evaluation vectors, either over the rationals or over a prime field.
-Rational scalars are `fractions.Fraction` (arbitrary precision, always
-reduced, positive denominator); prime-field scalars are plain ints in
-``[0, p)``.  A :class:`Field` instance bundles that scalar arithmetic for
-the group rings of :mod:`matrix_recursion`.
+Scalars are Python ints: a group ring only adds and multiplies its
+integer coefficients, so a rational scalar is an int (nothing divides
+one), and a prime-field scalar is an int in ``[0, p)``.  A :class:`Field`
+instance bundles that scalar arithmetic for the group rings of
+:mod:`matrix_recursion`.
 
 Rank is incremental (rank-by-insertion): growth computations extend a
 basis level by level, so a batch eliminator would be the wrong shape.
@@ -15,7 +16,7 @@ int coordinates in ``support`` and says whether the rank grew.  There is
 no ambient dimension: any nonnegative int is a coordinate.
 :class:`RowBasis` keeps its rows in reduced echelon form with Python ints
 only (primitive integer rows over Q, residues mod p over F_p), so no
-``Fraction`` is built while reducing.  A row's pivot is its largest
+fraction is built while reducing.  A row's pivot is its largest
 coordinate, so a new row whose pivot is above every old pivot needs no
 back-substitution, and a new vector reduces in one accumulation over the
 pivots it hits.  :class:`BitRowBasis` is the GF(2) specialization (rows
@@ -24,11 +25,7 @@ are Python ints used as bit masks, pivot on the highest bit).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Union
-
-Scalar = Union[Fraction, int]
 
 
 def _is_prime(p: int) -> bool:
@@ -50,19 +47,19 @@ class Field:
     name: str
     characteristic: int
 
-    def zero(self) -> Scalar:
+    def zero(self) -> int:
         raise NotImplementedError
 
-    def one(self) -> Scalar:
+    def one(self) -> int:
         raise NotImplementedError
 
-    def from_int(self, n: int) -> Scalar:
+    def from_int(self, n: int) -> int:
         raise NotImplementedError
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
+    def add(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
+    def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -74,13 +71,13 @@ class Rationals(Field):
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -156,7 +153,7 @@ class RowBasis:
 
     - Q: a row is a primitive integer vector (the gcd of its entries is 1)
       with a positive pivot entry.  Elimination is fraction-free (Bareiss,
-      Math. Comp. 22, 1968): no ``Fraction`` is built.
+      Math. Comp. 22, 1968): no fraction is built.
     - F_p: entries are ints in ``[0, p)`` and the pivot entry is 1.
 
     ``top`` is the largest pivot (-1 while the basis is empty).  A new row

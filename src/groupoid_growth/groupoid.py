@@ -65,12 +65,6 @@ class WindowUnit:
     word: bytes
     origin: int
 
-    def letter(self, k: int) -> int:
-        i = self.origin + k
-        if not (0 <= i < len(self.word)):
-            raise ValueError(f"window does not cover position {k}")
-        return self.word[i]
-
     def max_radius(self) -> int:
         return min(self.origin, len(self.word) - self.origin)
 

@@ -12,7 +12,7 @@ until two consecutive levels agree.  Its pass works on level-L vectors,
 not on group elements: the level-L image psi_L of a group element is
 injective and multiplicative, so each candidate s*h is the vector
 psi_L(s)*psi_L(h), deduplicated by vector, and only products of sections
-are ever built as automata.  That the next level agrees is proved
+and of two generators are ever built as automata.  That the next level agrees is proved
 without its pass whenever one recursion step is injective on the span of
 the current level's cells (:func:`step_is_injective`); that no later level
 drops further is a heuristic, not a proof that the limit has been reached.
@@ -102,6 +102,8 @@ def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> GroupRing
         coeff = field.one()
         if "*" in term:
             num, term = term.split("*", 1)
+            if not term:
+                raise ValueError(f"empty word after '{num}*' in group-ring element")
             coeff = field.from_int(int(num))
         if term == "1":
             g = group.identity
@@ -241,10 +243,9 @@ def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
     Past ``COLUMN_CAP`` columns it raises :class:`LevelCapExceeded`."""
     grp, f = elem.group, elem.field
     check_level(grp.d, level)
-    cache: dict = {}
     cells: dict = {}
     for g, c in elem.coeffs.items():
-        for col, (row, e) in enumerate(_element_entries(grp, g, level, cache)):
+        for col, (row, e) in enumerate(grp.level_sections(g, level)):
             cell = cells.setdefault((row, col), {})
             cell[e] = f.add(cell[e], c) if e in cell else c
     return LevelMatrix(grp, f, level, {rc: GroupRingElement._merged(grp, f, cs) for rc, cs in cells.items()})
@@ -312,29 +313,6 @@ def homomorphism_check(
 # -- thinned algebra growth -----------------------------------------------------
 
 
-def _element_entries(group: SelfSimilarGroup, rid: int, level: int, cache: dict):
-    """Level-`level` image of a single group element: tuple over columns of
-    (row, canonical id of the restriction)."""
-    key = (rid, level)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if level == 0:
-        out = ((0, rid),)
-    else:
-        d = group.d
-        sub_size = d ** (level - 1)
-        cells = []
-        for x in range(d):
-            child = group.canonical_key(group.child(rid, x))
-            sub = _element_entries(group, child, level - 1, cache)
-            px = group.perms[rid][x]
-            cells.append([(px * sub_size + r, e) for (r, e) in sub])
-        out = tuple(cell for block in cells for cell in block)
-    cache[key] = out
-    return out
-
-
 # Most coordinates one thinned_dims_at_level pass may use: three times what
 # the default n=128 Grigorchuk run needs.
 COORDINATE_CAP = 100_000
@@ -375,7 +353,6 @@ def thinned_dims_at_level(
     n_max: int,
     field: Field,
     level: int,
-    cache: dict | None = None,
     coord_index: dict | None = None,
 ) -> list[tuple[int, int]]:
     """dim V^n for n=1..n_max with elements vectorized at a fixed level.
@@ -387,13 +364,14 @@ def thinned_dims_at_level(
     an automaton: its vector is psi(s)*psi(h), read coordinate by coordinate
     through the map of s, which sends (row, col, e) to (s(row), col,
     s|_row * e).  The level-L image holds every section, so it is injective
-    and candidates are deduplicated by vector.  A ``coord_index`` passed in
-    is filled with every coordinate the pass used; more than
-    ``COORDINATE_CAP`` of them, or a rank times coordinates above
-    ``RANK_COORDINATE_CAP``, raise :class:`CoordinateCapExceeded`.
+    and candidates are deduplicated by vector.  An h made as t*h' skips
+    every s with s*t the identity or a generator u: s*h is then h' or
+    u*h', offered one length earlier, so only vectors already seen are
+    skipped.  A ``coord_index`` passed in is filled with every coordinate
+    the pass used; more than ``COORDINATE_CAP`` of them, or a rank times
+    coordinates above ``RANK_COORDINATE_CAP``, raise
+    :class:`CoordinateCapExceeded`.
     """
-    if cache is None:
-        cache = {}
     if coord_index is None:
         coord_index = {}
     basis = new_basis(field)
@@ -412,11 +390,10 @@ def thinned_dims_at_level(
         return i
 
     def vectorize(rid: int) -> tuple[int, ...]:
-        entries = _element_entries(group, rid, level, cache)
-        return tuple(index((row, col, e)) for col, (row, e) in enumerate(entries))
+        return tuple(index((row, col, e)) for col, (row, e) in enumerate(group.level_sections(rid, level)))
 
     def coordinate_map(s: int) -> _CoordinateMap:
-        entries = _element_entries(group, s, level, cache)
+        entries = group.level_sections(s, level)
 
         def image(c: int) -> int:
             row, col, e = cells[c]
@@ -425,35 +402,42 @@ def thinned_dims_at_level(
 
         return _CoordinateMap(image)
 
-    seen = set()
-    new: list[tuple[int, ...]] = []
+    # steps[i] lists (map of s, steps of s) for the generators s to try on a
+    # vector made by gens[i]: those with s*gens[i] neither 1 nor a generator.
+    maps = [coordinate_map(s).__getitem__ for s in gens]
+    known = {group.identity, *gens}
+    steps: list[list] = [[] for _ in gens]
+    for t, todo in zip(gens, steps):
+        todo.extend((maps[i], steps[i]) for i, s in enumerate(gens) if group.product(s, t) not in known)
 
-    def consider(vec: tuple[int, ...]) -> None:
+    seen = set()
+    new: list[tuple[tuple[int, ...], list]] = []
+
+    def consider(vec: tuple[int, ...], todo: list) -> None:
         if vec in seen:
             return
         seen.add(vec)
         if basis.insert(vec):
-            new.append(vec)
+            new.append((vec, todo))
             if basis.rank * len(cells) > RANK_COORDINATE_CAP:
                 raise CoordinateCapExceeded(
                     f"level-{level} pass exceeded cap {RANK_COORDINATE_CAP} on rank x coordinates"
                 )
 
-    consider(vectorize(group.identity))
-    for g in gens:
-        consider(vectorize(g))
-    maps = [coordinate_map(s).__getitem__ for s in gens]
+    consider(vectorize(group.identity), list(zip(maps, steps)))
+    for g, todo in zip(gens, steps):
+        consider(vectorize(g), todo)
     dims = [(1, basis.rank)]
     for n in range(2, n_max + 1):
         frontier, new = new, []
-        for h in frontier:
-            for phi in maps:
-                consider(tuple(map(phi, h)))
+        for h, todo in frontier:
+            for phi, after in todo:
+                consider(tuple(map(phi, h)), after)
         dims.append((n, basis.rank))
     return dims
 
 
-def step_is_injective(group: SelfSimilarGroup, field: Field, cells, cache: dict) -> bool:
+def step_is_injective(group: SelfSimilarGroup, field: Field, cells) -> bool:
     """True when one recursion step is injective on the span of ``cells``.
 
     The step T sends a level-L cell (row, col, e) to the sum over letters x
@@ -473,7 +457,7 @@ def step_is_injective(group: SelfSimilarGroup, field: Field, cells, cache: dict)
         index: dict = {}
         basis = new_basis(field)
         for e in entries:
-            image = _element_entries(group, e, 1, cache)
+            image = group.level_sections(e, 1)
             if not basis.insert(
                 [index.setdefault((x, r, f), len(index)) for x, (r, f) in enumerate(image)]
             ):
@@ -509,15 +493,14 @@ def thinned_growth(
         # Stabilization raises the level anyway; starting low keeps the
         # cheap runs cheap.
         level_start = min(level_start, 8)
-    cache: dict = {}
     level = max(1, level_start)
     cells: dict = {}
-    prev = thinned_dims_at_level(group, n_max, field, level, cache, cells)
+    prev = thinned_dims_at_level(group, n_max, field, level, cells)
     while level < level_cap:
-        if step_is_injective(group, field, cells, cache):
+        if step_is_injective(group, field, cells):
             return ThinnedGrowthResult(dims=prev, level=level + 1, stabilized=True)
         cells = {}
-        nxt = thinned_dims_at_level(group, n_max, field, level + 1, cache, cells)
+        nxt = thinned_dims_at_level(group, n_max, field, level + 1, cells)
         level += 1
         if nxt == prev:
             return ThinnedGrowthResult(dims=nxt, level=level, stabilized=True)

@@ -58,6 +58,8 @@ class WreathRecursion:
 
     def __post_init__(self):
         d = self.alphabet_size
+        if d < 2:
+            raise ValueError(f"alphabet size {d}: a tree automorphism group needs at least 2 letters")
         for name, (perm, rests) in self.generators.items():
             if sorted(perm) != list(range(d)):
                 raise ValueError(f"generator {name}: letter map is not a bijection of the alphabet")
@@ -136,6 +138,7 @@ class SelfSimilarGroup:
         self._product_cache: dict[tuple[int, int], int] = {}  # lazy states
         self._product_ids: dict[tuple[int, int], int] = {}  # canonical ids
         self._inverse_cache: dict[int, int] = {}
+        self._level_sections: dict[tuple[int, int], tuple] = {}  # (canonical id, level) -> image
         self._canon: list[int] = []  # state -> canonical id, -1 until computed
         self._by_children: dict[tuple, int] = {}  # (perm, child ids) -> canonical id
         self._by_cycle: dict[tuple, int] = {}  # BFS encoding of a cyclic class -> canonical id
@@ -310,6 +313,28 @@ class SelfSimilarGroup:
             sid = self.child(sid, x)
         return sid
 
+    def level_sections(self, g: int, level: int) -> tuple[tuple[int, int], ...]:
+        """Level-``level`` image of g: for each column, a word v of length
+        ``level`` read as a base-d integer, the pair (g(v) read the same
+        way, canonical id of g|_v).  Memoized by canonical id and level for
+        the lifetime of the group, whose ids never change."""
+        k = self._canon[g]
+        g = k if k >= 0 else self.canonical_key(g)
+        key = (g, level)
+        out = self._level_sections.get(key)
+        if out is None:
+            if level == 0:
+                out = ((0, g),)
+            else:
+                size = self.d ** (level - 1)
+                out = tuple(
+                    (gx * size + row, e)
+                    for x, gx in enumerate(self.perms[g])
+                    for row, e in self.level_sections(self.child(g, x), level - 1)
+                )
+            self._level_sections[key] = out
+        return out
+
     # -- canonical ids --------------------------------------------------------
 
     def canonical_key(self, g: int) -> int:
@@ -375,12 +400,6 @@ class SelfSimilarGroup:
             known.update({b: self._by_cycle[encode(b)] for b in rep})  # encode reads known
         for i, s in enumerate(comp):
             canon[s] = known[labels[i]]
-
-    def equal(self, g: int, h: int) -> bool:
-        return g == h or self.canonical_key(g) == self.canonical_key(h)
-
-    def is_identity(self, g: int) -> bool:
-        return self.canonical_key(g) == self.identity
 
     # -- germs ---------------------------------------------------------------
 
@@ -577,9 +596,6 @@ class Nucleus:
 
     def __len__(self):
         return len(self.states)
-
-    def contains(self, g: int) -> bool:
-        return self.group.canonical_key(g) in self.states
 
 
 @dataclass(frozen=True)

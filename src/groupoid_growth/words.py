@@ -20,7 +20,6 @@ prefix, which is exact only when it covers the whole language.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -64,14 +63,6 @@ class WordSource:
                 return
         # Geometric growth amortizes repeated nearby queries.
         self._extend(max(n, 2 * len(self._buf), 64))
-
-    def letter(self, i: int) -> int:
-        if i < 0:
-            raise IndexError("word sources are one-sided; negative index")
-        if self.finite_length is not None and i >= self.finite_length:
-            raise IndexError(f"index {i} beyond finite word of length {self.finite_length}")
-        self._ensure(i + 1)
-        return self._buf[i]
 
     def prefix(self, n: int) -> bytes:
         """First n letters as bytes (shorter for a finite source)."""
@@ -386,10 +377,6 @@ def source_from_config(cfg: dict) -> WordSource:
         size = int(cfg.get("alphabet", max(int(c) for c in word) + 1))
         return ExplicitSource(_parse_letters(word, size), Alphabet(size))
     raise WordSourceError(f"unknown source kind {kind!r}")
-
-
-def source_from_json(text: str) -> WordSource:
-    return source_from_config(json.loads(text))
 
 
 def golden_sturmian() -> SturmianSource:

@@ -404,6 +404,45 @@ class TestGroupCommands:
         code, out, _ = run(capsys, ["nucleus", "--group", grp])
         assert code == 0 and "nucleus size 3" in out
 
+    def test_one_letter_alphabet_exit_2(self, capsys):
+        # One letter has one level-L column for every L, so no level cap
+        # could stop a deep recursion: such a group is refused up front.
+        grp = json.dumps({"alphabet": 1, "generators": {"a": {"perm": [0], "rest": ["a"]}}})
+        argv = ["matrix-recursion", "--group", grp, "--element", "a", "--levels", "5000"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "at least 2 letters" in err and out == ""
+
+    def test_matrix_recursion_empty_word_exit_2(self, capsys):
+        argv = ["matrix-recursion", "--group", "grigorchuk", "--element", "2*", "--levels", "1", "--print"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "empty word" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["matrix-recursion", "--group", "grigorchuk", "--element", "2*ab+3*b+1", "--levels", "2", "--print"],
+                "6215239d89f10960711642d4c145457e378246a5f802135acaff0cf676280664",
+            ),
+            (
+                ["thinned-growth", "--group", "grigorchuk", "--n-max", "24", "--field", "Q"],
+                "ae7f9eaf99457fb02c1731e130d1ab078602ffc4a4a11fabb156f0f9481e0e59",
+            ),
+            (
+                ["thinned-growth", "--group", "adding_machine", "--n-max", "12", "--field", "Fp:5"],
+                "fcc19cee04f1d21c22616966a26f57b76a45d78f55f94bcb8419dbfefa82115c",
+            ),
+            (
+                ["expansive", "--source", TM, "--n", "12"],
+                "03cc6ceff805b3f579436a7495fef854fcf7073e0b2d25765048cc7412c3f7ac",
+            ),
+        ],
+        ids=["matrix-recursion-q", "thinned-grig-q", "thinned-adding-f5", "expansive-thue-morse"],
+    )
+    def test_output_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerifyAll:
     def test_tiny_profile_rejected(self, capsys):

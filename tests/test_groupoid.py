@@ -173,13 +173,20 @@ class TestLabeledBall:
 
 
 class TestWindowUnit:
-    def test_letter_indexing(self):
+    def test_letter_indexing(self, golden_model):
+        # word[origin + k] is the letter at position k: the radius-2 ball
+        # at origin 2 labels its edges k -> k+1, k = -2..1, by word[0:4].
         u = WindowUnit(bytes((0, 1, 0, 0, 1)), 2)
-        assert u.letter(0) == 0
-        assert u.letter(-2) == 0
-        assert u.letter(2) == 1
-        with pytest.raises(ValueError):
-            u.letter(3)
+        ball = golden_model.ball(u, 2)
+        succ = {a: (b, label) for a, b, label in ball.edges}
+        (v,) = set(succ) - {b for b, _ in succ.values()}
+        spelled = []
+        while v in succ:
+            v, label = succ[v]
+            spelled.append(label)
+        assert bytes(spelled) == u.word[:4]
+        with pytest.raises(ValueError, match="window too short"):
+            golden_model.ball(u, 3)
 
     def test_max_radius(self):
         assert WindowUnit(bytes(6), 2).max_radius() == 2

@@ -91,6 +91,16 @@ class TestGroupRing:
         with pytest.raises(ValueError):
             parse_element(grig, "a++b", QQ)
 
+    @pytest.mark.parametrize("text", ["2*", "a+3*", "2*+b"])
+    def test_parse_rejects_an_empty_word(self, grig, text):
+        # '2*' is not 2*1: the word after '*' must be given.
+        with pytest.raises(ValueError, match="empty word"):
+            parse_element(grig, text, QQ)
+
+    def test_rational_coefficients_are_ints(self, grig):
+        e = parse_element(grig, "2*ab+3*b+1", QQ)
+        assert all(type(c) is int for c in e.mul(e).coeffs.values())
+
     def test_mul_convolves(self, grig):
         a = parse_element(grig, "a", GF2)
         assert a.mul(a) == parse_element(grig, "1", GF2)
@@ -186,6 +196,29 @@ class TestImageAtLevel:
         assert image_at_level(elem, 0) == level0(elem)
 
 
+class TestLevelSections:
+    @pytest.mark.parametrize("rec", [GRIGORCHUK, ADDING_MACHINE, HANOI], ids=["grig", "adding", "hanoi"])
+    def test_matches_iterated_step(self, rec):
+        # Column col of the level-L image of g holds g|_col at row g(col).
+        grp = SelfSimilarGroup(rec)
+        rng = random.Random(5)
+        letters = "".join(grp.gen_names) + "".join(grp.gen_names).upper()
+        for length in range(6):
+            g = grp.word_id("".join(rng.choice(letters) for _ in range(length)))
+            m = level0(GroupRingElement.of(grp, QQ, g))
+            for level in range(5):
+                by_col = {col: (row, e) for (row, col), e in m.entries.items()}
+                got = [(row, GroupRingElement.of(grp, QQ, e)) for row, e in grp.level_sections(g, level)]
+                assert got == [by_col[col] for col in range(grp.d**level)]
+                m = recursion_step(m)
+
+    def test_memoized_by_canonical_id(self, grig):
+        lazy = grig.element("abcab")
+        first = grig.level_sections(lazy, 4)
+        assert grig.level_sections(grig.canonical_key(lazy), 4) is first
+        assert grig.level_sections(lazy, 4) is first
+
+
 class TestHomomorphism:
     def test_grig(self, grig):
         assert homomorphism_check(grig, samples=10, level=2, field=GF2, seed=1)
@@ -212,8 +245,7 @@ class TestThinnedGrowth:
     def test_rank_monotone_in_level(self, grig):
         # Each level's vectors are a linear image of the previous level's,
         # so no rank can rise with the level; at n=12 it strictly falls.
-        cache = {}
-        tables = [thinned_dims_at_level(grig, 12, GF2, level, cache) for level in (1, 2, 3, 4)]
+        tables = [thinned_dims_at_level(grig, 12, GF2, level) for level in (1, 2, 3, 4)]
         for prev, dims in zip(tables, tables[1:]):
             assert all(d <= p for (_, d), (_, p) in zip(dims, prev))
         assert [t[-1][1] for t in tables] == [376, 236, 206, 206]
@@ -257,11 +289,10 @@ class TestElementName:
 
 def two_pass_growth(group, n_max, field, level_start, level_cap=14):
     """Raise the level until two consecutive passes agree, one pass per level."""
-    cache: dict = {}
     level = max(1, level_start)
-    prev = thinned_dims_at_level(group, n_max, field, level, cache)
+    prev = thinned_dims_at_level(group, n_max, field, level)
     while level < level_cap:
-        nxt = thinned_dims_at_level(group, n_max, field, level + 1, cache)
+        nxt = thinned_dims_at_level(group, n_max, field, level + 1)
         level += 1
         if nxt == prev:
             return ThinnedGrowthResult(dims=nxt, level=level, stabilized=True)
@@ -296,19 +327,19 @@ class TestInjectiveStep:
         grp = SelfSimilarGroup(rec)
         for n in sizes:
             for level in (1, 2, 3):
-                cache, cells = {}, {}
-                dims = thinned_dims_at_level(grp, n, field, level, cache, cells)
-                if step_is_injective(grp, field, cells, cache):
-                    assert thinned_dims_at_level(grp, n, field, level + 1, cache) == dims
+                cells = {}
+                dims = thinned_dims_at_level(grp, n, field, level, cells)
+                if step_is_injective(grp, field, cells):
+                    assert thinned_dims_at_level(grp, n, field, level + 1) == dims
 
     @pytest.mark.parametrize("field", [GF2, F3, QQ], ids=["F2", "F3", "Q"])
     def test_fails_where_the_table_drops(self, grig, field):
         # At level 1 the recursion map has a kernel on the span of the cells:
         # the n=16 table falls at the next level.
-        cache, cells = {}, {}
-        dims = thinned_dims_at_level(grig, 16, field, 1, cache, cells)
-        assert not step_is_injective(grig, field, cells, cache)
-        assert thinned_dims_at_level(grig, 16, field, 2, cache)[-1][1] < dims[-1][1]
+        cells = {}
+        dims = thinned_dims_at_level(grig, 16, field, 1, cells)
+        assert not step_is_injective(grig, field, cells)
+        assert thinned_dims_at_level(grig, 16, field, 2)[-1][1] < dims[-1][1]
 
     def test_rank_is_over_the_run_field(self):
         # Four level-1 images in one cell, (1,1,1), (1,p,q), (p,1,q) and
@@ -327,9 +358,9 @@ class TestInjectiveStep:
         grp = SelfSimilarGroup(rec)
         entries = [grp.identity] + [grp.canonical_key(grp.gens[name]) for name in "stu"]
         cells = {(0, 0, e): i for i, e in enumerate(entries)}
-        assert not step_is_injective(grp, GF2, cells, {})
-        assert step_is_injective(grp, F3, cells, {})
-        assert step_is_injective(grp, QQ, cells, {})
+        assert not step_is_injective(grp, GF2, cells)
+        assert step_is_injective(grp, F3, cells)
+        assert step_is_injective(grp, QQ, cells)
 
     @pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
     def test_fallback_matches_two_passes(self, grig, field, level_passes):
@@ -358,12 +389,11 @@ def element_pass(group, n_max, field, level, coord_index):
     """The thinned pass run on group elements: each candidate s*h is built as
     a product automaton, deduplicated by canonical id, and vectorized through
     its level-L image."""
-    cache: dict = {}
     basis = new_basis(field)
     gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
 
     def vectorize(rid):
-        entries = mr._element_entries(group, rid, level, cache)
+        entries = group.level_sections(rid, level)
         return [coord_index.setdefault((row, col, e), len(coord_index)) for col, (row, e) in enumerate(entries)]
 
     seen, new = set(), []
@@ -399,13 +429,13 @@ class TestVectorPass:
         for level in (1, 2, 3, 4):
             grp = SelfSimilarGroup(rec)
             cells, oracle_cells = {}, {}
-            dims = thinned_dims_at_level(grp, n, field, level, {}, cells)
+            dims = thinned_dims_at_level(grp, n, field, level, cells)
             assert dims == element_pass(grp, n, field, level, oracle_cells)
             assert list(cells) == list(oracle_cells)
 
     def test_coordinate_cap(self, grig, monkeypatch):
         cells: dict = {}
-        dims = thinned_dims_at_level(grig, 8, GF2, 2, {}, cells)
+        dims = thinned_dims_at_level(grig, 8, GF2, 2, cells)
         monkeypatch.setattr(mr, "COORDINATE_CAP", len(cells))
         assert thinned_dims_at_level(grig, 8, GF2, 2) == dims
         monkeypatch.setattr(mr, "COORDINATE_CAP", len(cells) - 1)
@@ -417,5 +447,68 @@ class TestVectorPass:
         # coordinates ~1e10.  The pass stops before the coordinate cap.
         cells: dict = {}
         with pytest.raises(mr.CoordinateCapExceeded, match="rank x coordinates"):
-            thinned_dims_at_level(SelfSimilarGroup(GRIGORCHUK), 64, GF2, 1, {}, cells)
+            thinned_dims_at_level(SelfSimilarGroup(GRIGORCHUK), 64, GF2, 1, cells)
         assert len(cells) < mr.COORDINATE_CAP
+
+
+def unskipped_pass(group, n_max, field, level):
+    """The vector pass with every generator applied to every newly
+    independent element: its table and the number of candidates it builds.
+    An element is its list of level-L cells (row, col, section id)."""
+    coords: dict = {}
+    basis = new_basis(field)
+    gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
+
+    def cells_of(rid):
+        return [(row, col, e) for col, (row, e) in enumerate(group.level_sections(rid, level))]
+
+    def times(s, cells):
+        sections = group.level_sections(s, level)
+        return [(sections[row][0], col, group.product(sections[row][1], e)) for row, col, e in cells]
+
+    seen, new, built = set(), [], 0
+
+    def consider(cells):
+        if tuple(cells) not in seen:
+            seen.add(tuple(cells))
+            if basis.insert([coords.setdefault(cell, len(coords)) for cell in cells]):
+                new.append(cells)
+
+    for g in [group.identity] + gens:
+        consider(cells_of(g))
+    dims = [(1, basis.rank)]
+    for n in range(2, n_max + 1):
+        frontier, new = new, []
+        for h in frontier:
+            for s in gens:
+                built += 1
+                consider(times(s, h))
+        dims.append((n, basis.rank))
+    return dims, built
+
+
+class TestKnownProducts:
+    @pytest.mark.parametrize("field", [GF2, F3, QQ], ids=["F2", "F3", "Q"])
+    @pytest.mark.parametrize("rec", [GRIGORCHUK, ADDING_MACHINE], ids=["grig", "adding"])
+    def test_matches_every_candidate(self, rec, field, monkeypatch):
+        # Skipping s*h for h = t*h' with s*t in {1, generators} leaves the
+        # table as it is.  In the Grigorchuk group (aa = bb = 1, bc = d) it
+        # skips candidates; in the adding machine a*a is new, so it skips none.
+        lookups = []
+
+        class CountedMap(mr._CoordinateMap):
+            __slots__ = ()
+
+            def __getitem__(self, c):
+                lookups.append(c)
+                return super().__getitem__(c)
+
+        monkeypatch.setattr(mr, "_CoordinateMap", CountedMap)
+        for level in (1, 2, 3, 4):
+            grp = SelfSimilarGroup(rec)
+            lookups.clear()
+            dims = thinned_dims_at_level(grp, 12, field, level)
+            expected, every = unskipped_pass(grp, 12, field, level)
+            assert dims == expected
+            built = len(lookups) // grp.d**level  # one lookup per column
+            assert built < every if rec is GRIGORCHUK else built == every
