@@ -1,7 +1,7 @@
 """Exact growth and complexity computations for subshift groupoids,
 groupoids of germs of self-similar groups, and their convolution algebras."""
 
-from .fields import GF2, QQ, BitRowBasis, PrimeField, Rationals, RowBasis, parse_field
+from .fields import GF2, QQ, BitRowBasis, Field, RowBasis, parse_field
 from .groupoid import (
     DeltaResult,
     GermGroupoidModel,

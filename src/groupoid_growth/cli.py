@@ -160,8 +160,11 @@ def cmd_delta(args) -> int:
     elif policy.startswith("periodic:"):
         if not isinstance(model, GermGroupoidModel):
             raise UsageError("units-policy 'periodic:...' needs a germ model")
-        params = dict(kv.split("=", 1) for kv in policy[len("periodic:") :].split(","))
-        units = model.periodic_units(int(params["pre"]), int(params["period"]))
+        pairs = [kv.partition("=") for kv in policy[len("periodic:") :].split(",")]
+        if sorted(k for k, _, _ in pairs) != ["period", "pre"] or not all(v.isdecimal() for _, _, v in pairs):
+            raise UsageError(f"units policy {policy!r}: the syntax is 'periodic:pre=<int>,period=<int>'")
+        params = {k: int(v) for k, _, v in pairs}
+        units = model.periodic_units(params["pre"], params["period"])
     else:
         raise UsageError(f"unknown units policy {policy!r}")
     res = delta_enumerated(model, units, r)

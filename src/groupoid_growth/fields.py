@@ -2,11 +2,11 @@
 
 Every dimension computed by this package is the rank of a set of 0/1
 evaluation vectors, either over the rationals or over a prime field.
-Scalars are Python ints: a group ring only adds and multiplies its
-integer coefficients, so a rational scalar is an int (nothing divides
-one), and a prime-field scalar is an int in ``[0, p)``.  A :class:`Field`
-instance bundles that scalar arithmetic for the group rings of
-:mod:`matrix_recursion`.
+One :class:`Field` type names both by its characteristic: 0 for the
+rationals, p for F_p.  Scalars are Python ints: a group ring only adds
+and multiplies its integer coefficients, so a rational scalar is an int
+(nothing divides one), and a prime-field scalar is an int in ``[0, p)``,
+reduced once per result by whoever computes it.
 
 Rank is incremental (rank-by-insertion): growth computations extend a
 basis level by level, so a batch eliminator would be the wrong shape.
@@ -42,92 +42,33 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Arithmetic of a coefficient field; see :class:`Rationals`, :class:`PrimeField`."""
+    """The coefficient field of a given characteristic: 0 is the rationals
+    and a prime p <= 2**31 is F_p, validated at construction.  Scalars are
+    Python ints; a field says only whether they are taken mod p."""
 
-    name: str
-    characteristic: int
+    __slots__ = ("characteristic", "name")
 
-    def zero(self) -> int:
-        raise NotImplementedError
+    def __init__(self, characteristic: int):
+        if characteristic:
+            if not (2 <= characteristic <= 2**31):
+                raise ValueError(f"prime field modulus out of range: {characteristic}")
+            if not _is_prime(characteristic):
+                raise ValueError(f"prime field modulus is not prime: {characteristic}")
+        self.characteristic = characteristic
+        self.name = f"F{characteristic}" if characteristic else "Q"
 
-    def one(self) -> int:
-        raise NotImplementedError
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.characteristic == self.characteristic
 
-    def from_int(self, n: int) -> int:
-        raise NotImplementedError
-
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+    def __hash__(self):
+        return hash(self.characteristic)
 
     def __repr__(self) -> str:
         return self.name
 
 
-class Rationals(Field):
-    name = "Q"
-    characteristic = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
-
-class PrimeField(Field):
-    """The field F_p for a prime p <= 2**31, validated at construction."""
-
-    def __init__(self, p: int):
-        if not (2 <= p <= 2**31):
-            raise ValueError(f"prime field modulus out of range: {p}")
-        if not _is_prime(p):
-            raise ValueError(f"prime field modulus is not prime: {p}")
-        self.p = p
-        self.name = f"F{p}"
-        self.characteristic = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-
-QQ = Rationals()
-GF2 = PrimeField(2)
+QQ = Field(0)
+GF2 = Field(2)
 
 
 def parse_field(spec: str) -> Field:
@@ -138,7 +79,10 @@ def parse_field(spec: str) -> Field:
     if spec == "F2":
         return GF2
     if spec.startswith("Fp:"):
-        return PrimeField(int(spec[3:]))
+        p = int(spec[3:])
+        if not p:  # Field(0) is Q
+            raise ValueError("prime field modulus out of range: 0")
+        return Field(p)
     raise ValueError(f"unknown field spec {spec!r}; expected Q or Fp:<prime>")
 
 
@@ -303,4 +247,4 @@ class BitRowBasis:
 def new_basis(field: Field):
     """Empty rank accumulator over ``field``: a :class:`BitRowBasis` over
     GF(2), a :class:`RowBasis` otherwise."""
-    return BitRowBasis() if field == GF2 else RowBasis(field)
+    return BitRowBasis() if field.characteristic == 2 else RowBasis(field)

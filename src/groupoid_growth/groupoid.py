@@ -238,7 +238,7 @@ class DeltaResult:
     exact: bool  # False = certified lower bound over the supplied unit family
 
 
-def delta_enumerated(model, units, r: int, exact: bool | None = None) -> DeltaResult:
+def delta_enumerated(model, units, r: int) -> DeltaResult:
     """Number of distinct ball classes at the given units.
 
     Exact delta when the unit family is class-complete (subshift window
@@ -248,8 +248,7 @@ def delta_enumerated(model, units, r: int, exact: bool | None = None) -> DeltaRe
     if not units:
         raise ValueError("unit family must be nonempty")
     codes = {canonical_code(model.ball(u, r)) for u in units}
-    if exact is None:
-        exact = isinstance(model, SubshiftModel) and _windows_complete(model, units, r)
+    exact = isinstance(model, SubshiftModel) and _windows_complete(model, units, r)
     return DeltaResult(r=r, count=len(codes), exact=exact)
 
 

@@ -32,54 +32,60 @@ class IdentityError(AssertionError):
     """A known algebraic identity failed: signals a recursion bug, not bad input."""
 
 
+def _reduced(coeffs: dict, p: int) -> dict:
+    """``coeffs`` taken mod ``p`` when ``p`` is nonzero, without its zero
+    coefficients."""
+    if p:
+        return {g: r for g, c in coeffs.items() if (r := c % p)}
+    return {g: c for g, c in coeffs.items() if c}
+
+
 class GroupRingElement:
-    """Finitely supported map from group elements (canonical ids) to scalars."""
+    """Finitely supported map from group elements (canonical ids) to int
+    scalars, reduced mod the field's characteristic p when p is nonzero."""
 
     __slots__ = ("group", "field", "coeffs")
 
     def __init__(self, group: SelfSimilarGroup, field: Field, coeffs: dict):
-        zero = field.zero()
         merged: dict = {}
         for g, c in coeffs.items():
             rid = group.canonical_key(g)
-            merged[rid] = field.add(merged.get(rid, zero), c)
+            merged[rid] = merged.get(rid, 0) + c
         self.group = group
         self.field = field
-        self.coeffs = {g: c for g, c in merged.items() if c != zero}
+        self.coeffs = _reduced(merged, field.characteristic)
 
     @classmethod
     def _merged(cls, group: SelfSimilarGroup, field: Field, coeffs: dict) -> "GroupRingElement":
-        """From coefficients already keyed by canonical id, one per id:
-        only the zero coefficients are dropped."""
+        """From int coefficients already keyed by canonical id, one per id:
+        they are only reduced."""
         elem = cls.__new__(cls)
-        zero = field.zero()
         elem.group = group
         elem.field = field
-        elem.coeffs = {g: c for g, c in coeffs.items() if c != zero}
+        elem.coeffs = _reduced(coeffs, field.characteristic)
         return elem
 
     @classmethod
-    def of(cls, group, field, g: int, coeff=None):
-        return cls(group, field, {g: field.one() if coeff is None else coeff})
+    def of(cls, group, field, g: int, coeff: int = 1):
+        return cls(group, field, {g: coeff})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def add(self, other: "GroupRingElement") -> "GroupRingElement":
-        f = self.field
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            out[g] = f.add(out.get(g, f.zero()), c)
-        return GroupRingElement._merged(self.group, f, out)
+            out[g] = out.get(g, 0) + c
+        return GroupRingElement._merged(self.group, self.field, out)
 
     def mul(self, other: "GroupRingElement") -> "GroupRingElement":
-        f, grp = self.field, self.group
+        grp = self.group
         out: dict = {}
         for g, cg in self.coeffs.items():
             for h, ch in other.coeffs.items():
                 k = grp.product(g, h)
-                out[k] = f.add(out.get(k, f.zero()), f.mul(cg, ch))
-        return GroupRingElement._merged(grp, f, out)
+                out[k] = out.get(k, 0) + cg * ch
+        return GroupRingElement._merged(grp, self.field, out)
 
     def __eq__(self, other):
         return (
@@ -95,24 +101,23 @@ class GroupRingElement:
 def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> GroupRingElement:
     """Parse a group-ring element like 'b+c+d+1' or '2*ab+1'."""
     coeffs: dict = {}
-    zero = field.zero()
     for term in text.replace(" ", "").split("+"):
         if not term:
             raise ValueError("empty term in group-ring element")
-        coeff = field.one()
+        coeff = 1
         if "*" in term:
             num, term = term.split("*", 1)
             if not term:
                 raise ValueError(f"empty word after '{num}*' in group-ring element")
-            coeff = field.from_int(int(num))
+            coeff = int(num)
         if term == "1":
             g = group.identity
         elif term.isdigit():
-            coeff = field.mul(coeff, field.from_int(int(term)))
+            coeff *= int(term)
             g = group.identity
         else:
             g = group.word_id(term)
-        coeffs[g] = field.add(coeffs.get(g, zero), coeff)
+        coeffs[g] = coeffs.get(g, 0) + coeff
     return GroupRingElement(group, field, coeffs)
 
 
@@ -137,7 +142,7 @@ def format_element(elem: GroupRingElement) -> str:
     for rid in sorted(elem.coeffs, key=lambda r: (element_name(elem.group, r))):
         c = elem.coeffs[rid]
         name = element_name(elem.group, rid)
-        parts.append(name if c == elem.field.one() else f"{c}*{name}")
+        parts.append(name if c == 1 else f"{c}*{name}")
     return "+".join(parts)
 
 
@@ -247,7 +252,7 @@ def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
     for g, c in elem.coeffs.items():
         for col, (row, e) in enumerate(grp.level_sections(g, level)):
             cell = cells.setdefault((row, col), {})
-            cell[e] = f.add(cell[e], c) if e in cell else c
+            cell[e] = cell[e] + c if e in cell else c
     return LevelMatrix(grp, f, level, {rc: GroupRingElement._merged(grp, f, cs) for rc, cs in cells.items()})
 
 
@@ -264,31 +269,30 @@ def format_matrix(m: LevelMatrix) -> str:
     return "\n".join("[" + "  ".join(s.rjust(width) for s in row) + "]" for row in cells)
 
 
-def grig_witness(group: SelfSimilarGroup, field: Field = GF2) -> LevelMatrix:
-    """One recursion step applied to b+c+d+1 in characteristic 2.
+def grig_witness(group: SelfSimilarGroup) -> LevelMatrix:
+    """One recursion step applied to b+c+d+1 over GF(2).
 
     The image is diagonal with a zero block and the block b+c+d+1, which
     certifies a nonzero element of the convolution algebra vanishing off
     the germs at 111...; any other result is a recursion bug.
     """
-    if field.characteristic != 2:
-        raise ValueError("the witness lives in characteristic 2")
-    elem = parse_element(group, "b+c+d+1", field)
+    elem = parse_element(group, "b+c+d+1", GF2)
     m = recursion_step(level0(elem))
-    expected = LevelMatrix(group, field, 1, {(1, 1): elem})
+    expected = LevelMatrix(group, GF2, 1, {(1, 1): elem})
     if m != expected:
         raise IdentityError("matrix recursion of b+c+d+1 is not diag(0, b+c+d+1)")
     return m
 
 
-def random_element(group, field, rng: random.Random, max_terms: int = 3, max_len: int = 3):
+def random_element(group, field, rng: random.Random):
+    """A random element: 1 to 3 terms, each a word of 0 to 3 generators
+    with a coefficient from 1 to 5."""
     coeffs: dict = {}
     names = group.gen_names
-    for _ in range(rng.randint(1, max_terms)):
-        word = "".join(rng.choice(names) for _ in range(rng.randint(0, max_len)))
+    for _ in range(rng.randint(1, 3)):
+        word = "".join(rng.choice(names) for _ in range(rng.randint(0, 3)))
         g = group.element(word)
-        c = field.from_int(rng.randint(1, 5))
-        coeffs[g] = field.add(coeffs.get(g, field.zero()), c)
+        coeffs[g] = coeffs.get(g, 0) + rng.randint(1, 5)
     return GroupRingElement(group, field, coeffs)
 
 
@@ -465,38 +469,40 @@ def step_is_injective(group: SelfSimilarGroup, field: Field, cells) -> bool:
     return True
 
 
-def thinned_growth(
-    group: SelfSimilarGroup,
-    n_max: int,
-    field: Field,
-    level_start: int | None = None,
-    level_cap: int = 14,
-) -> ThinnedGrowthResult:
+# Level past which thinned_growth stops raising the level unstabilized.
+LEVEL_CAP = 14
+
+
+def _start_level(group: SelfSimilarGroup, n_max: int) -> int:
+    """The level thinned_growth starts at, a float guess from the
+    contraction estimate."""
+    est = group.contraction_estimate(length_cap=8, depth_cap=3)
+    lam = float(est.ratio)
+    if 0 < lam < 1:
+        level_start = math.ceil(math.log(max(n_max, 2)) / math.log(1 / lam)) + 2
+    else:
+        level_start = 3
+    # Stabilization raises the level anyway; starting low keeps the
+    # cheap runs cheap.
+    return min(level_start, 8)
+
+
+def thinned_growth(group: SelfSimilarGroup, n_max: int, field: Field) -> ThinnedGrowthResult:
     """Thinned-algebra growth table with the level raised to stabilization.
 
     Ranks are nonincreasing in the level and eventually exact (the level
     algebras embed compatibly into the convolution algebra).  The level is
     raised until two consecutive levels give equal tables; ``stabilized``
-    means only that this happened before ``level_cap``, not that later
+    means only that this happened before ``LEVEL_CAP``, not that later
     levels could not drop further.  After each level's pass,
     :func:`step_is_injective` is tried on the cells it used; when it holds,
     the next level's table equals this one, so it is returned at that level
     without running its pass.  Otherwise the next level's pass runs.
     """
-    if level_start is None:
-        est = group.contraction_estimate(length_cap=8, depth_cap=3)
-        lam = float(est.ratio)
-        if 0 < lam < 1:
-            level_start = math.ceil(math.log(max(n_max, 2)) / math.log(1 / lam)) + 2
-        else:
-            level_start = 3
-        # Stabilization raises the level anyway; starting low keeps the
-        # cheap runs cheap.
-        level_start = min(level_start, 8)
-    level = max(1, level_start)
+    level = _start_level(group, n_max)
     cells: dict = {}
     prev = thinned_dims_at_level(group, n_max, field, level, cells)
-    while level < level_cap:
+    while level < LEVEL_CAP:
         if step_is_injective(group, field, cells):
             return ThinnedGrowthResult(dims=prev, level=level + 1, stabilized=True)
         cells = {}

@@ -28,7 +28,6 @@ id, phase) pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +36,11 @@ from fractions import Fraction
 # Deepest recursion of ``SelfSimilarGroup.product`` before it takes the lazy
 # path; contracting groups need about log2 of the word length.
 _PRODUCT_DEPTH = 100
+# Most automaton states one group may hold before it raises
+# StateCapExceeded (a non-contracting blowup).
+STATE_CAP = 2_000_000
+# Most letters of a point that germ_is_unit follows before it gives up.
+GERM_STEP_CAP = 10_000
 
 
 class StateCapExceeded(RuntimeError):
@@ -72,11 +76,23 @@ class WreathRecursion:
 
 
 def recursion_from_config(cfg: dict) -> WreathRecursion:
-    gens = {
-        name: (tuple(g["perm"]), tuple(g["rest"]))
-        for name, g in cfg["generators"].items()
-    }
-    return WreathRecursion(alphabet_size=int(cfg["alphabet"]), generators=gens)
+    """The recursion of a JSON descriptor ``{"alphabet": d, "generators":
+    {name: {"perm": [...], "rest": [...]}}}``; a field of the wrong type
+    raises ``ValueError`` naming it."""
+    alphabet, generators = cfg.get("alphabet"), cfg.get("generators")
+    if not isinstance(alphabet, int):
+        raise ValueError(f"group 'alphabet' must be an integer, got {alphabet!r}")
+    if not isinstance(generators, dict):
+        raise ValueError(f"group 'generators' must be an object, got {generators!r}")
+    gens = {}
+    for name, g in generators.items():
+        perm, rest = (g.get("perm"), g.get("rest")) if isinstance(g, dict) else (None, None)
+        if not (isinstance(perm, list) and all(isinstance(x, int) for x in perm)):
+            raise ValueError(f"generator {name}: 'perm' must be a list of integers, got {perm!r}")
+        if not (isinstance(rest, list) and all(isinstance(w, str) for w in rest)):
+            raise ValueError(f"generator {name}: 'rest' must be a list of strings, got {rest!r}")
+        gens[name] = (tuple(perm), tuple(rest))
+    return WreathRecursion(alphabet_size=alphabet, generators=gens)
 
 
 ADDING_MACHINE = WreathRecursion(2, {"a": ((1, 0), ("", "a"))})
@@ -128,10 +144,9 @@ class EventuallyPeriodicPoint:
 class SelfSimilarGroup:
     """Hash-consed realization of a wreath recursion."""
 
-    def __init__(self, recursion: WreathRecursion, state_cap: int = 2_000_000):
+    def __init__(self, recursion: WreathRecursion):
         self.recursion = recursion
         self.d = recursion.alphabet_size
-        self.state_cap = state_cap
         self.perms: list[tuple[int, ...]] = []
         self.children: list[list[int]] = []
         self._recipes: dict[int, tuple] = {}  # state -> how to build missing children
@@ -159,8 +174,8 @@ class SelfSimilarGroup:
     # -- state construction ------------------------------------------------
 
     def _new_state(self, perm: tuple[int, ...]) -> int:
-        if len(self.perms) >= self.state_cap:
-            raise StateCapExceeded(f"automaton state cap {self.state_cap} exceeded")
+        if len(self.perms) >= STATE_CAP:
+            raise StateCapExceeded(f"automaton state cap {STATE_CAP} exceeded")
         self.perms.append(perm)
         self.children.append([-1] * self.d)  # resolved on demand via the recipe
         self._canon.append(-1)
@@ -403,18 +418,19 @@ class SelfSimilarGroup:
 
     # -- germs ---------------------------------------------------------------
 
-    def germ_is_unit(self, g: int, point: EventuallyPeriodicPoint, cap: int = 10_000) -> bool:
+    def germ_is_unit(self, g: int, point: EventuallyPeriodicPoint) -> bool:
         """Whether the germ of g at an eventually periodic point is a unit.
 
         Follows the point through g: a moved prefix letter kills all longer
         prefixes; reaching the identity certifies a unit; a repeated
-        (canonical id, period phase) pair is a nonidentity cycle.
+        (canonical id, period phase) pair is a nonidentity cycle.  Past
+        ``GERM_STEP_CAP`` letters it raises :class:`StateCapExceeded`.
         """
         if any(not 0 <= x < self.d for x in point.preperiod + point.period):
             raise ValueError(f"point has a letter outside the alphabet of size {self.d}")
         sid = g
         seen = set()
-        for pos in range(cap):
+        for pos in range(GERM_STEP_CAP):
             k = self.canonical_key(sid)
             if k == self.identity:
                 return True
@@ -427,7 +443,7 @@ class SelfSimilarGroup:
                     return False
                 seen.add((k, phase))
             sid = self.child(k, x)
-        raise StateCapExceeded(f"germ decision did not settle within {cap} steps")
+        raise StateCapExceeded(f"germ decision did not settle within {GERM_STEP_CAP} steps")
 
     # -- nucleus and contraction ----------------------------------------------
 
@@ -606,15 +622,9 @@ class ContractionEstimate:
 
 
 def group_from_spec(spec) -> SelfSimilarGroup:
-    """Accept a preset name, a config dict, or JSON text."""
-    if isinstance(spec, SelfSimilarGroup):
-        return spec
-    if isinstance(spec, WreathRecursion):
-        return SelfSimilarGroup(spec)
+    """Accept a preset name or a config dict."""
     if isinstance(spec, dict):
         return SelfSimilarGroup(recursion_from_config(spec))
-    if isinstance(spec, str):
-        if spec in PRESETS:
-            return SelfSimilarGroup(PRESETS[spec])
-        return SelfSimilarGroup(recursion_from_config(json.loads(spec)))
-    raise ValueError(f"cannot interpret group spec {spec!r}")
+    if isinstance(spec, str) and spec in PRESETS:
+        return SelfSimilarGroup(PRESETS[spec])
+    raise ValueError(f"cannot interpret group spec {spec!r}; expected a preset name or a JSON object")

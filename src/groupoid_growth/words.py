@@ -7,8 +7,10 @@ one-sided prefixes: everything downstream (complexity, groupoid balls,
 algebra growth) depends on the factor language alone, which sidesteps
 two-sided indexing and the Sturmian cut-point subtlety.
 
-Prefixes are memoized in a byte buffer grown geometrically, since factor
-enumeration re-queries heavily.
+Prefixes are memoized in a byte buffer grown geometrically, so that a
+longer prefix, as in the doubling search of
+:meth:`SturmianSource.witnesses`, extends the letters already made
+instead of remaking them.
 
 Each source also says how its factor language is read off finite words
 (:meth:`WordSource.witnesses`): words whose factors of length <= n are
@@ -339,42 +341,59 @@ def _parse_letters(s: str, alphabet_size: int, extra: dict | None = None) -> tup
     return tuple(out)
 
 
+# JSON name of each type a source field may have.
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object", int: "an integer"}
+
+
+def _typed(cfg: dict, key: str, kind: type, default=None):
+    """``cfg[key]``, or ``default`` when it is absent, which must be of type
+    ``kind`` (an integer may also be written as a string); else a
+    :class:`WordSourceError` names the field."""
+    value = cfg.get(key, default)
+    if not isinstance(value, (int, str) if kind is int else kind):
+        raise WordSourceError(f"source field {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return int(value) if kind is int else value
+
+
 def source_from_config(cfg: dict) -> WordSource:
     """Build a source from its JSON description.
 
     Kinds: ``sturmian`` (cf terms), ``substitution`` (rules + seed),
     ``toeplitz`` (skeleton with ``?`` holes), ``eventually_periodic``,
-    ``explicit``.
+    ``explicit``.  A field of the wrong type raises
+    :class:`WordSourceError` naming it.
     """
     kind = cfg.get("kind")
     if kind == "sturmian":
         return SturmianSource(
-            cfg["cf"],
+            _typed(cfg, "cf", list),
             cf_periodic=bool(cfg.get("cf_periodic", False)),
-            period_start=int(cfg.get("period_start", 0)),
+            period_start=_typed(cfg, "period_start", int, 0),
         )
     if kind == "substitution":
-        raw = cfg["rules"]
+        raw = _typed(cfg, "rules", dict)
+        if not all(isinstance(v, str) for v in raw.values()):
+            raise WordSourceError(f"source field 'rules' must map each letter to a string, got {raw!r}")
         size = len(raw)
         rules = {int(k): _parse_letters(v, size) for k, v in raw.items()}
         if sorted(rules) != list(range(size)):
             raise WordSourceError("substitution rules must cover letters 0..k-1")
-        return SubstitutionSource(rules, int(cfg["seed"]), Alphabet(size))
+        return SubstitutionSource(rules, _typed(cfg, "seed", int), Alphabet(size))
     if kind == "toeplitz":
-        skel = cfg["skeleton"]
-        size = int(cfg.get("alphabet", max((int(c) for c in skel if c != "?"), default=0) + 1))
+        skel = _typed(cfg, "skeleton", str)
+        size = _typed(cfg, "alphabet", int, max((int(c) for c in skel if c != "?"), default=0) + 1)
         skeleton = _parse_letters(skel, size, extra={"?": ToeplitzSource.HOLE})
         return ToeplitzSource(skeleton, Alphabet(size))
     if kind == "eventually_periodic":
-        pre, per = cfg.get("pre", ""), cfg["period"]
+        pre, per = _typed(cfg, "pre", str, ""), _typed(cfg, "period", str)
         letters = pre + per
-        size = int(cfg.get("alphabet", max(int(c) for c in letters) + 1)) if letters else 2
+        size = _typed(cfg, "alphabet", int, max(int(c) for c in letters) + 1) if letters else 2
         return EventuallyPeriodicSource(
             _parse_letters(pre, size), _parse_letters(per, size), Alphabet(size)
         )
     if kind == "explicit":
-        word = cfg["word"]
-        size = int(cfg.get("alphabet", max(int(c) for c in word) + 1))
+        word = _typed(cfg, "word", str)
+        size = _typed(cfg, "alphabet", int, max(int(c) for c in word) + 1)
         return ExplicitSource(_parse_letters(word, size), Alphabet(size))
     raise WordSourceError(f"unknown source kind {kind!r}")
 

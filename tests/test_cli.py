@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from groupoid_growth import cli, matrix_recursion, subshift
+from groupoid_growth import cli, matrix_recursion, selfsimilar, subshift
 
 GOLDEN = '{"kind":"sturmian","cf":[1],"cf_periodic":true}'
 TM = '{"kind":"substitution","rules":{"0":"01","1":"10"},"seed":"0"}'
@@ -449,3 +449,62 @@ class TestVerifyAll:
         with pytest.raises(SystemExit):
             cli.main(["verify-all", "--profile", "tiny"])
         capsys.readouterr()
+
+
+class TestMalformedInput:
+    # Each descriptor has a field of the wrong type: a usage error that names
+    # the field, not a traceback.
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["nucleus", "--group", '{"alphabet":2,"generators":[]}'], "generators"),
+            (["nucleus", "--group", '{"alphabet":2,"generators":{"a":{"perm":5,"rest":["",""]}}}'], "perm"),
+            (["nucleus", "--group", '{"alphabet":2,"generators":{"a":{"perm":[1,0],"rest":[1,2]}}}'], "rest"),
+            (["thinned-growth", "--group", "[1,2]", "--n-max", "3"], "group spec"),
+            (["nucleus", "--group", '"grigorchuk"'], "group spec"),
+            (["complexity", "--n-max", "4", "--source", '{"kind":"sturmian","cf":5}'], "cf"),
+            (
+                ["complexity", "--n-max", "4", "--source", '{"kind":"substitution","rules":["01","10"],"seed":"0"}'],
+                "rules",
+            ),
+            (["complexity", "--n-max", "4", "--source", '{"kind":"toeplitz","skeleton":5}'], "skeleton"),
+        ],
+        ids=[
+            "generators-list",
+            "perm-int",
+            "rest-ints",
+            "group-list",
+            "group-json-string",
+            "sturmian-cf-int",
+            "substitution-rules-list",
+            "toeplitz-skeleton-int",
+        ],
+    )
+    def test_wrong_type_exit_2(self, capsys, argv, field):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and err.startswith("usage error:") and field in err and out == ""
+
+    @pytest.mark.parametrize(
+        "policy", ["periodic:pre=1,period=1,bogus=3", "periodic:pre=1", "periodic:pre=1,pre=2", "periodic:pre=1,period=x"]
+    )
+    def test_periodic_policy_keys_exit_2(self, capsys, policy):
+        code, out, err = run(capsys, ["delta", "--model", "grigorchuk", "--r", "1", "--units-policy", policy])
+        assert code == 2 and "periodic:pre=<int>,period=<int>" in err and out == ""
+
+    @pytest.mark.parametrize("spec", ["Fp:0", "Fp:1", "Fp:4", "Fp:2147483659"])
+    def test_field_exit_2(self, capsys, spec):
+        argv = ["matrix-recursion", "--group", "grigorchuk", "--element", "a", "--levels", "1", "--field", spec]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and "prime field modulus" in err and out == ""
+
+
+class TestGermStepCap:
+    ARGV = ["germ", "--group", "grigorchuk", "--element", "d", "--point", "|1"]
+
+    def test_settles_within_the_cap(self, capsys):
+        assert run(capsys, self.ARGV)[:2] == (0, "nontrivial\n")
+
+    def test_over_the_cap_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(selfsimilar, "GERM_STEP_CAP", 2)
+        code, out, err = run(capsys, self.ARGV)
+        assert code == 3 and "did not settle within 2 steps" in err and out == ""

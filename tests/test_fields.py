@@ -8,7 +8,7 @@ from groupoid_growth.fields import (
     GF2,
     QQ,
     BitRowBasis,
-    PrimeField,
+    Field,
     RowBasis,
     new_basis,
     parse_field,
@@ -17,32 +17,32 @@ from groupoid_growth.fields import (
 
 class TestFieldArithmetic:
     def test_rationals(self):
-        # A group ring over Q only adds and multiplies integer coefficients,
-        # so its scalars are ints; they print as the old Fractions did.
-        for value in (QQ.zero(), QQ.one(), QQ.from_int(-7), QQ.add(QQ.from_int(2), QQ.one()), QQ.mul(-3, 4)):
-            assert type(value) is int
-            assert str(value) == str(Fraction(value))
-        assert (QQ.zero(), QQ.one(), QQ.from_int(-7)) == (0, 1, -7)
-        assert QQ.add(QQ.from_int(2), QQ.one()) == 3 and QQ.mul(-3, 4) == -12
+        # The rationals are the field of characteristic 0.
+        assert QQ == Field(0) and hash(QQ) == hash(Field(0))
+        assert (QQ.characteristic, QQ.name, repr(QQ)) == (0, "Q", "Q")
+        assert QQ != GF2
 
     def test_prime_field(self):
-        f7 = PrimeField(7)
-        assert f7.mul(3, 5) == 1
-        assert f7.add(4, 5) == 2
-        assert f7.from_int(-3) == 4
+        # F_p is the field of characteristic p; equality and hash go by it.
+        f7 = Field(7)
+        assert (f7.characteristic, f7.name, repr(f7)) == (7, "F7", "F7")
+        assert f7 == Field(7) and hash(f7) == hash(Field(7))
+        assert f7 != Field(3) and GF2 == Field(2)
 
     def test_non_prime_rejected(self):
-        with pytest.raises(ValueError):
-            PrimeField(6)
-        with pytest.raises(ValueError):
-            PrimeField(1)
+        for p in (1, 4, 6, -3, 2**31 + 11):
+            with pytest.raises(ValueError, match="prime field modulus"):
+                Field(p)
 
     def test_parse_field(self):
         assert parse_field("Q") == QQ
         assert parse_field("F2") == GF2
-        assert parse_field("Fp:7") == PrimeField(7)
-        with pytest.raises(ValueError):
-            parse_field("R")
+        assert parse_field("Fp:2") == GF2
+        assert type(new_basis(parse_field("Fp:2"))) is BitRowBasis
+        assert parse_field("Fp:7") == Field(7)
+        for spec in ("R", "Fp:0", "Fp:1", "Fp:4", "Fp:2147483659"):
+            with pytest.raises(ValueError):
+                parse_field(spec)
 
 
 class TestRowBasis:
@@ -69,7 +69,7 @@ class TestRowBasis:
         assert basis.insert([0])  # residue e_1
         assert basis.rows == {0: {0: 1}, 1: {1: 1}}
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+    @pytest.mark.parametrize("field", [QQ, Field(3)], ids=str)
     def test_pivot_below_top_clears_older_rows(self, field):
         # Pivot 0 arrives below top = 5 and must be cleared from row 5,
         # which holds it; a basis that skipped back-substitution would keep
@@ -147,11 +147,11 @@ class TestBitRowBasis:
 class TestNewBasis:
     def test_dispatch(self):
         assert type(new_basis(GF2)) is BitRowBasis
-        assert type(new_basis(PrimeField(2))) is BitRowBasis
+        assert type(new_basis(Field(2))) is BitRowBasis
         assert type(new_basis(QQ)) is RowBasis
-        assert new_basis(PrimeField(3)).field == PrimeField(3)
+        assert new_basis(Field(3)).field == Field(3)
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(3), GF2], ids=str)
+    @pytest.mark.parametrize("field", [QQ, Field(3), GF2], ids=str)
     def test_support_is_any_iterable_of_coordinates(self, field):
         # No ambient dimension: any nonnegative int is a coordinate, and a
         # repeated coordinate names the same 0/1 vector.
@@ -234,7 +234,7 @@ def corpus():
         yield dim, random_supports(rng, rng.randint(1, 12), dim)
 
 
-FIELDS = [QQ, PrimeField(3), PrimeField(7)]
+FIELDS = [QQ, Field(3), Field(7)]
 
 
 class TestAgainstOracle:

@@ -179,3 +179,108 @@ def test_no_unreferenced_public_code():
     defined, used = _definitions_and_uses(sources)
     assert KEPT_PUBLIC_METHODS.keys() <= {name for _, name, top in defined if not top}
     assert not KEPT_PUBLIC_METHODS.keys() & used
+
+
+
+# Defaulted parameters that no package call passes, kept on purpose.
+KEPT_UNSET_PARAMETERS = {
+    "cli:main(argv)": "the tests and the benchmark pass main an argument list",
+}
+
+
+def unset_parameters(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of top-level functions and methods of
+    ``sources`` that no call in ``sources`` passes, by keyword or by
+    position, as ``module:function(parameter)``.
+
+    Calls are matched by name, not by scope or class, as in
+    :func:`unreferenced_public_names`: ``f(...)`` and ``x.f(...)`` call
+    every function and method named ``f``, and ``C(...)`` calls
+    ``C.__init__``.  A method's first parameter is bound, so a call's first
+    argument is its second.  A call with ``*args`` passes every positional
+    parameter, and one with ``**kwargs`` every parameter.
+    """
+    # called name -> [(label, positional parameters, defaulted parameters, passed)]
+    defs: dict[str, list] = {}
+    trees = [ast.parse(source) for source in sources.values()]
+    for module, tree in zip(sources, trees):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                found = [(node.name, node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                found = [
+                    (node.name if item.name == "__init__" else item.name, f"{node.name}.{item.name}", item, True)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for called, label, fn, method in found:
+                args = fn.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults) :]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                if defaulted:
+                    if method:
+                        positional = positional[1:]
+                    defs.setdefault(called, []).append((f"{module}:{label}", positional, defaulted, set()))
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+            for _, positional, defaulted, passed in defs.get(name, ()):
+                if spread:
+                    passed.update(defaulted)
+                else:
+                    passed.update(positional[: len(call.args)])
+                    passed.update(k.arg for k in call.keywords)
+    return sorted(
+        f"{label}({param})"
+        for entries in defs.values()
+        for label, _, defaulted, passed in entries
+        for param in defaulted
+        if param not in passed
+    )
+
+
+def test_detects_unset_parameters():
+    sources = {
+        "a": (
+            "def f(x, by_position=1, by_keyword=2, unset=3, *, only_keyword=4, unset_keyword=5): pass\n"
+            "def spread_args(x=1, y=2): pass\n"
+            "def spread_kwargs(*, x=1): pass\n"
+            "def never_called(x=1): pass\n"
+            "def plain(x): pass\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, unset=2): pass\n"
+            "    def put(self, item=None, unset=0): pass\n"
+            "    @classmethod\n"
+            "    def make(cls, n=0): pass\n"
+        ),
+        "b": (
+            "from .a import Box, f, spread_args, spread_kwargs\n"
+            "def g(opts, xs):\n"
+            "    f(0, 1, by_keyword=2, only_keyword=3)\n"
+            "    spread_args(*xs)\n"
+            "    spread_kwargs(**opts)\n"
+            "    box = Box(3)\n"
+            "    box.put(None)\n"
+            "    Box.make(1)\n"
+        ),
+    }
+    assert unset_parameters(sources) == [
+        "a:Box.__init__(unset)",
+        "a:Box.put(unset)",
+        "a:f(unset)",
+        "a:f(unset_keyword)",
+        "a:never_called(x)",
+    ]
+
+
+def test_no_unset_parameters():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    # Each kept parameter is still defined and still unset.
+    assert unset_parameters(sources) == sorted(KEPT_UNSET_PARAMETERS)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from groupoid_growth import matrix_recursion as mr
-from groupoid_growth.fields import GF2, QQ, PrimeField, new_basis
+from groupoid_growth.fields import GF2, QQ, Field, new_basis
 from groupoid_growth.matrix_recursion import (
     GroupRingElement,
     IdentityError,
@@ -36,7 +36,7 @@ def identity_matrix(group, field, level: int) -> LevelMatrix:
     return LevelMatrix(group, field, level, {(i, i): one for i in range(group.d**level)})
 
 
-F3 = PrimeField(3)
+F3 = Field(3)
 
 BASILICA = WreathRecursion(2, {"a": ((0, 1), ("", "b")), "b": ((1, 0), ("", "a"))})
 
@@ -76,10 +76,10 @@ class TestGroupRing:
         words += ["".join(rng.choice("abcdABCD") for _ in range(rng.randint(0, 6))) for _ in range(20)]
         lazy, canon = {}, {}
         for word in words:
-            c = field.from_int(rng.randint(1, 5))
+            c = rng.randint(1, 5)
             g, k = grp.element(word), grp.word_id(word)
-            lazy[g] = field.add(lazy.get(g, field.zero()), c)
-            canon[k] = field.add(canon.get(k, field.zero()), c)
+            lazy[g] = lazy.get(g, 0) + c
+            canon[k] = canon.get(k, 0) + c
         assert any(g not in canon for g in lazy)
         a, b = GroupRingElement(grp, field, lazy), GroupRingElement(grp, field, canon)
         assert a == b
@@ -173,9 +173,20 @@ class TestWitness:
         assert format_element(m2.entries[(3, 3)]) == "1+b+c+d"
         assert all(r == c for (r, c) in m2.entries)
 
-    def test_characteristic_guard(self, grig):
-        with pytest.raises(ValueError):
-            grig_witness(grig, QQ)
+    def test_over_gf2(self, grig):
+        # The witness lives in characteristic 2.
+        m = grig_witness(grig)
+        assert m.field == GF2 and all(e.field == GF2 for e in m.entries.values())
+
+
+def random_element(group, field, rng: random.Random, max_terms: int, max_len: int) -> GroupRingElement:
+    """A random element of 1 to ``max_terms`` terms, each a word of 0 to
+    ``max_len`` generators with a coefficient from 1 to 5."""
+    coeffs: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        g = group.element("".join(rng.choice(group.gen_names) for _ in range(rng.randint(0, max_len))))
+        coeffs[g] = coeffs.get(g, 0) + rng.randint(1, 5)
+    return GroupRingElement(group, field, coeffs)
 
 
 class TestImageAtLevel:
@@ -185,7 +196,7 @@ class TestImageAtLevel:
         grp = SelfSimilarGroup(rec)
         rng = random.Random(8)
         for _ in range(12):
-            elem = mr.random_element(grp, field, rng, max_terms=4, max_len=5)
+            elem = random_element(grp, field, rng, max_terms=4, max_len=5)
             m = level0(elem)
             for level in range(1, 5):
                 m = recursion_step(m)
@@ -259,7 +270,7 @@ class TestThinnedGrowth:
         "field, tail",
         [
             (GF2, [240, 276, 314, 354]),
-            (PrimeField(3), [248, 284, 322, 362]),
+            (Field(3), [248, 284, 322, 362]),
             (QQ, [248, 284, 322, 362]),
         ],
         ids=["F2", "F3", "Q"],
@@ -287,9 +298,9 @@ class TestElementName:
         assert element_name(grig, grig.canonical_key(grig.element("bc"))) == "d"
 
 
-def two_pass_growth(group, n_max, field, level_start, level_cap=14):
+def two_pass_growth(group, n_max, field, level_start, level_cap):
     """Raise the level until two consecutive passes agree, one pass per level."""
-    level = max(1, level_start)
+    level = level_start
     prev = thinned_dims_at_level(group, n_max, field, level)
     while level < level_cap:
         nxt = thinned_dims_at_level(group, n_max, field, level + 1)
@@ -363,18 +374,19 @@ class TestInjectiveStep:
         assert step_is_injective(grp, QQ, cells)
 
     @pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
-    def test_fallback_matches_two_passes(self, grig, field, level_passes):
+    def test_fallback_matches_two_passes(self, grig, field, level_passes, monkeypatch):
         for start in range(1, 6):
+            monkeypatch.setattr(mr, "_start_level", lambda group, n_max: start)
             level_passes.clear()
-            res = thinned_growth(grig, 10, field, level_start=start)
-            assert res == two_pass_growth(grig, 10, field, start)
+            res = thinned_growth(grig, 10, field)
+            assert res == two_pass_growth(grig, 10, field, start, mr.LEVEL_CAP)
             # Levels 1 and 2 have a kernel; from level 3 on one pass suffices.
             assert level_passes == list(range(start, max(start, 3) + 1))
             assert res.level == level_passes[-1] + 1
+        monkeypatch.setattr(mr, "_start_level", lambda group, n_max: 1)
         for cap in (1, 2, 3):
-            assert thinned_growth(grig, 10, field, level_start=1, level_cap=cap) == two_pass_growth(
-                grig, 10, field, 1, cap
-            )
+            monkeypatch.setattr(mr, "LEVEL_CAP", cap)
+            assert thinned_growth(grig, 10, field) == two_pass_growth(grig, 10, field, 1, cap)
 
     @pytest.mark.parametrize(
         "n, field", [(4, QQ), (6, GF2), (10, GF2), (12, F3), (16, QQ)], ids=["4-Q", "6-F2", "10-F2", "12-F3", "16-Q"]
@@ -439,8 +451,9 @@ class TestVectorPass:
         monkeypatch.setattr(mr, "COORDINATE_CAP", len(cells))
         assert thinned_dims_at_level(grig, 8, GF2, 2) == dims
         monkeypatch.setattr(mr, "COORDINATE_CAP", len(cells) - 1)
+        monkeypatch.setattr(mr, "_start_level", lambda group, n_max: 2)
         with pytest.raises(mr.CoordinateCapExceeded, match=f"exceeded cap {len(cells) - 1}"):
-            thinned_growth(grig, 8, GF2, level_start=2)
+            thinned_growth(grig, 8, GF2)
 
     def test_rank_coordinate_cap(self):
         # Level 1 is far too shallow for n=64: its basis would reach rank x

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -458,7 +457,7 @@ class TestRecursionParsing:
                 "d": {"perm": [0, 1], "rest": ["", "b"]},
             },
         }
-        grp = group_from_spec(json.dumps(cfg))
+        grp = group_from_spec(cfg)
         ref = SelfSimilarGroup(GRIGORCHUK)
         words = list(itertools.product(range(2), repeat=6))
         for w in ("ab", "bc", "abab", "dcb"):
@@ -508,8 +507,9 @@ class TestRecursionParsing:
 
 
 class TestCaps:
-    def test_state_cap(self):
-        grp = SelfSimilarGroup(ADDING_MACHINE, state_cap=4)
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(selfsimilar, "STATE_CAP", 4)
+        grp = SelfSimilarGroup(ADDING_MACHINE)
         a = grp.gens["a"]
         with pytest.raises(StateCapExceeded):
             g = a

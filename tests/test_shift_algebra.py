@@ -3,7 +3,7 @@ import random
 import pytest
 
 from groupoid_growth import cli, shift_algebra
-from groupoid_growth.fields import GF2, QQ, PrimeField, new_basis
+from groupoid_growth.fields import GF2, QQ, Field, new_basis
 from groupoid_growth.shift_algebra import (
     OracleCapExceeded,
     RadiusExhausted,
@@ -179,7 +179,7 @@ class TestGrowthDims:
         n = 6
         q = growth_dims(golden, n, QQ)
         f2 = growth_dims(golden, n, GF2)
-        f3 = growth_dims(golden, n, PrimeField(3))
+        f3 = growth_dims(golden, n, Field(3))
         assert q == f2 == f3
 
     def test_oracle_agreement(self, golden, tm):
@@ -200,7 +200,7 @@ class TestGrowthDims:
     def test_matches_uncompressed_loop(self, name):
         n = 9
         lang = source_language(name, 2 * n + 1)
-        for field in (QQ, GF2, PrimeField(3)):
+        for field in (QQ, GF2, Field(3)):
             assert growth_dims(lang, n, field) == uncompressed_growth_dims(lang, n, field)
 
     @pytest.mark.parametrize("n_max", [0, -1])
@@ -303,7 +303,7 @@ class TestBlockBound:
         lang = build_language(source_from_config(self.BOUND_SOURCES[name]), n_max=2 * self.N + 1, prefix_budget=budget)
         assert lang.exact == (name != "paperfolding-prefix")
         calls = self.counting(monkeypatch)
-        for field in (QQ, PrimeField(3), GF2):
+        for field in (QQ, Field(3), GF2):
             calls[0] = 0
             bounded = growth_dims(lang, self.N, field)
             bounded_inserts, calls[0] = calls[0], 0
