@@ -97,7 +97,7 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
-def _language(cfg, n_max: int, budget=None) -> Language:
+def _language(cfg, n_max: int, budget) -> Language:
     """Factor language of a source descriptor up to length ``n_max``.
 
     The budget bounds the letters read.  It is max(8192, 40 n_max^2) when

@@ -2,8 +2,8 @@
 
 Two groupoid models are supported: the groupoid of a subshift (units are
 2r-letter windows, fibers are copies of Z) and the groupoid of germs of
-a self-similar group (units are eventually periodic boundary points,
-germ equality decided by the automaton machinery).  Complexity counts
+a self-similar group (units are eventually periodic boundary points, and
+a ball maps the canonical key of each germ to its vertex).  Complexity counts
 isomorphism classes of rooted edge-labeled balls, via a canonical code.
 Generators are bisections, so each label is a partial injection on the
 vertices of a ball: a neighbour is named by its (label, direction) from
@@ -13,6 +13,7 @@ numbers the vertices canonically, in time linear in the ball.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .selfsimilar import EventuallyPeriodicPoint, SelfSimilarGroup
@@ -23,8 +24,8 @@ class UnitCapExceeded(RuntimeError):
     """A periodic unit family would hold more than ``UNIT_CAP`` points."""
 
 
-# Most points :meth:`GermGroupoidModel.periodic_units` builds; the largest
-# germ delta run timed so far, pre=3, period=3 over two letters, uses 210.
+# Most points :meth:`GermGroupoidModel.periodic_units` builds; Grigorchuk germ
+# delta at r=16, pre=5, period=5 uses 3,906, in ~4 s on a Xeon core (Python 3.11).
 UNIT_CAP = 100_000
 
 
@@ -110,46 +111,36 @@ class GermGroupoidModel:
         self.group = group
         self.labels = tuple(group.gen_names)
 
-    def _same_germ(self, g: int, h: int, point: EventuallyPeriodicPoint) -> bool:
-        return self.group.germ_is_unit(self.group.product(self.group.inverse(h), g), point)
-
     def ball(self, unit: EventuallyPeriodicPoint, r: int) -> LabeledBall:
         if r < 0:
             raise ValueError("radius must be >= 0")
         grp = self.group
         gens = [grp.gens[n] for n in grp.gen_names]
         steps = gens + [grp.inverse(s) for s in gens]
+        keys: dict[int, tuple] = {}  # canonical id -> its germ key at unit
+
+        def key(k: int) -> tuple:
+            if k not in keys:
+                keys[k] = grp.germ_key(k, unit)
+            return keys[k]
+
         reps = [grp.identity]  # germ representatives (canonical ids), vertex i = reps[i]
-        # Canonical id -> its vertex, once known.  Equal ids are equal
-        # elements, and reps only grows at the end, so a scan for a known id
-        # would return the same vertex.
-        vertex = {grp.identity: 0}
-
-        def find(k: int):
-            if k not in vertex:
-                for i, h in enumerate(reps):
-                    if self._same_germ(k, h, unit):
-                        vertex[k] = i
-                        break
-            return vertex.get(k)
-
-        frontier = [grp.identity]
+        vertex = {key(grp.identity): 0}  # germ key -> its vertex
+        done = 0  # reps[done:] is the frontier
         for _ in range(r):
-            nxt = []
+            frontier, done = reps[done:], len(reps)
             for g in frontier:
                 for s in steps:
                     p = grp.product(s, g)
-                    if find(p) is None:
-                        vertex[p] = len(reps)
+                    if key(p) not in vertex:
+                        vertex[keys[p]] = len(reps)
                         reps.append(p)
-                        nxt.append(p)
-            frontier = nxt
-        edges = set()
+        edges = []
         for i, g in enumerate(reps):
             for lid, s in enumerate(gens):
-                j = find(grp.product(s, g))
+                j = vertex.get(key(grp.product(s, g)))
                 if j is not None:
-                    edges.add((i, j, lid))  # g -> s.g, labeled by s
+                    edges.append((i, j, lid))  # g -> s.g, labeled by s
         return LabeledBall(len(reps), sorted(edges), r, self.labels)
 
     def periodic_units(self, pre_cap: int, period_cap: int) -> list[EventuallyPeriodicPoint]:
@@ -167,9 +158,9 @@ class GermGroupoidModel:
             )
         units = []
         for plen in range(1, period_cap + 1):
-            for per in _words(d, plen):
+            for per in itertools.product(range(d), repeat=plen):
                 for klen in range(pre_cap + 1):
-                    for pre in _words(d, klen):
+                    for pre in itertools.product(range(d), repeat=klen):
                         units.append(EventuallyPeriodicPoint(pre, per))
         return units
 
@@ -183,13 +174,6 @@ def _power_sum(d: int, lo: int, hi: int) -> int:
             return UNIT_CAP + 1
         term *= d
     return total
-
-
-def _words(d: int, n: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(n):
-        out = [w + (x,) for w in out for x in range(d)]
-    return out
 
 
 def gamma(model, unit, r: int) -> int:

@@ -66,7 +66,7 @@ class GroupRingElement:
         return elem
 
     @classmethod
-    def of(cls, group, field, g: int, coeff: int = 1):
+    def of(cls, group, field, g: int, coeff: int):
         return cls(group, field, {g: coeff})
 
     def is_zero(self) -> bool:
@@ -297,7 +297,7 @@ def random_element(group, field, rng: random.Random):
 
 
 def homomorphism_check(
-    group: SelfSimilarGroup, samples: int, level: int, field: Field, seed: int = 0
+    group: SelfSimilarGroup, samples: int, level: int, field: Field, seed: int
 ) -> bool:
     """Random product/sum compatibility of the iterated recursion map."""
     if level < 1:
@@ -357,7 +357,7 @@ def thinned_dims_at_level(
     n_max: int,
     field: Field,
     level: int,
-    coord_index: dict | None = None,
+    coord_index: dict,
 ) -> list[tuple[int, int]]:
     """dim V^n for n=1..n_max with elements vectorized at a fixed level.
 
@@ -371,13 +371,11 @@ def thinned_dims_at_level(
     and candidates are deduplicated by vector.  An h made as t*h' skips
     every s with s*t the identity or a generator u: s*h is then h' or
     u*h', offered one length earlier, so only vectors already seen are
-    skipped.  A ``coord_index`` passed in is filled with every coordinate
-    the pass used; more than ``COORDINATE_CAP`` of them, or a rank times
-    coordinates above ``RANK_COORDINATE_CAP``, raise
-    :class:`CoordinateCapExceeded`.
+    skipped.  ``coord_index`` numbers coordinates across passes and is
+    filled with every coordinate this pass used; more than
+    ``COORDINATE_CAP`` of them, or a rank times coordinates above
+    ``RANK_COORDINATE_CAP``, raise :class:`CoordinateCapExceeded`.
     """
-    if coord_index is None:
-        coord_index = {}
     basis = new_basis(field)
     gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
     cells = list(coord_index)

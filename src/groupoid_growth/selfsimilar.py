@@ -21,9 +21,9 @@ of a product are short in a contracting group (Nekrashevych, Self-Similar
 Groups, 2005), which keeps that recursion shallow; a pair that recurs on
 its own call stack takes the lazy path.
 
-Boundary points are restricted to eventually periodic sequences, for
-which germ triviality is decidable by cycle detection over (canonical
-id, phase) pairs.
+Boundary points are restricted to eventually periodic sequences, where
+a germ has a canonical key by cycle detection over (canonical id, phase)
+pairs, so germ equality and germ triviality are key compares.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ _PRODUCT_DEPTH = 100
 # Most automaton states one group may hold before it raises
 # StateCapExceeded (a non-contracting blowup).
 STATE_CAP = 2_000_000
-# Most letters of a point that germ_is_unit follows before it gives up.
+# Most letters of a point that germ_key follows before it gives up.
 GERM_STEP_CAP = 10_000
 
 
@@ -53,9 +53,9 @@ class NotContracting(RuntimeError):
 
 @dataclass(frozen=True)
 class WreathRecursion:
-    """Generator presentation: per generator a letter permutation and
-    restriction words (one word over generator names per letter; empty
-    word means the identity, an uppercase name means the inverse)."""
+    """Generator presentation: per generator (one lowercase letter a-z) a
+    letter permutation and restriction words (one word over generator names
+    per letter; '' is the identity, an uppercase name the inverse)."""
 
     alphabet_size: int
     generators: dict[str, tuple[tuple[int, ...], tuple[str, ...]]]
@@ -65,6 +65,8 @@ class WreathRecursion:
         if d < 2:
             raise ValueError(f"alphabet size {d}: a tree automorphism group needs at least 2 letters")
         for name, (perm, rests) in self.generators.items():
+            if not (len(name) == 1 and "a" <= name <= "z"):
+                raise ValueError(f"generator {name!r}: a name must be one lowercase letter a-z")
             if sorted(perm) != list(range(d)):
                 raise ValueError(f"generator {name}: letter map is not a bijection of the alphabet")
             if len(rests) != d:
@@ -120,17 +122,6 @@ class EventuallyPeriodicPoint:
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be nonempty")
-
-    def letter(self, i: int) -> int:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
-    def phase(self, i: int):
-        """Cycle-detection key component: None in the preperiod, else position mod period."""
-        if i < len(self.preperiod):
-            return None
-        return (i - len(self.preperiod)) % len(self.period)
 
     @classmethod
     def parse(cls, text: str) -> "EventuallyPeriodicPoint":
@@ -209,11 +200,15 @@ class SelfSimilarGroup:
         """State of a product of generators given as a name word ('' = identity)."""
         sid = self.identity
         for ch in word:
-            g = self.gens[ch.lower()]
-            if ch.isupper():
-                g = self.inverse(g)
-            sid = self.multiply(sid, g)
+            sid = self.multiply(sid, self._letter(ch))
         return sid
+
+    def _letter(self, ch: str) -> int:
+        """State of one letter of a word: a generator, or in uppercase its inverse."""
+        g = self.gens.get(ch.lower())
+        if g is None:
+            raise ValueError(f"unknown generator {ch!r}: the generators are {', '.join(self.gen_names)}")
+        return self.inverse(g) if ch.isupper() else g
 
     def multiply(self, g: int, h: int) -> int:
         """State of g*h (g applied after h).  (g*h)|_x = g|_{h(x)} * h|_x."""
@@ -286,8 +281,7 @@ class SelfSimilarGroup:
         :meth:`product`: no lazy chain as long as the word is built."""
         k = self.identity
         for ch in word:
-            g = self.gens[ch.lower()]
-            k = self.product(k, self.inverse(g) if ch.isupper() else g)
+            k = self.product(k, self._letter(ch))
         return k
 
     def inverse(self, g: int) -> int:
@@ -418,32 +412,46 @@ class SelfSimilarGroup:
 
     # -- germs ---------------------------------------------------------------
 
-    def germ_is_unit(self, g: int, point: EventuallyPeriodicPoint) -> bool:
-        """Whether the germ of g at an eventually periodic point is a unit.
+    def germ_key(self, g: int, point: EventuallyPeriodicPoint) -> tuple:
+        """Canonical form of the germ of g at x = pre|per: germs at x are
+        equal iff g(x) = h(x) and g|_v = h|_v for a prefix v of x.
 
-        Follows the point through g: a moved prefix letter kills all longer
-        prefixes; reaching the identity certifies a unit; a repeated
-        (canonical id, period phase) pair is a nonidentity cycle.  Past
+        One map drives t -> (id of g|_{x[:t]}, t - |pre| mod |per|) from
+        t = |pre|, so the walk enters a cycle of length L at a time c (from
+        |pre|), and two walks meet iff they hold the same section at a time
+        that L divides.  The key is g(x) as (shortest preperiod, shortest
+        period) and the section at the first such time from c on.  Past
         ``GERM_STEP_CAP`` letters it raises :class:`StateCapExceeded`.
         """
-        if any(not 0 <= x < self.d for x in point.preperiod + point.period):
+        pre, per = point.preperiod, point.period
+        if any(not 0 <= x < self.d for x in pre + per):
             raise ValueError(f"point has a letter outside the alphabet of size {self.d}")
-        sid = g
-        seen = set()
-        for pos in range(GERM_STEP_CAP):
-            k = self.canonical_key(sid)
-            if k == self.identity:
-                return True
-            x = point.letter(pos)
-            if self.perms[k][x] != x:
-                return False
-            phase = point.phase(pos)
-            if phase is not None:
-                if (k, phase) in seen:
-                    return False
-                seen.add((k, phase))
-            sid = self.child(k, x)
-        raise StateCapExceeded(f"germ decision did not settle within {GERM_STEP_CAP} steps")
+        canon, perms = self._canon, self.perms
+        k = self.canonical_key(g)
+        image, sections, seen = [], [], {}  # seen: (id, phase) -> its time
+        for t in range(GERM_STEP_CAP):
+            if t < len(pre):
+                x = pre[t]
+            else:
+                node = (k, (t - len(pre)) % len(per))
+                if node in seen:
+                    break
+                seen[node] = len(sections)
+                sections.append(k)
+                x = per[node[1]]
+            image.append(perms[k][x])
+            c = self.child(k, x)
+            k = canon[c] if canon[c] >= 0 else self.canonical_key(c)
+        else:
+            raise StateCapExceeded(f"germ walk did not settle within {GERM_STEP_CAP} steps")
+        entry = seen[node]
+        cycle = len(sections) - entry
+        head, tail = _eventually_periodic(image[: len(pre) + entry], image[len(pre) + entry :])
+        return head, tail, sections[-(-entry // cycle) * cycle]
+
+    def germ_is_unit(self, g: int, point: EventuallyPeriodicPoint) -> bool:
+        """Whether the germ of g at a point is a unit: has the identity's key."""
+        return self.germ_key(g, point) == self.germ_key(self.identity, point)
 
     # -- nucleus and contraction ----------------------------------------------
 
@@ -509,7 +517,7 @@ class SelfSimilarGroup:
             frontier = nxt
         return lengths
 
-    def contraction_estimate(self, length_cap: int = 16, depth_cap: int = 6) -> "ContractionEstimate":
+    def contraction_estimate(self, length_cap: int, depth_cap: int = 6) -> "ContractionEstimate":
         """Empirical contraction witness.
 
         Over all group elements with word length in [length_cap/2,
@@ -561,6 +569,16 @@ class SelfSimilarGroup:
             if best_ratio is None or worst < best_ratio:
                 best_ratio, best_depth = worst, depth
         return ContractionEstimate(best_ratio, best_depth, length_cap)
+
+
+def _eventually_periodic(head: list[int], tail: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The word head tail tail ... as (shortest preperiod, shortest period)."""
+    n = len(tail)
+    tail = tail[: next(p for p in range(1, n + 1) if n % p == 0 and tail == tail[p:] + tail[:p])]
+    while head and head[-1] == tail[-1]:
+        head.pop()
+        tail.insert(0, tail.pop())
+    return tuple(head), tuple(tail)
 
 
 def _relabel(signatures) -> list[int]:

@@ -192,7 +192,7 @@ def check_09_grig_structure(s: Scale) -> CheckResult:
     return CheckResult("09-grig-structure", ok, detail)
 
 
-def check_10_homomorphism(s: Scale, seed: int = 0) -> CheckResult:
+def check_10_homomorphism(s: Scale, seed: int) -> CheckResult:
     grp = SelfSimilarGroup(GRIGORCHUK)
     bad = []
     for field in (GF2, QQ):
@@ -247,7 +247,7 @@ def check_12_contraction(s: Scale) -> CheckResult:
     return CheckResult("12-contraction", ok, detail)
 
 
-def check_13_determinism(s: Scale, seed: int = 0) -> CheckResult:
+def check_13_determinism(s: Scale, seed: int) -> CheckResult:
     first = report_text("tiny", seed=seed, include_determinism=False)
     second = report_text("tiny", seed=seed, include_determinism=False)
     ok = first == second
@@ -255,7 +255,7 @@ def check_13_determinism(s: Scale, seed: int = 0) -> CheckResult:
     return CheckResult("13-determinism", ok, detail)
 
 
-def run_checks(profile: str, seed: int = 0, include_determinism: bool = True) -> list[CheckResult]:
+def run_checks(profile: str, seed: int, include_determinism: bool = True) -> list[CheckResult]:
     if profile not in SCALES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(SCALES)}")
     s = SCALES[profile]
@@ -285,5 +285,5 @@ def format_report(profile: str, seed: int, results: list[CheckResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_text(profile: str, seed: int = 0, include_determinism: bool = True) -> str:
+def report_text(profile: str, seed: int, include_determinism: bool) -> str:
     return format_report(profile, seed, run_checks(profile, seed=seed, include_determinism=include_determinism))

@@ -94,7 +94,7 @@ class SturmianSource(WordSource):
     any positive term sequence, so p(n) = n+1 throughout.
     """
 
-    def __init__(self, cf_terms, cf_periodic: bool = False, period_start: int = 0):
+    def __init__(self, cf_terms, cf_periodic: bool, period_start: int = 0):
         terms = list(cf_terms)
         if not terms:
             raise WordSourceError("continued-fraction terms must be nonempty")

@@ -180,6 +180,38 @@ class TestDelta:
         )
         assert code == 2
 
+    BASILICA = json.dumps(
+        {
+            "kind": "germ",
+            "group": {
+                "alphabet": 2,
+                "generators": {"a": {"perm": [0, 1], "rest": ["", "b"]}, "b": {"perm": [1, 0], "rest": ["", "a"]}},
+            },
+        }
+    )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["delta", "--model", "grigorchuk", "--units-policy", "periodic:pre=3,period=3", "--r", "12"],
+                "80f760b1ce84940d79301fc366ced984aa08f41f96b554f66a0b1c6b648ad7b2",
+            ),
+            (
+                ["delta", "--model", BASILICA, "--units-policy", "periodic:pre=2,period=2", "--r", "6"],
+                "fcccec3d30b0450d1f0c188fe4b0c67c13216aba1de63379c4602f769c0c306d",
+            ),
+            (
+                ["ball", "--model", "grigorchuk", "--unit", "0|1", "--r", "4"],
+                "fd8a1547b359b6b44e81dd41e387dd6fbbeafaba1caa665497ef71fc75282342",
+            ),
+        ],
+        ids=["delta-grigorchuk", "delta-basilica", "ball-grigorchuk"],
+    )
+    def test_germ_output_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestBall:
     def test_dot_output(self, capsys, tmp_path):
@@ -508,3 +540,24 @@ class TestGermStepCap:
         monkeypatch.setattr(selfsimilar, "GERM_STEP_CAP", 2)
         code, out, err = run(capsys, self.ARGV)
         assert code == 3 and "did not settle within 2 steps" in err and out == ""
+
+    def test_delta_over_the_cap_exit_3(self, capsys, monkeypatch):
+        # Every ball vertex is found by a key walk, which the cap bounds too.
+        argv = ["delta", "--model", "grigorchuk", "--units-policy", "periodic:pre=1,period=1", "--r", "2"]
+        assert run(capsys, argv)[0] == 0
+        monkeypatch.setattr(selfsimilar, "GERM_STEP_CAP", 2)
+        code, out, err = run(capsys, argv)
+        assert code == 3 and "did not settle within 2 steps" in err and out == ""
+
+
+class TestGeneratorNames:
+    def test_unknown_letter_exit_2(self, capsys):
+        code, out, err = run(capsys, ["germ", "--group", "grigorchuk", "--element", "abz", "--point", "|1"])
+        assert code == 2 and "'z'" in err and "a, b, c, d" in err and out == ""
+
+    @pytest.mark.parametrize("name", ["ab", "A", "1", ""])
+    def test_name_not_one_lowercase_letter_exit_2(self, capsys, name):
+        grp = json.dumps({"alphabet": 2, "generators": {name: {"perm": [1, 0], "rest": ["", ""]}}})
+        argv = ["matrix-recursion", "--group", grp, "--element", name, "--levels", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and f"generator {name!r}" in err and "one lowercase letter" in err and out == ""

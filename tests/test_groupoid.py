@@ -19,6 +19,7 @@ from groupoid_growth.selfsimilar import (
     GRIGORCHUK,
     EventuallyPeriodicPoint,
     SelfSimilarGroup,
+    WreathRecursion,
 )
 from groupoid_growth.subshift import build_language
 from groupoid_growth.words import golden_sturmian, thue_morse
@@ -149,6 +150,73 @@ def relabeled(rng: random.Random, ball: LabeledBall, permute_labels: bool) -> La
     edges = [(perm[a], perm[b], lperm[l]) for a, b, l in ball.edges]
     rng.shuffle(edges)
     return LabeledBall(m, edges, ball.radius, ball.labels)
+
+
+BASILICA = WreathRecursion(2, {"a": ((0, 1), ("", "b")), "b": ((1, 0), ("", "a"))})
+HANOI = WreathRecursion(
+    3,
+    {"a": ((1, 0, 2), ("", "", "a")), "b": ((2, 1, 0), ("", "b", "")), "c": ((0, 2, 1), ("c", "", ""))},
+)
+GERM_GROUPS = {"grigorchuk": GRIGORCHUK, "adding": ADDING_MACHINE, "basilica": BASILICA, "hanoi": HANOI}
+
+
+def reference_germ_is_unit(grp: SelfSimilarGroup, g: int, point: EventuallyPeriodicPoint) -> bool:
+    """Germ triviality by an early-exit walk: follow x through g; reaching
+    the identity is a unit, a moved letter or a repeated (canonical id,
+    phase) pair a nontrivial germ."""
+    pre, per = point.preperiod, point.period
+    sid, seen = g, set()
+    for pos in range(10_000):
+        k = grp.canonical_key(sid)
+        if k == grp.identity:
+            return True
+        phase = None if pos < len(pre) else (pos - len(pre)) % len(per)
+        x = pre[pos] if phase is None else per[phase]
+        if grp.perms[k][x] != x:
+            return False
+        if phase is not None:
+            if (k, phase) in seen:
+                return False
+            seen.add((k, phase))
+        sid = grp.child(k, x)
+    raise AssertionError("germ walk did not settle")
+
+
+def reference_germ_ball(model: GermGroupoidModel, unit: EventuallyPeriodicPoint, r: int) -> LabeledBall:
+    """The germ ball by a pairwise scan: each new element is tested against
+    every vertex found so far, h^-1 g by :func:`reference_germ_is_unit`."""
+    grp = model.group
+    gens = [grp.gens[n] for n in grp.gen_names]
+    steps = gens + [grp.inverse(s) for s in gens]
+    reps = [grp.identity]
+    vertex = {grp.identity: 0}  # canonical id -> its vertex, once known
+
+    def find(k: int):
+        if k not in vertex:
+            for i, h in enumerate(reps):
+                if reference_germ_is_unit(grp, grp.product(grp.inverse(h), k), unit):
+                    vertex[k] = i
+                    break
+        return vertex.get(k)
+
+    frontier = [grp.identity]
+    for _ in range(r):
+        nxt = []
+        for g in frontier:
+            for s in steps:
+                p = grp.product(s, g)
+                if find(p) is None:
+                    vertex[p] = len(reps)
+                    reps.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    edges = set()
+    for i, g in enumerate(reps):
+        for lid, s in enumerate(gens):
+            j = find(grp.product(s, g))
+            if j is not None:
+                edges.add((i, j, lid))
+    return LabeledBall(len(reps), sorted(edges), r, model.labels)
 
 
 class TestLabeledBall:
@@ -302,6 +370,43 @@ class TestCanonicalCode:
         units = model.periodic_units(2, 2)
         for r in range(4):
             assert_same_classes([model.ball(u, r) for u in units])
+
+
+class TestGermBallReference:
+    @pytest.mark.parametrize("name", GERM_GROUPS)
+    def test_same_balls_as_pairwise_scan(self, name):
+        # Two groups, so neither builder sees the ids the other built.
+        model = GermGroupoidModel(SelfSimilarGroup(GERM_GROUPS[name]))
+        ref_model = GermGroupoidModel(SelfSimilarGroup(GERM_GROUPS[name]))
+        for unit in model.periodic_units(2, 2):
+            for r in range(5):
+                ball, ref = model.ball(unit, r), reference_germ_ball(ref_model, unit, r)
+                assert (ball.num_vertices, ball.edges) == (ref.num_vertices, ref.edges), (unit, r)
+
+    @staticmethod
+    def seeded_elements(grp: SelfSimilarGroup, count: int) -> list[int]:
+        rng = random.Random(19)
+        letters = "".join(grp.gen_names) + "".join(grp.gen_names).upper()
+        return [grp.word_id("".join(rng.choice(letters) for _ in range(rng.randint(0, 10)))) for _ in range(count)]
+
+    @pytest.mark.parametrize("name", GERM_GROUPS)
+    def test_germ_is_unit_matches_walk(self, name):
+        grp = SelfSimilarGroup(GERM_GROUPS[name])
+        elements = self.seeded_elements(grp, 12)
+        for unit in GermGroupoidModel(grp).periodic_units(3, 3):
+            for g in elements:
+                assert grp.germ_is_unit(g, unit) == reference_germ_is_unit(grp, g, unit), (unit, g)
+
+    @pytest.mark.parametrize("name", GERM_GROUPS)
+    def test_equal_keys_iff_equal_germs(self, name):
+        grp = SelfSimilarGroup(GERM_GROUPS[name])
+        elements = self.seeded_elements(grp, 8)
+        for unit in GermGroupoidModel(grp).periodic_units(2, 2):
+            keys = [grp.germ_key(g, unit) for g in elements]
+            for g, kg in zip(elements, keys):
+                for h, kh in zip(elements, keys):
+                    same = reference_germ_is_unit(grp, grp.product(grp.inverse(h), g), unit)
+                    assert (kg == kh) == same, (unit, g, h)
 
 
 class TestPeriodicUnits:

@@ -188,19 +188,19 @@ KEPT_UNSET_PARAMETERS = {
 }
 
 
-def unset_parameters(sources: dict[str, str]) -> list[str]:
-    """Defaulted parameters of top-level functions and methods of
-    ``sources`` that no call in ``sources`` passes, by keyword or by
-    position, as ``module:function(parameter)``.
+def _parameter_calls(sources: dict[str, str]) -> list:
+    """(label, defaulted parameters, parameters some call passes, parameters
+    some call may omit, number of calls) of each top-level function and
+    method of ``sources`` with a defaulted parameter.
 
     Calls are matched by name, not by scope or class, as in
     :func:`unreferenced_public_names`: ``f(...)`` and ``x.f(...)`` call
     every function and method named ``f``, and ``C(...)`` calls
     ``C.__init__``.  A method's first parameter is bound, so a call's first
-    argument is its second.  A call with ``*args`` passes every positional
-    parameter, and one with ``**kwargs`` every parameter.
+    argument is its second.  A call with ``*args`` or ``**kwargs`` may pass
+    every parameter and may omit every one.
     """
-    # called name -> [(label, positional parameters, defaulted parameters, passed)]
+    # called name -> [(label, positional parameters, defaulted parameters, passed, omitted, [calls])]
     defs: dict[str, list] = {}
     trees = [ast.parse(source) for source in sources.values()]
     for module, tree in zip(sources, trees):
@@ -223,7 +223,7 @@ def unset_parameters(sources: dict[str, str]) -> list[str]:
                 if defaulted:
                     if method:
                         positional = positional[1:]
-                    defs.setdefault(called, []).append((f"{module}:{label}", positional, defaulted, set()))
+                    defs.setdefault(called, []).append((f"{module}:{label}", positional, defaulted, set(), set(), [0]))
     for tree in trees:
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
@@ -231,18 +231,42 @@ def unset_parameters(sources: dict[str, str]) -> list[str]:
             func = call.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             spread = any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
-            for _, positional, defaulted, passed in defs.get(name, ()):
+            for _, positional, defaulted, passed, omitted, calls in defs.get(name, ()):
+                calls[0] += 1
                 if spread:
                     passed.update(defaulted)
+                    omitted.update(defaulted)
                 else:
-                    passed.update(positional[: len(call.args)])
-                    passed.update(k.arg for k in call.keywords)
+                    given = set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+                    passed.update(given)
+                    omitted.update(p for p in defaulted if p not in given)
+    return [
+        (label, defaulted, passed, omitted, calls[0])
+        for entries in defs.values()
+        for label, _, defaulted, passed, omitted, calls in entries
+    ]
+
+
+def unset_parameters(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters that no call in ``sources`` passes, by keyword
+    or by position, as ``module:function(parameter)``."""
     return sorted(
         f"{label}({param})"
-        for entries in defs.values()
-        for label, _, defaulted, passed in entries
+        for label, defaulted, passed, _, _ in _parameter_calls(sources)
         for param in defaulted
         if param not in passed
+    )
+
+
+def always_set_parameters(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of a function that ``sources`` call, and that
+    every such call passes, as ``module:function(parameter)``: a default
+    that only callers outside ``sources`` can rely on."""
+    return sorted(
+        f"{label}({param})"
+        for label, defaulted, _, omitted, calls in _parameter_calls(sources)
+        for param in defaulted
+        if calls and param not in omitted
     )
 
 
@@ -284,3 +308,45 @@ def test_no_unset_parameters():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     # Each kept parameter is still defined and still unset.
     assert unset_parameters(sources) == sorted(KEPT_UNSET_PARAMETERS)
+
+
+# Defaulted parameters that every package call passes, kept on purpose.
+KEPT_ALWAYS_SET_PARAMETERS: dict[str, str] = {}
+
+
+def test_detects_always_set_parameters():
+    sources = {
+        "a": (
+            "def f(x, by_position=1, by_keyword=2, sometimes=3, *, only_keyword=4): pass\n"
+            "def spread_args(x=1): pass\n"
+            "def spread_kwargs(*, x=1): pass\n"
+            "def never_called(x=1): pass\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, unset=2): pass\n"
+            "    @classmethod\n"
+            "    def make(cls, n=0): pass\n"
+        ),
+        "b": (
+            "from .a import Box, f, spread_args, spread_kwargs\n"
+            "def g(opts, xs):\n"
+            "    f(0, 1, by_keyword=2, sometimes=3, only_keyword=3)\n"
+            "    f(0, 1, by_keyword=2, only_keyword=3)\n"
+            "    spread_args(*xs)\n"
+            "    spread_kwargs(**opts)\n"
+            "    Box(3)\n"
+            "    Box.make(n=1)\n"
+        ),
+    }
+    assert always_set_parameters(sources) == [
+        "a:Box.__init__(size)",
+        "a:Box.make(n)",
+        "a:f(by_keyword)",
+        "a:f(by_position)",
+        "a:f(only_keyword)",
+    ]
+
+
+def test_no_always_set_parameters():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    # Each kept parameter is still defined and still always set.
+    assert always_set_parameters(sources) == sorted(KEPT_ALWAYS_SET_PARAMETERS)

@@ -439,9 +439,39 @@ class TestGerms:
                     if related(g, h) and related(h, k):
                         assert related(g, k)
 
+    @pytest.mark.parametrize(
+        "head, tail, normal",
+        [
+            ([0, 1, 0, 1], [0, 1], ((), (0, 1))),
+            ([1], [0, 1, 0, 1], ((), (1, 0))),
+            ([0], [1, 0], ((), (0, 1))),
+            ([], [1, 1, 1], ((), (1,))),
+            ([1, 0, 0], [0, 0], ((1,), (0,))),
+            ([0, 1], [1, 0, 1, 0], ((0, 1), (1, 0))),
+            ([1, 0, 1, 2], [0, 1, 2], ((1,), (0, 1, 2))),
+            ([2, 0, 1, 2], [0, 1, 2], ((), (2, 0, 1))),
+        ],
+    )
+    def test_eventually_periodic_normal_form(self, head, tail, normal):
+        assert selfsimilar._eventually_periodic(head, tail) == normal
+
+    def test_germ_keys(self, grig):
+        point = EventuallyPeriodicPoint.parse
+        # The image 0(10)^inf is (01)^inf.
+        assert grig.germ_key(grig.identity, point("0|10")) == ((), (0, 1), grig.identity)
+        assert grig.germ_key(grig.gens["a"], point("|0")) == ((1,), (0,), grig.identity)
+        assert grig.germ_key(grig.gens["b"], point("0|1")) == ((0, 0), (1,), grig.identity)
+        # Along 1^inf the sections of b cycle b, c, d from time 0; those of
+        # adab, which has the section c at 1, enter that cycle one step
+        # later.  The walks meet, so the keys agree: both hold b at time 0 of
+        # the cycle length 3.
+        b = grig.canonical_key(grig.gens["b"])
+        assert grig.germ_key(grig.gens["b"], point("|1")) == ((), (1,), b)
+        assert grig.germ_key(grig.word_id("adab"), point("|1")) == ((), (1,), b)
+
     def test_point_parsing(self):
         p = EventuallyPeriodicPoint.parse("0|10")
-        assert [p.letter(i) for i in range(6)] == [0, 1, 0, 1, 0, 1]
+        assert (p.preperiod, p.period) == ((0,), (1, 0))
         with pytest.raises(ValueError):
             EventuallyPeriodicPoint.parse("010")
 

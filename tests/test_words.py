@@ -49,14 +49,14 @@ class TestSturmian:
 
     def test_requires_terms(self):
         with pytest.raises(WordSourceError):
-            SturmianSource([])
+            SturmianSource([], cf_periodic=False)
         with pytest.raises(WordSourceError):
             SturmianSource([1, 0, 1], cf_periodic=True)
         with pytest.raises(WordSourceError):
-            SturmianSource([1, 1, 1])  # too few terms without a periodic tail
+            SturmianSource([1, 1, 1], cf_periodic=False)  # too few terms without a periodic tail
 
     def test_finite_terms_exhaust_loudly(self):
-        src = SturmianSource([1] * 8)
+        src = SturmianSource([1] * 8, cf_periodic=False)
         with pytest.raises(WordSourceError):
             src.prefix(10_000)
 
