@@ -12,8 +12,9 @@ Rank is incremental (rank-by-insertion): growth computations extend a
 basis level by level, so a batch eliminator would be the wrong shape.
 There is one interface: ``new_basis(field)`` returns an empty basis, and
 ``basis.insert(support)`` adds the 0/1 vector that is 1 exactly at the
-int coordinates in ``support`` and says whether the rank grew.  There is
-no ambient dimension: any nonnegative int is a coordinate.
+int coordinates in ``support`` and says whether the rank grew.  A support
+is an iterable of coordinates or an int bitmask (bit i set for coordinate
+i).  There is no ambient dimension: any nonnegative int is a coordinate.
 :class:`RowBasis` keeps its rows in reduced echelon form with Python ints
 only (primitive integer rows over Q, residues mod p over F_p), so no
 fraction is built while reducing.  A row's pivot is its largest
@@ -25,7 +26,18 @@ are Python ints used as bit masks, pivot on the highest bit).
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def set_bits(mask: int) -> list[int]:
+    """The coordinates of an int bitmask support, lowest first."""
+    if mask < 0:
+        raise ValueError(f"negative bitmask {mask}")
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_VALUES)))
 
 
 def _is_prime(p: int) -> bool:
@@ -119,11 +131,11 @@ class RowBasis:
 
     def insert(self, support) -> bool:
         """Insert the 0/1 vector that is 1 exactly at the coordinates in
-        ``support``; return True iff the rank increased.  A negative
-        coordinate raises ``ValueError``."""
+        ``support``, an iterable or an int bitmask; return True iff the rank
+        increased.  A negative coordinate or bitmask raises ``ValueError``."""
         rows = self.rows
         p = self.field.characteristic
-        vec = dict.fromkeys(support, 1)
+        vec = dict.fromkeys(set_bits(support) if isinstance(support, int) else support, 1)
         # Reduced echelon form: subtracting row q changes no entry of vec at
         # another pivot, so each pivot hit keeps its 0/1 entry until its
         # turn and vec reduces in one accumulation,
@@ -233,10 +245,15 @@ class BitRowBasis:
 
     def insert(self, support) -> bool:
         """Insert the 0/1 vector that is 1 exactly at the coordinates in
-        ``support``; return True iff the rank increased."""
-        mask = 0
-        for i in support:
-            mask |= 1 << i
+        ``support``; return True iff the rank increased.  An int bitmask is
+        reduced as it is; a negative one raises ``ValueError``."""
+        mask = support
+        if not isinstance(mask, int):
+            mask = 0
+            for i in support:
+                mask |= 1 << i
+        elif mask < 0:
+            raise ValueError(f"negative bitmask {mask}")
         mask = self.reduce(mask)
         if not mask:
             return False

@@ -424,7 +424,7 @@ class SelfSimilarGroup:
         ``GERM_STEP_CAP`` letters it raises :class:`StateCapExceeded`.
         """
         pre, per = point.preperiod, point.period
-        if any(not 0 <= x < self.d for x in pre + per):
+        if min(pre + per) < 0 or max(pre + per) >= self.d:
             raise ValueError(f"point has a letter outside the alphabet of size {self.d}")
         canon, perms = self._canon, self.perms
         k = self.canonical_key(g)

@@ -4,14 +4,14 @@ An algebra element spanned by products of length <= n is determined by
 its values on germs (s^k, w) with |k| <= n and w seen through its
 central window of length 2n+1.  Every product of the generators
 {1, T, T^-1, D_x} evaluates to a 0/1 vector supported in a single shift
-exponent k, which this module exploits: candidates are (exponent, window
-subset) pairs and the rank splits into one small elimination block per
-exponent.  A product ending at exponent k walks from 0 to k and tests a
-letter only where it stands, so it sees only the positions J_k of
+exponent k, which this module exploits: candidates are (exponent, int
+bitmask of windows) pairs and the rank splits into one small elimination
+block per exponent.  A product ending at exponent k walks from 0 to k and
+tests a letter only where it stands, so it sees only the positions J_k of
 :class:`WindowSpace`; block k has one column per distinct restriction
-u[J_k] of a window, not one per window.  The evaluation space therefore
-has at most sum_k p(|J_k|) <= (2n+1) * p(2n+1) coordinates, and algebra
-growth is exact finite linear algebra.
+u[J_k], at its first window, not one per window.  The evaluation space
+therefore has at most sum_k p(|J_k|) <= (2n+1) * p(2n+1) coordinates,
+and algebra growth is exact finite linear algebra.
 
 When the window set W is closed under reversal (Thue-Morse, every
 Sturmian and episturmian language), Phi(f)(k, u) = f(-k, reversed(u)) is
@@ -25,9 +25,9 @@ ranks only the blocks k >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .fields import Field, new_basis
+from .fields import Field, new_basis, set_bits
 from .subshift import Language
 
 
@@ -54,13 +54,16 @@ def _tested_positions(k: int, n: int) -> tuple[int, int]:
 class WindowSpace:
     """Coordinates (k, u): shift exponent k in [-n, n], u a length-(2n+1) factor.
 
+    A set of windows is an int bitmask, bit i for window i in sorted order;
+    ``letter_mask[j][x]`` holds the windows with letter x at position j - n.
     A product of at most n generators that ends at exponent k tests a
     letter at position j only if it walks from 0 to j and on to k with one
     generator left for the test: |j| + |k - j| <= n - 1.  Those positions
     are J_k = [min(0, k) - t, max(0, k) + t] with t = (n - 1 - |k|) // 2,
     and none when t < 0.  So the product's support is a union of fibres
-    of u -> u[J_k], and ``block_class[k + n][i]`` numbers the fibre of
-    window i (in order of first appearance).
+    of u -> u[J_k], and ``block_reps[k + n]`` holds each fibre's first
+    window, its representative: representatives increase with the order in
+    which their fibres first appear among the windows.
 
     The same holds at every length m <= n with J_k(m) in place of J_k: a
     product of at most m generators is a function of u[J_k(m)], and each
@@ -82,19 +85,16 @@ class WindowSpace:
         self.n = n
         self.windows = lang.factors_at(2 * n + 1)
         self.p = len(self.windows)
-        # letter_mask[j][x] = window ranks whose letter at position j-n is x
-        self.letter_mask = [
-            [
-                frozenset(i for i, u in enumerate(self.windows) if u[j] == x)
-                for x in range(lang.alphabet_size)
-            ]
-            for j in range(2 * n + 1)
-        ]
-        self.block_class = []
-        for k in range(-n, n + 1):
-            lo, hi = _tested_positions(k, n)
-            ids: dict[bytes, int] = {}
-            self.block_class.append([ids.setdefault(u[lo + n : hi + n], len(ids)) for u in self.windows])
+        self.letter_mask = [[0] * lang.alphabet_size for _ in range(2 * n + 1)]
+        for i, u in enumerate(self.windows):
+            for masks, x in zip(self.letter_mask, u):
+                masks[x] |= 1 << i
+        self.block_reps = []
+        for lo, hi in (_tested_positions(k, n) for k in range(-n, n + 1)):
+            first = {}
+            for i, u in enumerate(self.windows):
+                first.setdefault(u[lo + n : hi + n], i)
+            self.block_reps.append(sum(1 << i for i in first.values()))
         self.rank_bound = [
             [lang.complexity(hi - lo) for lo, hi in (_tested_positions(k, m) for k in range(-n, n + 1))]
             for m in range(n + 1)
@@ -104,12 +104,11 @@ class WindowSpace:
         self.mirror = None if None in mirror else mirror
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A 0/1 evaluation vector: exponent k, set of window ranks where it is 1."""
+class Monomial(NamedTuple):
+    """A 0/1 evaluation vector: exponent k, bitmask of the window ranks where it is 1."""
 
     k: int
-    support: frozenset
+    support: int
 
 
 def apply_generator(space: WindowSpace, gen: tuple, mono: Monomial) -> Monomial:
@@ -121,25 +120,25 @@ def apply_generator(space: WindowSpace, gen: tuple, mono: Monomial) -> Monomial:
     (D_x f)(k, u) = f(k, u) if u has letter x at position k, else 0.
     """
     step, x = gen
+    k, support = mono
     if x is None:
-        k = mono.k + step
+        k += step
         if not -space.n <= k <= space.n:
             raise RadiusExhausted(f"radius exhausted: exponent {k} outside window")
-        return Monomial(k, mono.support)
-    return Monomial(mono.k, mono.support & space.letter_mask[mono.k + space.n][x])
+        return Monomial(k, support)
+    return Monomial(k, support & space.letter_mask[k + space.n][x])
 
 
 def unit_monomial(space: WindowSpace) -> Monomial:
     """Evaluation of the algebra unit: 1 exactly on the units (k = 0)."""
-    return Monomial(0, frozenset(range(space.p)))
+    return Monomial(0, (1 << space.p) - 1)
 
 
 def generator_monomials(space: WindowSpace) -> dict[tuple, Monomial]:
     """Evaluations of the generating set {1, T, T^-1, D_x}, keyed by
     (step, letter) as in :func:`apply_generator`."""
-    gens = {(0, None): unit_monomial(space)}
-    gens[(1, None)] = Monomial(1, frozenset(range(space.p)))
-    gens[(-1, None)] = Monomial(-1, frozenset(range(space.p)))
+    every = unit_monomial(space).support
+    gens = {(0, None): Monomial(0, every), (1, None): Monomial(1, every), (-1, None): Monomial(-1, every)}
     for x in range(space.lang.alphabet_size):
         gens[(0, x)] = Monomial(0, space.letter_mask[space.n][x])
     return gens
@@ -148,10 +147,10 @@ def generator_monomials(space: WindowSpace) -> dict[tuple, Monomial]:
 class _BlockRank:
     """Rank accumulator split by exponent block (monomials never mix blocks).
 
-    Block k's columns are the fibre ids ``space.block_class[k + n]``.  A
-    support that is a union of fibres is the preimage of its set of ids,
-    and linear combinations of such supports are constant on fibres, so
-    the rank over ids equals the rank over windows.
+    Block k's columns are the representatives ``space.block_reps[k + n]``.
+    A union of fibres is fixed by the representatives it holds, and linear
+    combinations of such supports are constant on fibres, so the rank of
+    the bitmask rows ``support & block_reps[k + n]`` is the rank over windows.
 
     When ``space.mirror`` is set, only blocks k >= 0 are inserted into,
     and ``rank`` counts each block k > 0 twice: block -k is its image
@@ -167,15 +166,15 @@ class _BlockRank:
         """Insert ``mono``, a product of at most ``m`` generators; return
         True iff the rank grew.  A block whose rank has reached
         ``space.rank_bound`` for length m is full, and ``mono`` is dependent."""
-        if not mono.support:
+        k, support = mono
+        if not support:
             return False
-        blk = self.blocks.get(mono.k)
+        blk = self.blocks.get(k)
         if blk is None:
-            blk = self.blocks[mono.k] = new_basis(self.field)
-        elif blk.rank >= self.space.rank_bound[m][mono.k + self.space.n]:
+            blk = self.blocks[k] = new_basis(self.field)
+        elif blk.rank >= self.space.rank_bound[m][k + self.space.n]:
             return False
-        cls = self.space.block_class[mono.k + self.space.n]
-        return blk.insert({cls[u] for u in mono.support})
+        return blk.insert(support & self.space.block_reps[k + self.space.n])
 
     @property
     def rank(self) -> int:
@@ -190,8 +189,9 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     spans the same space as the full product set.  D_x for the last letter
     x is not applied to a monomial m: D_x m = m - sum_(y != x) D_y m, since
     sum_x D_x = 1 at m's exponent, and the right side is already spanned
-    once the level's other moves are inserted.  Ranks are taken over the
-    fibre ids of :class:`WindowSpace`, see :class:`_BlockRank`.
+    once the level's other moves are inserted.  Supports are bitmasks over
+    the windows, and ranks are taken over the fibre representatives of
+    :class:`WindowSpace`, see :class:`_BlockRank`.
 
     Block k stops taking inserts once it is full: at level n every
     candidate of exponent k is a function of u[J_k(n)], so the block spans
@@ -222,16 +222,14 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     seen: set = set()
 
     def offer(cand: Monomial, m: int, out: list) -> None:
-        if mirror is not None and cand.k < 0:
+        k, support = cand
+        if mirror is not None and k < 0 or cand in seen:
             return
-        key = (cand.k, cand.support)
-        if key in seen:
-            return
-        seen.add(key)
+        seen.add(cand)
         if rank.insert(cand, m):
             out.append(cand)
-        if mirror is not None and cand.k == 0:
-            offer(Monomial(0, frozenset(mirror[i] for i in cand.support)), m, out)
+        if mirror is not None and k == 0:
+            offer(Monomial(0, sum(1 << mirror[i] for i in set_bits(support))), m, out)
 
     new: list[Monomial] = []
     for mono in gens.values():

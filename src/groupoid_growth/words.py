@@ -262,13 +262,9 @@ class ToeplitzSource(WordSource):
         if skeleton[0] == self.HOLE:
             raise WordSourceError("skeleton must not start with a hole")
         self.skeleton = tuple(skeleton)
-        self.hole_rank = {}
-        rank = 0
-        for i, c in enumerate(skeleton):
-            if c == self.HOLE:
-                self.hole_rank[i] = rank
-                rank += 1
-        self.holes_per_period = rank
+        holes = [i for i, c in enumerate(skeleton) if c == self.HOLE]
+        self.hole_rank = {i: rank for rank, i in enumerate(holes)}
+        self.holes_per_period = len(holes)
 
     def _resolve(self, pos: int) -> int:
         q = len(self.skeleton)
@@ -280,9 +276,23 @@ class ToeplitzSource(WordSource):
             pos = (pos // q) * self.holes_per_period + self.hole_rank[r]
 
     def _extend(self, n: int) -> None:
+        # Period m is the skeleton with w[hm : hm + h] in its holes: periods whose
+        # fillers are all in buf are written by strided slices, earlier letters singly.
         buf = self._buf
-        for i in range(len(buf), n):
-            buf.append(self._resolve(i))
+        q, h = len(self.skeleton), self.holes_per_period
+        while len(buf) < n:
+            m, r = divmod(len(buf), q)
+            stop = min(len(buf) // h, -(-n // q))  # periods m..stop-1 have their fillers
+            if r or stop <= m:
+                buf.append(self._resolve(len(buf)))
+                continue
+            block = bytearray(q * (stop - m))
+            for i, c in enumerate(self.skeleton):
+                if c == self.HOLE:
+                    block[i::q] = buf[h * m + self.hole_rank[i] : h * stop : h]
+                else:
+                    block[i::q] = bytes((c,)) * (stop - m)
+            buf += block
 
 
 class EventuallyPeriodicSource(WordSource):

@@ -12,6 +12,7 @@ from groupoid_growth.fields import (
     RowBasis,
     new_basis,
     parse_field,
+    set_bits,
 )
 
 
@@ -167,6 +168,30 @@ class TestNewBasis:
         with pytest.raises(ValueError):
             basis.insert([0, 1, -3])
         assert basis.rank == 2
+
+    @pytest.mark.parametrize("field", [QQ, Field(3), GF2], ids=str)
+    def test_support_as_bitmask(self, field):
+        # An int bitmask names the vector of its set bits: a basis fed the
+        # masks answers every insert as one fed the coordinate lists, and
+        # ends with the same rows.
+        for dim, supports in corpus():
+            by_list, by_mask = new_basis(field), new_basis(field)
+            for support in supports:
+                mask = sum(1 << i for i in set(support))
+                assert set_bits(mask) == sorted(set(support))
+                assert by_mask.insert(mask) == by_list.insert(support)
+            assert by_mask.rank == by_list.rank
+            assert by_mask.rows == by_list.rows
+        basis = new_basis(field)
+        assert basis.insert(1 << 10**4 | 1)
+        assert not basis.insert([10**4, 0])
+        assert not basis.insert(0)
+        # A negative mask fails loudly and leaves the basis unchanged.
+        with pytest.raises(ValueError, match="negative bitmask"):
+            basis.insert(-1)
+        with pytest.raises(ValueError, match="negative bitmask"):
+            basis.insert(-(1 << 70))
+        assert basis.rank == 1
 
 
 # -- an independent oracle: batch Gaussian elimination, no RowBasis -----------

@@ -469,6 +469,13 @@ class TestGerms:
         assert grig.germ_key(grig.gens["b"], point("|1")) == ((), (1,), b)
         assert grig.germ_key(grig.word_id("adab"), point("|1")) == ((), (1,), b)
 
+    @pytest.mark.parametrize("pre, per", [((), (2,)), ((0, 1), (0, 2)), ((2, 0), (1,)), ((0,), (-1,))])
+    def test_germ_key_letter_outside_alphabet(self, grig, pre, per):
+        # The binary tree's letters are 0 and 1: a letter equal to d = 2,
+        # in the preperiod or the period, or a negative one, is refused.
+        with pytest.raises(ValueError, match="outside the alphabet of size 2"):
+            grig.germ_key(grig.identity, EventuallyPeriodicPoint(pre, per))
+
     def test_point_parsing(self):
         p = EventuallyPeriodicPoint.parse("0|10")
         assert (p.preperiod, p.period) == ((0,), (1, 0))

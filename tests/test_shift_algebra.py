@@ -3,7 +3,7 @@ import random
 import pytest
 
 from groupoid_growth import cli, shift_algebra
-from groupoid_growth.fields import GF2, QQ, Field, new_basis
+from groupoid_growth.fields import GF2, QQ, BitRowBasis, Field, new_basis, set_bits
 from groupoid_growth.shift_algebra import (
     OracleCapExceeded,
     RadiusExhausted,
@@ -117,18 +117,25 @@ class TestWindowSpace:
         for _ in range(n):
             level = {apply_generator(space, g, m) for m in level for g in gens}
             for m in level:
-                cls = space.block_class[m.k + n]
-                hit = {cls[u] for u in m.support}
-                assert m.support == {u for u in range(space.p) if cls[u] in hit}
+                lo, hi = shift_algebra._tested_positions(m.k, n)
+                fibre = [u[lo + n : hi + n] for u in space.windows]
+                hit = {fibre[i] for i in set_bits(m.support)}
+                assert m.support == sum(1 << i for i, f in enumerate(fibre) if f in hit)
 
     def test_block_columns(self, tm):
         # J_k has 2t + |k| + 1 positions; no position is tested at |k| = n.
+        # Each fibre of u -> u[J_k] is represented by its first window.
         n = 4
         space = WindowSpace(tm, n)
         for k in range(-n, n + 1):
             t = (n - 1 - abs(k)) // 2
             width = 2 * t + abs(k) + 1 if t >= 0 else 0
-            assert len(set(space.block_class[k + n])) == tm.complexity(width)
+            lo, hi = shift_algebra._tested_positions(k, n)
+            first = {}
+            for i, u in enumerate(space.windows):
+                first.setdefault(u[lo + n : hi + n], i)
+            assert set_bits(space.block_reps[k + n]) == sorted(first.values())
+            assert len(first) == tm.complexity(width)
             assert space.rank_bound[n][k + n] == tm.complexity(width)
 
 
@@ -228,8 +235,8 @@ def unbounded_growth_dims(lang, n_max, field):
     def insert(mono):
         if not mono.support:
             return False
-        cls = space.block_class[mono.k + n_max]
-        return blocks.setdefault(mono.k, shift_algebra.new_basis(field)).insert({cls[u] for u in mono.support})
+        reps = space.block_reps[mono.k + n_max]
+        return blocks.setdefault(mono.k, shift_algebra.new_basis(field)).insert(mono.support & reps)
 
     def rank(n):
         for k, b in blocks.items():
@@ -368,6 +375,62 @@ class TestReversalFold:
             growth_dims(source_language(name, 2 * self.N + 1), self.N, QQ)
         assert min(blocks[0]) == 0 and max(blocks[0]) == self.N
         assert min(blocks[1]) == -self.N
+
+
+class TestCandidateStream:
+    """The inserts :func:`growth_dims` makes, pinned: a change of how
+    candidates are held must make as many inserts and accept as many."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Record whether each basis insert raised the rank."""
+        log = []
+
+        def recorded_basis(field):
+            basis = new_basis(field)
+            insert = basis.insert
+
+            def recorded(support):
+                accepted = insert(support)
+                log.append(accepted)
+                return accepted
+
+            basis.insert = recorded
+            return basis
+
+        monkeypatch.setattr(shift_algebra, "new_basis", recorded_basis)
+        return log
+
+    @pytest.mark.parametrize(
+        "name, n, field, inserts, accepted",
+        [
+            ("golden", 32, GF2, 1041, 1041),
+            ("thue-morse", 22, QQ, 2103, 1231),
+            ("thue-morse", 22, GF2, 2103, 1231),
+        ],
+        ids=str,
+    )
+    def test_insert_counts(self, name, n, field, inserts, accepted, monkeypatch):
+        lang = build_language(source_from_config(SOURCES[name]), n_max=2 * n + 1, prefix_budget=1 << 16)
+        log = self.recording(monkeypatch)
+        growth_dims(lang, n, field)
+        assert len(log) == inserts
+        assert sum(log) == accepted
+
+    @pytest.mark.parametrize("name", ["golden", "thue-morse", "paperfolding", "eventually-periodic"])
+    def test_gf2_rows_are_bitmasks(self, name, monkeypatch):
+        # Over GF(2) a block's row reaches BitRowBasis.insert as the int
+        # mask it reduces, not as a list of coordinates.
+        types = []
+        insert = BitRowBasis.insert
+
+        def recorded(basis, support):
+            types.append(type(support))
+            return insert(basis, support)
+
+        monkeypatch.setattr(BitRowBasis, "insert", recorded)
+        growth_dims(source_language(name, 19), 9, GF2)
+        assert types and set(types) == {int}
 
 
 class TestSemigroupDims:

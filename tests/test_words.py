@@ -124,6 +124,24 @@ class TestToeplitz:
             for k in range(1, 8):
                 assert word[n + k * p] == word[n]
 
+    @pytest.mark.parametrize("skeleton", ["0?1?", "0?1?0", "01???", "1?0?0?0?", "0?1", "01?"])
+    def test_periods_match_resolution(self, skeleton):
+        # Whole periods are written from the letters filling their holes;
+        # every prefix must equal the letter-by-letter resolution.
+        sk = tuple(-1 if c == "?" else int(c) for c in skeleton)
+        src = ToeplitzSource(sk, Alphabet(2))
+        n = 20_000
+        ref = bytes(src._resolve(i) for i in range(n))
+        for length in [*range(1, 300), 1000, 4097, 8192, 12_345, n]:
+            assert ToeplitzSource(sk, Alphabet(2)).prefix(length) == ref[:length]
+        # Extend a buffer that stops in the middle of a period.
+        q = len(sk)
+        for cut in (q * 40 + 1, q * 300 + q - 1, 5002):
+            assert cut % q
+            src = ToeplitzSource(sk, Alphabet(2))
+            src._buf = bytearray(ref[:cut])
+            assert src.prefix(n) == ref
+
     def test_validation(self):
         with pytest.raises(WordSourceError):
             ToeplitzSource((-1, 1), Alphabet(2))  # hole first
