@@ -110,13 +110,15 @@ class GermGroupoidModel:
     def __init__(self, group: SelfSimilarGroup):
         self.group = group
         self.labels = tuple(group.gen_names)
+        # Canonical ids of the generators and their inverses, each once: a
+        # repeat never finds a new germ.
+        self.steps = list(dict.fromkeys(map(group.canonical_key, group.generator_states())))
 
     def ball(self, unit: EventuallyPeriodicPoint, r: int) -> LabeledBall:
         if r < 0:
             raise ValueError("radius must be >= 0")
         grp = self.group
         gens = [grp.gens[n] for n in grp.gen_names]
-        steps = gens + [grp.inverse(s) for s in gens]
         keys: dict[int, tuple] = {}  # canonical id -> its germ key at unit
 
         def key(k: int) -> tuple:
@@ -130,7 +132,7 @@ class GermGroupoidModel:
         for _ in range(r):
             frontier, done = reps[done:], len(reps)
             for g in frontier:
-                for s in steps:
+                for s in self.steps:
                     p = grp.product(s, g)
                     if key(p) not in vertex:
                         vertex[keys[p]] = len(reps)

@@ -404,37 +404,31 @@ def thinned_dims_at_level(
 
         return _CoordinateMap(image)
 
-    # steps[i] lists (map of s, steps of s) for the generators s to try on a
-    # vector made by gens[i]: those with s*gens[i] neither 1 nor a generator.
     maps = [coordinate_map(s).__getitem__ for s in gens]
-    known = {group.identity, *gens}
-    steps: list[list] = [[] for _ in gens]
-    for t, todo in zip(gens, steps):
-        todo.extend((maps[i], steps[i]) for i, s in enumerate(gens) if group.product(s, t) not in known)
-
+    after = group.reduced_steps(gens)
     seen = set()
-    new: list[tuple[tuple[int, ...], list]] = []
+    new: list[tuple[tuple[int, ...], int]] = []  # (vector, index of the generator that made it)
 
-    def consider(vec: tuple[int, ...], todo: list) -> None:
+    def consider(vec: tuple[int, ...], t: int) -> None:
         if vec in seen:
             return
         seen.add(vec)
         if basis.insert(vec):
-            new.append((vec, todo))
+            new.append((vec, t))
             if basis.rank * len(cells) > RANK_COORDINATE_CAP:
                 raise CoordinateCapExceeded(
                     f"level-{level} pass exceeded cap {RANK_COORDINATE_CAP} on rank x coordinates"
                 )
 
-    consider(vectorize(group.identity), list(zip(maps, steps)))
-    for g, todo in zip(gens, steps):
-        consider(vectorize(g), todo)
+    consider(vectorize(group.identity), -1)
+    for t, g in enumerate(gens):
+        consider(vectorize(g), t)
     dims = [(1, basis.rank)]
     for n in range(2, n_max + 1):
         frontier, new = new, []
-        for h, todo in frontier:
-            for phi, after in todo:
-                consider(tuple(map(phi, h)), after)
+        for h, t in frontier:
+            for j in after[t]:
+                consider(tuple(map(maps[j], h)), j)
         dims.append((n, basis.rank))
     return dims
 
@@ -449,13 +443,14 @@ def step_is_injective(group: SelfSimilarGroup, field: Field, cells) -> bool:
     (row, col), the level-1 images of that cell's entries are independent
     over ``field``.  When they are, every dependency among level-(L+1)
     vectors already holds at level L, and the two levels' tables agree.
+    Independence depends only on the set of entries, so it is decided once
+    per distinct entry set; a single entry is independent, since a level-1
+    image is never zero.
     """
     blocks: dict = {}
     for row, col, e in cells:
         blocks.setdefault((row, col), []).append(e)
-    for entries in blocks.values():
-        if len(entries) == 1:
-            continue  # a level-1 image is never zero
+    for entries in {frozenset(es) for es in blocks.values() if len(es) > 1}:
         index: dict = {}
         basis = new_basis(field)
         for e in entries:

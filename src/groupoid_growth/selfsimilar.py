@@ -29,6 +29,7 @@ pairs, so germ equality and germ triviality are key compares.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -500,20 +501,39 @@ class SelfSimilarGroup:
                 core.update(c for s in comp for c in succ[s])
         return core
 
+    def reduced_steps(self, gens: list[int]) -> list[list[int]]:
+        """Skip table of a breadth-first search over words in ``gens``
+        (canonical ids): entry i lists the j with gens[j]*gens[i] neither
+        the identity nor in ``gens``, the generators tried on an element
+        made by gens[i]; the last entry, for the identity, lists every j."""
+        known = {self.identity, *gens}
+        after = [[j for j, s in enumerate(gens) if self.product(s, t) not in known] for t in gens]
+        return after + [list(range(len(gens)))]
+
     def ball(self, radius: int) -> dict[int, tuple[int, int]]:
         """Exact ball of the group: canonical id -> (word length, state id),
-        where the state id is the canonical id itself."""
+        where the state id is the canonical id itself, in breadth-first order.
+
+        An element t*g' first found from g' tries only the generators that
+        :meth:`reduced_steps` lists for t.  A skipped s has s*t = u in {1}
+        and the generators, so s*t*g' = u*g' is g' itself or a generator
+        times an element one radius lower, which by induction on the radius
+        was found by the radius of t*g'.  So the same elements are found at
+        the same radii, in the same order, as when every element tries every
+        generator.
+        """
         lengths: dict[int, tuple[int, int]] = {self.identity: (0, self.identity)}
-        frontier = [self.identity]
         gens = [self.canonical_key(s) for s in self.generator_states()]
+        after = self.reduced_steps(gens)
+        frontier = [(self.identity, -1)]  # (element, index of the generator that made it)
         for r in range(1, radius + 1):
             nxt = []
-            for g in frontier:
-                for s in gens:
-                    k = self.product(s, g)
+            for g, t in frontier:
+                for j in after[t]:
+                    k = self.product(gens[j], g)
                     if k not in lengths:
                         lengths[k] = (r, k)
-                        nxt.append(k)
+                        nxt.append((k, j))
             frontier = nxt
         return lengths
 
@@ -523,11 +543,15 @@ class SelfSimilarGroup:
         Over all group elements with word length in [length_cap/2,
         length_cap], takes the worst ratio l(g|_v)/l(g) at each depth and
         returns the best (smallest) depth ratio found: an upper-bound
-        witness at that depth, not the true limsup.  One table per depth
-        holds, for every id k reachable from the band, the longest
-        in-ball restriction k|_v with |v| = depth and whether some k|_v
-        lies outside the ball; depth j is read off depth j-1 through the
-        restriction ids k|_x, computed once per id.
+        witness at that depth, not the true limsup.  The ids within
+        ``depth_cap`` restrictions of the band are numbered once, band
+        first, with one column of child indices per letter; ``longest``
+        (the longest in-ball restriction k|_v with |v| = depth, or -1) and
+        ``outside`` (some k|_v lies outside the ball) are arrays over that
+        numbering, and depth j is read off depth j-1 through the columns.
+        The band is in breadth-first order, a run of ids per length l, so
+        each run gives one candidate ratio: the max of its ``longest``,
+        raised to l + 1 when some restriction leaves the ball.
         """
         if length_cap < 2:
             raise ValueError("length_cap must be >= 2")
@@ -536,39 +560,50 @@ class SelfSimilarGroup:
         band = [(l, k) for (l, k) in lengths.values() if lo <= l <= length_cap]
         if not band:
             return ContractionEstimate(Fraction(0), 1, length_cap)
-        # Every id within depth_cap restrictions of the band, by distance.
-        layers = [[k for _, k in band]]
-        kids: dict[int, tuple[int, ...]] = {}
-        for _ in range(depth_cap):
-            nxt = []
-            for k in layers[-1]:
-                kids[k] = tuple(self._canon[c] for c in self.children[k])
-                nxt.extend(kids[k])
-            layers.append([c for c in dict.fromkeys(nxt) if c not in kids])
-        # (longest in-ball restriction or -1, some restriction outside the ball)
-        table = {k: (lengths[k][0], False) if k in lengths else (-1, True) for layer in layers for k in layer}
+        ids = [k for _, k in band]
+        index = {k: i for i, k in enumerate(ids)}
+        canon, children = self._canon, self.children
+        cols: list[list[int]] = [[] for _ in range(self.d)]
+        for _ in range(depth_cap):  # expand the ids not expanded yet: one layer
+            kids = [canon[c] for k in ids[len(cols[0]) :] for c in children[k]]
+            for k in dict.fromkeys(kids):
+                if k not in index:
+                    index[k] = len(ids)
+                    ids.append(k)
+            flat = list(map(index.__getitem__, kids))
+            for x, col in enumerate(cols):
+                col.extend(flat[x :: self.d])
+        # Ids at distance depth_cap are read only at depth 0: they point at themselves.
+        for col in cols:
+            col.extend(range(len(col), len(ids)))
+        longest = [lengths[k][0] if k in lengths else -1 for k in ids]
+        outside = [k not in lengths for k in ids]
+        lens = [l for l, _ in band]
+        runs = [(l, lens.index(l), lens.index(l) + lens.count(l)) for l in dict.fromkeys(lens)]
         best_ratio, best_depth = None, 1
         for depth in range(1, depth_cap + 1):
-            nxt_table = {}
-            for layer in layers[: depth_cap + 1 - depth]:
-                for k in layer:
-                    longest, outside = -1, False
-                    for c in kids[k]:
-                        m, o = table[c]
-                        longest, outside = max(longest, m), outside or o
-                    nxt_table[k] = (longest, outside)
-            table = nxt_table
+            longest, outside = _fold(max, longest, cols), _fold(operator.or_, outside, cols)
             worst_num, worst_den = 0, 1
-            for l, k in band:
-                longest, outside = table[k]
+            for l, i, j in runs:
+                rl = max(longest[i:j])
                 # A restriction outside the ball is longer than the cap.
-                rl = max(longest, l + 1) if outside else longest
+                if rl <= l and True in outside[i:j]:
+                    rl = l + 1
                 if rl * worst_den > worst_num * l:
                     worst_num, worst_den = rl, l
             worst = Fraction(worst_num, worst_den)
             if best_ratio is None or worst < best_ratio:
                 best_ratio, best_depth = worst, depth
         return ContractionEstimate(best_ratio, best_depth, length_cap)
+
+
+def _fold(op, values: list, cols: list[list[int]]) -> list:
+    """Entry i: ``op`` folded over values[col[i]] for the columns of
+    child indices, so over the children of id i."""
+    out = map(values.__getitem__, cols[0])
+    for col in cols[1:]:
+        out = map(op, out, map(values.__getitem__, col))
+    return list(out)
 
 
 def _eventually_periodic(head: list[int], tail: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -374,6 +374,52 @@ class TestInjectiveStep:
         assert step_is_injective(grp, QQ, cells)
 
     @pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
+    def test_dependent_block_among_copies(self, field):
+        # 500 blocks hold the independent entries {1, s}; one holds 1, s, t,
+        # u, whose level-1 images (1,1), (1,p), (p,1), (p,p) satisfy
+        # 1 - s - t + u = 0.  Wherever that block sits, the step is not injective.
+        rec = WreathRecursion(
+            2,
+            {
+                "p": ((1, 0), ("", "")),
+                "s": ((0, 1), ("", "p")),
+                "t": ((0, 1), ("p", "")),
+                "u": ((0, 1), ("p", "p")),
+            },
+        )
+        grp = SelfSimilarGroup(rec)
+        one, s, t, u = [grp.identity] + [grp.canonical_key(grp.gens[name]) for name in "stu"]
+        for hidden in (0, 250, 500):
+            blocks = {col: (one, s, t, u) if col == hidden else (one, s) for col in range(501)}
+            cells = {(0, col, e): 0 for col, entries in blocks.items() for e in entries}
+            assert not step_is_injective(grp, field, cells)
+            del cells[(0, hidden, u)]
+            assert step_is_injective(grp, field, cells)
+
+    def test_one_test_per_entry_set(self, monkeypatch):
+        # The n=32 level-5 F2 cells of the Grigorchuk group: 1,024 blocks
+        # of more than one entry, 3 distinct entry sets, 11 inserts.
+        grp = SelfSimilarGroup(GRIGORCHUK)
+        cells = {}
+        thinned_dims_at_level(grp, 32, GF2, 5, cells)
+        inserts = [0]
+
+        def counted_basis(field):
+            basis = new_basis(field)
+            insert = basis.insert
+
+            def counted(support):
+                inserts[0] += 1
+                return insert(support)
+
+            basis.insert = counted
+            return basis
+
+        monkeypatch.setattr(mr, "new_basis", counted_basis)
+        assert step_is_injective(grp, GF2, cells)
+        assert inserts[0] <= 11
+
+    @pytest.mark.parametrize("field", [GF2, QQ], ids=["F2", "Q"])
     def test_fallback_matches_two_passes(self, grig, field, level_passes, monkeypatch):
         for start in range(1, 6):
             monkeypatch.setattr(mr, "_start_level", lambda group, n_max: start)

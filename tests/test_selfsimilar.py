@@ -281,6 +281,43 @@ class TestCanonicalIds:
         assert {k: l for k, (l, _) in ball.items()} == lengths
         assert all(s == k for k, (_, s) in ball.items())
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ball_matches_lazy_builder_on_random_recursions(self, seed):
+        # Reduced-word search against the ball of every word, on 2 or 3
+        # letters, 2 or 3 generators (a permutes cyclically) whose
+        # restrictions are generators, on odd seeds also inverses: same
+        # elements, same lengths, same order.
+        rng = random.Random(seed)
+        d, names = rng.choice((2, 3)), "abc"[: rng.randint(2, 3)]
+        letters = ["", *names, *(names.upper() if seed % 2 else "")]
+        rec = WreathRecursion(
+            d,
+            {
+                n: ((*range(1, d), 0) if n == "a" else tuple(rng.sample(range(d), d)), tuple(rng.choices(letters, k=d)))
+                for n in names
+            },
+        )
+        grp = SelfSimilarGroup(rec)
+        radius = 4 if len(names) == 3 else 5
+        ball = grp.ball(radius)
+        assert [(k, l) for k, (l, _) in ball.items()] == list(lazy_ball(grp, radius).items())
+
+    def test_ball_work_count(self):
+        # Grigorchuk's radius-12 ball: every word tries all 4 generators
+        # (3,996 products); reduced words try 1,760.
+        grp = SelfSimilarGroup(GRIGORCHUK)
+        calls = [0]
+        product = grp.product
+
+        def counted(g, h):
+            calls[0] += 1
+            return product(g, h)
+
+        grp.product = counted
+        assert len(grp.ball(12)) == 1487
+        assert len(grp.perms) == 1501
+        assert calls[0] <= 1760
+
 
 def closed_under_restriction(nuc) -> bool:
     """Every restriction of a nucleus state is again a nucleus state."""
@@ -369,27 +406,21 @@ class TestContraction:
         est = grp.contraction_estimate(length_cap=4)
         assert est.ratio == 0
 
-    @pytest.mark.parametrize("rec", [GRIGORCHUK, ADDING_MACHINE, BASILICA], ids=["grig", "adding", "basilica"])
+    @pytest.mark.parametrize(
+        "rec", [GRIGORCHUK, ADDING_MACHINE, BASILICA, HANOI], ids=["grig", "adding", "basilica", "hanoi"]
+    )
     @pytest.mark.parametrize("length_cap, depth_cap", [(2, 2), (4, 5), (6, 3), (7, 4)])
     def test_matches_fraction_loop(self, rec, length_cap, depth_cap):
         # The worst ratio per depth, found with one Fraction per element.
         grp = SelfSimilarGroup(rec)
-        lengths = grp.ball(length_cap)
-        lo = (length_cap + 1) // 2
-        band = [(l, g) for (l, g) in lengths.values() if lo <= l <= length_cap]
-        levels = [{grp.canonical_key(g)} for _, g in band]
-        best_ratio, best_depth = None, 1
-        for depth in range(1, depth_cap + 1):
-            worst = Fraction(0)
-            for i, (l, _) in enumerate(band):
-                levels[i] = {grp.canonical_key(grp.child(s, x)) for s in levels[i] for x in range(grp.d)}
-                rl = max(lengths[k][0] if k in lengths else l + 1 for k in levels[i])
-                worst = max(worst, Fraction(rl, l))
-            if best_ratio is None or worst < best_ratio:
-                best_ratio, best_depth = worst, depth
+        best_ratio, best_depth = fraction_loop(grp, length_cap, depth_cap)
         est = grp.contraction_estimate(length_cap=length_cap, depth_cap=depth_cap)
         assert (est.ratio, est.depth, est.length_cap) == (best_ratio, best_depth, length_cap)
 
+    @pytest.mark.parametrize("length_cap, ratio", [(12, Fraction(1, 6)), (16, Fraction(1, 8))])
+    def test_grigorchuk_pinned(self, length_cap, ratio):
+        est = SelfSimilarGroup(GRIGORCHUK).contraction_estimate(length_cap=length_cap, depth_cap=6)
+        assert (est.ratio, est.depth) == (ratio, 4)
 
     @pytest.mark.parametrize(
         "rec, length_cap, depth_cap",
