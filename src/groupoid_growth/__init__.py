@@ -22,7 +22,6 @@ from .matrix_recursion import (
     image_at_level,
     loglog_slope,
     parse_element,
-    recursion_step,
     thinned_growth,
 )
 from .selfsimilar import (

@@ -112,7 +112,7 @@ class GermGroupoidModel:
         self.labels = tuple(group.gen_names)
         # Canonical ids of the generators and their inverses, each once: a
         # repeat never finds a new germ.
-        self.steps = list(dict.fromkeys(map(group.canonical_key, group.generator_states())))
+        self.steps = list(dict.fromkeys(group.generator_states()))
 
     def ball(self, unit: EventuallyPeriodicPoint, r: int) -> LabeledBall:
         if r < 0:
@@ -126,21 +126,23 @@ class GermGroupoidModel:
                 keys[k] = grp.germ_key(k, unit)
             return keys[k]
 
-        reps = [grp.identity]  # germ representatives (canonical ids), vertex i = reps[i]
+        # One breadth-first queue: vertex i = reps[i] at radius radii[i].
+        # Each vertex multiplies every step once; below radius r the
+        # products extend the ball, and the generators' products give its
+        # edges, after the vertices they may have added.
+        reps, radii = [grp.identity], [0]
         vertex = {key(grp.identity): 0}  # germ key -> its vertex
-        done = 0  # reps[done:] is the frontier
-        for _ in range(r):
-            frontier, done = reps[done:], len(reps)
-            for g in frontier:
-                for s in self.steps:
-                    p = grp.product(s, g)
+        edges = []
+        for i, g in enumerate(reps):  # reps grows while it is walked
+            products = {s: grp.multiply(s, g) for s in self.steps}
+            if radii[i] < r:
+                for p in products.values():
                     if key(p) not in vertex:
                         vertex[keys[p]] = len(reps)
                         reps.append(p)
-        edges = []
-        for i, g in enumerate(reps):
+                        radii.append(radii[i] + 1)
             for lid, s in enumerate(gens):
-                j = vertex.get(key(grp.product(s, g)))
+                j = vertex.get(key(products[s]))
                 if j is not None:
                     edges.append((i, j, lid))  # g -> s.g, labeled by s
         return LabeledBall(len(reps), sorted(edges), r, self.labels)

@@ -41,33 +41,16 @@ def _reduced(coeffs: dict, p: int) -> dict:
 
 
 class GroupRingElement:
-    """Finitely supported map from group elements (canonical ids) to int
-    scalars, reduced mod the field's characteristic p when p is nonzero."""
+    """Finitely supported map from group elements (ids) to int scalars,
+    reduced mod the field's characteristic p when p is nonzero.  Equal
+    elements have equal ids, so each coefficient has one key."""
 
     __slots__ = ("group", "field", "coeffs")
 
     def __init__(self, group: SelfSimilarGroup, field: Field, coeffs: dict):
-        merged: dict = {}
-        for g, c in coeffs.items():
-            rid = group.canonical_key(g)
-            merged[rid] = merged.get(rid, 0) + c
         self.group = group
         self.field = field
-        self.coeffs = _reduced(merged, field.characteristic)
-
-    @classmethod
-    def _merged(cls, group: SelfSimilarGroup, field: Field, coeffs: dict) -> "GroupRingElement":
-        """From int coefficients already keyed by canonical id, one per id:
-        they are only reduced."""
-        elem = cls.__new__(cls)
-        elem.group = group
-        elem.field = field
-        elem.coeffs = _reduced(coeffs, field.characteristic)
-        return elem
-
-    @classmethod
-    def of(cls, group, field, g: int, coeff: int):
-        return cls(group, field, {g: coeff})
+        self.coeffs = _reduced(coeffs, field.characteristic)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -76,16 +59,16 @@ class GroupRingElement:
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) + c
-        return GroupRingElement._merged(self.group, self.field, out)
+        return GroupRingElement(self.group, self.field, out)
 
     def mul(self, other: "GroupRingElement") -> "GroupRingElement":
         grp = self.group
         out: dict = {}
         for g, cg in self.coeffs.items():
             for h, ch in other.coeffs.items():
-                k = grp.product(g, h)
+                k = grp.multiply(g, h)
                 out[k] = out.get(k, 0) + cg * ch
-        return GroupRingElement._merged(grp, self.field, out)
+        return GroupRingElement(grp, self.field, out)
 
     def __eq__(self, other):
         return (
@@ -123,16 +106,15 @@ def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> GroupRing
 
 def element_name(group: SelfSimilarGroup, rid: int) -> str:
     """Short display name: generator/identity if recognizable, else a state tag."""
-    key = group.canonical_key(rid)
-    if key == group.identity:
+    if rid == group.identity:
         return "1"
     for name in group.gen_names:
-        if group.canonical_key(group.gens[name]) == key:
+        if group.gens[name] == rid:
             return name
     for name in group.gen_names:
-        if group.canonical_key(group.inverse(group.gens[name])) == key:
+        if group.inverse(group.gens[name]) == rid:
             return name.upper()
-    return f"g{key}"
+    return f"g{rid}"
 
 
 def format_element(elem: GroupRingElement) -> str:
@@ -197,26 +179,6 @@ class LevelMatrix:
         )
 
 
-def level0(elem: GroupRingElement) -> LevelMatrix:
-    return LevelMatrix(elem.group, elem.field, 0, {(0, 0): elem})
-
-
-def recursion_step(m: LevelMatrix) -> LevelMatrix:
-    """The matrix recursion A_n -> A_(n+1): entry g at (u, v) contributes
-    g|_x at (u.g(x), v.x) for every letter x, same coefficient."""
-    grp, f, d = m.group, m.field, m.group.d
-    out: dict = {}
-    for (u, v), elem in m.entries.items():
-        for g, c in elem.coeffs.items():
-            for x in range(d):
-                r = u * d + grp.perms[g][x]
-                col = v * d + x
-                child = GroupRingElement.of(grp, f, grp.child(g, x), c)
-                key = (r, col)
-                out[key] = out[key].add(child) if key in out else child
-    return LevelMatrix(grp, f, m.level + 1, out)
-
-
 # Most columns d^level an image_at_level call builds: on two letters, level
 # 16 for a+b+1 in the Grigorchuk group takes ~1.9 s and ~210 MiB (Python
 # 3.11, 2 cores), and each further level multiplies both by about d.
@@ -253,7 +215,7 @@ def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
         for col, (row, e) in enumerate(grp.level_sections(g, level)):
             cell = cells.setdefault((row, col), {})
             cell[e] = cell[e] + c if e in cell else c
-    return LevelMatrix(grp, f, level, {rc: GroupRingElement._merged(grp, f, cs) for rc, cs in cells.items()})
+    return LevelMatrix(grp, f, level, {rc: GroupRingElement(grp, f, cs) for rc, cs in cells.items()})
 
 
 def format_matrix(m: LevelMatrix) -> str:
@@ -270,14 +232,14 @@ def format_matrix(m: LevelMatrix) -> str:
 
 
 def grig_witness(group: SelfSimilarGroup) -> LevelMatrix:
-    """One recursion step applied to b+c+d+1 over GF(2).
+    """The level-1 image of b+c+d+1 over GF(2).
 
     The image is diagonal with a zero block and the block b+c+d+1, which
     certifies a nonzero element of the convolution algebra vanishing off
     the germs at 111...; any other result is a recursion bug.
     """
     elem = parse_element(group, "b+c+d+1", GF2)
-    m = recursion_step(level0(elem))
+    m = image_at_level(elem, 1)
     expected = LevelMatrix(group, GF2, 1, {(1, 1): elem})
     if m != expected:
         raise IdentityError("matrix recursion of b+c+d+1 is not diag(0, b+c+d+1)")
@@ -291,7 +253,7 @@ def random_element(group, field, rng: random.Random):
     names = group.gen_names
     for _ in range(rng.randint(1, 3)):
         word = "".join(rng.choice(names) for _ in range(rng.randint(0, 3)))
-        g = group.element(word)
+        g = group.word_id(word)
         coeffs[g] = coeffs.get(g, 0) + rng.randint(1, 5)
     return GroupRingElement(group, field, coeffs)
 
@@ -377,7 +339,7 @@ def thinned_dims_at_level(
     ``RANK_COORDINATE_CAP``, raise :class:`CoordinateCapExceeded`.
     """
     basis = new_basis(field)
-    gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
+    gens = [group.gens[n] for n in group.gen_names]
     cells = list(coord_index)
 
     def index(cell: tuple) -> int:
@@ -400,7 +362,7 @@ def thinned_dims_at_level(
         def image(c: int) -> int:
             row, col, e = cells[c]
             s_row, section = entries[row]
-            return index((s_row, col, group.product(section, e)))
+            return index((s_row, col, group.multiply(section, e)))
 
         return _CoordinateMap(image)
 

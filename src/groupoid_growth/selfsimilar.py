@@ -1,25 +1,24 @@
 """Groups acting on rooted trees by wreath recursions.
 
-Elements are states of a deterministic automaton: a state carries a
-permutation of the alphabet and one child state per letter.  A state's
-canonical id is the state id of its class representative.  Invariant: two
-states of one group have equal ids iff they are the same automorphism of
+Elements are states of a minimized deterministic automaton: state k
+carries a permutation of the alphabet and one child id per letter, and
+every state is the one representative of its class.  Invariant: two
+elements of one group have equal ids iff they are the same automorphism of
 the tree; ids are valid within that group only.  So equality, identity
 tests and group-ring coefficient merging are int compares.
 
-Generators, formal inverses and the lazy products ``multiply`` builds are
-recipes: their child states are resolved on demand, which makes cyclic
-definitions (generators whose restrictions mention each other, formal
-inverses, the products they induce) well founded.  Such states get ids
-bottom-up over strongly connected components: an acyclic state is
-hash-consed by (permutation, child ids), a cyclic component is minimized
-by Moore refinement.  Every class representative is registered by
-(permutation, child ids), so ``product`` gives the id of g*h from the ids
-of its sections, product(g|_{h(x)}, h|_x), before it builds anything: a
-state exists only for a new class (Filliatre and Conchon 2006).  Sections
-of a product are short in a contracting group (Nekrashevych, Self-Similar
-Groups, 2005), which keeps that recursion shallow; a pair that recurs on
-its own call stack takes the lazy path.
+Every class representative is registered by (permutation, child ids), so
+``multiply`` gives the id of g*h from the ids of its sections,
+multiply(g|_{h(x)}, h|_x), before it builds anything: a state exists only
+for a new class (Filliatre and Conchon 2006).  Sections of a product are
+short in a contracting group (Nekrashevych, Self-Similar Groups, 2005),
+which keeps that recursion shallow.  What it cannot close, a product that
+recurs on its own call stack, an inverse and a generator whose rest words
+mention each other, goes to one interning routine, ``canonical_key``, over
+words of ids, inverses and generator names: it walks the words reachable
+by sections in strongly connected components, hash-conses an acyclic word
+by (permutation, child ids) and minimizes a cyclic component by Moore
+refinement against the known classes.
 
 Boundary points are restricted to eventually periodic sequences, where
 a germ has a canonical key by cycle detection over (canonical id, phase)
@@ -34,8 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-# Deepest recursion of ``SelfSimilarGroup.product`` before it takes the lazy
-# path; contracting groups need about log2 of the word length.
+# Deepest recursion of ``SelfSimilarGroup.multiply`` on sections before a
+# product goes to ``canonical_key``, which needs no call stack; contracting
+# groups need about log2 of the word length.
 _PRODUCT_DEPTH = 100
 # Most automaton states one group may hold before it raises
 # StateCapExceeded (a non-contracting blowup).
@@ -140,116 +140,54 @@ class SelfSimilarGroup:
         self.recursion = recursion
         self.d = recursion.alphabet_size
         self.perms: list[tuple[int, ...]] = []
-        self.children: list[list[int]] = []
-        self._recipes: dict[int, tuple] = {}  # state -> how to build missing children
-        self._product_cache: dict[tuple[int, int], int] = {}  # lazy states
-        self._product_ids: dict[tuple[int, int], int] = {}  # canonical ids
-        self._inverse_cache: dict[int, int] = {}
-        self._level_sections: dict[tuple[int, int], tuple] = {}  # (canonical id, level) -> image
-        self._canon: list[int] = []  # state -> canonical id, -1 until computed
-        self._by_children: dict[tuple, int] = {}  # (perm, child ids) -> canonical id
-        self._by_cycle: dict[tuple, int] = {}  # BFS encoding of a cyclic class -> canonical id
+        self.children: list[tuple[int, ...]] = []
+        self._product_ids: dict[tuple[int, int], int] = {}
+        self._inverse_cache: dict[int, int] = {}  # id -> id of its inverse, both ways
+        self._level_sections: dict[tuple[int, int], tuple] = {}  # (id, level) -> image
+        self._by_children: dict[tuple, int] = {}  # (perm, child ids) -> id
+        self._by_cycle: dict[tuple, int] = {}  # BFS encoding of a cyclic class -> id
 
         idperm = tuple(range(self.d))
-        self.identity = self._new_state(idperm)
-        self.children[self.identity] = [self.identity] * self.d
-        # First class to get an id, so the identity is its own representative.
-        self.canonical_key(self.identity)
-
-        self.gens: dict[str, int] = {}
-        for name, (perm, rests) in recursion.generators.items():
-            sid = self._new_state(perm)
-            self._recipes[sid] = ("word", rests)
-            self.gens[name] = sid
+        # The first state, so its children are the id 0.
+        self.identity = self._new_state(idperm, (0,) * self.d)
+        # The identity is a cyclic class: a component equal to it that does
+        # not reach it finds it by its encoding.
+        self._by_cycle[idperm + (0,) * self.d] = self.identity
+        self.gens = {name: self.canonical_key((name,)) for name in recursion.generators}
         self.gen_names = list(recursion.generators)
 
-    # -- state construction ------------------------------------------------
-
-    def _new_state(self, perm: tuple[int, ...]) -> int:
+    def _new_state(self, perm: tuple[int, ...], kids: tuple[int, ...]) -> int:
+        """Allocate the representative of a new class."""
         if len(self.perms) >= STATE_CAP:
             raise StateCapExceeded(f"automaton state cap {STATE_CAP} exceeded")
+        k = len(self.perms)
         self.perms.append(perm)
-        self.children.append([-1] * self.d)  # resolved on demand via the recipe
-        self._canon.append(-1)
-        return len(self.perms) - 1
+        self.children.append(kids)
+        self._by_children[(perm, kids)] = k
+        return k
 
-    def child(self, g: int, x: int) -> int:
-        """The state g|_x, resolving lazily.
-
-        Lazy resolution makes mutually recursive definitions well
-        founded: a recipe only ever refers to states created earlier, so
-        the resolution recursion terminates.
-        """
-        c = self.children[g][x]
-        if c >= 0:
-            return c
-        recipe = self._recipes[g]
-        if recipe[0] == "word":
-            c = self.element(recipe[1][x])
-        elif recipe[0] == "inv":
-            (_, orig) = recipe
-            inv_perm = self.perms[g]
-            c = self.inverse(self.child(orig, inv_perm[x]))
-        else:  # ("mul", left, right)
-            _, left, right = recipe
-            ph = self.perms[right]
-            c = self.multiply(self.child(left, ph[x]), self.child(right, x))
-        self.children[g][x] = c
-        return c
-
-    def element(self, word: str) -> int:
-        """State of a product of generators given as a name word ('' = identity)."""
-        sid = self.identity
-        for ch in word:
-            sid = self.multiply(sid, self._letter(ch))
-        return sid
-
-    def _letter(self, ch: str) -> int:
-        """State of one letter of a word: a generator, or in uppercase its inverse."""
-        g = self.gens.get(ch.lower())
-        if g is None:
-            raise ValueError(f"unknown generator {ch!r}: the generators are {', '.join(self.gen_names)}")
-        return self.inverse(g) if ch.isupper() else g
+    # -- products ----------------------------------------------------------
 
     def multiply(self, g: int, h: int) -> int:
-        """State of g*h (g applied after h).  (g*h)|_x = g|_{h(x)} * h|_x."""
-        if g == self.identity:
-            return h
-        if h == self.identity:
-            return g
-        key = (g, h)
-        cached = self._product_cache.get(key)
-        if cached is not None:
-            return cached
-        pg, ph = self.perms[g], self.perms[h]
-        sid = self._new_state(tuple(pg[ph[x]] for x in range(self.d)))
-        self._product_cache[key] = sid
-        self._recipes[sid] = ("mul", g, h)
-        return sid
+        """Id of g*h (g applied after h), built from the ids of its sections.
 
-    def product(self, g: int, h: int) -> int:
-        """Canonical id of g*h, built from the canonical ids of its sections.
-
-        The child ids product(g|_{h(x)}, h|_x) are computed first and
+        (g*h)|_x = g|_{h(x)} * h|_x: the child ids are computed first and
         (permutation, child ids) is looked up among the registered classes;
         a state is allocated only on a miss, which is a new acyclic class.
-        A pair that recurs on its own call stack is cyclic and takes the
-        lazy path, ``canonical_key(multiply(g, h))``; so does a pair deeper
-        than ``_PRODUCT_DEPTH`` levels, which bounds the recursion.
+        A pair that recurs on its own call stack is cyclic, and goes to
+        :meth:`canonical_key` as the node (g, h); so does a pair deeper than
+        ``_PRODUCT_DEPTH`` levels, which bounds the recursion.
         """
-        canon = self._canon
-        g = canon[g] if canon[g] >= 0 else self.canonical_key(g)
-        h = canon[h] if canon[h] >= 0 else self.canonical_key(h)
-        # The checks at the top of _product, inlined: most calls end here.
+        # The checks at the top of _multiply, inlined: most calls end here.
         if g == self.identity:
             return h
         if h == self.identity:
             return g
         k = self._product_ids.get((g, h))
-        return self._product(g, h, set(), 0) if k is None else k
+        return self._multiply(g, h, set(), 0) if k is None else k
 
-    def _product(self, g: int, h: int, active: set, depth: int) -> int:
-        """product() on canonical ids; ``active`` holds the pairs on the call stack."""
+    def _multiply(self, g: int, h: int, active: set, depth: int) -> int:
+        """multiply(); ``active`` holds the pairs on the call stack."""
         if g == self.identity:
             return h
         if h == self.identity:
@@ -259,77 +197,64 @@ class SelfSimilarGroup:
         if k is not None:
             return k
         if key in active or depth >= _PRODUCT_DEPTH:
-            k = self.canonical_key(self.multiply(g, h))
-        else:
-            active.add(key)
-            canon, pg, ph = self._canon, self.perms[g], self.perms[h]
-            cg, ch = self.children[g], self.children[h]
-            kids = []
-            for x, y in enumerate(ph):
-                kids.append(self._product(canon[cg[y]], canon[ch[x]], active, depth + 1))
-            active.discard(key)
-            sig = (tuple(pg[y] for y in ph), tuple(kids))
-            k = self._by_children.get(sig)
-            if k is None:
-                k = self._new_state(sig[0])
-                self.children[k] = kids
-                self._canon[k] = self._by_children[sig] = k
+            return self.canonical_key(key)
+        active.add(key)
+        pg, ph, cg, ch = self.perms[g], self.perms[h], self.children[g], self.children[h]
+        kids = tuple([self._multiply(cg[y], ch[x], active, depth + 1) for x, y in enumerate(ph)])
+        active.discard(key)
+        perm = tuple([pg[y] for y in ph])
+        k = self._by_children.get((perm, kids))
+        if k is None:
+            k = self._new_state(perm, kids)
         self._product_ids[key] = k
         return k
 
-    def word_id(self, word: str) -> int:
-        """Canonical id of a word over generator names, folded with
-        :meth:`product`: no lazy chain as long as the word is built."""
-        k = self.identity
-        for ch in word:
-            k = self.product(k, self._letter(ch))
-        return k
-
     def inverse(self, g: int) -> int:
+        """Id of g^-1."""
         if g == self.identity:
             return g
-        cached = self._inverse_cache.get(g)
-        if cached is not None:
-            return cached
-        perm = self.perms[g]
-        inv_perm = [0] * self.d
-        for x, y in enumerate(perm):
-            inv_perm[y] = x
-        sid = self._new_state(tuple(inv_perm))
-        self._inverse_cache[g] = sid
-        self._inverse_cache[sid] = g
-        self._recipes[sid] = ("inv", g)
-        return sid
+        k = self._inverse_cache.get(g)
+        return self.canonical_key((~g,)) if k is None else k
+
+    def word_id(self, word: str) -> int:
+        """Id of a word over generator names, folded with :meth:`multiply`."""
+        k = self.identity
+        for ch in word:
+            k = self.multiply(k, self._letter(ch))
+        return k
+
+    def _letter(self, ch: str) -> int:
+        """Id of one letter of a word: a generator, or in uppercase its inverse."""
+        g = self.gens.get(ch.lower())
+        if g is None:
+            raise ValueError(f"unknown generator {ch!r}: the generators are {', '.join(self.gen_names)}")
+        return self.inverse(g) if ch.isupper() else g
 
     # -- tree action ---------------------------------------------------------
 
     def act(self, g: int, word) -> tuple[int, ...]:
         """Image of a finite word under the automorphism g."""
         out = []
-        sid = g
         for x in word:
             if not (0 <= x < self.d):
                 raise ValueError(f"letter {x} outside alphabet of size {self.d}")
-            out.append(self.perms[sid][x])
-            sid = self.child(sid, x)
+            out.append(self.perms[g][x])
+            g = self.children[g][x]
         return tuple(out)
 
     def restriction(self, g: int, word) -> int:
-        """State of g|_v."""
-        sid = g
+        """Id of g|_v."""
         for x in word:
             if not (0 <= x < self.d):
                 raise ValueError(f"letter {x} outside alphabet of size {self.d}")
-            sid = self.child(sid, x)
-        return sid
+            g = self.children[g][x]
+        return g
 
     def level_sections(self, g: int, level: int) -> tuple[tuple[int, int], ...]:
         """Level-``level`` image of g: for each column, a word v of length
         ``level`` read as a base-d integer, the pair (g(v) read the same
-        way, canonical id of g|_v).  Memoized by canonical id and level for
-        the lifetime of the group, whose ids never change."""
-        k = self._canon[g]
-        g = k if k >= 0 else self.canonical_key(g)
+        way, id of g|_v).  Memoized by id and level for the lifetime of the
+        group, whose ids never change."""
         key = (g, level)
         out = self._level_sections.get(key)
         if out is None:
@@ -339,54 +264,133 @@ class SelfSimilarGroup:
                 size = self.d ** (level - 1)
                 out = tuple(
                     (gx * size + row, e)
-                    for x, gx in enumerate(self.perms[g])
-                    for row, e in self.level_sections(self.child(g, x), level - 1)
+                    for gx, c in zip(self.perms[g], self.children[g])
+                    for row, e in self.level_sections(c, level - 1)
                 )
             self._level_sections[key] = out
         return out
 
-    # -- canonical ids --------------------------------------------------------
+    # -- interning -------------------------------------------------------------
 
-    def canonical_key(self, g: int) -> int:
-        """Canonical id of g: the state id of the representative of its class.
+    def canonical_key(self, node: tuple) -> int:
+        """Id of the element a node stands for, allocating states only for
+        new classes.
 
-        Two states of this group have equal ids iff they act as the same
-        automorphism of the tree; ids are valid within this group only.
+        A node is a tuple of letters whose product is the element: a pair
+        of ids (g, h), the inverse (~k,) of an id, or while ``__init__``
+        interns the generators a word of generator names (uppercase for an
+        inverse), whose sections are the recursion's rest words.  Sections
+        keep these forms.  The nodes reachable from ``node`` whose ids are
+        not known yet are walked by strongly connected components, each
+        after the ones it reaches: an acyclic node is looked up by
+        (permutation, child ids), a cyclic component is minimized by Moore
+        refinement together with the known classes below it.  Pairs are
+        recorded as products and inverses in the inverse table.  The
+        letters of the nodes expanded count against ``STATE_CAP``.
         """
-        if self._canon[g] < 0:
-            for comp in _strongly_connected_components([g], self._pending_children):
-                self._canonicalize(comp)
-        return self._canon[g]
+        k = self._known_id(node)
+        if k is not None:
+            return k
+        ids: dict[tuple, int] = {}  # nodes of this call -> their ids
+        expanded: dict[tuple, tuple] = {}  # node -> (perm, child nodes)
+        letters = len(self.perms)
 
-    def _pending_children(self, s: int) -> list[int]:
-        return [c for c in (self.child(s, x) for x in range(self.d)) if self._canon[c] < 0]
+        def successors(n: tuple) -> list[tuple]:
+            nonlocal letters
+            letters += len(n)
+            if letters > STATE_CAP:
+                raise StateCapExceeded(f"automaton state cap {STATE_CAP} exceeded")
+            expanded[n] = self._expand(n)
+            return [c for c in expanded[n][1] if self._known_id(c) is None]
 
-    def _canonicalize(self, comp: list[int]) -> None:
-        """Give ids to one strongly connected component of states whose
+        for comp in _strongly_connected_components([node], successors):
+            self._intern(comp, expanded, ids)
+            for n in comp:
+                if type(n[0]) is str:  # a name word is not recorded
+                    continue
+                if len(n) == 2:
+                    self._product_ids[n] = ids[n]
+                else:
+                    self._inverse_cache[~n[0]] = ids[n]
+                    self._inverse_cache[ids[n]] = ~n[0]
+        return ids[node]
+
+    def _known_id(self, node: tuple) -> int | None:
+        """The id of a node read off the tables, or None."""
+        if len(node) == 2:
+            return self._product_ids.get(node)
+        if len(node) == 1:
+            k = node[0]
+            if type(k) is str:
+                return None
+            return k if k >= 0 else self._inverse_cache.get(~k)
+        return None if node else self.identity
+
+    def _expand(self, node: tuple) -> tuple:
+        """(permutation, child nodes) of a node: (l1...lm)|_x is
+        l1|_{(l2...lm)(x)} ... lm|_x without identity letters, and
+        (g^-1)|_y is (g|_{g^-1(y)})^-1."""
+        identity = (self.identity, ~self.identity)
+        perm, kids = [], []
+        for x in range(self.d):
+            y, sections = x, []
+            for s in reversed(node):  # the rightmost letter acts first
+                if type(s) is str:
+                    p, rests = self.recursion.generators[s.lower()]
+                    if s.islower():
+                        y, section = p[y], rests[y]
+                    else:
+                        y = p.index(y)
+                        section = rests[y][::-1].swapcase()
+                elif s >= 0:
+                    y, section = self.perms[s][y], (self.children[s][y],)
+                else:
+                    y = self.perms[~s].index(y)
+                    section = (~self.children[~s][y],)
+                sections.append(section)
+            perm.append(y)
+            kids.append(tuple(c for section in reversed(sections) for c in section if c not in identity))
+        return tuple(perm), kids
+
+    def _intern(self, comp: list[tuple], expanded: dict, ids: dict) -> None:
+        """Give ids to one strongly connected component of nodes whose
         children outside it already have ids."""
-        canon, children, perms = self._canon, self.children, self.perms
-        s = comp[0]
-        if len(comp) == 1 and s not in children[s]:
-            canon[s] = self._by_children.setdefault((perms[s], tuple(canon[c] for c in children[s])), s)
+
+        def outside(c: tuple) -> int:
+            k = ids.get(c)
+            return self._known_id(c) if k is None else k
+
+        n = comp[0]
+        if len(comp) == 1 and n not in expanded[n][1]:
+            perm, children = expanded[n]
+            kids = tuple(map(outside, children))
+            k = self._by_children.get((perm, kids))
+            ids[n] = self._new_state(perm, kids) if k is None else k
             return
         # Moore refinement over the component plus the known classes below
-        # it, so that a cyclic state can merge with an existing representative.
-        nodes = list(comp)
-        pos = {s: i for i, s in enumerate(nodes)}
-        stack = [canon[c] for s in comp for c in children[s] if c not in pos]
-        while stack:
-            k = stack.pop()
-            if k not in pos:
-                pos[k] = len(nodes)
-                nodes.append(k)
-                stack.extend(canon[c] for c in children[k])
-        kids = [[pos[c] if c in pos else pos[canon[c]] for c in children[s]] for s in nodes]
-        labels = _relabel(perms[s] for s in nodes)
+        # it, so that a cyclic node can merge with an existing representative.
+        # Vertex i is members[i]: a node of comp for i < len(comp), else an id.
+        members: list = list(comp)
+        pos = {m: i for i, m in enumerate(members)}
+        perms, kids = [], []
+        for m in members:  # grows while the known classes below are found
+            if type(m) is tuple:
+                perm, children = expanded[m]
+                children = [c if c in pos else outside(c) for c in children]
+            else:
+                perm, children = self.perms[m], self.children[m]
+            for c in children:
+                if c not in pos:
+                    pos[c] = len(members)
+                    members.append(c)
+            perms.append(perm)
+            kids.append([pos[c] for c in children])
+        labels = _relabel(perms)
         while (refined := _relabel((labels[i], *(labels[j] for j in ks)) for i, ks in enumerate(kids))) != labels:
             labels = refined
-        known = {labels[i]: nodes[i] for i in range(len(comp), len(nodes))}
-        if labels[0] not in known:  # else every state is known: they reach each other
-            rep = {labels[i]: comp[i] for i in reversed(range(len(comp)))}  # first member
+        known = {labels[i]: members[i] for i in range(len(comp), len(members))}
+        if labels[0] not in known:  # else every node is known: they reach each other
+            rep = {labels[i]: i for i in reversed(range(len(comp)))}  # first vertex of each block
 
             def encode(start: int) -> tuple:
                 # Minimized automaton in BFS order from a block, known classes
@@ -394,7 +398,7 @@ class SelfSimilarGroup:
                 order, queue, out = {start: 0}, [start], []
                 for b in queue:
                     out.extend(perms[rep[b]])
-                    for c in kids[pos[rep[b]]]:
+                    for c in kids[rep[b]]:
                         cb = labels[c]
                         if cb not in known and cb not in order:
                             order[cb] = len(queue)
@@ -402,14 +406,16 @@ class SelfSimilarGroup:
                         out.append(~known[cb] if cb in known else order[cb])
                 return tuple(out)
 
-            if encode(labels[0]) not in self._by_cycle:  # new classes: register every entry
-                ids = known | rep
-                for b, r in rep.items():
-                    self._by_cycle[encode(b)] = r
-                    self._by_children[(perms[r], tuple(ids[labels[c]] for c in kids[pos[r]]))] = r
-            known.update({b: self._by_cycle[encode(b)] for b in rep})  # encode reads known
-        for i, s in enumerate(comp):
-            canon[s] = known[labels[i]]
+            codes = {b: encode(b) for b in rep}  # encode reads known
+            if codes[labels[0]] not in self._by_cycle:  # new classes: register every block
+                new = {b: len(self.perms) + j for j, b in enumerate(rep)}
+                ids_of = known | new
+                for b, i in rep.items():
+                    self._new_state(perms[i], tuple(ids_of[labels[c]] for c in kids[i]))
+                    self._by_cycle[codes[b]] = new[b]
+            known.update({b: self._by_cycle[codes[b]] for b in rep})
+        for i, m in enumerate(comp):
+            ids[m] = known[labels[i]]
 
     # -- germs ---------------------------------------------------------------
 
@@ -427,8 +433,8 @@ class SelfSimilarGroup:
         pre, per = point.preperiod, point.period
         if min(pre + per) < 0 or max(pre + per) >= self.d:
             raise ValueError(f"point has a letter outside the alphabet of size {self.d}")
-        canon, perms = self._canon, self.perms
-        k = self.canonical_key(g)
+        perms, children = self.perms, self.children
+        k = g
         image, sections, seen = [], [], {}  # seen: (id, phase) -> its time
         for t in range(GERM_STEP_CAP):
             if t < len(pre):
@@ -441,8 +447,7 @@ class SelfSimilarGroup:
                 sections.append(k)
                 x = per[node[1]]
             image.append(perms[k][x])
-            c = self.child(k, x)
-            k = canon[c] if canon[c] >= 0 else self.canonical_key(c)
+            k = children[k][x]
         else:
             raise StateCapExceeded(f"germ walk did not settle within {GERM_STEP_CAP} steps")
         entry = seen[node]
@@ -460,7 +465,7 @@ class SelfSimilarGroup:
         out = [self.gens[n] for n in self.gen_names]
         for n in self.gen_names:
             inv = self.inverse(self.gens[n])
-            if self.canonical_key(inv) not in {self.canonical_key(s) for s in out}:
+            if inv not in out:
                 out.append(inv)
         return out
 
@@ -476,22 +481,22 @@ class SelfSimilarGroup:
         if cap < 1:
             raise ValueError("cap must be >= 1")
         seeds = [self.identity] + self.generator_states()
-        core = self._recurrent_core([self.product(g, h) for g in seeds for h in seeds], cap)
-        square = self._recurrent_core([self.product(g, h) for g in core for h in core], cap)
+        core = self._recurrent_core([self.multiply(g, h) for g in seeds for h in seeds], cap)
+        square = self._recurrent_core([self.multiply(g, h) for g in core for h in core], cap)
         if not square <= core:
             raise NotContracting(f"not contracting: products of the {len(core)} candidates recur outside them")
         return Nucleus(group=self, states=frozenset(core))
 
     def _recurrent_core(self, states: list[int], cap: int) -> set[int]:
         """Ids reachable from a cycle in the restriction closure of states."""
-        succ: dict[int, list[int]] = {}
-        stack = [self.canonical_key(s) for s in states]
+        succ: dict[int, tuple[int, ...]] = {}
+        stack = list(states)
         while stack:
             k = stack.pop()
             if k not in succ:
                 if len(succ) >= cap:
                     raise NotContracting(f"restriction closure exceeded cap {cap}: not contracting within cap")
-                succ[k] = [self.canonical_key(self.child(k, x)) for x in range(self.d)]
+                succ[k] = self.children[k]
                 stack.extend(succ[k])
         core: set[int] = set()
         # Components in topological order: each after every one reaching it.
@@ -507,7 +512,7 @@ class SelfSimilarGroup:
         the identity nor in ``gens``, the generators tried on an element
         made by gens[i]; the last entry, for the identity, lists every j."""
         known = {self.identity, *gens}
-        after = [[j for j, s in enumerate(gens) if self.product(s, t) not in known] for t in gens]
+        after = [[j for j, s in enumerate(gens) if self.multiply(s, t) not in known] for t in gens]
         return after + [list(range(len(gens)))]
 
     def ball(self, radius: int) -> dict[int, tuple[int, int]]:
@@ -523,14 +528,14 @@ class SelfSimilarGroup:
         generator.
         """
         lengths: dict[int, tuple[int, int]] = {self.identity: (0, self.identity)}
-        gens = [self.canonical_key(s) for s in self.generator_states()]
+        gens = self.generator_states()
         after = self.reduced_steps(gens)
         frontier = [(self.identity, -1)]  # (element, index of the generator that made it)
         for r in range(1, radius + 1):
             nxt = []
             for g, t in frontier:
                 for j in after[t]:
-                    k = self.product(gens[j], g)
+                    k = self.multiply(gens[j], g)
                     if k not in lengths:
                         lengths[k] = (r, k)
                         nxt.append((k, j))
@@ -562,10 +567,10 @@ class SelfSimilarGroup:
             return ContractionEstimate(Fraction(0), 1, length_cap)
         ids = [k for _, k in band]
         index = {k: i for i, k in enumerate(ids)}
-        canon, children = self._canon, self.children
+        children = self.children
         cols: list[list[int]] = [[] for _ in range(self.d)]
         for _ in range(depth_cap):  # expand the ids not expanded yet: one layer
-            kids = [canon[c] for k in ids[len(cols[0]) :] for c in children[k]]
+            kids = [c for k in ids[len(cols[0]) :] for c in children[k]]
             for k in dict.fromkeys(kids):
                 if k not in index:
                     index[k] = len(ids)

@@ -173,9 +173,9 @@ def check_09_grig_structure(s: Scale) -> CheckResult:
         problems.append(f"nucleus size {len(nuc)}")
     for name in "abcd":
         g = grp.gens[name]
-        if grp.product(g, g) != grp.identity:
+        if grp.multiply(g, g) != grp.identity:
             problems.append(f"{name} not involution")
-    if grp.product(grp.gens["b"], grp.gens["c"]) != grp.canonical_key(grp.gens["d"]):
+    if grp.multiply(grp.gens["b"], grp.gens["c"]) != grp.gens["d"]:
         problems.append("b.c != d")
     if not grp.germ_is_unit(grp.gens["d"], EventuallyPeriodicPoint((), (0,))):
         problems.append("germ of d at 0^inf not a unit")

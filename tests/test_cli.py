@@ -311,6 +311,16 @@ class TestGroupCommands:
         assert "nucleus size 5" in out
         assert "1 a b c d" in out
 
+    def test_nucleus_state_tags(self, capsys):
+        # Basilica's nucleus holds two elements that are neither a generator
+        # nor an inverse: they print as g<state id>.
+        basilica = json.dumps(
+            {"alphabet": 2, "generators": {"a": {"perm": [0, 1], "rest": ["", "b"]}, "b": {"perm": [1, 0], "rest": ["", "a"]}}}
+        )
+        code, out, _ = run(capsys, ["nucleus", "--group", basilica])
+        assert code == 0
+        assert out == "nucleus size 7 (closure complete: True)\nstates: 1 A B a b g8 g9\n"
+
     def test_nucleus_cap_exit_3(self, capsys):
         code, _, err = run(capsys, ["nucleus", "--group", "grigorchuk", "--cap", "1"])
         assert code == 3 and "resource cap" in err

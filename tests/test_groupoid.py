@@ -165,9 +165,8 @@ def reference_germ_is_unit(grp: SelfSimilarGroup, g: int, point: EventuallyPerio
     the identity is a unit, a moved letter or a repeated (canonical id,
     phase) pair a nontrivial germ."""
     pre, per = point.preperiod, point.period
-    sid, seen = g, set()
+    k, seen = g, set()
     for pos in range(10_000):
-        k = grp.canonical_key(sid)
         if k == grp.identity:
             return True
         phase = None if pos < len(pre) else (pos - len(pre)) % len(per)
@@ -178,7 +177,7 @@ def reference_germ_is_unit(grp: SelfSimilarGroup, g: int, point: EventuallyPerio
             if (k, phase) in seen:
                 return False
             seen.add((k, phase))
-        sid = grp.child(k, x)
+        k = grp.children[k][x]
     raise AssertionError("germ walk did not settle")
 
 
@@ -194,7 +193,7 @@ def reference_germ_ball(model: GermGroupoidModel, unit: EventuallyPeriodicPoint,
     def find(k: int):
         if k not in vertex:
             for i, h in enumerate(reps):
-                if reference_germ_is_unit(grp, grp.product(grp.inverse(h), k), unit):
+                if reference_germ_is_unit(grp, grp.multiply(grp.inverse(h), k), unit):
                     vertex[k] = i
                     break
         return vertex.get(k)
@@ -204,7 +203,7 @@ def reference_germ_ball(model: GermGroupoidModel, unit: EventuallyPeriodicPoint,
         nxt = []
         for g in frontier:
             for s in steps:
-                p = grp.product(s, g)
+                p = grp.multiply(s, g)
                 if find(p) is None:
                     vertex[p] = len(reps)
                     reps.append(p)
@@ -213,7 +212,7 @@ def reference_germ_ball(model: GermGroupoidModel, unit: EventuallyPeriodicPoint,
     edges = set()
     for i, g in enumerate(reps):
         for lid, s in enumerate(gens):
-            j = find(grp.product(s, g))
+            j = find(grp.multiply(s, g))
             if j is not None:
                 edges.add((i, j, lid))
     return LabeledBall(len(reps), sorted(edges), r, model.labels)
@@ -383,6 +382,23 @@ class TestGermBallReference:
                 ball, ref = model.ball(unit, r), reference_germ_ball(ref_model, unit, r)
                 assert (ball.num_vertices, ball.edges) == (ref.num_vertices, ref.edges), (unit, r)
 
+    @pytest.mark.parametrize("name", GERM_GROUPS)
+    def test_one_product_per_vertex_and_step(self, name):
+        # The products that extend the ball also give its edges.
+        model = GermGroupoidModel(SelfSimilarGroup(GERM_GROUPS[name]))
+        grp, calls = model.group, [0]
+        multiply = grp.multiply
+
+        def counted(g, h):
+            calls[0] += 1
+            return multiply(g, h)
+
+        grp.multiply = counted
+        for unit in model.periodic_units(1, 2):
+            calls[0] = 0
+            ball = model.ball(unit, 5)
+            assert calls[0] <= ball.num_vertices * len(model.steps), unit
+
     @staticmethod
     def seeded_elements(grp: SelfSimilarGroup, count: int) -> list[int]:
         rng = random.Random(19)
@@ -405,7 +421,7 @@ class TestGermBallReference:
             keys = [grp.germ_key(g, unit) for g in elements]
             for g, kg in zip(elements, keys):
                 for h, kh in zip(elements, keys):
-                    same = reference_germ_is_unit(grp, grp.product(grp.inverse(h), g), unit)
+                    same = reference_germ_is_unit(grp, grp.multiply(grp.inverse(h), g), unit)
                     assert (kg == kh) == same, (unit, g, h)
 
 

@@ -15,10 +15,8 @@ from groupoid_growth.matrix_recursion import (
     grig_witness,
     homomorphism_check,
     image_at_level,
-    level0,
     loglog_slope,
     parse_element,
-    recursion_step,
     step_is_injective,
     thinned_dims_at_level,
     thinned_growth,
@@ -32,8 +30,26 @@ from groupoid_growth.selfsimilar import (
 
 
 def identity_matrix(group, field, level: int) -> LevelMatrix:
-    one = GroupRingElement.of(group, field, group.identity, 1)
+    one = GroupRingElement(group, field, {group.identity: 1})
     return LevelMatrix(group, field, level, {(i, i): one for i in range(group.d**level)})
+
+
+def level0(elem: GroupRingElement) -> LevelMatrix:
+    return LevelMatrix(elem.group, elem.field, 0, {(0, 0): elem})
+
+
+def recursion_step(m: LevelMatrix) -> LevelMatrix:
+    """Reference for image_at_level, one level at a time: entry g at (u, v)
+    contributes g|_x at (u.g(x), v.x) for every letter x, same coefficient."""
+    grp, f, d = m.group, m.field, m.group.d
+    out: dict = {}
+    for (u, v), elem in m.entries.items():
+        for g, c in elem.coeffs.items():
+            for x in range(d):
+                key = (u * d + grp.perms[g][x], v * d + x)
+                child = GroupRingElement(grp, f, {grp.children[g][x]: c})
+                out[key] = out[key].add(child) if key in out else child
+    return LevelMatrix(grp, f, m.level + 1, out)
 
 
 F3 = Field(3)
@@ -65,25 +81,6 @@ class TestGroupRing:
         # b*c and d are the same group element, so the coefficients add.
         e = parse_element(grig, "bc+d", GF2)
         assert e.is_zero()
-
-    @pytest.mark.parametrize("field", [GF2, QQ, F3], ids=["F2", "Q", "F3"])
-    def test_lazy_ids_equal_canonical_ids(self, field):
-        # element() folds multiply(), so its ids are lazy states; word_id()
-        # gives canonical ids.  bc = d and aa = 1 make some terms merge.
-        grp = SelfSimilarGroup(GRIGORCHUK)
-        rng = random.Random(13)
-        words = ["bc", "d", "aa", "", "cb"]
-        words += ["".join(rng.choice("abcdABCD") for _ in range(rng.randint(0, 6))) for _ in range(20)]
-        lazy, canon = {}, {}
-        for word in words:
-            c = rng.randint(1, 5)
-            g, k = grp.element(word), grp.word_id(word)
-            lazy[g] = lazy.get(g, 0) + c
-            canon[k] = canon.get(k, 0) + c
-        assert any(g not in canon for g in lazy)
-        a, b = GroupRingElement(grp, field, lazy), GroupRingElement(grp, field, canon)
-        assert a == b
-        assert a.mul(a) == b.mul(b) and a.add(b) == b.add(b)
 
     def test_parse_constants(self, grig):
         e = parse_element(grig, "2*a+1", QQ)
@@ -184,7 +181,7 @@ def random_element(group, field, rng: random.Random, max_terms: int, max_len: in
     ``max_len`` generators with a coefficient from 1 to 5."""
     coeffs: dict = {}
     for _ in range(rng.randint(1, max_terms)):
-        g = group.element("".join(rng.choice(group.gen_names) for _ in range(rng.randint(0, max_len))))
+        g = group.word_id("".join(rng.choice(group.gen_names) for _ in range(rng.randint(0, max_len))))
         coeffs[g] = coeffs.get(g, 0) + rng.randint(1, 5)
     return GroupRingElement(group, field, coeffs)
 
@@ -216,18 +213,17 @@ class TestLevelSections:
         letters = "".join(grp.gen_names) + "".join(grp.gen_names).upper()
         for length in range(6):
             g = grp.word_id("".join(rng.choice(letters) for _ in range(length)))
-            m = level0(GroupRingElement.of(grp, QQ, g, 1))
+            m = level0(GroupRingElement(grp, QQ, {g: 1}))
             for level in range(5):
                 by_col = {col: (row, e) for (row, col), e in m.entries.items()}
-                got = [(row, GroupRingElement.of(grp, QQ, e, 1)) for row, e in grp.level_sections(g, level)]
+                got = [(row, GroupRingElement(grp, QQ, {e: 1})) for row, e in grp.level_sections(g, level)]
                 assert got == [by_col[col] for col in range(grp.d**level)]
                 m = recursion_step(m)
 
     def test_memoized_by_canonical_id(self, grig):
-        lazy = grig.element("abcab")
-        first = grig.level_sections(lazy, 4)
-        assert grig.level_sections(grig.canonical_key(lazy), 4) is first
-        assert grig.level_sections(lazy, 4) is first
+        # bc = d: two words of one element share the memoized image.
+        first = grig.level_sections(grig.word_id("abcab"), 4)
+        assert grig.level_sections(grig.word_id("adab"), 4) is first
 
 
 class TestHomomorphism:
@@ -295,7 +291,7 @@ class TestElementName:
     def test_generators_and_identity(self, grig):
         assert element_name(grig, grig.identity) == "1"
         assert element_name(grig, grig.gens["a"]) == "a"
-        assert element_name(grig, grig.canonical_key(grig.element("bc"))) == "d"
+        assert element_name(grig, grig.word_id("bc")) == "d"
 
 
 def two_pass_growth(group, n_max, field, level_start, level_cap):
@@ -367,7 +363,7 @@ class TestInjectiveStep:
             },
         )
         grp = SelfSimilarGroup(rec)
-        entries = [grp.identity] + [grp.canonical_key(grp.gens[name]) for name in "stu"]
+        entries = [grp.identity] + [grp.gens[name] for name in "stu"]
         cells = {(0, 0, e): i for i, e in enumerate(entries)}
         assert not step_is_injective(grp, GF2, cells)
         assert step_is_injective(grp, F3, cells)
@@ -388,7 +384,7 @@ class TestInjectiveStep:
             },
         )
         grp = SelfSimilarGroup(rec)
-        one, s, t, u = [grp.identity] + [grp.canonical_key(grp.gens[name]) for name in "stu"]
+        one, s, t, u = [grp.identity] + [grp.gens[name] for name in "stu"]
         for hidden in (0, 250, 500):
             blocks = {col: (one, s, t, u) if col == hidden else (one, s) for col in range(501)}
             cells = {(0, col, e): 0 for col, entries in blocks.items() for e in entries}
@@ -448,7 +444,7 @@ def element_pass(group, n_max, field, level, coord_index):
     a product automaton, deduplicated by canonical id, and vectorized through
     its level-L image."""
     basis = new_basis(field)
-    gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
+    gens = [group.gens[n] for n in group.gen_names]
 
     def vectorize(rid):
         entries = group.level_sections(rid, level)
@@ -469,7 +465,7 @@ def element_pass(group, n_max, field, level, coord_index):
         frontier, new = new, []
         for h in frontier:
             for s in gens:
-                consider(group.canonical_key(group.multiply(s, h)))
+                consider(group.multiply(s, h))
         dims.append((n, basis.rank))
     return dims
 
@@ -516,14 +512,14 @@ def unskipped_pass(group, n_max, field, level):
     An element is its list of level-L cells (row, col, section id)."""
     coords: dict = {}
     basis = new_basis(field)
-    gens = [group.canonical_key(group.gens[n]) for n in group.gen_names]
+    gens = [group.gens[n] for n in group.gen_names]
 
     def cells_of(rid):
         return [(row, col, e) for col, (row, e) in enumerate(group.level_sections(rid, level))]
 
     def times(s, cells):
         sections = group.level_sections(s, level)
-        return [(sections[row][0], col, group.product(sections[row][1], e)) for row, col, e in cells]
+        return [(sections[row][0], col, group.multiply(sections[row][1], e)) for row, col, e in cells]
 
     seen, new, built = set(), [], 0
 

@@ -54,7 +54,7 @@ def reference_key(grp, g):
             continue
         seen.add(s)
         reach.append(s)
-        stack.extend(grp.child(s, x) for x in range(grp.d))
+        stack.extend(grp.children[s])
     block = {s: grp.perms[s] for s in reach}
     while True:
         sig = {s: (block[s], tuple(block[grp.children[s][x]] for x in range(grp.d))) for s in reach}
@@ -77,6 +77,49 @@ def reference_key(grp, g):
             childblocks.append(order[cb])
         encoded.append((grp.perms[s], tuple(childblocks)))
     return repr(encoded)
+
+
+def oracle_classes(rec, words) -> list[int]:
+    """Independent equality oracle on words over generator names, built
+    from the recursion alone: the free automaton whose states are freely
+    reduced words, with a word's sections read off the rest words, is
+    Moore-minimized.  The block of each word: equal blocks iff the words
+    are the same automorphism."""
+
+    def reduce(word):
+        out = []
+        for ch in word:
+            if out and out[-1] == ch.swapcase():
+                out.pop()
+            else:
+                out.append(ch)
+        return "".join(out)
+
+    def step(word, x):  # (image of x, section of the word at x)
+        sections = []
+        for ch in reversed(word):  # the rightmost letter acts first
+            perm, rests = rec.generators[ch.lower()]
+            if ch.islower():
+                x, section = perm[x], rests[x]
+            else:
+                x = perm.index(x)
+                section = rests[x][::-1].swapcase()
+            sections.append(section)
+        return x, reduce("".join(reversed(sections)))
+
+    states = list(dict.fromkeys(map(reduce, words)))
+    index = {w: i for i, w in enumerate(states)}
+    perms, kids = [], []
+    for w in states:  # grows while sections are found
+        image, sections = zip(*(step(w, x) for x in range(rec.alphabet_size)))
+        for c in sections:
+            if c not in index:
+                index[c] = len(states)
+                states.append(c)
+        perms.append(image)
+        kids.append([index[c] for c in sections])
+    labels = moore_blocks(perms, kids)
+    return [labels[index[reduce(w)]] for w in words]
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +149,8 @@ class TestAction:
         rng = random.Random(0)
         gens = list(grig.gens.values())
         for _ in range(50):
-            g = grig.element("".join(rng.choice("abcd") for _ in range(4)))
-            h = grig.element("".join(rng.choice("abcd") for _ in range(4)))
+            g = grig.word_id("".join(rng.choice("abcd") for _ in range(4)))
+            h = grig.word_id("".join(rng.choice("abcd") for _ in range(4)))
             v = tuple(rng.randint(0, 1) for _ in range(6))
             assert grig.act(grig.multiply(g, h), v) == grig.act(g, grig.act(h, v))
 
@@ -115,50 +158,50 @@ class TestAction:
 class TestRestriction:
     def test_grig_rules(self, grig):
         b, c, a = grig.gens["b"], grig.gens["c"], grig.gens["a"]
-        assert grig.canonical_key(grig.restriction(b, (0,))) == grig.canonical_key(a)
-        assert grig.canonical_key(grig.restriction(b, (1,))) == grig.canonical_key(c)
+        assert grig.restriction(b, (0,)) == a
+        assert grig.restriction(b, (1,)) == c
 
     def test_empty_word(self, grig):
-        g = grig.element("ab")
+        g = grig.word_id("ab")
         assert grig.restriction(g, ()) == g
 
     def test_cocycle(self, grig):
         rng = random.Random(1)
         for _ in range(30):
-            g = grig.element("".join(rng.choice("abcd") for _ in range(5)))
+            g = grig.word_id("".join(rng.choice("abcd") for _ in range(5)))
             u = tuple(rng.randint(0, 1) for _ in range(3))
             v = tuple(rng.randint(0, 1) for _ in range(3))
             whole, stepwise = grig.restriction(g, u + v), grig.restriction(grig.restriction(g, u), v)
-            assert grig.canonical_key(whole) == grig.canonical_key(stepwise)
+            assert whole == stepwise
 
 
 class TestGroupOperations:
     def test_a_involution(self, grig):
         a = grig.gens["a"]
-        assert grig.canonical_key(grig.multiply(a, a)) == grig.identity
+        assert grig.multiply(a, a) == grig.identity
 
     def test_bcd_relation(self, grig):
         b, c, d = grig.gens["b"], grig.gens["c"], grig.gens["d"]
-        assert grig.canonical_key(grig.multiply(b, grig.multiply(c, d))) == grig.identity
-        assert grig.canonical_key(grig.multiply(b, c)) == grig.canonical_key(d)
+        assert grig.multiply(b, grig.multiply(c, d)) == grig.identity
+        assert grig.multiply(b, c) == d
 
     def test_adding_machine_infinite_order(self, adding):
         a = adding.gens["a"]
         g = a
         for _ in range(5):
             g = adding.multiply(g, a)
-            assert adding.canonical_key(g) != adding.identity
+            assert g != adding.identity
 
     def test_inverse(self, adding, grig):
         assert adding.inverse(adding.identity) == adding.identity
         a = adding.gens["a"]
-        assert adding.canonical_key(adding.multiply(a, adding.inverse(a))) == adding.identity
-        g = grig.element("abab")
-        assert grig.canonical_key(grig.multiply(g, grig.inverse(g))) == grig.identity
+        assert adding.multiply(a, adding.inverse(a)) == adding.identity
+        g = grig.word_id("abab")
+        assert grig.multiply(g, grig.inverse(g)) == grig.identity
 
     def test_interning_merges_equal_elements(self, grig):
         b, c, d = grig.gens["b"], grig.gens["c"], grig.gens["d"]
-        assert grig.canonical_key(grig.multiply(b, c)) == grig.canonical_key(d)
+        assert grig.multiply(b, c) == d
 
 
 SIX_RECURSIONS = pytest.mark.parametrize(
@@ -175,8 +218,9 @@ SIX_RECURSIONS = pytest.mark.parametrize(
 )
 
 
-def lazy_ball(grp, radius):
-    """Ball by lazy products: canonical id -> word length."""
+def every_generator_ball(grp, radius):
+    """Ball by the plain search, every element times every generator and
+    inverse: id -> word length."""
     lengths = {grp.identity: 0}
     frontier = [grp.identity]
     gens = grp.generator_states()
@@ -184,13 +228,35 @@ def lazy_ball(grp, radius):
         nxt = []
         for g in frontier:
             for s in gens:
-                p = grp.multiply(s, g)
-                k = grp.canonical_key(p)
+                k = grp.multiply(s, g)
                 if k not in lengths:
                     lengths[k] = r
-                    nxt.append(p)
+                    nxt.append(k)
         frontier = nxt
     return lengths
+
+
+def random_word(rng, letters, max_len):
+    return "".join(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
+
+
+def same_partition(xs, ys) -> bool:
+    """Whether two labelings of one list split it into the same classes."""
+    return len(set(xs)) == len(set(ys)) == len(set(zip(xs, ys)))
+
+
+def moore_blocks(perms, kids) -> list[int]:
+    """Moore refinement of an automaton given by per-state permutations and
+    child indices: the block of each state, numbered by first appearance."""
+
+    def relabel(signatures):
+        ids = {}
+        return [ids.setdefault(sig, len(ids)) for sig in signatures]
+
+    labels = relabel(perms)
+    while (refined := relabel((labels[i], *(labels[j] for j in ks)) for i, ks in enumerate(kids))) != labels:
+        labels = refined
+    return labels
 
 
 class TestCanonicalIds:
@@ -199,56 +265,70 @@ class TestCanonicalIds:
         grp = SelfSimilarGroup(rec)
         letters = grp.gen_names + [n.upper() for n in grp.gen_names]
         rng = random.Random(3)
-        elems = [
-            grp.element("".join(rng.choice(letters) for _ in range(rng.randint(0, max_len))))
-            for _ in range(count)
-        ]
-        ids = [grp.canonical_key(g) for g in elems]
-        refs = [reference_key(grp, g) for g in elems]
+        ids = [grp.word_id(random_word(rng, letters, max_len)) for _ in range(count)]
+        refs = [reference_key(grp, g) for g in ids]
         assert all(isinstance(k, int) for k in ids)
-        assert len(set(ids)) == len(set(refs)) == len(set(zip(ids, refs)))
-        assert all(grp.canonical_key(k) == k for k in ids)
+        assert same_partition(ids, refs)
         assert len(set(ids)) > 1
 
     @SIX_RECURSIONS
-    def test_product_matches_lazy_path(self, rec, count, max_len):
-        # Both paths in one group, in seeded order, on words and on products
-        # of two words: each must find the classes the other registered.
+    def test_product_matches_oracle(self, rec, count, max_len):
+        # Products of two words, the left one sometimes an earlier product,
+        # the right one sometimes given by its inverse, in one group in
+        # seeded order: the ids split them into the oracle's classes.
         grp = SelfSimilarGroup(rec)
         letters = grp.gen_names + [n.upper() for n in grp.gen_names]
         rng = random.Random(4)
-        pool = []  # products of two words, as canonical ids or lazy states
+        pool, words, ids = [], [], []  # pool: (word, id) of products of two words
         for _ in range(count):
-            g, h = (
-                grp.element("".join(rng.choice(letters) for _ in range(rng.randint(0, max_len))))
-                for _ in range(2)
-            )
+            u, v = random_word(rng, letters, max_len), random_word(rng, letters, max_len)
             from_pool = pool and rng.random() < 0.4
             if from_pool:
-                g = rng.choice(pool)
-            if rng.random() < 0.5:
-                fast = grp.product(g, h)
-                lazy = grp.canonical_key(grp.multiply(g, h))
+                u, g = rng.choice(pool)
             else:
-                lazy = grp.canonical_key(grp.multiply(g, h))
-                fast = grp.product(g, h)
-            assert fast == lazy
+                g = grp.word_id(u)
+            h = grp.word_id(v)
+            if rng.random() < 0.3:
+                v, h = v[::-1].swapcase(), grp.inverse(h)
+            words.append(u + v)
+            ids.append(grp.multiply(g, h))
             if not from_pool:
-                pool.append(fast if rng.random() < 0.5 else grp.multiply(g, h))
+                pool.append((words[-1], ids[-1]))
+        assert same_partition(ids, oracle_classes(rec, words))
+
+    @SIX_RECURSIONS
+    def test_every_state_is_its_own_class(self, rec, count, max_len):
+        # After words, products, inverses and a ball, Moore refinement over
+        # the whole store splits every state: no two states are one element.
+        # A word times its inverse word multiplies two ids not recorded as
+        # inverses; on Lamplighter their sections are a cycle of such pairs
+        # that never reaches the identity's state.
+        grp = SelfSimilarGroup(rec)
+        letters = grp.gen_names + [n.upper() for n in grp.gen_names]
+        rng = random.Random(5)
+        words = [random_word(rng, letters, max_len) for _ in range(count)]
+        ids = [grp.word_id(w) for w in words]
+        for w, g, h in zip(words, ids, reversed(ids)):
+            grp.multiply(g, grp.inverse(h))
+            assert grp.multiply(g, grp.word_id(w[::-1].swapcase())) == grp.identity
+        grp.ball(4)
+        assert len(set(moore_blocks(grp.perms, grp.children))) == len(grp.perms)
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_product_past_depth_cap(self, monkeypatch, depth):
-        # Past the depth cap a product takes the lazy path, with equal ids.
+        # Past the depth cap a product goes to canonical_key: the ids split
+        # the products as in a group at the default depth.
+        rng = random.Random(depth)
+        pairs = [(random_word(rng, "abAB", 12), random_word(rng, "abAB", 12)) for _ in range(100)]
+        ref = SelfSimilarGroup(BASILICA)
+        expected = [ref.multiply(ref.word_id(u), ref.word_id(v)) for u, v in pairs]
         monkeypatch.setattr(selfsimilar, "_PRODUCT_DEPTH", depth)
         grp = SelfSimilarGroup(BASILICA)
-        rng = random.Random(depth)
-        for _ in range(100):
-            g, h = (grp.element("".join(rng.choice("abAB") for _ in range(rng.randint(0, 12)))) for _ in range(2))
-            assert grp.product(g, h) == grp.canonical_key(grp.multiply(g, h))
+        assert same_partition([grp.multiply(grp.word_id(u), grp.word_id(v)) for u, v in pairs], expected)
 
     @pytest.mark.parametrize("rec", [GRIGORCHUK, BASILICA], ids=["grigorchuk", "basilica"])
     def test_long_words(self, rec):
-        # element() would build a 3,000-deep lazy chain; word_id folds product.
+        # word_id folds multiply: a 3,000-letter word needs no deep recursion.
         grp = SelfSimilarGroup(rec)
         letters = grp.gen_names + [n.upper() for n in grp.gen_names]
         rng = random.Random(6)
@@ -256,7 +336,7 @@ class TestCanonicalIds:
         inverse = word[::-1].swapcase()
         k = grp.word_id(word)
         assert grp.word_id(word + inverse) == grp.identity
-        assert grp.product(k, grp.word_id(inverse)) == grp.identity
+        assert grp.multiply(k, grp.word_id(inverse)) == grp.identity
         for v in itertools.product(range(2), repeat=4):
             image = v
             for ch in reversed(word):  # the rightmost letter acts first
@@ -271,19 +351,20 @@ class TestCanonicalIds:
     )
     @pytest.mark.parametrize("ball_first", [True, False], ids=["ball_first", "lazy_first"])
     def test_ball_matches_lazy_builder(self, rec, radius, ball_first):
+        # Against the every-generator ball, built before or after it in one group.
         grp = SelfSimilarGroup(rec)
         if ball_first:
             ball = grp.ball(radius)
-            lengths = lazy_ball(grp, radius)
+            lengths = every_generator_ball(grp, radius)
         else:
-            lengths = lazy_ball(grp, radius)
+            lengths = every_generator_ball(grp, radius)
             ball = grp.ball(radius)
         assert {k: l for k, (l, _) in ball.items()} == lengths
         assert all(s == k for k, (_, s) in ball.items())
 
     @pytest.mark.parametrize("seed", range(10))
     def test_ball_matches_lazy_builder_on_random_recursions(self, seed):
-        # Reduced-word search against the ball of every word, on 2 or 3
+        # Reduced-word search against the every-generator ball, on 2 or 3
         # letters, 2 or 3 generators (a permutes cyclically) whose
         # restrictions are generators, on odd seeds also inverses: same
         # elements, same lengths, same order.
@@ -300,49 +381,44 @@ class TestCanonicalIds:
         grp = SelfSimilarGroup(rec)
         radius = 4 if len(names) == 3 else 5
         ball = grp.ball(radius)
-        assert [(k, l) for k, (l, _) in ball.items()] == list(lazy_ball(grp, radius).items())
+        assert [(k, l) for k, (l, _) in ball.items()] == list(every_generator_ball(grp, radius).items())
 
     def test_ball_work_count(self):
         # Grigorchuk's radius-12 ball: every word tries all 4 generators
-        # (3,996 products); reduced words try 1,760.
+        # (3,996 products); reduced words try 1,760.  Every state made is an
+        # element of the ball.
         grp = SelfSimilarGroup(GRIGORCHUK)
         calls = [0]
-        product = grp.product
+        multiply = grp.multiply
 
         def counted(g, h):
             calls[0] += 1
-            return product(g, h)
+            return multiply(g, h)
 
-        grp.product = counted
+        grp.multiply = counted
         assert len(grp.ball(12)) == 1487
-        assert len(grp.perms) == 1501
+        assert len(grp.perms) == 1487
         assert calls[0] <= 1760
 
 
 def closed_under_restriction(nuc) -> bool:
     """Every restriction of a nucleus state is again a nucleus state."""
     grp = nuc.group
-    return all(grp.canonical_key(grp.child(s, x)) in nuc.states for s in nuc.states for x in range(grp.d))
+    return all(c in nuc.states for s in nuc.states for c in grp.children[s])
 
 
 class TestNucleus:
     def test_adding_machine(self, adding):
         nuc = adding.nucleus()
         assert len(nuc) == 3
-        keys = {adding.canonical_key(s) for s in nuc.states}
-        expected = {
-            adding.canonical_key(adding.identity),
-            adding.canonical_key(adding.gens["a"]),
-            adding.canonical_key(adding.inverse(adding.gens["a"])),
-        }
-        assert keys == expected
+        assert nuc.states == {adding.identity, adding.gens["a"], adding.inverse(adding.gens["a"])}
         assert closed_under_restriction(nuc)
 
     def test_grigorchuk(self, grig):
         nuc = grig.nucleus()
         assert len(nuc) == 5
         for name in "abcd":
-            assert grig.canonical_key(grig.gens[name]) in nuc.states
+            assert grig.gens[name] in nuc.states
         assert grig.identity in nuc.states
         assert closed_under_restriction(nuc)
 
@@ -357,7 +433,7 @@ class TestNucleus:
         nuc = grp.nucleus()
         assert len(nuc) == 4
         assert grp.identity in nuc.states
-        assert all(grp.canonical_key(g) in nuc.states for g in grp.gens.values())
+        assert all(g in nuc.states for g in grp.gens.values())
 
     def test_not_contracting(self):
         with pytest.raises(NotContracting):
@@ -379,12 +455,12 @@ def fraction_loop(grp, length_cap, depth_cap):
     per band element and one Fraction per element."""
     lengths = grp.ball(length_cap)
     band = [(l, g) for (l, g) in lengths.values() if (length_cap + 1) // 2 <= l]
-    levels = [{grp.canonical_key(g)} for _, g in band]
+    levels = [{g} for _, g in band]
     best = None
     for depth in range(1, depth_cap + 1):
         worst = Fraction(0)
         for i, (l, _) in enumerate(band):
-            levels[i] = {grp.canonical_key(grp.child(s, x)) for s in levels[i] for x in range(grp.d)}
+            levels[i] = {c for s in levels[i] for c in grp.children[s]}
             worst = max(worst, *(Fraction(lengths[k][0] if k in lengths else l + 1, l) for k in levels[i]))
         if best is None or worst < best[0]:
             best = (worst, depth)
@@ -445,7 +521,7 @@ class TestGerms:
         assert not grig.germ_is_unit(grig.gens["b"], EventuallyPeriodicPoint((), (1,)))
 
     def test_point_outside_alphabet(self, grig):
-        for g in (grig.element("ab"), grig.identity):
+        for g in (grig.word_id("ab"), grig.identity):
             with pytest.raises(ValueError):
                 grig.germ_is_unit(g, EventuallyPeriodicPoint((), (2,)))
 
@@ -454,7 +530,7 @@ class TestGerms:
 
     def test_equivalence_relation(self, grig):
         point = EventuallyPeriodicPoint((0,), (1,))
-        elems = [grig.element(w) for w in ("", "a", "b", "ab", "ba", "d", "bc")]
+        elems = [grig.word_id(w) for w in ("", "a", "b", "ab", "ba", "d", "bc")]
 
         def related(g, h):
             return grig.germ_is_unit(grig.multiply(grig.inverse(g), h), point)
@@ -496,7 +572,7 @@ class TestGerms:
         # adab, which has the section c at 1, enter that cycle one step
         # later.  The walks meet, so the keys agree: both hold b at time 0 of
         # the cycle length 3.
-        b = grig.canonical_key(grig.gens["b"])
+        b = grig.gens["b"]
         assert grig.germ_key(grig.gens["b"], point("|1")) == ((), (1,), b)
         assert grig.germ_key(grig.word_id("adab"), point("|1")) == ((), (1,), b)
 
@@ -529,7 +605,7 @@ class TestRecursionParsing:
         ref = SelfSimilarGroup(GRIGORCHUK)
         words = list(itertools.product(range(2), repeat=6))
         for w in ("ab", "bc", "abab", "dcb"):
-            g, h = grp.element(w), ref.element(w)
+            g, h = grp.word_id(w), ref.word_id(w)
             assert [grp.act(g, v) for v in words] == [ref.act(h, v) for v in words]
 
     def test_formal_inverse_in_restriction(self):
@@ -545,8 +621,8 @@ class TestRecursionParsing:
             }
         )
         grp = SelfSimilarGroup(rec)
-        assert grp.canonical_key(grp.gens["b"]) == grp.canonical_key(grp.inverse(grp.gens["a"]))
-        assert grp.canonical_key(grp.multiply(grp.gens["a"], grp.gens["b"])) == grp.identity
+        assert grp.gens["b"] == grp.inverse(grp.gens["a"])
+        assert grp.multiply(grp.gens["a"], grp.gens["b"]) == grp.identity
 
     def test_self_referential_inverse_restriction(self):
         # a|_1 = a^-1: well defined and an involution composed with itself sanely.
@@ -555,8 +631,8 @@ class TestRecursionParsing:
         )
         grp = SelfSimilarGroup(rec)
         a = grp.gens["a"]
-        assert grp.canonical_key(grp.child(a, 1)) == grp.canonical_key(grp.inverse(a))
-        assert grp.canonical_key(grp.multiply(a, grp.inverse(a))) == grp.identity
+        assert grp.children[a][1] == grp.inverse(a)
+        assert grp.multiply(a, grp.inverse(a)) == grp.identity
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -583,3 +659,10 @@ class TestCaps:
             g = a
             for _ in range(100):
                 g = grp.multiply(g, a)
+
+    def test_growing_rest_words_hit_the_cap(self, monkeypatch):
+        # a|_0 = ab and b|_0 = ba: the sections of a generator are ever longer
+        # words, and the letters of the words interned count against the cap.
+        monkeypatch.setattr(selfsimilar, "STATE_CAP", 20_000)
+        with pytest.raises(StateCapExceeded):
+            SelfSimilarGroup(WreathRecursion(2, {"a": ((1, 0), ("ab", "b")), "b": ((0, 1), ("ba", "a"))}))
