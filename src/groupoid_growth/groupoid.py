@@ -14,7 +14,7 @@ numbers the vertices canonically, in time linear in the ball.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .selfsimilar import EventuallyPeriodicPoint, SelfSimilarGroup
 from .subshift import Language
@@ -29,7 +29,6 @@ class UnitCapExceeded(RuntimeError):
 UNIT_CAP = 100_000
 
 
-@dataclass
 class LabeledBall:
     """Rooted directed edge-labeled graph; vertex 0 is the root.
 
@@ -38,24 +37,30 @@ class LabeledBall:
     every Cayley ball, since its generators are bisections.
     """
 
-    num_vertices: int
-    edges: list[tuple[int, int, int]]  # (from, to, label id)
-    radius: int
-    labels: tuple[str, ...]  # label id -> bisection name
+    __slots__ = ("num_vertices", "edges", "radius", "labels")
 
-    def __post_init__(self):
-        for a, b, l in self.edges:
-            if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
+    def __init__(
+        self,
+        num_vertices: int,
+        edges: list[tuple[int, int, int]],  # (from, to, label id)
+        radius: int,
+        labels: tuple[str, ...],  # label id -> bisection name
+    ):
+        for a, b, l in edges:
+            if not (0 <= a < num_vertices and 0 <= b < num_vertices):
                 raise ValueError("edge endpoint out of range")
-            if not (0 <= l < len(self.labels)):
+            if not (0 <= l < len(labels)):
                 raise ValueError("edge label out of range")
-        n = len(self.edges)
-        if len({(a, l) for a, _, l in self.edges}) != n or len({(b, l) for _, b, l in self.edges}) != n:
+        n = len(edges)
+        if len({(a, l) for a, _, l in edges}) != n or len({(b, l) for _, b, l in edges}) != n:
             raise ValueError("a label is not a partial injection: two edges share a label and an endpoint")
+        self.num_vertices = num_vertices
+        self.edges = edges
+        self.radius = radius
+        self.labels = labels
 
 
-@dataclass(frozen=True)
-class WindowUnit:
+class WindowUnit(NamedTuple):
     """A subshift unit presented by a finite window around the origin.
 
     ``word[origin + k]`` is the letter at position k; a radius-r ball
@@ -219,8 +224,7 @@ def canonical_code(ball: LabeledBall) -> bytes:
     return repr((m, sorted([(num[a], num[b], l) for a, b, l in ball.edges]))).encode()
 
 
-@dataclass(frozen=True)
-class DeltaResult:
+class DeltaResult(NamedTuple):
     r: int
     count: int
     exact: bool  # False = certified lower bound over the supplied unit family

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import GF2, Field, new_basis
 from .selfsimilar import SelfSimilarGroup
@@ -128,21 +128,21 @@ def format_element(elem: GroupRingElement) -> str:
     return "+".join(parts)
 
 
-@dataclass
 class LevelMatrix:
     """Sparse d^level x d^level matrix over the group ring."""
 
-    group: SelfSimilarGroup
-    field: Field
-    level: int
-    entries: dict  # (row, col) -> GroupRingElement, all nonzero
+    __slots__ = ("group", "field", "level", "entries")
+
+    def __init__(self, group: SelfSimilarGroup, field: Field, level: int, entries: dict):
+        self.group = group
+        self.field = field
+        self.level = level
+        # (row, col) -> GroupRingElement, all nonzero
+        self.entries = {rc: e for rc, e in entries.items() if not e.is_zero()}
 
     @property
     def size(self) -> int:
         return self.group.d**self.level
-
-    def __post_init__(self):
-        self.entries = {rc: e for rc, e in self.entries.items() if not e.is_zero()}
 
     def add(self, other: "LevelMatrix") -> "LevelMatrix":
         self._compat(other)
@@ -307,8 +307,7 @@ class _CoordinateMap(dict):
         return out
 
 
-@dataclass
-class ThinnedGrowthResult:
+class ThinnedGrowthResult(NamedTuple):
     dims: list[tuple[int, int]]  # (n, dim V^n)
     level: int
     stabilized: bool

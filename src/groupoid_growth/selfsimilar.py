@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 # Deepest recursion of ``SelfSimilarGroup.multiply`` on sections before a
@@ -52,20 +52,18 @@ class NotContracting(RuntimeError):
     """Nucleus closure did not stabilize within the cap."""
 
 
-@dataclass(frozen=True)
 class WreathRecursion:
     """Generator presentation: per generator (one lowercase letter a-z) a
     letter permutation and restriction words (one word over generator names
     per letter; '' is the identity, an uppercase name the inverse)."""
 
-    alphabet_size: int
-    generators: dict[str, tuple[tuple[int, ...], tuple[str, ...]]]
+    __slots__ = ("alphabet_size", "generators")
 
-    def __post_init__(self):
-        d = self.alphabet_size
+    def __init__(self, alphabet_size: int, generators: dict[str, tuple[tuple[int, ...], tuple[str, ...]]]):
+        d = alphabet_size
         if d < 2:
             raise ValueError(f"alphabet size {d}: a tree automorphism group needs at least 2 letters")
-        for name, (perm, rests) in self.generators.items():
+        for name, (perm, rests) in generators.items():
             if not (len(name) == 1 and "a" <= name <= "z"):
                 raise ValueError(f"generator {name!r}: a name must be one lowercase letter a-z")
             if sorted(perm) != list(range(d)):
@@ -74,8 +72,10 @@ class WreathRecursion:
                 raise ValueError(f"generator {name}: need one restriction word per letter")
             for w in rests:
                 for ch in w:
-                    if ch.lower() not in self.generators:
+                    if ch.lower() not in generators:
                         raise ValueError(f"generator {name}: unknown name {ch!r} in restriction")
+        self.alphabet_size = alphabet_size
+        self.generators = generators
 
 
 def recursion_from_config(cfg: dict) -> WreathRecursion:
@@ -113,16 +113,29 @@ GRIGORCHUK = WreathRecursion(
 PRESETS = {"adding_machine": ADDING_MACHINE, "grigorchuk": GRIGORCHUK}
 
 
-@dataclass(frozen=True)
 class EventuallyPeriodicPoint:
     """Boundary point given as preperiod + repeating period, e.g. 1^inf = ('', '1')."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise ValueError("period must be nonempty")
+        self.preperiod = preperiod
+        self.period = period
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, EventuallyPeriodicPoint)
+            and self.preperiod == other.preperiod
+            and self.period == other.period
+        )
+
+    def __hash__(self):
+        return hash((self.preperiod, self.period))
+
+    def __repr__(self) -> str:
+        return f"EventuallyPeriodicPoint(preperiod={self.preperiod!r}, period={self.period!r})"
 
     @classmethod
     def parse(cls, text: str) -> "EventuallyPeriodicPoint":
@@ -515,9 +528,9 @@ class SelfSimilarGroup:
         after = [[j for j, s in enumerate(gens) if self.multiply(s, t) not in known] for t in gens]
         return after + [list(range(len(gens)))]
 
-    def ball(self, radius: int) -> dict[int, tuple[int, int]]:
-        """Exact ball of the group: canonical id -> (word length, state id),
-        where the state id is the canonical id itself, in breadth-first order.
+    def ball(self, radius: int) -> dict[int, int]:
+        """Exact ball of the group: canonical id -> word length, in
+        breadth-first order.
 
         An element t*g' first found from g' tries only the generators that
         :meth:`reduced_steps` lists for t.  A skipped s has s*t = u in {1}
@@ -527,7 +540,7 @@ class SelfSimilarGroup:
         the same radii, in the same order, as when every element tries every
         generator.
         """
-        lengths: dict[int, tuple[int, int]] = {self.identity: (0, self.identity)}
+        lengths = {self.identity: 0}
         gens = self.generator_states()
         after = self.reduced_steps(gens)
         frontier = [(self.identity, -1)]  # (element, index of the generator that made it)
@@ -537,7 +550,7 @@ class SelfSimilarGroup:
                 for j in after[t]:
                     k = self.multiply(gens[j], g)
                     if k not in lengths:
-                        lengths[k] = (r, k)
+                        lengths[k] = r
                         nxt.append((k, j))
             frontier = nxt
         return lengths
@@ -562,10 +575,10 @@ class SelfSimilarGroup:
             raise ValueError("length_cap must be >= 2")
         lengths = self.ball(length_cap)
         lo = (length_cap + 1) // 2
-        band = [(l, k) for (l, k) in lengths.values() if lo <= l <= length_cap]
-        if not band:
+        ids = [k for k, l in lengths.items() if lo <= l]
+        if not ids:
             return ContractionEstimate(Fraction(0), 1, length_cap)
-        ids = [k for _, k in band]
+        lens = [lengths[k] for k in ids]
         index = {k: i for i, k in enumerate(ids)}
         children = self.children
         cols: list[list[int]] = [[] for _ in range(self.d)]
@@ -581,9 +594,8 @@ class SelfSimilarGroup:
         # Ids at distance depth_cap are read only at depth 0: they point at themselves.
         for col in cols:
             col.extend(range(len(col), len(ids)))
-        longest = [lengths[k][0] if k in lengths else -1 for k in ids]
+        longest = [lengths.get(k, -1) for k in ids]
         outside = [k not in lengths for k in ids]
-        lens = [l for l, _ in band]
         runs = [(l, lens.index(l), lens.index(l) + lens.count(l)) for l in dict.fromkeys(lens)]
         best_ratio, best_depth = None, 1
         for depth in range(1, depth_cap + 1):
@@ -660,20 +672,21 @@ def _strongly_connected_components(roots, successors):
                     yield comp
 
 
-@dataclass
 class Nucleus:
     """A certified nucleus.  Its states are closed under restriction by
     construction: ``_recurrent_core`` adds every successor of a core member."""
 
-    group: SelfSimilarGroup
-    states: frozenset[int]  # canonical ids
+    __slots__ = ("group", "states")
+
+    def __init__(self, group: SelfSimilarGroup, states: frozenset[int]):
+        self.group = group
+        self.states = states  # canonical ids
 
     def __len__(self):
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class ContractionEstimate:
+class ContractionEstimate(NamedTuple):
     ratio: Fraction
     depth: int
     length_cap: int

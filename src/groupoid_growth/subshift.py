@@ -6,11 +6,11 @@ of length <= ``n_max`` are exactly its factors.  The source chooses them
 growing substitution and for a Sturmian word they are certified to hold
 every factor of the source, and the language is marked ``exact``; when the
 budget is too small for that, the builder raises instead of returning a
-truncated table.  Every other source gives one prefix of ``budget``
-letters, which is exact only when it covers the whole language (an
-eventually periodic word read one period past its preperiod, or a whole
-explicit word).  An inexact language records the largest length at which
-right-extendability held instead of claiming more.
+truncated table.  Every other source gives one prefix of at most
+``budget`` letters, which is exact only when it covers the whole language
+(an eventually periodic word read n letters past its preperiod and one
+period, or a whole explicit word).  An inexact language records the
+largest length at which right-extendability held instead of claiming more.
 
 Every factor class comes from one sorted list of *heads*: the distinct
 words w[i : i + n_max] over every witness w and every start i, so the last
@@ -33,7 +33,6 @@ starts with it, which gives ``extendable_up_to`` from the same list.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .words import WordSource
@@ -51,7 +50,6 @@ class FactorCapExceeded(LanguageError):
 FACTOR_CAP = 2_000_000
 
 
-@dataclass
 class Language:
     """Subword complexity of a subshift up to ``n_max``, and its factors of
     any one length on request.
@@ -69,15 +67,39 @@ class Language:
     extends on the right.
     """
 
-    alphabet_size: int
-    heads: list[bytes]
-    lcps: list[int]
-    counts: list[int]  # counts[n] = p(n), n = 0 .. n_max
-    n_max: int
-    prefix_len: int
-    extendable_up_to: int
-    finite_source: bool
-    exact: bool
+    __slots__ = (
+        "alphabet_size",
+        "heads",
+        "lcps",
+        "counts",
+        "n_max",
+        "prefix_len",
+        "extendable_up_to",
+        "finite_source",
+        "exact",
+    )
+
+    def __init__(
+        self,
+        alphabet_size: int,
+        heads: list[bytes],
+        lcps: list[int],
+        counts: list[int],  # counts[n] = p(n), n = 0 .. n_max
+        n_max: int,
+        prefix_len: int,
+        extendable_up_to: int,
+        finite_source: bool,
+        exact: bool,
+    ):
+        self.alphabet_size = alphabet_size
+        self.heads = heads
+        self.lcps = lcps
+        self.counts = counts
+        self.n_max = n_max
+        self.prefix_len = prefix_len
+        self.extendable_up_to = extendable_up_to
+        self.finite_source = finite_source
+        self.exact = exact
 
     def _check_length(self, n: int, what: str) -> None:
         if not (0 <= n <= self.n_max):

@@ -4,8 +4,8 @@ full for the complete claims)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import matrix_recursion as mr
 from . import shift_algebra as sa
@@ -16,8 +16,7 @@ from .subshift import build_language
 from .words import Alphabet, SturmianSource, ToeplitzSource, golden_sturmian, thue_morse
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(NamedTuple):
     sturmian_n: int  # criterion 1
     delta_r: int  # criterion 2
     growth_n: int  # criteria 3-4
@@ -37,8 +36,7 @@ SCALES = {
 }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

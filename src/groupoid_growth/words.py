@@ -22,8 +22,6 @@ prefix, which is exact only when it covers the whole language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class WordSourceError(ValueError):
     """Invalid word-source construction parameters."""
@@ -33,13 +31,21 @@ class BudgetExceeded(RuntimeError):
     """An exact language needs more letters than the budget allows."""
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    size: int
+    """The letters 0..size-1."""
 
-    def __post_init__(self):
-        if self.size < 1:
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        if size < 1:
             raise WordSourceError("alphabet must have at least one letter")
+        self.size = size
+
+    def __eq__(self, other):
+        return isinstance(other, Alphabet) and other.size == self.size
+
+    def __hash__(self):
+        return hash(self.size)
 
 
 class WordSource:
@@ -312,11 +318,14 @@ class EventuallyPeriodicSource(WordSource):
         self._buf = bytearray(pre + per * reps)
 
     def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
-        """The prefix of ``budget`` letters; exact once it runs n letters
-        past the preperiod and one period, since a factor that starts later
-        also starts one period earlier."""
-        prefix = self.prefix(budget)
-        return [prefix], len(prefix) >= len(self.preperiod) + len(self.periodic) + n
+        """The prefix that runs n letters past the preperiod and one period,
+        which is exact, since a factor that starts later also starts one
+        period earlier; past the budget, the prefix of ``budget`` letters,
+        which is not."""
+        need = len(self.preperiod) + len(self.periodic) + n
+        if need > budget:
+            return super().witnesses(n, budget)
+        return [self.prefix(need)], True
 
 
 class ExplicitSource(WordSource):

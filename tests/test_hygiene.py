@@ -1,6 +1,8 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -350,3 +352,12 @@ def test_no_always_set_parameters():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     # Each kept parameter is still defined and still always set.
     assert always_set_parameters(sources) == sorted(KEPT_ALWAYS_SET_PARAMETERS)
+
+
+def test_cli_import_generates_no_code():
+    # Value types are written out: a fresh interpreter that imports the CLI
+    # loads no dataclasses, which would build their methods with exec.
+    probe = "import sys, groupoid_growth.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]

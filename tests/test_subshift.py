@@ -8,6 +8,7 @@ from groupoid_growth.subshift import LanguageError, build_language, language_fro
 from groupoid_growth.words import (
     Alphabet,
     BudgetExceeded,
+    EventuallyPeriodicSource,
     ExplicitSource,
     SturmianSource,
     SubstitutionSource,
@@ -346,6 +347,30 @@ class TestExactPaths:
         # cf [3, 1] needs 771 letters at n = 200; the prefixes tried are 400 and 800.
         lang = build_language(SturmianSource([3, 1], cf_periodic=True), 200, 40 * 200 * 200)
         assert (lang.exact, lang.prefix_len, lang.complexity(200)) == (True, 800, 201)
+        # 1101|001 reads 4 + 3 + 200 letters, not the budget of 1,600,000.
+        lang = build_language(EventuallyPeriodicSource((1, 1, 0, 1), (0, 0, 1), Alphabet(2)), 200, 40 * 200 * 200)
+        assert (lang.exact, lang.prefix_len, lang.complexity(200)) == (True, 207, 5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eventually_periodic_reads_one_period_past_the_preperiod(self, seed):
+        # |pre| + |per| + n letters hold the factors of every longer prefix;
+        # a smaller budget reads its own prefix, uncertified.  The heads of
+        # length n_max are the factors; the shorter ones are the witness's
+        # suffixes, which follow where it ends.
+        rng = random.Random(seed)
+        for _ in range(8):
+            pre = tuple(rng.randrange(3) for _ in range(rng.randint(0, 6)))
+            per = tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
+            n_max = rng.randint(1, 12)
+            need = len(pre) + len(per) + n_max
+            for budget in (need - 1, need, need + rng.randint(1, 60), 8192):
+                source = EventuallyPeriodicSource(pre, per, Alphabet(3))
+                lang = build_language(source, n_max, budget)
+                _, ref = prefix_language(source, n_max, budget)
+                assert (lang.exact, lang.prefix_len) == (budget >= need, min(budget, need))
+                assert lang.counts == ref.counts and lang.factors == ref.factors
+                if budget <= need:
+                    assert lang.heads == ref.heads
 
     def test_sturmian_over_budget(self):
         with pytest.raises(BudgetExceeded, match="fewer than the 51"):
