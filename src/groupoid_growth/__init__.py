@@ -43,7 +43,6 @@ from .shift_algebra import (
 )
 from .subshift import Language, build_language
 from .words import (
-    Alphabet,
     EventuallyPeriodicSource,
     ExplicitSource,
     SturmianSource,

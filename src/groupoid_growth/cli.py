@@ -115,13 +115,25 @@ def _with_budget(config: dict, budget) -> dict:
     return config if budget is None else {**config, "budget": budget}
 
 
+def _model_int(cfg: dict, key: str, default):
+    """``cfg[key]`` as an int, or ``default`` when it is absent.  As in a source
+    descriptor, a JSON type other than an integer or a string is a usage error."""
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if not isinstance(value, (int, str)):
+        raise UsageError(f"model field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _model_from_arg(text: str):
     cfg = _read_spec(text)
     if not isinstance(cfg, dict):
         cfg = {"kind": "germ", "group": cfg}
     kind = cfg.get("kind")
     if kind == "subshift":
-        return cfg, SubshiftModel(_language(cfg["source"], int(cfg.get("n_max", 30)), cfg.get("budget")))
+        n_max, budget = _model_int(cfg, "n_max", 30), _model_int(cfg, "budget", None)
+        return cfg, SubshiftModel(_language(cfg["source"], n_max, budget))
     if kind == "germ":
         return cfg, GermGroupoidModel(group_from_spec(cfg["group"]))
     raise UsageError(f"model kind must be 'subshift' or 'germ', got {kind!r}")

@@ -4,13 +4,12 @@ A language is read off a list of witness words: finite words whose factors
 of length <= ``n_max`` are exactly its factors.  The source chooses them
 (:meth:`~groupoid_growth.words.WordSource.witnesses`).  For a primitive,
 growing substitution and for a Sturmian word they are certified to hold
-every factor of the source, and the language is marked ``exact``; when the
-budget is too small for that, the builder raises instead of returning a
-truncated table.  Every other source gives one prefix of at most
-``budget`` letters, which is exact only when it covers the whole language
-(an eventually periodic word read n letters past its preperiod and one
-period, or a whole explicit word).  An inexact language records the
-largest length at which right-extendability held instead of claiming more.
+every factor of the source, and the language is marked ``exact``, as it
+is for an eventually periodic word read n letters past its preperiod and
+one period and for a whole explicit word; when the budget is too small for
+that, the builder raises instead of returning a truncated table.  Toeplitz
+skeletons and the other substitutions give one prefix of ``budget``
+letters, which is not exact.
 
 Every factor class comes from one sorted list of *heads*: the distinct
 words w[i : i + n_max] over every witness w and every start i, so the last
@@ -25,9 +24,7 @@ head adds one factor at every length in (lcp, len(h)], and p(n) for every
 n <= n_max comes from one difference pass over those ranges, with no
 factor built.  A :class:`Language` keeps the heads, their lcps and the
 counts; the factors of one length are built only when a caller asks for
-them (:meth:`Language.factors_at`).  A short head is a witness suffix, and
-it extends to the right within the witnesses exactly when the next head
-starts with it, which gives ``extendable_up_to`` from the same list.
+them (:meth:`Language.factors_at`).
 """
 
 from __future__ import annotations
@@ -59,12 +56,7 @@ class Language:
     ``counts[n]`` is p(n), read off them without building a factor (see the
     module docstring).  ``exact`` says the factors are certified to be every
     factor of the source up to ``n_max``.  ``prefix_len`` is the number of
-    witness letters they were read from.  ``extendable_up_to`` is the
-    largest n such that every factor of each length below n extends on the
-    right within the witnesses; beyond it an inexact enumeration may be
-    budget-truncated.  An exact language of an infinite word has
-    ``extendable_up_to == n_max``, since every factor of such a word
-    extends on the right.
+    witness letters they were read from.
     """
 
     __slots__ = (
@@ -74,8 +66,6 @@ class Language:
         "counts",
         "n_max",
         "prefix_len",
-        "extendable_up_to",
-        "finite_source",
         "exact",
     )
 
@@ -87,8 +77,6 @@ class Language:
         counts: list[int],  # counts[n] = p(n), n = 0 .. n_max
         n_max: int,
         prefix_len: int,
-        extendable_up_to: int,
-        finite_source: bool,
         exact: bool,
     ):
         self.alphabet_size = alphabet_size
@@ -97,8 +85,6 @@ class Language:
         self.counts = counts
         self.n_max = n_max
         self.prefix_len = prefix_len
-        self.extendable_up_to = extendable_up_to
-        self.finite_source = finite_source
         self.exact = exact
 
     def _check_length(self, n: int, what: str) -> None:
@@ -141,14 +127,10 @@ def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Langua
     if prefix_budget < n_max:
         raise LanguageError(f"prefix budget {prefix_budget} smaller than n_max {n_max}")
     witnesses, exact = source.witnesses(n_max, prefix_budget)
-    return language_from_witnesses(
-        witnesses, n_max, source.alphabet.size, exact=exact, finite_source=source.finite_length is not None
-    )
+    return language_from_witnesses(witnesses, n_max, source.alphabet_size, exact=exact)
 
 
-def language_from_witnesses(
-    witnesses: list[bytes], n_max: int, alphabet_size: int, *, exact: bool, finite_source: bool
-) -> Language:
+def language_from_witnesses(witnesses: list[bytes], n_max: int, alphabet_size: int, *, exact: bool) -> Language:
     """The language of the witness words up to length n_max: their sorted
     heads, the lcps and p(n) (see the module docstring)."""
     if any(len(w) < n_max for w in witnesses):
@@ -169,27 +151,18 @@ def language_from_witnesses(
     counts = [1] + list(accumulate(steps[1 : n_max + 1]))
     if sum(counts[1:]) > FACTOR_CAP:
         raise FactorCapExceeded(f"factor enumeration exceeded cap {FACTOR_CAP}")
-    # A short head is a witness suffix; it extends iff the next head starts with it.
-    extendable = min((len(h) for h, nxt in zip(heads, lcps[1:] + [0]) if nxt < len(h) < n_max), default=n_max)
-
-    lang = Language(
-        alphabet_size=alphabet_size,
-        heads=heads,
-        lcps=lcps,
-        counts=counts,
-        n_max=n_max,
-        prefix_len=sum(map(len, witnesses)),
-        extendable_up_to=extendable,
-        finite_source=finite_source,
-        exact=exact,
-    )
     # Factor closure: every factor is a prefix of a head, so every head's
     # tail must be a prefix of a head too (interior subwords follow by
     # induction).  This is a structural check on the enumeration itself
     # and must never fail.
     for h in heads:
         assert heads[bisect_left(heads, h[1:])].startswith(h[1:]), f"closure broken at head {h!r}"
-    if not lang.finite_source:
-        for n in range(1, min(lang.extendable_up_to, n_max)):
-            assert counts[n + 1] >= counts[n]
-    return lang
+    return Language(
+        alphabet_size=alphabet_size,
+        heads=heads,
+        lcps=lcps,
+        counts=counts,
+        n_max=n_max,
+        prefix_len=sum(map(len, witnesses)),
+        exact=exact,
+    )

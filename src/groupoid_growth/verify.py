@@ -13,7 +13,7 @@ from .fields import GF2, QQ
 from .groupoid import GermGroupoidModel, SubshiftModel, delta_enumerated, gamma
 from .selfsimilar import ADDING_MACHINE, GRIGORCHUK, EventuallyPeriodicPoint, SelfSimilarGroup
 from .subshift import build_language
-from .words import Alphabet, SturmianSource, ToeplitzSource, golden_sturmian, thue_morse
+from .words import SturmianSource, ToeplitzSource, golden_sturmian, thue_morse
 
 
 class Scale(NamedTuple):
@@ -79,7 +79,7 @@ def _growth_suite():
     return (
         ("golden", golden_sturmian()),
         ("thue-morse", thue_morse()),
-        ("paperfolding-0?1?", ToeplitzSource((0, -1, 1, -1), alphabet=Alphabet(2))),
+        ("paperfolding-0?1?", ToeplitzSource((0, -1, 1, -1), alphabet_size=2)),
     )
 
 

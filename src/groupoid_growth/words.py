@@ -7,17 +7,19 @@ one-sided prefixes: everything downstream (complexity, groupoid balls,
 algebra growth) depends on the factor language alone, which sidesteps
 two-sided indexing and the Sturmian cut-point subtlety.
 
-Prefixes are memoized in a byte buffer grown geometrically, so that a
-longer prefix, as in the doubling search of
-:meth:`SturmianSource.witnesses`, extends the letters already made
-instead of remaking them.
+Prefixes are memoized in a byte buffer, so that a longer prefix, as in
+the doubling search of :meth:`SturmianSource.witnesses`, extends the
+letters already made instead of remaking them.
 
 Each source also says how its factor language is read off finite words
 (:meth:`WordSource.witnesses`): words whose factors of length <= n are
 exactly the factors of length <= n that the language is built from.  A
 primitive, growing substitution and a Sturmian word give a certified,
-exact language from a few thousand letters; every other source gives one
-prefix, which is exact only when it covers the whole language.
+exact language from a few thousand letters, an eventually periodic word
+from n letters past its preperiod and one period, and an explicit word
+from the whole word; each raises :class:`BudgetExceeded` when the budget
+is smaller.  Toeplitz skeletons and the other substitutions give one
+prefix, which is not certified.
 """
 
 from __future__ import annotations
@@ -31,52 +33,23 @@ class BudgetExceeded(RuntimeError):
     """An exact language needs more letters than the budget allows."""
 
 
-class Alphabet:
-    """The letters 0..size-1."""
-
-    __slots__ = ("size",)
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise WordSourceError("alphabet must have at least one letter")
-        self.size = size
-
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and other.size == self.size
-
-    def __hash__(self):
-        return hash(self.size)
-
-
 class WordSource:
     """Base class; subclasses fill the prefix buffer via ``_extend``."""
 
-    alphabet: Alphabet
-    finite_length: int | None = None  # None = infinite
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
+    def __init__(self, alphabet_size: int):
+        if alphabet_size < 1:
+            raise WordSourceError("alphabet must have at least one letter")
+        self.alphabet_size = alphabet_size
         self._buf = bytearray()
 
     def _extend(self, n: int) -> None:
         """Grow the buffer to at least n letters (or to the end of a finite word)."""
         raise NotImplementedError
 
-    def _ensure(self, n: int) -> None:
-        if len(self._buf) >= n:
-            return
-        if self.finite_length is not None:
-            n = min(n, self.finite_length)
-            if len(self._buf) >= n:
-                return
-        # Geometric growth amortizes repeated nearby queries.
-        self._extend(max(n, 2 * len(self._buf), 64))
-
     def prefix(self, n: int) -> bytes:
         """First n letters as bytes (shorter for a finite source)."""
-        self._ensure(n)
-        if self.finite_length is not None:
-            n = min(n, self.finite_length)
+        if len(self._buf) < n:
+            self._extend(n)
         return bytes(self._buf[:n])
 
     def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
@@ -112,7 +85,7 @@ class SturmianSource(WordSource):
             )
         if cf_periodic and not (0 <= period_start < len(terms)):
             raise WordSourceError("periodic tail start index out of range")
-        super().__init__(Alphabet(2))
+        super().__init__(2)
         self.terms = terms
         self.cf_periodic = cf_periodic
         self.period_start = period_start
@@ -163,19 +136,18 @@ class SturmianSource(WordSource):
 class SubstitutionSource(WordSource):
     """One-sided fixed point of a substitution whose seed image starts with the seed."""
 
-    def __init__(self, rules: dict[int, tuple[int, ...]], seed: int, alphabet: Alphabet):
-        super().__init__(alphabet)
-        for x in range(alphabet.size):
+    def __init__(self, rules: dict[int, tuple[int, ...]], seed: int, alphabet_size: int):
+        super().__init__(alphabet_size)
+        for x in range(alphabet_size):
             if x not in rules:
                 raise WordSourceError(f"letter {x} has no substitution rule")
             if not rules[x]:
                 raise WordSourceError(f"rule for letter {x} is empty")
-            if any(not (0 <= y < alphabet.size) for y in rules[x]):
+            if any(not (0 <= y < alphabet_size) for y in rules[x]):
                 raise WordSourceError(f"rule for letter {x} leaves the alphabet")
         if rules[seed][0] != seed:
             raise WordSourceError("rules(seed) must begin with the seed letter")
         self.rules = {x: bytes(w) for x, w in rules.items()}
-        self.seed = seed
         self._buf = bytearray([seed])
 
     def _apply(self, w: bytes) -> bytes:
@@ -187,7 +159,7 @@ class SubstitutionSource(WordSource):
         By Wielandt's bound it suffices to test the power (d-1)^2 + 1, read
         here as letter sets: ``reach[x]`` holds the letters of sigma^j(x).
         """
-        d = self.alphabet.size
+        d = self.alphabet_size
         letters = [set(self.rules[x]) for x in range(d)]
         reach = letters
         for _ in range((d - 1) ** 2):
@@ -223,12 +195,7 @@ class SubstitutionSource(WordSource):
         while min(lengths.values()) < n - 1:
             lengths = {x: sum(lengths[y] for y in w) for x, w in rules.items()}
             k += 1
-        need = sum(lengths[a] + lengths[b] for a, b in pairs)
-        if need > budget:
-            raise BudgetExceeded(
-                f"the exact language up to length {n} needs {need} letters, "
-                f"more than the budget of {budget}"
-            )
+        _check_budget(n, sum(lengths[a] + lengths[b] for a, b in pairs), budget)
         images = {x: bytes((x,)) for x in rules}
         for _ in range(k):
             images = {x: b"".join(images[y] for y in w) for x, w in rules.items()}
@@ -259,8 +226,8 @@ class ToeplitzSource(WordSource):
 
     HOLE = -1
 
-    def __init__(self, skeleton: tuple[int, ...], alphabet: Alphabet):
-        super().__init__(alphabet)
+    def __init__(self, skeleton: tuple[int, ...], alphabet_size: int):
+        super().__init__(alphabet_size)
         if all(c == self.HOLE for c in skeleton):
             raise WordSourceError("skeleton must contain at least one letter")
         if all(c != self.HOLE for c in skeleton):
@@ -304,10 +271,10 @@ class ToeplitzSource(WordSource):
 class EventuallyPeriodicSource(WordSource):
     """Explicit preperiod followed by a repeating period."""
 
-    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...], alphabet: Alphabet):
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...], alphabet_size: int):
+        super().__init__(alphabet_size)
         if not period:
             raise WordSourceError("period must be nonempty")
-        super().__init__(alphabet)
         self.preperiod = bytes(preperiod)
         self.periodic = bytes(period)
 
@@ -320,31 +287,39 @@ class EventuallyPeriodicSource(WordSource):
     def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
         """The prefix that runs n letters past the preperiod and one period,
         which is exact, since a factor that starts later also starts one
-        period earlier; past the budget, the prefix of ``budget`` letters,
-        which is not."""
+        period earlier."""
         need = len(self.preperiod) + len(self.periodic) + n
-        if need > budget:
-            return super().witnesses(n, budget)
+        _check_budget(n, need, budget)
         return [self.prefix(need)], True
 
 
 class ExplicitSource(WordSource):
     """A finite word, contributing only its factor set."""
 
-    def __init__(self, word: tuple[int, ...], alphabet: Alphabet):
+    def __init__(self, word: tuple[int, ...], alphabet_size: int):
+        super().__init__(alphabet_size)
         if not word:
             raise WordSourceError("explicit word must be nonempty")
-        super().__init__(alphabet)
-        self.finite_length = len(word)
         self._buf = bytearray(word)
 
     def _extend(self, n: int) -> None:
         pass  # buffer is complete at construction
 
     def witnesses(self, n: int, budget: int) -> tuple[list[bytes], bool]:
-        """The prefix of ``budget`` letters; exact when it is the whole word."""
-        prefix = self.prefix(budget)
-        return [prefix], len(prefix) == self.finite_length
+        """The whole word, which is exact."""
+        need = len(self._buf)
+        _check_budget(n, need, budget)
+        return [self.prefix(need)], True
+
+
+def _check_budget(n: int, need: int, budget: int) -> None:
+    """Raise :class:`BudgetExceeded` when the exact language up to length n needs
+    more than ``budget`` letters."""
+    if need > budget:
+        raise BudgetExceeded(
+            f"the exact language up to length {n} needs {need} letters, "
+            f"more than the budget of {budget}"
+        )
 
 
 def _parse_letters(s: str, alphabet_size: int, extra: dict | None = None) -> tuple[int, ...]:
@@ -397,23 +372,23 @@ def source_from_config(cfg: dict) -> WordSource:
         rules = {int(k): _parse_letters(v, size) for k, v in raw.items()}
         if sorted(rules) != list(range(size)):
             raise WordSourceError("substitution rules must cover letters 0..k-1")
-        return SubstitutionSource(rules, _typed(cfg, "seed", int), Alphabet(size))
+        return SubstitutionSource(rules, _typed(cfg, "seed", int), size)
     if kind == "toeplitz":
         skel = _typed(cfg, "skeleton", str)
         size = _typed(cfg, "alphabet", int, max((int(c) for c in skel if c != "?"), default=0) + 1)
         skeleton = _parse_letters(skel, size, extra={"?": ToeplitzSource.HOLE})
-        return ToeplitzSource(skeleton, Alphabet(size))
+        return ToeplitzSource(skeleton, size)
     if kind == "eventually_periodic":
         pre, per = _typed(cfg, "pre", str, ""), _typed(cfg, "period", str)
         letters = pre + per
         size = _typed(cfg, "alphabet", int, max(int(c) for c in letters) + 1) if letters else 2
         return EventuallyPeriodicSource(
-            _parse_letters(pre, size), _parse_letters(per, size), Alphabet(size)
+            _parse_letters(pre, size), _parse_letters(per, size), size
         )
     if kind == "explicit":
         word = _typed(cfg, "word", str)
         size = _typed(cfg, "alphabet", int, max(int(c) for c in word) + 1)
-        return ExplicitSource(_parse_letters(word, size), Alphabet(size))
+        return ExplicitSource(_parse_letters(word, size), size)
     raise WordSourceError(f"unknown source kind {kind!r}")
 
 
@@ -423,4 +398,4 @@ def golden_sturmian() -> SturmianSource:
 
 
 def thue_morse() -> SubstitutionSource:
-    return SubstitutionSource({0: (0, 1), 1: (1, 0)}, 0, Alphabet(2))
+    return SubstitutionSource({0: (0, 1), 1: (1, 0)}, 0, 2)

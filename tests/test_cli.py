@@ -107,6 +107,44 @@ class TestComplexity:
             assert out.splitlines()[8:] == [f"{n},{4 * n}" for n in range(7, 13)]
 
 
+class TestWholeWordSources:
+    # An explicit word and an eventually periodic word read their whole
+    # language: below the letters it needs, the CLI exits 3 with no table
+    # (a 100-letter prefix of a 300-letter word, or 20 letters of
+    # 0^30 1|1, would print a smaller p(8)); at or above them it prints
+    # the exact table.
+    WORD = "".join(random.Random(7).choice("01") for _ in range(300))
+    EXPLICIT = {"kind": "explicit", "word": WORD}
+    PERIODIC = {"kind": "eventually_periodic", "pre": "0" * 30 + "1", "period": "1"}
+
+    @staticmethod
+    def window_counts(word: str, n_max: int) -> list[str]:
+        return [f"{n},{len({word[i : i + n] for i in range(len(word) - n + 1)})}" for n in range(1, n_max + 1)]
+
+    @pytest.mark.parametrize(
+        "source, need, text, short",
+        [(EXPLICIT, 300, WORD, (100, 299)), (PERIODIC, 40, "0" * 30 + "1" * 10, (20, 39))],
+        ids=["explicit", "eventually_periodic"],
+    )
+    def test_complexity(self, capsys, source, need, text, short):
+        argv = ["complexity", "--source", json.dumps(source), "--n-max", "8", "--budget"]
+        for budget in short:
+            code, out, err = run(capsys, argv + [str(budget)])
+            assert (code, out) == (3, "") and f"needs {need} letters, more than the budget of {budget}" in err
+        for budget in (need, 8192):
+            code, out, _ = run(capsys, argv + [str(budget)])
+            assert code == 0 and out.splitlines()[2:] == self.window_counts(text, 8)
+
+    def test_delta(self, capsys):
+        for budget, want in ((20, None), (39, None), (40, "4,9,exact")):
+            model = json.dumps({"kind": "subshift", "source": self.PERIODIC, "n_max": 8, "budget": budget})
+            code, out, err = run(capsys, ["delta", "--model", model, "--r", "4"])
+            if want is None:
+                assert (code, out) == (3, "") and "needs 40 letters" in err
+            else:
+                assert code == 0 and out.splitlines()[-1] == want
+
+
 class TestParserReuse:
     def test_back_to_back_calls(self, capsys, tmp_path):
         # One parser serves every call in a process; no option of one call
@@ -510,6 +548,8 @@ class TestMalformedInput:
                 "rules",
             ),
             (["complexity", "--n-max", "4", "--source", '{"kind":"toeplitz","skeleton":5}'], "skeleton"),
+            (["delta", "--r", "1", "--model", '{"kind":"subshift","source":' + GOLDEN + ',"n_max":[1]}'], "n_max"),
+            (["delta", "--r", "1", "--model", '{"kind":"subshift","source":' + GOLDEN + ',"budget":[1]}'], "budget"),
         ],
         ids=[
             "generators-list",
@@ -520,6 +560,8 @@ class TestMalformedInput:
             "sturmian-cf-int",
             "substitution-rules-list",
             "toeplitz-skeleton-int",
+            "subshift-n_max-list",
+            "subshift-budget-list",
         ],
     )
     def test_wrong_type_exit_2(self, capsys, argv, field):

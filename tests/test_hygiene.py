@@ -1,12 +1,16 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+from groupoid_growth import cli, subshift
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "groupoid_growth"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -361,3 +365,40 @@ def test_cli_import_generates_no_code():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False"]
+
+
+def unlisted_runtime_errors(modules, listed) -> list[str]:
+    """``module:class`` of each subclass of RuntimeError that a module of
+    ``modules`` defines and that is not in ``listed``."""
+    return sorted(
+        f"{module.__name__}:{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and issubclass(obj, RuntimeError)
+        and obj.__module__ == module.__name__
+        and obj not in listed
+    )
+
+
+def test_detects_an_unlisted_runtime_error():
+    # An imported RuntimeError and a ValueError are not flagged.
+    module = types.ModuleType("caps")
+    exec(
+        "from concurrent.futures import BrokenExecutor\n"
+        "class Listed(RuntimeError): pass\n"
+        "class Unlisted(RuntimeError): pass\n"
+        "class Derived(Listed): pass\n"
+        "class Usage(ValueError): pass\n",
+        vars(module),
+    )
+    assert unlisted_runtime_errors([module], (module.Listed,)) == ["caps:Derived", "caps:Unlisted"]
+
+
+def test_every_cap_exits_3():
+    # A RuntimeError defined in the package is a resource cap: cli.main must
+    # turn it into exit 3, not a traceback.  FactorCapExceeded is a
+    # ValueError (a LanguageError), listed on its own.
+    modules = [importlib.import_module(f"groupoid_growth.{p.stem}") for p in MODULES]
+    assert unlisted_runtime_errors(modules, cli.RESOURCE_ERRORS) == []
+    assert subshift.FactorCapExceeded in cli.RESOURCE_ERRORS

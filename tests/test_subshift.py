@@ -6,7 +6,6 @@ import pytest
 from groupoid_growth import subshift
 from groupoid_growth.subshift import LanguageError, build_language, language_from_witnesses
 from groupoid_growth.words import (
-    Alphabet,
     BudgetExceeded,
     EventuallyPeriodicSource,
     ExplicitSource,
@@ -19,7 +18,7 @@ from groupoid_growth.words import (
 
 
 def constant_source():
-    return SubstitutionSource({0: (0,)}, 0, Alphabet(1))
+    return SubstitutionSource({0: (0,)}, 0, 1)
 
 
 class TestBuildLanguage:
@@ -45,7 +44,7 @@ class TestBuildLanguage:
         word = []
         for v in range(16):  # de-Bruijn-ish cover: concatenate all 4-bit blocks
             word.extend((v >> 3 & 1, v >> 2 & 1, v >> 1 & 1, v & 1))
-        lang = build_language(ExplicitSource(tuple(word), Alphabet(2)), n_max=4, prefix_budget=64)
+        lang = build_language(ExplicitSource(tuple(word), 2), n_max=4, prefix_budget=64)
         # Not every 4-word occurs in this particular explicit word, but
         # complexity is bounded by 2^4 and all 1-letter factors appear.
         assert lang.complexity(1) == 2
@@ -65,10 +64,6 @@ class TestBuildLanguage:
         for bucket in lang.factors:
             assert bucket == sorted(bucket)
 
-    def test_extendability_reported(self):
-        lang = build_language(golden_sturmian(), n_max=10, prefix_budget=4096)
-        assert lang.extendable_up_to == 10
-
 
 class TestComplexityQueries:
     def test_out_of_range(self):
@@ -81,7 +76,7 @@ class TestComplexityQueries:
         assert all(lang.complexity(n) == n + 1 for n in range(1, 51))
 
     def test_fibonacci_substitution_equals_golden(self):
-        sub = SubstitutionSource({0: (0, 1), 1: (0,)}, 0, Alphabet(2))
+        sub = SubstitutionSource({0: (0, 1), 1: (0,)}, 0, 2)
         a = build_language(sub, n_max=50, prefix_budget=30_000)
         b = build_language(golden_sturmian(), n_max=50, prefix_budget=30_000)
         assert [a.complexity(n) for n in range(51)] == [b.complexity(n) for n in range(51)]
@@ -113,16 +108,6 @@ def union_scan(words: list[bytes], n: int) -> list[bytes]:
     return sorted({f for w in words for f in window_scan(w, n)})
 
 
-def brute_extendable(words: list[bytes], n_max: int) -> int:
-    """The least m < n_max with a length-m window of the words that no
-    window of length m+1 extends."""
-    for m in range(n_max):
-        longer = set(union_scan(words, m + 1))
-        if any(all(f + bytes([a]) not in longer for a in range(256)) for f in union_scan(words, m)):
-            return m
-    return n_max
-
-
 def seeded_configs(seed: int) -> list[dict]:
     """Two descriptors of each of the five source kinds; the explicit words
     have 7 and 25 letters, shorter than some n_max and than some budgets."""
@@ -144,18 +129,15 @@ def seeded_configs(seed: int) -> list[dict]:
 def prefix_language(source, n_max: int, budget: int):
     """The language of the single witness ``source.prefix(budget)``."""
     prefix = source.prefix(budget)
-    finite = source.finite_length is not None
-    return prefix, language_from_witnesses([prefix], n_max, source.alphabet.size, exact=False, finite_source=finite)
+    return prefix, language_from_witnesses([prefix], n_max, source.alphabet_size, exact=False)
 
 
 class TestAgainstWindowScan:
-    """Every factor class and ``extendable_up_to`` of
-    :func:`language_from_witnesses` against a brute-force window scan of
-    its witnesses."""
+    """Every factor class of :func:`language_from_witnesses` against a
+    brute-force window scan of its witnesses."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sweep(self, seed):
-        truncated = 0
         for cfg in seeded_configs(seed):
             for n_max in (1, 4, 9):
                 for budget in (n_max, n_max + 1, 3 * n_max, 40):
@@ -166,10 +148,7 @@ class TestAgainstWindowScan:
                         continue
                     prefix, lang = prefix_language(source, n_max, budget)
                     assert lang.factors == [window_scan(prefix, n) for n in range(n_max + 1)], cfg
-                    assert lang.extendable_up_to == brute_extendable([prefix], n_max), (cfg, n_max, budget)
                     assert lang.prefix_len == len(prefix)
-                    truncated += lang.extendable_up_to < n_max
-        assert truncated > 0
 
     @pytest.mark.parametrize("seed", range(2))
     def test_several_witnesses(self, seed):
@@ -178,7 +157,7 @@ class TestAgainstWindowScan:
             n_max = rng.randint(1, 6)
             lengths = [rng.randint(n_max, n_max + 6) for _ in range(rng.randint(1, 4))]
             words = [bytes(rng.randrange(2) for _ in range(length)) for length in lengths]
-            lang = language_from_witnesses(words, n_max, 2, exact=False, finite_source=True)
+            lang = language_from_witnesses(words, n_max, 2, exact=False)
             assert lang.factors == [union_scan(words, n) for n in range(n_max + 1)], words
             assert lang.prefix_len == sum(map(len, words))
 
@@ -197,30 +176,27 @@ class TestAgainstWindowScan:
             elif case % 3 == 2:
                 words.append(words[0][: rng.randint(n_max, len(words[0]))])
             rng.shuffle(words)
-            lang = language_from_witnesses(words, n_max, size, exact=False, finite_source=True)
+            lang = language_from_witnesses(words, n_max, size, exact=False)
             scans = [union_scan(words, n) for n in range(n_max + 1)]
             assert lang.factors == scans, words
             assert [lang.complexity(n) for n in range(n_max + 1)] == list(map(len, scans))
-            assert lang.extendable_up_to == brute_extendable(words, n_max), words
 
     def test_finite_word_shorter_than_budget(self):
-        # 01101: "101" ends the word and occurs nowhere else.
-        source = ExplicitSource((0, 1, 1, 0, 1), Alphabet(2))
+        # 01101: the whole word is the one witness, within any budget of at
+        # least its 5 letters.
+        source = ExplicitSource((0, 1, 1, 0, 1), 2)
         lang = build_language(source, n_max=4, prefix_budget=100)
-        assert lang.prefix_len == 5 and lang.finite_source and lang.exact
+        assert lang.prefix_len == 5 and lang.exact
         assert lang.factors[3] == [b"\x00\x01\x01", b"\x01\x00\x01", b"\x01\x01\x00"]
-        assert lang.extendable_up_to == 3 == brute_extendable([source.prefix(100)], 4)
+        with pytest.raises(BudgetExceeded, match="needs 5 letters, more than the budget of 4"):
+            build_language(source, n_max=4, prefix_budget=4)
 
     def test_truncated_budget(self):
-        # Thue-Morse begins 011010: "010" is its length-3 suffix and occurs
-        # nowhere else, so a prefix of 6 letters leaves it unextended.
-        prefix, lang = prefix_language(thue_morse(), 5, 6)
-        assert lang.extendable_up_to == 3 == brute_extendable([prefix], 5)
         # The exact language reads sigma^2(a) sigma^2(b) for ab in 00, 01, 10, 11.
         with pytest.raises(BudgetExceeded, match="needs 32 letters"):
             build_language(thue_morse(), n_max=5, prefix_budget=31)
         lang = build_language(thue_morse(), n_max=5, prefix_budget=32)
-        assert (lang.exact, lang.prefix_len, lang.extendable_up_to) == (True, 32, 5)
+        assert (lang.exact, lang.prefix_len, lang.complexity(5)) == (True, 32, 12)
 
     def test_cap(self, monkeypatch):
         lang = build_language(thue_morse(), n_max=8, prefix_budget=512)
@@ -235,11 +211,11 @@ class TestAgainstWindowScan:
         words = [thue_morse().prefix(50), golden_sturmian().prefix(37), thue_morse().prefix(45)]
         total = sum(len(union_scan(words, n)) for n in range(1, 13))
         monkeypatch.setattr(subshift, "FACTOR_CAP", total)
-        lang = language_from_witnesses(words, 12, 2, exact=False, finite_source=True)
+        lang = language_from_witnesses(words, 12, 2, exact=False)
         assert sum(lang.complexity(n) for n in range(1, 13)) == total
         monkeypatch.setattr(subshift, "FACTOR_CAP", total - 1)
         with pytest.raises(LanguageError, match=f"exceeded cap {total - 1}"):
-            language_from_witnesses(words, 12, 2, exact=False, finite_source=True)
+            language_from_witnesses(words, 12, 2, exact=False)
 
 
 class TestCountsAndFactors:
@@ -252,7 +228,7 @@ class TestCountsAndFactors:
         for cfg in seeded_configs(seed):
             source = source_from_config(cfg)
             for n_max in (1, 7, 16):
-                if source.finite_length is not None and source.finite_length < n_max:
+                if cfg["kind"] == "explicit" and len(cfg["word"]) < n_max:
                     continue
                 witnesses, _ = source.witnesses(n_max, 4096)
                 lang = build_language(source, n_max, 4096)
@@ -311,21 +287,19 @@ class TestExactPaths:
                     try:
                         lang = build_language(source, n_max, budget)
                     except BudgetExceeded:
-                        assert budget < 8192 and cfg["kind"] in ("substitution", "sturmian"), cfg
+                        assert budget < 8192 and cfg["kind"] != "toeplitz", cfg
                         continue
                     if not lang.exact:
-                        assert budget < 8192 or cfg["kind"] in ("substitution", "toeplitz"), cfg
+                        assert cfg["kind"] in ("substitution", "toeplitz"), cfg
                         continue
                     assert lang.factors == scans[: n_max + 1], (cfg, n_max)
-                    if not lang.finite_source:
-                        assert lang.extendable_up_to == n_max
                     exact += cfg["kind"] == "substitution"
         assert exact > 0
 
     def test_primitivity_needs_a_power(self):
         # 0 -> 01, 1 -> 2, 2 -> 0: the fourth power of the incidence matrix
         # is the first positive one.
-        src = SubstitutionSource({0: (0, 1), 1: (2,), 2: (0,)}, 0, Alphabet(3))
+        src = SubstitutionSource({0: (0, 1), 1: (2,), 2: (0,)}, 0, 3)
         lang = build_language(src, 12, 8192)
         assert lang.exact and lang.factors == [window_scan(src.prefix(4000), n) for n in range(13)]
 
@@ -335,7 +309,7 @@ class TestExactPaths:
         ids=["constant", "reducible", "unreachable-letter"],
     )
     def test_other_substitutions_read_a_prefix(self, rules):
-        src = SubstitutionSource(rules, 0, Alphabet(len(rules)))
+        src = SubstitutionSource(rules, 0, len(rules))
         lang = build_language(src, 6, 300)
         assert not lang.exact and lang.prefix_len == 300
         assert lang.factors == [window_scan(src.prefix(300), n) for n in range(7)]
@@ -348,28 +322,30 @@ class TestExactPaths:
         lang = build_language(SturmianSource([3, 1], cf_periodic=True), 200, 40 * 200 * 200)
         assert (lang.exact, lang.prefix_len, lang.complexity(200)) == (True, 800, 201)
         # 1101|001 reads 4 + 3 + 200 letters, not the budget of 1,600,000.
-        lang = build_language(EventuallyPeriodicSource((1, 1, 0, 1), (0, 0, 1), Alphabet(2)), 200, 40 * 200 * 200)
+        lang = build_language(EventuallyPeriodicSource((1, 1, 0, 1), (0, 0, 1), 2), 200, 40 * 200 * 200)
         assert (lang.exact, lang.prefix_len, lang.complexity(200)) == (True, 207, 5)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_eventually_periodic_reads_one_period_past_the_preperiod(self, seed):
         # |pre| + |per| + n letters hold the factors of every longer prefix;
-        # a smaller budget reads its own prefix, uncertified.  The heads of
-        # length n_max are the factors; the shorter ones are the witness's
-        # suffixes, which follow where it ends.
+        # a smaller budget raises.  The heads of length n_max are the
+        # factors; the shorter ones are the witness's suffixes, which follow
+        # where it ends.
         rng = random.Random(seed)
         for _ in range(8):
             pre = tuple(rng.randrange(3) for _ in range(rng.randint(0, 6)))
             per = tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
             n_max = rng.randint(1, 12)
             need = len(pre) + len(per) + n_max
-            for budget in (need - 1, need, need + rng.randint(1, 60), 8192):
-                source = EventuallyPeriodicSource(pre, per, Alphabet(3))
+            source = EventuallyPeriodicSource(pre, per, 3)
+            with pytest.raises(BudgetExceeded, match=f"needs {need} letters, more than the budget of {need - 1}"):
+                build_language(source, n_max, need - 1)
+            for budget in (need, need + rng.randint(1, 60), 8192):
                 lang = build_language(source, n_max, budget)
                 _, ref = prefix_language(source, n_max, budget)
-                assert (lang.exact, lang.prefix_len) == (budget >= need, min(budget, need))
+                assert (lang.exact, lang.prefix_len) == (True, need)
                 assert lang.counts == ref.counts and lang.factors == ref.factors
-                if budget <= need:
+                if budget == need:
                     assert lang.heads == ref.heads
 
     def test_sturmian_over_budget(self):

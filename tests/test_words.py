@@ -4,7 +4,6 @@ import random
 import pytest
 
 from groupoid_growth.words import (
-    Alphabet,
     EventuallyPeriodicSource,
     ExplicitSource,
     SturmianSource,
@@ -24,8 +23,15 @@ def letters(digits: str) -> bytes:
 
 class TestAlphabet:
     def test_invalid(self):
-        with pytest.raises(WordSourceError):
-            Alphabet(0)
+        # Every source checks its alphabet size on construction.
+        for make in (
+            lambda: SubstitutionSource({}, 0, 0),
+            lambda: ToeplitzSource((0, -1), 0),
+            lambda: EventuallyPeriodicSource((), (0,), 0),
+            lambda: ExplicitSource((0,), 0),
+        ):
+            with pytest.raises(WordSourceError, match="alphabet must have at least one letter"):
+                make()
 
 
 class TestSturmian:
@@ -70,11 +76,11 @@ class TestSubstitution:
         assert thue_morse().prefix(16) == letters(w)
 
     def test_constant(self):
-        src = SubstitutionSource({0: (0,)}, 0, Alphabet(1))
+        src = SubstitutionSource({0: (0,)}, 0, 1)
         assert src.prefix(8) == bytes(8)
 
     def test_fibonacci_prefix(self):
-        src = SubstitutionSource({0: (0, 1), 1: (0,)}, 0, Alphabet(2))
+        src = SubstitutionSource({0: (0, 1), 1: (0,)}, 0, 2)
         assert src.prefix(8) == letters("01001010")
 
     def test_prefix_coherence(self):
@@ -88,16 +94,16 @@ class TestSubstitution:
 
     def test_seed_rule_must_start_with_seed(self):
         with pytest.raises(WordSourceError):
-            SubstitutionSource({0: (1, 0), 1: (1,)}, 0, Alphabet(2))
+            SubstitutionSource({0: (1, 0), 1: (1,)}, 0, 2)
 
 
 class TestToeplitz:
     def test_all_ones(self):
-        src = ToeplitzSource((1, -1), Alphabet(2))
+        src = ToeplitzSource((1, -1), 2)
         assert src.prefix(32) == bytes([1] * 32)
 
     def test_self_filled_prefix(self):
-        src = ToeplitzSource((1, 0, -1, -1), Alphabet(2))
+        src = ToeplitzSource((1, 0, -1, -1), 2)
         # Independent resolution: position p copies the skeleton letter, or
         # redirects through the hole ranks until a letter is hit.
         def resolve(p):
@@ -112,7 +118,7 @@ class TestToeplitz:
         assert list(src.prefix(16)) == [resolve(p) for p in range(16)]
 
     def test_periodicity(self):
-        src = ToeplitzSource((1, 0, -1, -1), Alphabet(2))
+        src = ToeplitzSource((1, 0, -1, -1), 2)
         for n in range(32):
             # After `depth` redirections through the holes, position n reads
             # a skeleton letter, so the letter repeats with period 4^(depth+1).
@@ -129,47 +135,46 @@ class TestToeplitz:
         # Whole periods are written from the letters filling their holes;
         # every prefix must equal the letter-by-letter resolution.
         sk = tuple(-1 if c == "?" else int(c) for c in skeleton)
-        src = ToeplitzSource(sk, Alphabet(2))
+        src = ToeplitzSource(sk, 2)
         n = 20_000
         ref = bytes(src._resolve(i) for i in range(n))
         for length in [*range(1, 300), 1000, 4097, 8192, 12_345, n]:
-            assert ToeplitzSource(sk, Alphabet(2)).prefix(length) == ref[:length]
+            assert ToeplitzSource(sk, 2).prefix(length) == ref[:length]
         # Extend a buffer that stops in the middle of a period.
         q = len(sk)
         for cut in (q * 40 + 1, q * 300 + q - 1, 5002):
             assert cut % q
-            src = ToeplitzSource(sk, Alphabet(2))
+            src = ToeplitzSource(sk, 2)
             src._buf = bytearray(ref[:cut])
             assert src.prefix(n) == ref
 
     def test_validation(self):
         with pytest.raises(WordSourceError):
-            ToeplitzSource((-1, 1), Alphabet(2))  # hole first
+            ToeplitzSource((-1, 1), 2)  # hole first
         with pytest.raises(WordSourceError):
-            ToeplitzSource((-1, -1), Alphabet(2))
+            ToeplitzSource((-1, -1), 2)
         with pytest.raises(WordSourceError):
-            ToeplitzSource((1, 0), Alphabet(2))  # no hole
+            ToeplitzSource((1, 0), 2)  # no hole
 
 
 class TestEventuallyPeriodic:
     def test_indexing(self):
-        src = EventuallyPeriodicSource((1, 1, 0), (0, 1), Alphabet(2))
+        src = EventuallyPeriodicSource((1, 1, 0), (0, 1), 2)
         assert src.prefix(6)[5] == 0
         assert src.prefix(8) == letters("11001010")
 
     def test_pure_period(self):
-        src = EventuallyPeriodicSource((), (1,), Alphabet(2))
+        src = EventuallyPeriodicSource((), (1,), 2)
         assert src.prefix(6) == bytes([1] * 6)
 
     def test_empty_period(self):
         with pytest.raises(WordSourceError):
-            EventuallyPeriodicSource((0,), (), Alphabet(2))
+            EventuallyPeriodicSource((0,), (), 2)
 
 
 class TestExplicit:
     def test_finite(self):
-        src = ExplicitSource((0, 0, 0, 1), Alphabet(2))
-        assert src.finite_length == 4
+        src = ExplicitSource((0, 0, 0, 1), 2)
         assert src.prefix(10) == bytes((0, 0, 0, 1))
         assert src.prefix(0) == b""
 
@@ -180,8 +185,8 @@ class TestDeterminism:
         [
             golden_sturmian,
             thue_morse,
-            lambda: ToeplitzSource((1, 0, -1, -1), Alphabet(2)),
-            lambda: EventuallyPeriodicSource((0,), (1, 0), Alphabet(2)),
+            lambda: ToeplitzSource((1, 0, -1, -1), 2),
+            lambda: EventuallyPeriodicSource((0,), (1, 0), 2),
         ],
     )
     def test_random_query_order(self, make):
