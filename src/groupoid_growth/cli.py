@@ -31,7 +31,7 @@ from .selfsimilar import EventuallyPeriodicPoint, NotContracting, StateCapExceed
 from .shift_algebra import OracleCapExceeded, RadiusExhausted
 from .subshift import FactorCapExceeded, Language, build_language
 from .verify import format_report, run_checks
-from .words import BudgetExceeded, source_from_config
+from .words import BudgetExceeded, parse_letters, read_fields, source_from_config
 
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
@@ -48,10 +48,6 @@ RESOURCE_ERRORS = (
     OracleCapExceeded,
     UnitCapExceeded,
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 def _read_spec(text: str):
@@ -93,7 +89,7 @@ def _csv_cell(value) -> str:
 
 def _positive(name: str, value: int) -> int:
     if value < 1:
-        raise UsageError(f"{name} must be >= 1")
+        raise ValueError(f"{name} must be >= 1")
     return value
 
 
@@ -103,9 +99,7 @@ def _language(cfg, n_max: int, budget) -> Language:
     The budget bounds the letters read.  It is max(8192, 40 n_max^2) when
     none is given; a given budget must be positive.
     """
-    if not isinstance(cfg, dict):
-        raise UsageError(f"a source must be a JSON object or a path to one, got {cfg!r}")
-    budget = max(8192, 40 * n_max * n_max) if budget is None else _positive("budget", int(budget))
+    budget = max(8192, 40 * n_max * n_max) if budget is None else _positive("budget", budget)
     return build_language(source_from_config(cfg), n_max=n_max, prefix_budget=budget)
 
 
@@ -115,37 +109,35 @@ def _with_budget(config: dict, budget) -> dict:
     return config if budget is None else {**config, "budget": budget}
 
 
-def _model_int(cfg: dict, key: str, default):
-    """``cfg[key]`` as an int, or ``default`` when it is absent.  As in a source
-    descriptor, a JSON type other than an integer or a string is a usage error."""
-    if key not in cfg:
-        return default
-    value = cfg[key]
-    if not isinstance(value, (int, str)):
-        raise UsageError(f"model field {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _model_from_arg(text: str):
     cfg = _read_spec(text)
     if not isinstance(cfg, dict):
         cfg = {"kind": "germ", "group": cfg}
     kind = cfg.get("kind")
     if kind == "subshift":
-        n_max, budget = _model_int(cfg, "n_max", 30), _model_int(cfg, "budget", None)
-        return cfg, SubshiftModel(_language(cfg["source"], n_max, budget))
+        _, *values = read_fields(cfg, "subshift model", kind=str, source=dict, n_max=(int, 30), budget=(int, None))
+        return cfg, SubshiftModel(_language(*values))
     if kind == "germ":
-        return cfg, GermGroupoidModel(group_from_spec(cfg["group"]))
-    raise UsageError(f"model kind must be 'subshift' or 'germ', got {kind!r}")
+        _, group = read_fields(cfg, "germ model", kind=str, group=object)
+        return cfg, GermGroupoidModel(group_from_spec(group))
+    raise ValueError(f"model kind must be 'subshift' or 'germ', got {kind!r}")
 
 
-def _parse_unit(model, text: str):
-    if isinstance(model, SubshiftModel):
-        if ":" not in text:
-            raise UsageError("subshift unit syntax is '<letters>:<origin>'")
-        word, origin = text.rsplit(":", 1)
-        return WindowUnit(bytes(int(c) for c in word), int(origin))
-    return EventuallyPeriodicPoint.parse(text)
+def _parse_unit(model, text: str, r: int):
+    """A point 'pre|period' of a germ model, or a window '<letters>:<origin>'
+    of a subshift model, whose radius-r window must be a factor."""
+    if isinstance(model, GermGroupoidModel):
+        return EventuallyPeriodicPoint.parse(text, model.group.d)
+    word, colon, origin = text.rpartition(":")
+    if not (colon and origin.isdecimal()):
+        raise ValueError(f"subshift unit {text!r}: the syntax is '<letters>:<origin>'")
+    lang, o = model.lang, int(origin)
+    unit = WindowUnit(bytes(parse_letters(word, lang.alphabet_size, f"unit {text!r}")), o)
+    if 2 * r > lang.n_max:
+        raise ValueError(f"unit {text!r}: a radius-{r} window is longer than n_max = {lang.n_max}, so it cannot be checked")
+    if r <= unit.max_radius() and unit.word[o - r : o + r] not in lang.factors_at(2 * r):
+        raise ValueError(f"unit {text!r}: its radius-{r} window {word[o - r : o + r]} is not a factor of the language read")
+    return unit
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -167,18 +159,18 @@ def cmd_delta(args) -> int:
     policy = args.units_policy
     if policy == "windows":
         if not isinstance(model, SubshiftModel):
-            raise UsageError("units-policy 'windows' needs a subshift model")
+            raise ValueError("units-policy 'windows' needs a subshift model")
         units = model.class_complete_units(r)
     elif policy.startswith("periodic:"):
         if not isinstance(model, GermGroupoidModel):
-            raise UsageError("units-policy 'periodic:...' needs a germ model")
+            raise ValueError("units-policy 'periodic:...' needs a germ model")
         pairs = [kv.partition("=") for kv in policy[len("periodic:") :].split(",")]
         if sorted(k for k, _, _ in pairs) != ["period", "pre"] or not all(v.isdecimal() for _, _, v in pairs):
-            raise UsageError(f"units policy {policy!r}: the syntax is 'periodic:pre=<int>,period=<int>'")
+            raise ValueError(f"units policy {policy!r}: the syntax is 'periodic:pre=<int>,period=<int>'")
         params = {k: int(v) for k, _, v in pairs}
         units = model.periodic_units(params["pre"], params["period"])
     else:
-        raise UsageError(f"unknown units policy {policy!r}")
+        raise ValueError(f"unknown units policy {policy!r}")
     res = delta_enumerated(model, units, r)
     rows = [[res.r, res.count, "exact" if res.exact else "lower_bound"]]
     _emit_csv(args.csv, ["r", "delta", "flag"], rows, {"cmd": "delta", "model": cfg, "r": r, "policy": policy})
@@ -187,9 +179,9 @@ def cmd_delta(args) -> int:
 
 def cmd_ball(args) -> int:
     if args.r < 0:
-        raise UsageError("--r must be >= 0")
+        raise ValueError("--r must be >= 0")
     cfg, model = _model_from_arg(args.model)
-    unit = _parse_unit(model, args.unit)
+    unit = _parse_unit(model, args.unit, args.r)
     ball = model.ball(unit, args.r)
     dot = ball_to_dot(ball)
     if args.dot:
@@ -204,7 +196,7 @@ def cmd_ball(args) -> int:
 def cmd_algebra_growth(args) -> int:
     n_max = _positive("--n-max", args.n_max)
     if args.oracle_upto < 0:
-        raise UsageError("--oracle-upto must be >= 0")
+        raise ValueError("--oracle-upto must be >= 0")
     field = parse_field(args.field)
     cfg = _read_spec(args.source)
     lang = _language(cfg, 2 * n_max + 1, args.budget)
@@ -276,7 +268,7 @@ def cmd_nucleus(args) -> int:
 def cmd_germ(args) -> int:
     group = group_from_spec(_read_spec(args.group))
     g = group.word_id(args.element)
-    point = EventuallyPeriodicPoint.parse(args.point)
+    point = EventuallyPeriodicPoint.parse(args.point, group.d)
     print("unit" if group.germ_is_unit(g, point) else "nontrivial")
     return 0
 
@@ -421,9 +413,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except RESOURCE_ERRORS as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -90,7 +90,7 @@ def parse_field(spec: str) -> Field:
         return QQ
     if spec == "F2":
         return GF2
-    if spec.startswith("Fp:"):
+    if spec.startswith("Fp:") and spec[3:].isdecimal():
         p = int(spec[3:])
         if not p:  # Field(0) is Q
             raise ValueError("prime field modulus out of range: 0")

@@ -92,6 +92,8 @@ def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> GroupRing
             num, term = term.split("*", 1)
             if not term:
                 raise ValueError(f"empty word after '{num}*' in group-ring element")
+            if not num.removeprefix("-").isdecimal():
+                raise ValueError(f"term '{num}*{term}': the coefficient {num!r} is not an integer")
             coeff = int(num)
         if term == "1":
             g = group.identity

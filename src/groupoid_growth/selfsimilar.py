@@ -32,6 +32,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
+from .words import parse_letters, read_fields
 
 # Deepest recursion of ``SelfSimilarGroup.multiply`` on sections before a
 # product goes to ``canonical_key``, which needs no call stack; contracting
@@ -78,24 +79,15 @@ class WreathRecursion:
         self.generators = generators
 
 
-def recursion_from_config(cfg: dict) -> WreathRecursion:
+def recursion_from_config(cfg) -> WreathRecursion:
     """The recursion of a JSON descriptor ``{"alphabet": d, "generators":
-    {name: {"perm": [...], "rest": [...]}}}``; a field of the wrong type
-    raises ``ValueError`` naming it."""
-    alphabet, generators = cfg.get("alphabet"), cfg.get("generators")
-    if not isinstance(alphabet, int):
-        raise ValueError(f"group 'alphabet' must be an integer, got {alphabet!r}")
-    if not isinstance(generators, dict):
-        raise ValueError(f"group 'generators' must be an object, got {generators!r}")
+    {name: {"perm": [...], "rest": [...]}}}``, read by :func:`read_fields`."""
+    alphabet, generators = read_fields(cfg, "group", alphabet=int, generators=dict)
     gens = {}
     for name, g in generators.items():
-        perm, rest = (g.get("perm"), g.get("rest")) if isinstance(g, dict) else (None, None)
-        if not (isinstance(perm, list) and all(isinstance(x, int) for x in perm)):
-            raise ValueError(f"generator {name}: 'perm' must be a list of integers, got {perm!r}")
-        if not (isinstance(rest, list) and all(isinstance(w, str) for w in rest)):
-            raise ValueError(f"generator {name}: 'rest' must be a list of strings, got {rest!r}")
+        perm, rest = read_fields(g, f"generator {name!r}", perm=list[int], rest=list[str])
         gens[name] = (tuple(perm), tuple(rest))
-    return WreathRecursion(alphabet_size=alphabet, generators=gens)
+    return WreathRecursion(alphabet, gens)
 
 
 ADDING_MACHINE = WreathRecursion(2, {"a": ((1, 0), ("", "a"))})
@@ -138,12 +130,11 @@ class EventuallyPeriodicPoint:
         return f"EventuallyPeriodicPoint(preperiod={self.preperiod!r}, period={self.period!r})"
 
     @classmethod
-    def parse(cls, text: str) -> "EventuallyPeriodicPoint":
-        """Parse 'pre|period', e.g. '|1' for 1^inf or '0|10'."""
+    def parse(cls, text: str, alphabet_size: int) -> "EventuallyPeriodicPoint":
+        """Parse 'pre|period' over ``alphabet_size`` letters, e.g. '|1' for 1^inf or '0|10'."""
         if "|" not in text:
-            raise ValueError("point syntax is 'preperiod|period', e.g. '|1'")
-        pre, per = text.split("|", 1)
-        return cls(tuple(int(c) for c in pre), tuple(int(c) for c in per))
+            raise ValueError(f"point {text!r}: the syntax is 'preperiod|period', e.g. '|1'")
+        return cls(*(parse_letters(part, alphabet_size, f"point {text!r}") for part in text.split("|", 1)))
 
 
 class SelfSimilarGroup:

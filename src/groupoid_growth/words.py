@@ -145,6 +145,8 @@ class SubstitutionSource(WordSource):
                 raise WordSourceError(f"rule for letter {x} is empty")
             if any(not (0 <= y < alphabet_size) for y in rules[x]):
                 raise WordSourceError(f"rule for letter {x} leaves the alphabet")
+        if not 0 <= seed < alphabet_size:
+            raise WordSourceError(f"seed {seed} outside the alphabet of size {alphabet_size}")
         if rules[seed][0] != seed:
             raise WordSourceError("rules(seed) must begin with the seed letter")
         self.rules = {x: bytes(w) for x, w in rules.items()}
@@ -322,74 +324,90 @@ def _check_budget(n: int, need: int, budget: int) -> None:
         )
 
 
-def _parse_letters(s: str, alphabet_size: int, extra: dict | None = None) -> tuple[int, ...]:
-    out = []
-    for ch in s:
-        if extra and ch in extra:
-            out.append(extra[ch])
-            continue
-        v = int(ch)
-        if not (0 <= v < alphabet_size):
-            raise WordSourceError(f"letter {ch!r} outside alphabet of size {alphabet_size}")
-        out.append(v)
-    return tuple(out)
+def parse_letters(text: str, alphabet_size: int, what: str, extra: dict | None = None) -> tuple[int, ...]:
+    """The letters of ``text``, one decimal digit each, or a character that
+    ``extra`` maps to its value; else a ValueError names ``what``."""
+    letters = {**{str(x): x for x in range(min(alphabet_size, 10))}, **(extra or {})}
+    for ch in text:
+        if ch not in letters:
+            raise ValueError(f"{what}: letter {ch!r} outside the alphabet of size {alphabet_size}")
+    return tuple(letters[ch] for ch in text)
 
 
-# JSON name of each type a source field may have.
-_JSON_TYPES = {str: "a string", list: "a list", dict: "an object", int: "an integer"}
+# JSON name of each field type that a value may fail to have.
+_JSON_TYPES = {
+    int: "an integer", bool: "true or false", str: "a string", dict: "an object",
+    list[int]: "a list of integers", list[str]: "a list of strings", dict[str, str]: "an object of strings",
+}
 
 
-def _typed(cfg: dict, key: str, kind: type, default=None):
-    """``cfg[key]``, or ``default`` when it is absent, which must be of type
-    ``kind`` (an integer may also be written as a string); else a
-    :class:`WordSourceError` names the field."""
-    value = cfg.get(key, default)
-    if not isinstance(value, (int, str) if kind is int else kind):
-        raise WordSourceError(f"source field {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return int(value) if kind is int else value
+def _read_value(value, kind):
+    """``value`` as the JSON type ``kind``, a ``list[t]`` or ``dict[str, t]``
+    item by item; raises TypeError or ValueError when it is not one."""
+    base = getattr(kind, "__origin__", kind)
+    if base is int and isinstance(value, str):
+        return int(value)
+    if not isinstance(value, base) or base is int and isinstance(value, bool):
+        raise TypeError
+    if kind is base:
+        return value
+    if base is list:
+        return [_read_value(v, kind.__args__[0]) for v in value]
+    return {k: _read_value(v, kind.__args__[1]) for k, v in value.items()}
 
 
-def source_from_config(cfg: dict) -> WordSource:
-    """Build a source from its JSON description.
+def read_fields(cfg, what: str, **spec) -> list:
+    """The values of the descriptor ``cfg``, a ``what``, in the order of
+    ``spec``, which maps each key to its type (``object`` for any value), or
+    to (type, default) if it may be absent.  An integer may be a decimal
+    string but not a boolean.  A ValueError names ``what`` and the key."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} must be a JSON object, got {cfg!r}")
+    unknown = sorted(cfg.keys() - spec.keys())
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}; its keys are {', '.join(spec)}")
+    values = []
+    for key, kind in spec.items():
+        kind, *default = kind if isinstance(kind, tuple) else (kind,)
+        if key not in cfg and not default:
+            raise ValueError(f"{what} has no {key!r} field")
+        try:
+            values.append(_read_value(cfg[key], kind) if key in cfg else default[0])
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} field {key!r} must be {_JSON_TYPES[kind]}, got {cfg[key]!r}") from None
+    return values
 
-    Kinds: ``sturmian`` (cf terms), ``substitution`` (rules + seed),
-    ``toeplitz`` (skeleton with ``?`` holes), ``eventually_periodic``,
-    ``explicit``.  A field of the wrong type raises
-    :class:`WordSourceError` naming it.
-    """
-    kind = cfg.get("kind")
+
+# Fields of each source kind besides "kind"; README, "Descriptors".
+_SOURCE_FIELDS = {
+    "sturmian": {"cf": list[int], "cf_periodic": (bool, False), "period_start": (int, 0)},
+    "substitution": {"rules": dict[str, str], "seed": int},
+    "toeplitz": {"skeleton": str, "alphabet": (int, None)},
+    "eventually_periodic": {"pre": (str, ""), "period": str, "alphabet": (int, None)},
+    "explicit": {"word": str, "alphabet": (int, None)},
+}
+
+
+def source_from_config(cfg) -> WordSource:
+    """Build a source from its JSON description, one of ``_SOURCE_FIELDS``;
+    words are read by :func:`parse_letters`, fields by :func:`read_fields`."""
+    spec = _SOURCE_FIELDS.get(cfg.get("kind")) if isinstance(cfg, dict) else {}
+    if spec is None:
+        raise WordSourceError(f"unknown source kind {cfg.get('kind')!r}; the kinds are {', '.join(_SOURCE_FIELDS)}")
+    kind, *values = read_fields(cfg, "source", kind=str, **spec)
     if kind == "sturmian":
-        return SturmianSource(
-            _typed(cfg, "cf", list),
-            cf_periodic=bool(cfg.get("cf_periodic", False)),
-            period_start=_typed(cfg, "period_start", int, 0),
-        )
+        return SturmianSource(*values)
     if kind == "substitution":
-        raw = _typed(cfg, "rules", dict)
-        if not all(isinstance(v, str) for v in raw.values()):
-            raise WordSourceError(f"source field 'rules' must map each letter to a string, got {raw!r}")
-        size = len(raw)
-        rules = {int(k): _parse_letters(v, size) for k, v in raw.items()}
-        if sorted(rules) != list(range(size)):
-            raise WordSourceError("substitution rules must cover letters 0..k-1")
-        return SubstitutionSource(rules, _typed(cfg, "seed", int), size)
-    if kind == "toeplitz":
-        skel = _typed(cfg, "skeleton", str)
-        size = _typed(cfg, "alphabet", int, max((int(c) for c in skel if c != "?"), default=0) + 1)
-        skeleton = _parse_letters(skel, size, extra={"?": ToeplitzSource.HOLE})
-        return ToeplitzSource(skeleton, size)
-    if kind == "eventually_periodic":
-        pre, per = _typed(cfg, "pre", str, ""), _typed(cfg, "period", str)
-        letters = pre + per
-        size = _typed(cfg, "alphabet", int, max(int(c) for c in letters) + 1) if letters else 2
-        return EventuallyPeriodicSource(
-            _parse_letters(pre, size), _parse_letters(per, size), size
-        )
-    if kind == "explicit":
-        word = _typed(cfg, "word", str)
-        size = _typed(cfg, "alphabet", int, max(int(c) for c in word) + 1)
-        return ExplicitSource(_parse_letters(word, size), size)
-    raise WordSourceError(f"unknown source kind {kind!r}")
+        rules, seed = values  # the constructor checks that the keys are the letters
+        letters = {int(x) if x.isdecimal() else x: parse_letters(w, len(rules), f"rule {x}") for x, w in rules.items()}
+        return SubstitutionSource(letters, seed, len(rules))
+    *texts, size = values
+    if size is None:  # one more than the largest letter
+        size = 1 + max((int(c) for c in "".join(texts) if c.isdecimal()), default=1)
+    holes = {"?": ToeplitzSource.HOLE} if kind == "toeplitz" else None
+    words = [parse_letters(text, size, f"source field {key!r}", holes) for text, key in zip(texts, spec)]
+    make = {"toeplitz": ToeplitzSource, "eventually_periodic": EventuallyPeriodicSource, "explicit": ExplicitSource}
+    return make[kind](*words, size)
 
 
 def golden_sturmian() -> SturmianSource:

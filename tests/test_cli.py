@@ -99,12 +99,15 @@ class TestComplexity:
     def test_paperfolding(self, capsys):
         # A two-hole Toeplitz word resolves at any depth; its complexity is
         # 4n from n = 7 on (Allouche 1992).  The default 8192-letter prefix
-        # reaches 14 filling levels; a "depth_cap" key is ignored.
-        for extra in ("", ',"depth_cap":1'):
-            source = '{"kind":"toeplitz","skeleton":"0?1?"' + extra + "}"
-            code, out, _ = run(capsys, ["complexity", "--source", source, "--n-max", "12"])
-            assert code == 0
-            assert out.splitlines()[8:] == [f"{n},{4 * n}" for n in range(7, 13)]
+        # reaches 14 filling levels.  "depth_cap" is not a field of a Toeplitz
+        # source, so it exits 2 and is named.
+        source = '{"kind":"toeplitz","skeleton":"0?1?"}'
+        code, out, _ = run(capsys, ["complexity", "--source", source, "--n-max", "12"])
+        assert code == 0
+        assert out.splitlines()[8:] == [f"{n},{4 * n}" for n in range(7, 13)]
+        source = '{"kind":"toeplitz","skeleton":"0?1?","depth_cap":1}'
+        code, out, err = run(capsys, ["complexity", "--source", source, "--n-max", "12"])
+        assert (code, out) == (2, "") and "unknown key 'depth_cap'" in err
 
 
 class TestWholeWordSources:
@@ -123,8 +126,13 @@ class TestWholeWordSources:
 
     @pytest.mark.parametrize(
         "source, need, text, short",
-        [(EXPLICIT, 300, WORD, (100, 299)), (PERIODIC, 40, "0" * 30 + "1" * 10, (20, 39))],
-        ids=["explicit", "eventually_periodic"],
+        [
+            (EXPLICIT, 300, WORD, (100, 299)),
+            (PERIODIC, 40, "0" * 30 + "1" * 10, (20, 39)),
+            # An integer field may be a decimal string.
+            ({**PERIODIC, "alphabet": "3"}, 40, "0" * 30 + "1" * 10, (20, 39)),
+        ],
+        ids=["explicit", "eventually_periodic", "alphabet-string"],
     )
     def test_complexity(self, capsys, source, need, text, short):
         argv = ["complexity", "--source", json.dumps(source), "--n-max", "8", "--budget"]
@@ -532,8 +540,10 @@ class TestVerifyAll:
 
 
 class TestMalformedInput:
-    # Each descriptor has a field of the wrong type: a usage error that names
-    # the field, not a traceback.
+    # Each input is malformed: a descriptor is not an object, lacks a field,
+    # has an unknown one or one of the wrong type, or a letter string holds a
+    # letter outside the alphabet.  It is a usage error that names the field
+    # or the input, not a traceback.
     @pytest.mark.parametrize(
         "argv, field",
         [
@@ -550,6 +560,27 @@ class TestMalformedInput:
             (["complexity", "--n-max", "4", "--source", '{"kind":"toeplitz","skeleton":5}'], "skeleton"),
             (["delta", "--r", "1", "--model", '{"kind":"subshift","source":' + GOLDEN + ',"n_max":[1]}'], "n_max"),
             (["delta", "--r", "1", "--model", '{"kind":"subshift","source":' + GOLDEN + ',"budget":[1]}'], "budget"),
+            (["delta", "--r", "1", "--model", '{"kind":"subshift","source":' + GOLDEN + ',"n_max":"abc"}'], "n_max"),
+            (["delta", "--r", "1", "--model", '{"kind":"subshift","n_max":4}'], "no 'source' field"),
+            (["delta", "--r", "1", "--model", '{"kind":"germ"}'], "no 'group' field"),
+            (["delta", "--r", "1", "--model", '{"kind":"germ","group":"grigorchuk","n_max":3}'], "unknown key 'n_max'"),
+            (["delta", "--r", "1", "--model", '{"kind":"subshift","source":' + GOLDEN + ',"r":1}'], "unknown key 'r'"),
+            (["complexity", "--n-max", "4", "--source", '{"kind":"explicit","word":"01","depth":1}'], "unknown key 'depth'"),
+            (["nucleus", "--group", '{"alphabet":2,"generators":{},"extra":1}'], "unknown key 'extra'"),
+            (["nucleus", "--group", '{"alphabet":2,"generators":{"a":{"perm":[1,0],"rest":["",""],"x":1}}}'], "key 'x'"),
+            (["complexity", "--n-max", "4", "--source", TM.replace('"0"}', "true}")], "seed"),
+            (["complexity", "--n-max", "4", "--source", TM.replace('"0"}', "5}")], "seed 5"),
+            (["complexity", "--n-max", "4", "--source", TM.replace('"0"}', '"-1"}')], "seed -1"),
+            (["complexity", "--n-max", "4", "--source", GOLDEN.replace("true", '"false"')], "cf_periodic"),
+            (["complexity", "--n-max", "4", "--source", '{"kind":"explicit","word":"01","alphabet":true}'], "field 'alphabet'"),
+            (["germ", "--group", "grigorchuk", "--element", "a", "--point", "|x"], "point '|x'"),
+            (["ball", "--model", '{"kind":"subshift","source":' + GOLDEN + "}", "--unit", "0a:1", "--r", "1"], "'0a:1'"),
+            (["ball", "--model", '{"kind":"subshift","source":' + GOLDEN + "}", "--unit", "110:1", "--r", "1"], "window 11"),
+            (
+                ["ball", "--model", '{"kind":"subshift","source":' + GOLDEN + ',"n_max":4}', "--unit", "0100100:3", "--r", "3"],
+                "n_max = 4",
+            ),
+            (["matrix-recursion", "--group", "grigorchuk", "--element", "x*a", "--levels", "1"], "'x*a'"),
         ],
         ids=[
             "generators-list",
@@ -562,6 +593,24 @@ class TestMalformedInput:
             "toeplitz-skeleton-int",
             "subshift-n_max-list",
             "subshift-budget-list",
+            "subshift-n_max-string",
+            "subshift-without-source",
+            "germ-without-group",
+            "germ-unknown-key",
+            "subshift-unknown-key",
+            "source-unknown-key",
+            "group-unknown-key",
+            "generator-unknown-key",
+            "seed-boolean",
+            "seed-outside-letters",
+            "seed-negative-string",
+            "cf_periodic-string",
+            "alphabet-boolean",
+            "point-letter",
+            "unit-letter",
+            "unit-not-a-factor",
+            "unit-past-n_max",
+            "element-coefficient",
         ],
     )
     def test_wrong_type_exit_2(self, capsys, argv, field):
@@ -575,11 +624,15 @@ class TestMalformedInput:
         code, out, err = run(capsys, ["delta", "--model", "grigorchuk", "--r", "1", "--units-policy", policy])
         assert code == 2 and "periodic:pre=<int>,period=<int>" in err and out == ""
 
-    @pytest.mark.parametrize("spec", ["Fp:0", "Fp:1", "Fp:4", "Fp:2147483659"])
-    def test_field_exit_2(self, capsys, spec):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [pytest.param(spec, "prime field modulus", id=spec) for spec in ("Fp:0", "Fp:1", "Fp:4", "Fp:2147483659")]
+        + [pytest.param("Fp:x", "unknown field spec 'Fp:x'", id="Fp:x")],
+    )
+    def test_field_exit_2(self, capsys, spec, message):
         argv = ["matrix-recursion", "--group", "grigorchuk", "--element", "a", "--levels", "1", "--field", spec]
         code, out, err = run(capsys, argv)
-        assert code == 2 and "prime field modulus" in err and out == ""
+        assert code == 2 and message in err and out == ""
 
 
 class TestGermStepCap:

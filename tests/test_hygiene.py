@@ -367,38 +367,47 @@ def test_cli_import_generates_no_code():
     assert out.stdout.split() == ["False"]
 
 
-def unlisted_runtime_errors(modules, listed) -> list[str]:
-    """``module:class`` of each subclass of RuntimeError that a module of
-    ``modules`` defines and that is not in ``listed``."""
+def unmapped_errors(modules, resource, identity) -> list[str]:
+    """``module:class`` of each exception class that a module of ``modules``
+    defines and that does not map to exactly one exit code: 2 for a
+    ValueError not in ``resource``, 3 for a member of ``resource``, 4 for a
+    subclass of ``identity``."""
     return sorted(
         f"{module.__name__}:{name}"
         for module in modules
         for name, obj in vars(module).items()
         if isinstance(obj, type)
-        and issubclass(obj, RuntimeError)
+        and issubclass(obj, BaseException)
         and obj.__module__ == module.__name__
-        and obj not in listed
+        and [issubclass(obj, ValueError) and obj not in resource, obj in resource, issubclass(obj, identity)].count(True)
+        != 1
     )
 
 
 def test_detects_an_unlisted_runtime_error():
-    # An imported RuntimeError and a ValueError are not flagged.
+    # An imported exception, a ValueError, a listed cap and an identity
+    # error are not flagged; a bare Exception maps to no exit code.
     module = types.ModuleType("caps")
     exec(
         "from concurrent.futures import BrokenExecutor\n"
         "class Listed(RuntimeError): pass\n"
         "class Unlisted(RuntimeError): pass\n"
         "class Derived(Listed): pass\n"
-        "class Usage(ValueError): pass\n",
+        "class Usage(ValueError): pass\n"
+        "class Bare(Exception): pass\n"
+        "class Identity(AssertionError): pass\n"
+        "class Twice(Identity, ValueError): pass\n",
         vars(module),
     )
-    assert unlisted_runtime_errors([module], (module.Listed,)) == ["caps:Derived", "caps:Unlisted"]
+    flagged = unmapped_errors([module], (module.Listed,), module.Identity)
+    assert flagged == ["caps:Bare", "caps:Derived", "caps:Twice", "caps:Unlisted"]
 
 
 def test_every_cap_exits_3():
-    # A RuntimeError defined in the package is a resource cap: cli.main must
-    # turn it into exit 3, not a traceback.  FactorCapExceeded is a
-    # ValueError (a LanguageError), listed on its own.
+    # cli.main turns each exception class defined in the package into one
+    # exit code, not a traceback: a RuntimeError is a resource cap (exit 3)
+    # only when listed, a ValueError is a usage error (exit 2) unless listed,
+    # as FactorCapExceeded (a LanguageError) is.
     modules = [importlib.import_module(f"groupoid_growth.{p.stem}") for p in MODULES]
-    assert unlisted_runtime_errors(modules, cli.RESOURCE_ERRORS) == []
+    assert unmapped_errors(modules, cli.RESOURCE_ERRORS, cli.IdentityError) == []
     assert subshift.FactorCapExceeded in cli.RESOURCE_ERRORS

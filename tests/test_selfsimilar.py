@@ -562,7 +562,9 @@ class TestGerms:
         assert selfsimilar._eventually_periodic(head, tail) == normal
 
     def test_germ_keys(self, grig):
-        point = EventuallyPeriodicPoint.parse
+        def point(text):
+            return EventuallyPeriodicPoint.parse(text, 2)
+
         # The image 0(10)^inf is (01)^inf.
         assert grig.germ_key(grig.identity, point("0|10")) == ((), (0, 1), grig.identity)
         assert grig.germ_key(grig.gens["a"], point("|0")) == ((1,), (0,), grig.identity)
@@ -583,10 +585,14 @@ class TestGerms:
             grig.germ_key(grig.identity, EventuallyPeriodicPoint(pre, per))
 
     def test_point_parsing(self):
-        p = EventuallyPeriodicPoint.parse("0|10")
+        p = EventuallyPeriodicPoint.parse("0|10", 2)
         assert (p.preperiod, p.period) == ((0,), (1, 0))
-        with pytest.raises(ValueError):
-            EventuallyPeriodicPoint.parse("010")
+        with pytest.raises(ValueError, match="syntax"):
+            EventuallyPeriodicPoint.parse("010", 2)
+        for text in ("0|12", "|x", "2|0"):
+            with pytest.raises(ValueError, match="outside the alphabet of size 2") as e:
+                EventuallyPeriodicPoint.parse(text, 2)
+            assert f"point {text!r}" in str(e.value)
 
 
 class TestRecursionParsing:
