@@ -3,7 +3,6 @@ groupoids of germs of self-similar groups, and their convolution algebras."""
 
 from .fields import GF2, QQ, BitRowBasis, Field, RowBasis, parse_field
 from .groupoid import (
-    DeltaResult,
     GermGroupoidModel,
     LabeledBall,
     SubshiftModel,
@@ -11,7 +10,6 @@ from .groupoid import (
     ball_to_dot,
     canonical_code,
     delta_enumerated,
-    gamma,
 )
 from .matrix_recursion import (
     GroupRingElement,

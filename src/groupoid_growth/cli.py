@@ -160,7 +160,11 @@ def cmd_delta(args) -> int:
     if policy == "windows":
         if not isinstance(model, SubshiftModel):
             raise ValueError("units-policy 'windows' needs a subshift model")
-        units = model.class_complete_units(r)
+        lang = model.lang
+        if 2 * r > lang.n_max:
+            raise ValueError(f"--r {r}: a radius-{r} window is longer than n_max = {lang.n_max}")
+        # A subshift ball is a path spelling its window: delta(r) = p(2r).
+        row = [r, lang.complexity(2 * r), "exact" if lang.exact else "lower_bound"]
     elif policy.startswith("periodic:"):
         if not isinstance(model, GermGroupoidModel):
             raise ValueError("units-policy 'periodic:...' needs a germ model")
@@ -169,11 +173,10 @@ def cmd_delta(args) -> int:
             raise ValueError(f"units policy {policy!r}: the syntax is 'periodic:pre=<int>,period=<int>'")
         params = {k: int(v) for k, _, v in pairs}
         units = model.periodic_units(params["pre"], params["period"])
+        row = [r, delta_enumerated(model, units, r), "lower_bound"]
     else:
         raise ValueError(f"unknown units policy {policy!r}")
-    res = delta_enumerated(model, units, r)
-    rows = [[res.r, res.count, "exact" if res.exact else "lower_bound"]]
-    _emit_csv(args.csv, ["r", "delta", "flag"], rows, {"cmd": "delta", "model": cfg, "r": r, "policy": policy})
+    _emit_csv(args.csv, ["r", "delta", "flag"], [row], {"cmd": "delta", "model": cfg, "r": r, "policy": policy})
     return 0
 
 

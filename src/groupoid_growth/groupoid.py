@@ -1,14 +1,17 @@
-"""Cayley-graph balls of groupoids, growth gamma, and complexity delta.
+"""Cayley-graph balls of groupoids and their complexity delta.
 
 Two groupoid models are supported: the groupoid of a subshift (units are
 2r-letter windows, fibers are copies of Z) and the groupoid of germs of
 a self-similar group (units are eventually periodic boundary points, and
-a ball maps the canonical key of each germ to its vertex).  Complexity counts
-isomorphism classes of rooted edge-labeled balls, via a canonical code.
-Generators are bisections, so each label is a partial injection on the
-vertices of a ball: a neighbour is named by its (label, direction) from
-a named vertex, and one breadth-first walk from the root in label order
-numbers the vertices canonically, in time linear in the ball.
+a ball maps the canonical key of each germ to its vertex).  Complexity
+counts isomorphism classes of rooted edge-labeled balls.  A subshift ball
+is a path whose 2r edges spell its window, so distinct windows give
+distinct classes and delta(r) = p(2r), read off the language; germ balls
+are counted by a canonical code.  Generators are bisections, so each
+label is a partial injection on the vertices of a ball: a neighbour is
+named by its (label, direction) from a named vertex, and one breadth-first
+walk from the root in label order numbers the vertices canonically, in
+time linear in the ball.
 """
 
 from __future__ import annotations
@@ -87,26 +90,14 @@ class SubshiftModel:
             raise ValueError("radius must be >= 0")
         if r > unit.max_radius():
             raise ValueError(f"window too short for radius {r}")
-        # The fiber is {s^k}, free, so the ball is a path: vertex j holds
-        # the germ s^k with k = _vertex_k(j), and s^k -> s^(k+1) is an
-        # edge labeled by the letter at position k.
-        index = {k: j for j, k in enumerate(_path_vertex_order(r))}
+        # The fiber is {s^k}, free, so the ball is a path: the germ s^k is
+        # vertex 2|k| - (k < 0), numbering k = 0, -1, 1, -2, 2, ... in
+        # turn, and s^k -> s^(k+1) is an edge labeled by the letter at
+        # position k.
+        vertex = [2 * abs(k) - (k < 0) for k in range(-r, r + 1)]
         window = unit.word[unit.origin - r : unit.origin + r]
-        edges = [(index[k], index[k + 1], window[k + r]) for k in range(-r, r)]
+        edges = [(vertex[i], vertex[i + 1], window[i]) for i in range(2 * r)]
         return LabeledBall(2 * r + 1, edges, r, self.labels)
-
-    def class_complete_units(self, r: int) -> list[WindowUnit]:
-        """One unit per length-2r factor: every radius-r ball class appears."""
-        if 2 * r > self.lang.n_max:
-            raise ValueError(f"language too shallow for radius {r}")
-        return [WindowUnit(f, r) for f in self.lang.factors_at(2 * r)]
-
-
-def _path_vertex_order(r: int) -> list[int]:
-    out = [0]
-    for j in range(1, r + 1):
-        out.extend((-j, j))
-    return out
 
 
 class GermGroupoidModel:
@@ -185,11 +176,6 @@ def _power_sum(d: int, lo: int, hi: int) -> int:
     return total
 
 
-def gamma(model, unit, r: int) -> int:
-    """gamma_S(x, r) = number of vertices in the radius-r ball at x."""
-    return model.ball(unit, r).num_vertices
-
-
 # -- canonical form of rooted labeled balls ---------------------------------
 
 
@@ -224,33 +210,12 @@ def canonical_code(ball: LabeledBall) -> bytes:
     return repr((m, sorted([(num[a], num[b], l) for a, b, l in ball.edges]))).encode()
 
 
-class DeltaResult(NamedTuple):
-    r: int
-    count: int
-    exact: bool  # False = certified lower bound over the supplied unit family
-
-
-def delta_enumerated(model, units, r: int) -> DeltaResult:
-    """Number of distinct ball classes at the given units.
-
-    Exact delta when the unit family is class-complete (subshift window
-    units for all length-2r factors of a certified language); otherwise a
-    certified lower bound.
-    """
+def delta_enumerated(model, units, r: int) -> int:
+    """Number of distinct radius-r ball classes at the given units: a
+    certified lower bound on delta(r)."""
     if not units:
         raise ValueError("unit family must be nonempty")
-    codes = {canonical_code(model.ball(u, r)) for u in units}
-    exact = isinstance(model, SubshiftModel) and _windows_complete(model, units, r)
-    return DeltaResult(r=r, count=len(codes), exact=exact)
-
-
-def _windows_complete(model: SubshiftModel, units, r: int) -> bool:
-    """The units show every length-2r factor of a certified language."""
-    if not model.lang.exact or 2 * r > model.lang.n_max:
-        return False
-    # Every unit's ball was built first, so each window covers -r .. r-1.
-    have = {u.word[u.origin - r : u.origin + r] for u in units}
-    return set(model.lang.factors_at(2 * r)) <= have
+    return len({canonical_code(model.ball(u, r)) for u in units})
 
 
 def ball_to_dot(ball: LabeledBall) -> str:

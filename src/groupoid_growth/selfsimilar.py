@@ -132,9 +132,12 @@ class EventuallyPeriodicPoint:
     @classmethod
     def parse(cls, text: str, alphabet_size: int) -> "EventuallyPeriodicPoint":
         """Parse 'pre|period' over ``alphabet_size`` letters, e.g. '|1' for 1^inf or '0|10'."""
-        if "|" not in text:
+        pre, bar, period = text.partition("|")
+        if not bar:
             raise ValueError(f"point {text!r}: the syntax is 'preperiod|period', e.g. '|1'")
-        return cls(*(parse_letters(part, alphabet_size, f"point {text!r}") for part in text.split("|", 1)))
+        if not period:
+            raise ValueError(f"point {text!r}: the period must be nonempty")
+        return cls(*(parse_letters(part, alphabet_size, f"point {text!r}") for part in (pre, period)))
 
 
 class SelfSimilarGroup:

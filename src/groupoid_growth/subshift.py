@@ -1,4 +1,4 @@
-"""Factor languages, subword complexity p(n), and the subshift complexity p(2r).
+"""Factor languages and subword complexity p(n), whence a subshift's delta(r) = p(2r).
 
 A language is read off a list of witness words: finite words whose factors
 of length <= ``n_max`` are exactly its factors.  The source chooses them
@@ -107,12 +107,6 @@ class Language:
     def factors(self) -> list[list[bytes]]:
         """Every factor class: ``factors[n] == factors_at(n)`` for n <= n_max."""
         return [self.factors_at(n) for n in range(self.n_max + 1)]
-
-    def delta_formula(self, r: int) -> int:
-        """Groupoid complexity of the subshift: delta(r) = p(2r)."""
-        if r < 0 or 2 * r > self.n_max:
-            raise LanguageError(f"delta_formula needs 2r <= n_max; got r={r}, n_max={self.n_max}")
-        return self.complexity(2 * r)
 
 
 def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Language:

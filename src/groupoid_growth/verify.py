@@ -4,21 +4,24 @@ full for the complete claims)."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import matrix_recursion as mr
 from . import shift_algebra as sa
 from .fields import GF2, QQ
-from .groupoid import GermGroupoidModel, SubshiftModel, delta_enumerated, gamma
-from .selfsimilar import ADDING_MACHINE, GRIGORCHUK, EventuallyPeriodicPoint, SelfSimilarGroup
+from .groupoid import GermGroupoidModel, LabeledBall, canonical_code
+from .selfsimilar import ADDING_MACHINE, GRIGORCHUK, EventuallyPeriodicPoint, SelfSimilarGroup, group_from_spec
 from .subshift import build_language
 from .words import SturmianSource, ToeplitzSource, golden_sturmian, thue_morse
 
 
 class Scale(NamedTuple):
     sturmian_n: int  # criterion 1
-    delta_r: int  # criterion 2
+    delta_r: int  # criterion 2: radius of the germ balls coded
+    delta_units: int  # criterion 2: preperiod and period cap of their units
+    delta_groups: tuple[str, ...]  # criterion 2: presets whose germ balls are coded
     growth_n: int  # criteria 3-4
     oracle_n: int  # criterion 5
     module_n: int  # criterion 6
@@ -30,9 +33,9 @@ class Scale(NamedTuple):
 
 
 SCALES = {
-    "full": Scale(200, 15, 12, 5, 10, 100, 48, (16, 48), 16, 10),
-    "quick": Scale(50, 6, 6, 4, 6, 20, 24, (8, 24), 12, 6),
-    "tiny": Scale(12, 3, 3, 3, 3, 5, 10, (4, 10), 8, 3),
+    "full": Scale(200, 5, 2, ("grigorchuk", "adding_machine"), 12, 5, 10, 100, 48, (16, 48), 16, 10),
+    "quick": Scale(50, 3, 1, ("grigorchuk",), 6, 4, 6, 20, 24, (8, 24), 12, 6),
+    "tiny": Scale(12, 1, 1, ("grigorchuk",), 3, 3, 3, 5, 10, (4, 10), 8, 3),
 }
 
 
@@ -61,18 +64,54 @@ def check_01_sturmian_complexity(s: Scale) -> CheckResult:
 
 
 def check_02_delta_consistency(s: Scale) -> CheckResult:
-    r_max = s.delta_r
+    r, cap = s.delta_r, s.delta_units
+    rng = random.Random(2)
     bad = []
-    for name, src in (("golden", golden_sturmian()), ("thue-morse", thue_morse())):
-        lang = _lang(src, 2 * r_max, max(8192, 20 * r_max * r_max))
-        model = SubshiftModel(lang)
-        for r in range(1, r_max + 1):
-            res = delta_enumerated(model, model.class_complete_units(r), r)
-            if not res.exact or res.count != lang.delta_formula(r):
-                bad.append((name, r, res.count, lang.delta_formula(r)))
-    ok = not bad
-    detail = f"delta(r)=p(2r) for r<={r_max}, golden and thue-morse" if ok else f"violations {bad[:3]}"
-    return CheckResult("02-delta-consistency", ok, detail)
+    for name in s.delta_groups:
+        model = GermGroupoidModel(group_from_spec(name))
+        first = {}  # code -> the first ball with it
+        for unit in model.periodic_units(cap, cap):
+            ball = model.ball(unit, r)
+            code = canonical_code(ball)
+            m = ball.num_vertices
+            perm = [0] + rng.sample(range(1, m), m - 1)
+            moved = sorted((perm[a], perm[b], l) for a, b, l in ball.edges)
+            if canonical_code(LabeledBall(m, moved, r, ball.labels)) != code:
+                bad.append((name, unit, "code changed by a relabeling"))
+            first.setdefault(code, ball)
+            if any((c == code) != _isomorphic(rep, ball) for c, rep in first.items()):
+                bad.append((name, unit, "codes disagree with isomorphism"))
+    what = f"germ balls of {'/'.join(s.delta_groups)} at r={r}, preperiod and period <= {cap}"
+    detail = f"{what}: codes relabel-invariant, equal iff isomorphic" if not bad else f"violations {bad[:3]}"
+    return CheckResult("02-delta-consistency", not bad, detail)
+
+
+def _isomorphic(a: LabeledBall, b: LabeledBall) -> bool:
+    """Whether a root- and label-preserving isomorphism carries ``a`` onto
+    ``b``.  Each label is a partial injection, so root to root forces the
+    image of every neighbour: one paired walk finds the map or a clash."""
+    m = a.num_vertices
+    if (b.num_vertices, len(b.edges), b.labels) != (m, len(a.edges), a.labels):
+        return False
+    na, nb = _neighbours(a), _neighbours(b)
+    image, walk = [0] + [-1] * (m - 1), [0]
+    for v in walk:
+        for x, y in zip(na[v], nb[image[v]]):
+            if (x < 0) != (y < 0) or x >= 0 and image[x] not in (-1, y):
+                return False
+            if x >= 0 and image[x] < 0:
+                image[x] = y
+                walk.append(x)
+    return len(walk) == len(set(image)) == m
+
+
+def _neighbours(ball: LabeledBall) -> list[list[int]]:
+    """Each vertex's out- and in-neighbour by each label, -1 for none."""
+    nbrs = [[-1] * (2 * len(ball.labels)) for _ in range(ball.num_vertices)]
+    for a, b, l in ball.edges:
+        nbrs[a][2 * l] = b
+        nbrs[b][2 * l + 1] = a
+    return nbrs
 
 
 def _growth_suite():
@@ -216,18 +255,11 @@ def check_12_contraction(s: Scale) -> CheckResult:
         est = grp.contraction_estimate(length_cap=s.contraction_cap)
         if est.ratio > Fraction(3, 5):
             problems.append(f"{name} estimate {est.ratio} at depth {est.depth}")
-    grp = SelfSimilarGroup(ADDING_MACHINE)
-    model = GermGroupoidModel(grp)
-    units = [
-        EventuallyPeriodicPoint((), (1,)),
-        EventuallyPeriodicPoint((), (0,)),
-        EventuallyPeriodicPoint((), (0, 1)),
-        EventuallyPeriodicPoint((1,), (0,)),
-        EventuallyPeriodicPoint((0,), (1,)),
-    ]
+    model = GermGroupoidModel(SelfSimilarGroup(ADDING_MACHINE))
+    units = [EventuallyPeriodicPoint.parse(text, 2) for text in ("|1", "|0", "|01", "1|0", "0|1")]
     for u in units:
         for r in range(s.gamma_r + 1):
-            g = gamma(model, u, r)
+            g = model.ball(u, r).num_vertices
             if g != 2 * r + 1:
                 problems.append(f"gamma({u},{r})={g}")
     ok = not problems

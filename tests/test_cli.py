@@ -116,7 +116,7 @@ class TestWholeWordSources:
     # (a 100-letter prefix of a 300-letter word, or 20 letters of
     # 0^30 1|1, would print a smaller p(8)); at or above them it prints
     # the exact table.
-    WORD = "".join(random.Random(7).choice("01") for _ in range(300))
+    WORD = "".join(map(random.Random(7).choice, ["01"] * 300))
     EXPLICIT = {"kind": "explicit", "word": WORD}
     PERIODIC = {"kind": "eventually_periodic", "pre": "0" * 30 + "1", "period": "1"}
 
@@ -257,6 +257,54 @@ class TestDelta:
     def test_germ_output_bytes(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # One source per kind (the Sturmian cf drawn with random.Random(26)),
+    # and a substitution and a skeleton whose languages are read off a
+    # prefix and so are not exact.
+    SUBSHIFT_SOURCES = {
+        "thue-morse": json.loads(TM),
+        "sturmian": {"kind": "sturmian", "cf": [3, 1, 3, 1], "cf_periodic": True},
+        "eventually_periodic": {"kind": "eventually_periodic", "pre": "0" * 30 + "1", "period": "1"},
+        "explicit": {"kind": "explicit", "word": "".join(map(random.Random(7).choice, ["01"] * 300))},
+        "0-001-1-1": {"kind": "substitution", "rules": {"0": "001", "1": "1"}, "seed": "0"},
+        "toeplitz": {"kind": "toeplitz", "skeleton": "0?1?"},
+    }
+
+    # (source, r) -> delta row and sha256 of the whole stdout, at n_max = 2r.
+    SUBSHIFT_DELTA = {
+        ("thue-morse", 1): ("1,4,exact", "08cb073a587443f62b2ffebddfb0b038362895c238f345bc25fbd3bcabc1def6"),
+        ("thue-morse", 5): ("5,28,exact", "099bb9763d7cc452b9cd67c785a7af270a6ba41be00272f1358bc47bacf2ff11"),
+        ("thue-morse", 20): ("20,124,exact", "cafb792cb7ca977057cc6903453fbfffcc42ec6362e49e603b2f948552622a87"),
+        ("sturmian", 1): ("1,3,exact", "13b36ab68799ae822591717494cb6d65bb30f8aaf19db034295f58cefaf0ddc2"),
+        ("sturmian", 5): ("5,11,exact", "7511904066becba234ee243c5c79ccbf055ec44e52c56ef863f8af24cc155496"),
+        ("sturmian", 20): ("20,41,exact", "ead5d8fe2f647e213be0b5436c880c904e2a3d10a7e9c8d745ed355c07146781"),
+        ("eventually_periodic", 1): ("1,3,exact", "90b076a7d3d1144a25dbd27ad40f8e7ca665b6afcde303828120e1e8a376f2d8"),
+        ("eventually_periodic", 5): ("5,11,exact", "e8205901674cd491e168e4aa1c5cd9dcb6dcb031d1a8831d4dfca85e26cdbe65"),
+        ("eventually_periodic", 20): ("20,31,exact", "022283216e8c28da7985b5c498dfa994b9213df1693178385467ef2589ca0c10"),
+        ("explicit", 1): ("1,4,exact", "6cd0341988cfd1249f0d0869a977b07c3c8e3c2968749d79e4fc1e2a5bb314ef"),
+        ("explicit", 5): ("5,241,exact", "65cecef310a3e93faf952d776cffe5af874be5826bcf12d1181d2da2f6171373"),
+        ("explicit", 20): ("20,261,exact", "cf415a6338ad45134aca9b38ce836648a93c37bb01076ee80b2cce8a31353359"),
+        ("0-001-1-1", 1): ("1,4,lower_bound", "2156b09f62d7a1f53ae19e7e965a37288018955ac9bdc172804e9353bd6e82f2"),
+        ("0-001-1-1", 5): ("5,43,lower_bound", "3d8c21e377e9d0cbf022c4bb374f481030991097900745400a9d32cc2cfb2a59"),
+        ("0-001-1-1", 20): ("20,342,lower_bound", "9b412a7a2956021758e2a3996c68c41ea8ea83aa7fb347aed74da0cef495cbfa"),
+        ("toeplitz", 1): ("1,4,lower_bound", "f17a1f6b904712373b85a10c932f35e6dfaa536f365170beade5f39351ec551e"),
+        ("toeplitz", 5): ("5,40,lower_bound", "534599638a96eddf9dc6abe28635064ffd37e97d21625ad71e02440b034685dc"),
+        ("toeplitz", 20): ("20,160,lower_bound", "5ac2faf09c4219bf18a74e1e7e96dd32354910aec78c90799e27a9bf3105b71b"),
+    }
+
+    @pytest.mark.parametrize("source, r", list(SUBSHIFT_DELTA), ids=[f"{s}-r{r}" for s, r in SUBSHIFT_DELTA])
+    def test_subshift_output_bytes(self, capsys, source, r):
+        # Digests recorded when delta still built and coded one ball per
+        # window; it now prints p(2r), with the same bytes.
+        model = json.dumps({"kind": "subshift", "source": self.SUBSHIFT_SOURCES[source], "n_max": 2 * r})
+        code, out, _ = run(capsys, ["delta", "--model", model, "--r", str(r)])
+        row, digest = self.SUBSHIFT_DELTA[source, r]
+        assert code == 0 and out.splitlines()[-1] == row and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_radius_past_n_max_exit_2(self, capsys):
+        model = json.dumps({"kind": "subshift", "source": json.loads(GOLDEN), "n_max": 9})
+        code, out, err = run(capsys, ["delta", "--model", model, "--r", "5"])
+        assert (code, out) == (2, "") and "--r 5" in err and "n_max = 9" in err
 
 
 class TestBall:
@@ -574,6 +622,11 @@ class TestMalformedInput:
             (["complexity", "--n-max", "4", "--source", GOLDEN.replace("true", '"false"')], "cf_periodic"),
             (["complexity", "--n-max", "4", "--source", '{"kind":"explicit","word":"01","alphabet":true}'], "field 'alphabet'"),
             (["germ", "--group", "grigorchuk", "--element", "a", "--point", "|x"], "point '|x'"),
+            (
+                ["germ", "--group", "grigorchuk", "--element", "a", "--point", "0|"],
+                "point '0|': the period must be nonempty",
+            ),
+            (["ball", "--model", "grigorchuk", "--unit", "0|", "--r", "1"], "point '0|': the period must be nonempty"),
             (["ball", "--model", '{"kind":"subshift","source":' + GOLDEN + "}", "--unit", "0a:1", "--r", "1"], "'0a:1'"),
             (["ball", "--model", '{"kind":"subshift","source":' + GOLDEN + "}", "--unit", "110:1", "--r", "1"], "window 11"),
             (
@@ -607,6 +660,8 @@ class TestMalformedInput:
             "cf_periodic-string",
             "alphabet-boolean",
             "point-letter",
+            "point-empty-period",
+            "unit-empty-period",
             "unit-letter",
             "unit-not-a-factor",
             "unit-past-n_max",

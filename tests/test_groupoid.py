@@ -4,7 +4,6 @@ import pytest
 
 from groupoid_growth import groupoid
 from groupoid_growth.groupoid import (
-    DeltaResult,
     GermGroupoidModel,
     LabeledBall,
     SubshiftModel,
@@ -12,7 +11,6 @@ from groupoid_growth.groupoid import (
     ball_to_dot,
     canonical_code,
     delta_enumerated,
-    gamma,
 )
 from groupoid_growth.selfsimilar import (
     ADDING_MACHINE,
@@ -294,21 +292,22 @@ class TestSubshiftBall:
 
 
 class TestGamma:
+    # gamma(x, r) is the number of vertices of the radius-r ball at x.
     def test_subshift_linear(self, golden_model):
         for r in range(5):
             u = WindowUnit(golden_model.lang.factors[10][0], 5)
-            assert gamma(golden_model, u, r) == 2 * r + 1
+            assert golden_model.ball(u, r).num_vertices == 2 * r + 1
 
     def test_adding_machine_linear(self, adding_model):
         point = EventuallyPeriodicPoint((), (0,))
         for r in range(6):
-            assert gamma(adding_model, point, r) == 2 * r + 1
+            assert adding_model.ball(point, r).num_vertices == 2 * r + 1
 
     def test_monotone_and_degree_bounded(self, grig_model):
         point = EventuallyPeriodicPoint((), (0,))
         prev = None
         for r in range(5):
-            g = gamma(grig_model, point, r)
+            g = grig_model.ball(point, r).num_vertices
             if prev is not None:
                 assert prev <= g <= (2 * len(grig_model.labels) + 1) * prev
             prev = g
@@ -316,7 +315,7 @@ class TestGamma:
     def test_grig_gamma_value(self, grig_model):
         # At 0^inf the germ of d is a unit and b, c agree (bc = d), so the
         # radius-1 ball is {identity, a, b}.
-        assert gamma(grig_model, EventuallyPeriodicPoint((), (0,)), 1) == 3
+        assert grig_model.ball(EventuallyPeriodicPoint((), (0,)), 1).num_vertices == 3
 
 
 class TestCanonicalCode:
@@ -360,7 +359,7 @@ class TestCanonicalCode:
     def test_same_classes_as_reference_on_windows(self, source):
         model = SubshiftModel(build_language(source(), n_max=14, prefix_budget=8192))
         for r in range(8):
-            balls = [model.ball(u, r) for u in model.class_complete_units(r)]
+            balls = [model.ball(WindowUnit(f, r), r) for f in model.lang.factors_at(2 * r)]
             assert assert_same_classes(balls) == len(balls)
 
     @pytest.mark.parametrize("rec", [GRIGORCHUK, ADDING_MACHINE], ids=["grigorchuk", "adding"])
@@ -436,32 +435,34 @@ class TestPeriodicUnits:
 
 
 class TestDelta:
+    # A subshift ball is a path spelling its window, so the windows of
+    # length 2r give p(2r) distinct classes: the CLI prints delta(r) = p(2r).
+    @staticmethod
+    def window_classes(model: SubshiftModel, r: int) -> int:
+        return len({canonical_code(model.ball(WindowUnit(f, r), r)) for f in model.lang.factors_at(2 * r)})
+
     def test_matches_formula_golden(self, golden_model):
-        lang = golden_model.lang
         for r in range(1, 6):
-            res = delta_enumerated(golden_model, golden_model.class_complete_units(r), r)
-            assert res == DeltaResult(r, lang.delta_formula(r), True)
+            assert self.window_classes(golden_model, r) == golden_model.lang.complexity(2 * r) == 2 * r + 1
 
     def test_matches_formula_thue_morse(self):
         model = SubshiftModel(build_language(thue_morse(), n_max=12, prefix_budget=8192))
         for r in range(1, 6):
-            res = delta_enumerated(model, model.class_complete_units(r), r)
-            assert res.exact and res.count == model.lang.delta_formula(r)
+            assert self.window_classes(model, r) == model.lang.complexity(2 * r)
 
-    def test_incomplete_units_flagged(self, golden_model):
-        units = golden_model.class_complete_units(2)[:1]
-        res = delta_enumerated(golden_model, units, 2)
-        assert not res.exact and res.count == 1
+    def test_incomplete_units_give_a_lower_bound(self, grig_model):
+        # Fewer units see no more classes: the count is a lower bound.
+        units = grig_model.periodic_units(2, 2)
+        assert delta_enumerated(grig_model, units[:1], 2) == 1
+        assert delta_enumerated(grig_model, units[:6], 2) <= delta_enumerated(grig_model, units, 2)
 
     def test_germ_lower_bound(self, grig_model):
         units = grig_model.periodic_units(1, 1)
-        res = delta_enumerated(grig_model, units, 1)
-        assert not res.exact
-        assert res.count >= 2
+        assert delta_enumerated(grig_model, units, 1) >= 2
 
-    def test_empty_units_rejected(self, golden_model):
+    def test_empty_units_rejected(self, grig_model):
         with pytest.raises(ValueError):
-            delta_enumerated(golden_model, [], 1)
+            delta_enumerated(grig_model, [], 1)
 
 
 class TestDot:

@@ -1,0 +1,83 @@
+"""Mutant table for ``verify-all``: each row breaks one kernel by a
+``monkeypatch`` and names the checks of ``--profile quick`` that must FAIL.
+A mutant that no check kills yet is listed in ``SURVIVORS`` with the
+ROADMAP item meant to kill it, and must still pass every check, so the
+change that closes the gap has to move its row.
+"""
+
+import ast
+
+import pytest
+
+from groupoid_growth import groupoid, shift_algebra, verify
+from groupoid_growth.fields import QQ
+
+
+def _patch_canonical_code(monkeypatch, mutant):
+    # verify holds canonical_code by name, as groupoid does.
+    for module in (groupoid, verify):
+        monkeypatch.setattr(module, "canonical_code", mutant)
+
+
+def code_without_labels(monkeypatch):
+    """The walk numbers the vertices as before, but the code drops the labels."""
+    original = groupoid.canonical_code
+
+    def mutant(ball):
+        m, edges = ast.literal_eval(original(ball).decode())
+        return repr((m, sorted((a, b) for a, b, _ in edges))).encode()
+
+    _patch_canonical_code(monkeypatch, mutant)
+
+
+def code_in_edge_order(monkeypatch):
+    """Vertices are numbered as the edge list first names them, not in walk order."""
+
+    def mutant(ball):
+        num = {0: 0}
+        for a, b, _ in ball.edges:
+            num.setdefault(a, len(num))
+            num.setdefault(b, len(num))
+        return repr((ball.num_vertices, sorted((num[a], num[b], l) for a, b, l in ball.edges))).encode()
+
+    _patch_canonical_code(monkeypatch, mutant)
+
+
+def no_mirror_twin(monkeypatch):
+    """``growth_dims`` offers each mirror twin with an empty support, which never enters the rank."""
+    monkeypatch.setattr(shift_algebra, "set_bits", lambda mask: [])
+
+
+def block_rank_over_q(monkeypatch):
+    """Every exponent block of ``growth_dims`` ranks over Q, whatever the field."""
+    init = shift_algebra._BlockRank.__init__
+    monkeypatch.setattr(shift_algebra._BlockRank, "__init__", lambda self, space, field: init(self, space, QQ))
+
+
+# mutant -> the checks it must make FAIL
+KILLED = {
+    code_without_labels: {"02-delta-consistency"},
+    code_in_edge_order: {"02-delta-consistency"},
+    no_mirror_twin: {"05-oracle-equivalence"},
+}
+
+# mutant -> the ROADMAP item meant to kill it
+SURVIVORS = {
+    block_rank_over_q: "item 10: exact algebra growth from p(n), which differs between Q and F2",
+}
+
+
+def failing_checks() -> set[str]:
+    return {r.name for r in verify.run_checks("quick", seed=0) if not r.ok}
+
+
+@pytest.mark.parametrize("mutant", list(KILLED), ids=lambda m: m.__name__)
+def test_killed(monkeypatch, mutant):
+    mutant(monkeypatch)
+    assert failing_checks() == KILLED[mutant]
+
+
+@pytest.mark.parametrize("mutant", list(SURVIVORS), ids=lambda m: m.__name__)
+def test_survivor_passes_every_check(monkeypatch, mutant):
+    mutant(monkeypatch)
+    assert failing_checks() == set()

@@ -83,19 +83,20 @@ class TestComplexityQueries:
 
 
 class TestDeltaFormula:
+    # The CLI prints a subshift's delta(r) as p(2r).
     def test_sturmian_values(self):
         lang = build_language(golden_sturmian(), n_max=10, prefix_budget=4096)
-        assert lang.delta_formula(1) == 3
-        assert lang.delta_formula(5) == 11
+        assert lang.complexity(2) == 3
+        assert lang.complexity(10) == 11
 
     def test_constant(self):
         lang = build_language(constant_source(), n_max=10, prefix_budget=64)
-        assert all(lang.delta_formula(r) == 1 for r in range(6))
+        assert all(lang.complexity(2 * r) == 1 for r in range(6))
 
     def test_range_check(self):
         lang = build_language(golden_sturmian(), n_max=10, prefix_budget=4096)
         with pytest.raises(LanguageError):
-            lang.delta_formula(6)
+            lang.complexity(12)
 
 
 def window_scan(prefix: bytes, n: int) -> list[bytes]:
