@@ -17,37 +17,17 @@ import sys
 
 from . import matrix_recursion as mr
 from . import shift_algebra as sa
+from .errors import IdentityError, ResourceError
 from .fields import parse_field
-from .groupoid import (
-    GermGroupoidModel,
-    SubshiftModel,
-    UnitCapExceeded,
-    WindowUnit,
-    ball_to_dot,
-    delta_enumerated,
-)
-from .matrix_recursion import CoordinateCapExceeded, IdentityError, LevelCapExceeded
-from .selfsimilar import EventuallyPeriodicPoint, NotContracting, StateCapExceeded, group_from_spec
-from .shift_algebra import OracleCapExceeded, RadiusExhausted
-from .subshift import FactorCapExceeded, Language, build_language
+from .groupoid import GermGroupoidModel, SubshiftModel, WindowUnit, ball_to_dot, delta_enumerated
+from .selfsimilar import EventuallyPeriodicPoint, group_from_spec
+from .subshift import Language, build_language
 from .verify import format_report, run_checks
-from .words import BudgetExceeded, parse_letters, read_fields, source_from_config
+from .words import parse_letters, read_fields, source_from_config
 
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IDENTITY = 4
-
-RESOURCE_ERRORS = (
-    StateCapExceeded,
-    NotContracting,
-    RadiusExhausted,
-    BudgetExceeded,
-    FactorCapExceeded,
-    CoordinateCapExceeded,
-    LevelCapExceeded,
-    OracleCapExceeded,
-    UnitCapExceeded,
-)
 
 
 def _read_spec(text: str):
@@ -416,13 +396,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except RESOURCE_ERRORS as e:
+    except ResourceError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except IdentityError as e:
         print(f"identity violated: {e}", file=sys.stderr)
         return EXIT_IDENTITY
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,12 +19,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
+from .errors import ResourceError
 from .selfsimilar import EventuallyPeriodicPoint, SelfSimilarGroup
 from .subshift import Language
-
-
-class UnitCapExceeded(RuntimeError):
-    """A periodic unit family would hold more than ``UNIT_CAP`` points."""
 
 
 # Most points :meth:`GermGroupoidModel.periodic_units` builds; Grigorchuk germ
@@ -40,13 +37,12 @@ class LabeledBall:
     every Cayley ball, since its generators are bisections.
     """
 
-    __slots__ = ("num_vertices", "edges", "radius", "labels")
+    __slots__ = ("num_vertices", "edges", "labels")
 
     def __init__(
         self,
         num_vertices: int,
         edges: list[tuple[int, int, int]],  # (from, to, label id)
-        radius: int,
         labels: tuple[str, ...],  # label id -> bisection name
     ):
         for a, b, l in edges:
@@ -59,7 +55,6 @@ class LabeledBall:
             raise ValueError("a label is not a partial injection: two edges share a label and an endpoint")
         self.num_vertices = num_vertices
         self.edges = edges
-        self.radius = radius
         self.labels = labels
 
 
@@ -97,7 +92,7 @@ class SubshiftModel:
         vertex = [2 * abs(k) - (k < 0) for k in range(-r, r + 1)]
         window = unit.word[unit.origin - r : unit.origin + r]
         edges = [(vertex[i], vertex[i + 1], window[i]) for i in range(2 * r)]
-        return LabeledBall(2 * r + 1, edges, r, self.labels)
+        return LabeledBall(2 * r + 1, edges, self.labels)
 
 
 class GermGroupoidModel:
@@ -141,21 +136,19 @@ class GermGroupoidModel:
                 j = vertex.get(key(products[s]))
                 if j is not None:
                     edges.append((i, j, lid))  # g -> s.g, labeled by s
-        return LabeledBall(len(reps), sorted(edges), r, self.labels)
+        return LabeledBall(len(reps), sorted(edges), self.labels)
 
     def periodic_units(self, pre_cap: int, period_cap: int) -> list[EventuallyPeriodicPoint]:
         """All eventually periodic points with bounded preperiod and period.
 
         There are sum_{q <= period_cap} d^q * sum_{p <= pre_cap} d^p of them
         (periods from 1, preperiods from 0); past ``UNIT_CAP`` this raises
-        :class:`UnitCapExceeded` before any point is built.
+        :class:`ResourceError` before any point is built.
         """
         d = self.group.d
         count = _power_sum(d, 1, period_cap) * _power_sum(d, 0, pre_cap)
         if count > UNIT_CAP:
-            raise UnitCapExceeded(
-                f"pre={pre_cap}, period={period_cap} asks for more than {UNIT_CAP} periodic units"
-            )
+            raise ResourceError(f"pre={pre_cap}, period={period_cap} asks for more than {UNIT_CAP} periodic units")
         units = []
         for plen in range(1, period_cap + 1):
             for per in itertools.product(range(d), repeat=plen):

@@ -24,12 +24,9 @@ import math
 import random
 from typing import NamedTuple
 
+from .errors import IdentityError, ResourceError
 from .fields import GF2, Field, new_basis
 from .selfsimilar import SelfSimilarGroup
-
-
-class IdentityError(AssertionError):
-    """A known algebraic identity failed: signals a recursion bug, not bad input."""
 
 
 def _reduced(coeffs: dict, p: int) -> dict:
@@ -190,26 +187,21 @@ COLUMN_CAP = 1 << 16
 PRINT_CELL_CAP = 1 << 16
 
 
-class LevelCapExceeded(RuntimeError):
-    """A level image would have more than ``COLUMN_CAP`` columns, or its
-    printout more than ``PRINT_CELL_CAP`` cells."""
-
-
 def check_level(d: int, level: int, printed: bool = False) -> None:
-    """Raise :class:`LevelCapExceeded` if a level-``level`` image on ``d``
+    """Raise :class:`ResourceError` if a level-``level`` image on ``d``
     letters has more than ``COLUMN_CAP`` columns or, when ``printed``, more
     than ``PRINT_CELL_CAP`` cells; nothing is built."""
     cap, what, exponent = (PRINT_CELL_CAP, "cells", 2 * level) if printed else (COLUMN_CAP, "columns", level)
     # d^e > cap for every d >= 2 once e reaches cap.bit_length(), so the
     # exponent is clamped there and a huge level costs nothing.
     if d ** min(exponent, cap.bit_length()) > cap:
-        raise LevelCapExceeded(f"level-{level} image on {d} letters exceeds cap {cap} on {what}")
+        raise ResourceError(f"level-{level} image on {d} letters exceeds cap {cap} on {what}")
 
 
 def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
     """The recursion map iterated ``level`` times, read off the level
     images of the support's elements (the ones thinned growth uses).
-    Past ``COLUMN_CAP`` columns it raises :class:`LevelCapExceeded`."""
+    Past ``COLUMN_CAP`` columns it raises :class:`ResourceError`."""
     grp, f = elem.group, elem.field
     check_level(grp.d, level)
     cells: dict = {}
@@ -222,7 +214,7 @@ def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
 
 def format_matrix(m: LevelMatrix) -> str:
     """One bracketed line per row; past ``PRINT_CELL_CAP`` cells it raises
-    :class:`LevelCapExceeded`."""
+    :class:`ResourceError`."""
     check_level(m.group.d, m.level, printed=True)
     size = m.size
     cells = [
@@ -290,11 +282,6 @@ COORDINATE_CAP = 100_000
 RANK_COORDINATE_CAP = 2_000_000_000
 
 
-class CoordinateCapExceeded(RuntimeError):
-    """A thinned pass needed more than ``COORDINATE_CAP`` coordinates, or
-    its rank times its coordinates exceeded ``RANK_COORDINATE_CAP``."""
-
-
 class _CoordinateMap(dict):
     """Coordinate index -> coordinate index, filled on first lookup."""
 
@@ -337,7 +324,7 @@ def thinned_dims_at_level(
     skipped.  ``coord_index`` numbers coordinates across passes and is
     filled with every coordinate this pass used; more than
     ``COORDINATE_CAP`` of them, or a rank times coordinates above
-    ``RANK_COORDINATE_CAP``, raise :class:`CoordinateCapExceeded`.
+    ``RANK_COORDINATE_CAP``, raise :class:`ResourceError`.
     """
     basis = new_basis(field)
     gens = [group.gens[n] for n in group.gen_names]
@@ -347,9 +334,7 @@ def thinned_dims_at_level(
         i = coord_index.get(cell)
         if i is None:
             if len(cells) >= COORDINATE_CAP:
-                raise CoordinateCapExceeded(
-                    f"level-{level} pass exceeded cap {COORDINATE_CAP} on coordinates"
-                )
+                raise ResourceError(f"level-{level} pass exceeded cap {COORDINATE_CAP} on coordinates")
             i = coord_index[cell] = len(cells)
             cells.append(cell)
         return i
@@ -379,9 +364,7 @@ def thinned_dims_at_level(
         if basis.insert(vec):
             new.append((vec, t))
             if basis.rank * len(cells) > RANK_COORDINATE_CAP:
-                raise CoordinateCapExceeded(
-                    f"level-{level} pass exceeded cap {RANK_COORDINATE_CAP} on rank x coordinates"
-                )
+                raise ResourceError(f"level-{level} pass exceeded cap {RANK_COORDINATE_CAP} on rank x coordinates")
 
     consider(vectorize(group.identity), -1)
     for t, g in enumerate(gens):

@@ -32,6 +32,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import ResourceError
 from .words import parse_letters, read_fields
 
 # Deepest recursion of ``SelfSimilarGroup.multiply`` on sections before a
@@ -39,18 +40,10 @@ from .words import parse_letters, read_fields
 # groups need about log2 of the word length.
 _PRODUCT_DEPTH = 100
 # Most automaton states one group may hold before it raises
-# StateCapExceeded (a non-contracting blowup).
+# ResourceError (a non-contracting blowup).
 STATE_CAP = 2_000_000
 # Most letters of a point that germ_key follows before it gives up.
 GERM_STEP_CAP = 10_000
-
-
-class StateCapExceeded(RuntimeError):
-    """Automaton state registry grew past its cap (non-contracting blowup)."""
-
-
-class NotContracting(RuntimeError):
-    """Nucleus closure did not stabilize within the cap."""
 
 
 class WreathRecursion:
@@ -166,7 +159,7 @@ class SelfSimilarGroup:
     def _new_state(self, perm: tuple[int, ...], kids: tuple[int, ...]) -> int:
         """Allocate the representative of a new class."""
         if len(self.perms) >= STATE_CAP:
-            raise StateCapExceeded(f"automaton state cap {STATE_CAP} exceeded")
+            raise ResourceError(f"automaton state cap {STATE_CAP} exceeded")
         k = len(self.perms)
         self.perms.append(perm)
         self.children.append(kids)
@@ -306,7 +299,7 @@ class SelfSimilarGroup:
             nonlocal letters
             letters += len(n)
             if letters > STATE_CAP:
-                raise StateCapExceeded(f"automaton state cap {STATE_CAP} exceeded")
+                raise ResourceError(f"automaton state cap {STATE_CAP} exceeded")
             expanded[n] = self._expand(n)
             return [c for c in expanded[n][1] if self._known_id(c) is None]
 
@@ -435,7 +428,7 @@ class SelfSimilarGroup:
         |pre|), and two walks meet iff they hold the same section at a time
         that L divides.  The key is g(x) as (shortest preperiod, shortest
         period) and the section at the first such time from c on.  Past
-        ``GERM_STEP_CAP`` letters it raises :class:`StateCapExceeded`.
+        ``GERM_STEP_CAP`` letters it raises :class:`ResourceError`.
         """
         pre, per = point.preperiod, point.period
         if min(pre + per) < 0 or max(pre + per) >= self.d:
@@ -456,7 +449,7 @@ class SelfSimilarGroup:
             image.append(perms[k][x])
             k = children[k][x]
         else:
-            raise StateCapExceeded(f"germ walk did not settle within {GERM_STEP_CAP} steps")
+            raise ResourceError(f"germ walk did not settle within {GERM_STEP_CAP} steps")
         entry = seen[node]
         cycle = len(sections) - entry
         head, tail = _eventually_periodic(image[: len(pre) + entry], image[len(pre) + entry :])
@@ -483,7 +476,7 @@ class SelfSimilarGroup:
         products of 1, the generators and their inverses.  It is returned
         only if the recurrent core for {g*h : g, h in N} lies in N, which
         certifies that the group is contracting with nucleus N; else, or
-        when a closure grows past ``cap`` ids, NotContracting is raised.
+        when a closure grows past ``cap`` ids, ResourceError is raised.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
@@ -491,7 +484,7 @@ class SelfSimilarGroup:
         core = self._recurrent_core([self.multiply(g, h) for g in seeds for h in seeds], cap)
         square = self._recurrent_core([self.multiply(g, h) for g in core for h in core], cap)
         if not square <= core:
-            raise NotContracting(f"not contracting: products of the {len(core)} candidates recur outside them")
+            raise ResourceError(f"not contracting: products of the {len(core)} candidates recur outside them")
         return Nucleus(group=self, states=frozenset(core))
 
     def _recurrent_core(self, states: list[int], cap: int) -> set[int]:
@@ -502,7 +495,7 @@ class SelfSimilarGroup:
             k = stack.pop()
             if k not in succ:
                 if len(succ) >= cap:
-                    raise NotContracting(f"restriction closure exceeded cap {cap}: not contracting within cap")
+                    raise ResourceError(f"restriction closure exceeded cap {cap}: not contracting within cap")
                 succ[k] = self.children[k]
                 stack.extend(succ[k])
         core: set[int] = set()
@@ -571,7 +564,7 @@ class SelfSimilarGroup:
         lo = (length_cap + 1) // 2
         ids = [k for k, l in lengths.items() if lo <= l]
         if not ids:
-            return ContractionEstimate(Fraction(0), 1, length_cap)
+            return ContractionEstimate(Fraction(0), 1)
         lens = [lengths[k] for k in ids]
         index = {k: i for i, k in enumerate(ids)}
         children = self.children
@@ -605,7 +598,7 @@ class SelfSimilarGroup:
             worst = Fraction(worst_num, worst_den)
             if best_ratio is None or worst < best_ratio:
                 best_ratio, best_depth = worst, depth
-        return ContractionEstimate(best_ratio, best_depth, length_cap)
+        return ContractionEstimate(best_ratio, best_depth)
 
 
 def _fold(op, values: list, cols: list[list[int]]) -> list:
@@ -683,7 +676,6 @@ class Nucleus:
 class ContractionEstimate(NamedTuple):
     ratio: Fraction
     depth: int
-    length_cap: int
 
 
 def group_from_spec(spec) -> SelfSimilarGroup:

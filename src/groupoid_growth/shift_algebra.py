@@ -27,16 +27,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import ResourceError
 from .fields import Field, new_basis, set_bits
 from .subshift import Language
-
-
-class RadiusExhausted(RuntimeError):
-    """A product's support left the window space (|k| > n)."""
-
-
-class OracleCapExceeded(RuntimeError):
-    """The brute-force oracle would evaluate more than ``ORACLE_CAP`` words."""
 
 
 # Most generator words :func:`bruteforce_dims` evaluates at its top level;
@@ -124,7 +117,7 @@ def apply_generator(space: WindowSpace, gen: tuple, mono: Monomial) -> Monomial:
     if x is None:
         k += step
         if not -space.n <= k <= space.n:
-            raise RadiusExhausted(f"radius exhausted: exponent {k} outside window")
+            raise ResourceError(f"radius exhausted: exponent {k} outside window")
         return Monomial(k, support)
     return Monomial(k, support & space.letter_mask[k + space.n][x])
 
@@ -250,12 +243,12 @@ def bruteforce_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int,
     germ-composition definition — an oracle independent of :func:`growth_dims`.
 
     Level m has (3 + |A|)^m words, held in memory; a top level of more than
-    ``ORACLE_CAP`` words raises :class:`OracleCapExceeded` before any is built.
+    ``ORACLE_CAP`` words raises :class:`ResourceError` before any is built.
     """
     n = n_max
     gens = [(0, None), (1, None), (-1, None)] + [(0, x) for x in range(lang.alphabet_size)]
     if len(gens) ** n > ORACLE_CAP:
-        raise OracleCapExceeded(
+        raise ResourceError(
             f"the oracle would evaluate {len(gens) ** n} generator words at n={n}, over its cap {ORACLE_CAP}"
         )
     windows = lang.factors_at(2 * n + 1)

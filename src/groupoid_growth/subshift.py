@@ -32,15 +32,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 
+from .errors import ResourceError
 from .words import WordSource
-
-
-class LanguageError(ValueError):
-    pass
-
-
-class FactorCapExceeded(LanguageError):
-    """A language would hold more than ``FACTOR_CAP`` factors."""
 
 
 # Most nonempty factors one language may hold, all lengths together.
@@ -89,7 +82,7 @@ class Language:
 
     def _check_length(self, n: int, what: str) -> None:
         if not (0 <= n <= self.n_max):
-            raise LanguageError(f"{what} queried at n={n} beyond n_max={self.n_max}")
+            raise ValueError(f"{what} queried at n={n} beyond n_max={self.n_max}")
 
     def complexity(self, n: int) -> int:
         """p(n), the number of distinct length-n factors."""
@@ -113,13 +106,13 @@ def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Langua
     """The language up to length n_max of the source's witness words, read
     within ``prefix_budget`` letters.
 
-    Raises :class:`~groupoid_growth.words.BudgetExceeded` when the source
+    Raises :class:`~groupoid_growth.errors.ResourceError` when the source
     can certify its language but not within the budget.
     """
     if n_max < 1:
-        raise LanguageError("n_max must be >= 1")
+        raise ValueError("n_max must be >= 1")
     if prefix_budget < n_max:
-        raise LanguageError(f"prefix budget {prefix_budget} smaller than n_max {n_max}")
+        raise ValueError(f"prefix budget {prefix_budget} smaller than n_max {n_max}")
     witnesses, exact = source.witnesses(n_max, prefix_budget)
     return language_from_witnesses(witnesses, n_max, source.alphabet_size, exact=exact)
 
@@ -128,7 +121,7 @@ def language_from_witnesses(witnesses: list[bytes], n_max: int, alphabet_size: i
     """The language of the witness words up to length n_max: their sorted
     heads, the lcps and p(n) (see the module docstring)."""
     if any(len(w) < n_max for w in witnesses):
-        raise LanguageError("source ended before n_max letters were produced")
+        raise ValueError("source ended before n_max letters were produced")
     heads = sorted({w[i : i + n_max] for w in witnesses for i in range(len(w))})
     # lcps[j] = lcp(heads[j - 1], heads[j]), from the highest differing byte
     # of the heads zero-padded to n_max letters, capped by the shorter one.
@@ -144,7 +137,7 @@ def language_from_witnesses(witnesses: list[bytes], n_max: int, alphabet_size: i
         steps[len(h) + 1] -= 1
     counts = [1] + list(accumulate(steps[1 : n_max + 1]))
     if sum(counts[1:]) > FACTOR_CAP:
-        raise FactorCapExceeded(f"factor enumeration exceeded cap {FACTOR_CAP}")
+        raise ResourceError(f"factor enumeration exceeded cap {FACTOR_CAP}")
     # Factor closure: every factor is a prefix of a head, so every head's
     # tail must be a prefix of a head too (interior subwords follow by
     # induction).  This is a structural check on the enumeration itself

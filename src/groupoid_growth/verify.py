@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 from . import matrix_recursion as mr
 from . import shift_algebra as sa
+from .errors import IdentityError
 from .fields import GF2, QQ
 from .groupoid import GermGroupoidModel, LabeledBall, canonical_code
 from .selfsimilar import ADDING_MACHINE, GRIGORCHUK, EventuallyPeriodicPoint, SelfSimilarGroup, group_from_spec
@@ -76,7 +77,7 @@ def check_02_delta_consistency(s: Scale) -> CheckResult:
             m = ball.num_vertices
             perm = [0] + rng.sample(range(1, m), m - 1)
             moved = sorted((perm[a], perm[b], l) for a, b, l in ball.edges)
-            if canonical_code(LabeledBall(m, moved, r, ball.labels)) != code:
+            if canonical_code(LabeledBall(m, moved, ball.labels)) != code:
                 bad.append((name, unit, "code changed by a relabeling"))
             first.setdefault(code, ball)
             if any((c == code) != _isomorphic(rep, ball) for c, rep in first.items()):
@@ -194,7 +195,7 @@ def check_08_grig_witness(s: Scale) -> CheckResult:
     grp = SelfSimilarGroup(GRIGORCHUK)
     try:
         m = mr.grig_witness(grp)
-    except mr.IdentityError as e:
+    except IdentityError as e:
         return CheckResult("08-grig-witness", False, str(e))
     entry = mr.format_element(m.entries[(1, 1)])
     ok = set(m.entries) == {(1, 1)} and entry == "1+b+c+d"

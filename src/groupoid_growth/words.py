@@ -9,7 +9,8 @@ two-sided indexing and the Sturmian cut-point subtlety.
 
 Prefixes are memoized in a byte buffer, so that a longer prefix, as in
 the doubling search of :meth:`SturmianSource.witnesses`, extends the
-letters already made instead of remaking them.
+letters already made instead of remaking them; a Sturmian source remakes
+only the letters past its last whole word s(k).
 
 Each source also says how its factor language is read off finite words
 (:meth:`WordSource.witnesses`): words whose factors of length <= n are
@@ -17,20 +18,14 @@ exactly the factors of length <= n that the language is built from.  A
 primitive, growing substitution and a Sturmian word give a certified,
 exact language from a few thousand letters, an eventually periodic word
 from n letters past its preperiod and one period, and an explicit word
-from the whole word; each raises :class:`BudgetExceeded` when the budget
+from the whole word; each raises :class:`ResourceError` when the budget
 is smaller.  Toeplitz skeletons and the other substitutions give one
 prefix, which is not certified.
 """
 
 from __future__ import annotations
 
-
-class WordSourceError(ValueError):
-    """Invalid word-source construction parameters."""
-
-
-class BudgetExceeded(RuntimeError):
-    """An exact language needs more letters than the budget allows."""
+from .errors import ResourceError
 
 
 class WordSource:
@@ -38,7 +33,7 @@ class WordSource:
 
     def __init__(self, alphabet_size: int):
         if alphabet_size < 1:
-            raise WordSourceError("alphabet must have at least one letter")
+            raise ValueError("alphabet must have at least one letter")
         self.alphabet_size = alphabet_size
         self._buf = bytearray()
 
@@ -76,15 +71,13 @@ class SturmianSource(WordSource):
     def __init__(self, cf_terms, cf_periodic: bool, period_start: int = 0):
         terms = list(cf_terms)
         if not terms:
-            raise WordSourceError("continued-fraction terms must be nonempty")
+            raise ValueError("continued-fraction terms must be nonempty")
         if any((not isinstance(a, int)) or a < 1 for a in terms):
-            raise WordSourceError("continued-fraction terms must be positive integers")
+            raise ValueError("continued-fraction terms must be positive integers")
         if not cf_periodic and len(terms) < 8:
-            raise WordSourceError(
-                "supply at least 8 continued-fraction terms or set the periodic-tail flag"
-            )
+            raise ValueError("supply at least 8 continued-fraction terms or set the periodic-tail flag")
         if cf_periodic and not (0 <= period_start < len(terms)):
-            raise WordSourceError("periodic tail start index out of range")
+            raise ValueError("periodic tail start index out of range")
         super().__init__(2)
         self.terms = terms
         self.cf_periodic = cf_periodic
@@ -98,7 +91,7 @@ class SturmianSource(WordSource):
         if k <= len(self.terms):
             return self.terms[k - 1]
         if not self.cf_periodic:
-            raise WordSourceError(
+            raise ValueError(
                 f"continued-fraction terms exhausted at index {k}; "
                 "set the periodic-tail flag for longer prefixes"
             )
@@ -107,8 +100,14 @@ class SturmianSource(WordSource):
 
     def _extend(self, n: int) -> None:
         while len(self._cur) < n:
+            a = self._term(self._k + 1)
+            if len(self._cur) * a + len(self._prev) > n:
+                # s(k+1) = s(k)^a s(k-1) is longer than asked: build its first
+                # n letters only, and keep s(k-1), s(k) for a longer prefix.
+                reps = min(a, -(-n // len(self._cur)))
+                self._buf = bytearray((self._cur * reps + self._prev)[:n])
+                return
             self._k += 1
-            a = self._term(self._k)
             self._prev, self._cur = self._cur, self._cur * a + self._prev
         self._buf = bytearray(self._cur)
 
@@ -126,7 +125,7 @@ class SturmianSource(WordSource):
             if len({w[i : i + n] for i in range(m - n + 1)}) == n + 1:
                 return [w], True
             if m == budget:
-                raise BudgetExceeded(
+                raise ResourceError(
                     f"a prefix of {budget} letters holds fewer than the {n + 1} "
                     f"Sturmian factors of length {n}; raise the budget"
                 )
@@ -140,15 +139,15 @@ class SubstitutionSource(WordSource):
         super().__init__(alphabet_size)
         for x in range(alphabet_size):
             if x not in rules:
-                raise WordSourceError(f"letter {x} has no substitution rule")
+                raise ValueError(f"letter {x} has no substitution rule")
             if not rules[x]:
-                raise WordSourceError(f"rule for letter {x} is empty")
+                raise ValueError(f"rule for letter {x} is empty")
             if any(not (0 <= y < alphabet_size) for y in rules[x]):
-                raise WordSourceError(f"rule for letter {x} leaves the alphabet")
+                raise ValueError(f"rule for letter {x} leaves the alphabet")
         if not 0 <= seed < alphabet_size:
-            raise WordSourceError(f"seed {seed} outside the alphabet of size {alphabet_size}")
+            raise ValueError(f"seed {seed} outside the alphabet of size {alphabet_size}")
         if rules[seed][0] != seed:
-            raise WordSourceError("rules(seed) must begin with the seed letter")
+            raise ValueError("rules(seed) must begin with the seed letter")
         self.rules = {x: bytes(w) for x, w in rules.items()}
         self._buf = bytearray([seed])
 
@@ -231,11 +230,11 @@ class ToeplitzSource(WordSource):
     def __init__(self, skeleton: tuple[int, ...], alphabet_size: int):
         super().__init__(alphabet_size)
         if all(c == self.HOLE for c in skeleton):
-            raise WordSourceError("skeleton must contain at least one letter")
+            raise ValueError("skeleton must contain at least one letter")
         if all(c != self.HOLE for c in skeleton):
-            raise WordSourceError("skeleton must contain at least one hole")
+            raise ValueError("skeleton must contain at least one hole")
         if skeleton[0] == self.HOLE:
-            raise WordSourceError("skeleton must not start with a hole")
+            raise ValueError("skeleton must not start with a hole")
         self.skeleton = tuple(skeleton)
         holes = [i for i, c in enumerate(skeleton) if c == self.HOLE]
         self.hole_rank = {i: rank for rank, i in enumerate(holes)}
@@ -276,7 +275,7 @@ class EventuallyPeriodicSource(WordSource):
     def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...], alphabet_size: int):
         super().__init__(alphabet_size)
         if not period:
-            raise WordSourceError("period must be nonempty")
+            raise ValueError("period must be nonempty")
         self.preperiod = bytes(preperiod)
         self.periodic = bytes(period)
 
@@ -301,7 +300,7 @@ class ExplicitSource(WordSource):
     def __init__(self, word: tuple[int, ...], alphabet_size: int):
         super().__init__(alphabet_size)
         if not word:
-            raise WordSourceError("explicit word must be nonempty")
+            raise ValueError("explicit word must be nonempty")
         self._buf = bytearray(word)
 
     def _extend(self, n: int) -> None:
@@ -315,10 +314,10 @@ class ExplicitSource(WordSource):
 
 
 def _check_budget(n: int, need: int, budget: int) -> None:
-    """Raise :class:`BudgetExceeded` when the exact language up to length n needs
+    """Raise :class:`ResourceError` when the exact language up to length n needs
     more than ``budget`` letters."""
     if need > budget:
-        raise BudgetExceeded(
+        raise ResourceError(
             f"the exact language up to length {n} needs {need} letters, "
             f"more than the budget of {budget}"
         )
@@ -393,7 +392,7 @@ def source_from_config(cfg) -> WordSource:
     words are read by :func:`parse_letters`, fields by :func:`read_fields`."""
     spec = _SOURCE_FIELDS.get(cfg.get("kind")) if isinstance(cfg, dict) else {}
     if spec is None:
-        raise WordSourceError(f"unknown source kind {cfg.get('kind')!r}; the kinds are {', '.join(_SOURCE_FIELDS)}")
+        raise ValueError(f"unknown source kind {cfg.get('kind')!r}; the kinds are {', '.join(_SOURCE_FIELDS)}")
     kind, *values = read_fields(cfg, "source", kind=str, **spec)
     if kind == "sturmian":
         return SturmianSource(*values)

@@ -481,7 +481,7 @@ class TestGroupCommands:
         assert code == 3 and f"resource cap: {message}" in err and out == ""
 
     def test_identity_violation_exit_4(self, capsys, monkeypatch):
-        from groupoid_growth.matrix_recursion import IdentityError
+        from groupoid_growth.errors import IdentityError
 
         def boom(cap=10_000):
             raise IdentityError("forced")
@@ -491,6 +491,16 @@ class TestGroupCommands:
         )
         code, _, err = run(capsys, ["nucleus", "--group", "grigorchuk"])
         assert code == 4 and "identity violated" in err
+
+    def test_internal_key_error_propagates(self, monkeypatch):
+        # No input path raises KeyError, so one is a bug: it must surface as
+        # a traceback, not as a usage error with exit 2.
+        def boom(self, cap):
+            raise KeyError("forced")
+
+        monkeypatch.setattr("groupoid_growth.selfsimilar.SelfSimilarGroup.nucleus", boom)
+        with pytest.raises(KeyError, match="forced"):
+            cli.main(["nucleus", "--group", "grigorchuk"])
 
     def test_thinned_growth_csv(self, capsys):
         code, out, _ = run(

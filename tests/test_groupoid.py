@@ -136,7 +136,7 @@ def random_ball(rng: random.Random, max_vertices: int = 9, max_labels: int = 3) 
                 break
     for _ in range(rng.randint(0, 2 * m)):
         add(rng.randrange(m), rng.randrange(m), rng.randrange(k))
-    return LabeledBall(m, edges, 1, tuple("xyz"[:k]))
+    return LabeledBall(m, edges, tuple("xyz"[:k]))
 
 
 def relabeled(rng: random.Random, ball: LabeledBall, permute_labels: bool) -> LabeledBall:
@@ -147,7 +147,7 @@ def relabeled(rng: random.Random, ball: LabeledBall, permute_labels: bool) -> La
     lperm = rng.sample(range(k), k) if permute_labels else list(range(k))
     edges = [(perm[a], perm[b], lperm[l]) for a, b, l in ball.edges]
     rng.shuffle(edges)
-    return LabeledBall(m, edges, ball.radius, ball.labels)
+    return LabeledBall(m, edges, ball.labels)
 
 
 BASILICA = WreathRecursion(2, {"a": ((0, 1), ("", "b")), "b": ((1, 0), ("", "a"))})
@@ -213,28 +213,28 @@ def reference_germ_ball(model: GermGroupoidModel, unit: EventuallyPeriodicPoint,
             j = find(grp.multiply(s, g))
             if j is not None:
                 edges.add((i, j, lid))
-    return LabeledBall(len(reps), sorted(edges), r, model.labels)
+    return LabeledBall(len(reps), sorted(edges), model.labels)
 
 
 class TestLabeledBall:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LabeledBall(2, [(0, 2, 0)], 1, ("S",))
+            LabeledBall(2, [(0, 2, 0)], ("S",))
         with pytest.raises(ValueError):
-            LabeledBall(2, [(0, 1, 1)], 1, ("S",))
+            LabeledBall(2, [(0, 1, 1)], ("S",))
         with pytest.raises(ValueError):
-            LabeledBall(2, [(0, 1, 0), (0, 1, 0)], 1, ("S",))
+            LabeledBall(2, [(0, 1, 0), (0, 1, 0)], ("S",))
 
     def test_rejects_two_out_edges_with_one_label(self):
         # A star of same-label out-edges: no bisection makes one.
         with pytest.raises(ValueError, match="partial injection"):
-            LabeledBall(6, [(0, i, 0) for i in range(1, 6)], 1, ("x",))
-        LabeledBall(3, [(0, 1, 0), (0, 2, 1)], 1, ("x", "y"))
+            LabeledBall(6, [(0, i, 0) for i in range(1, 6)], ("x",))
+        LabeledBall(3, [(0, 1, 0), (0, 2, 1)], ("x", "y"))
 
     def test_rejects_two_in_edges_with_one_label(self):
         with pytest.raises(ValueError, match="partial injection"):
-            LabeledBall(3, [(1, 0, 0), (2, 0, 0)], 1, ("x",))
-        LabeledBall(3, [(1, 0, 0), (2, 0, 1)], 1, ("x", "y"))
+            LabeledBall(3, [(1, 0, 0), (2, 0, 0)], ("x",))
+        LabeledBall(3, [(1, 0, 0), (2, 0, 1)], ("x", "y"))
 
 
 class TestWindowUnit:
@@ -321,29 +321,27 @@ class TestGamma:
 class TestCanonicalCode:
     def test_relabel_invariance(self):
         rng = random.Random(9)
-        base = LabeledBall(
-            5, [(0, 1, 0), (1, 2, 1), (0, 3, 1), (3, 4, 0), (4, 2, 0)], 2, ("x", "y")
-        )
+        base = LabeledBall(5, [(0, 1, 0), (1, 2, 1), (0, 3, 1), (3, 4, 0), (4, 2, 0)], ("x", "y"))
         ref = canonical_code(base)
         for _ in range(10):
             perm = [0] + rng.sample(range(1, 5), 4)  # root stays vertex 0
             edges = [(perm[a], perm[b], l) for a, b, l in base.edges]
-            assert canonical_code(LabeledBall(5, edges, 2, ("x", "y"))) == ref
+            assert canonical_code(LabeledBall(5, edges, ("x", "y"))) == ref
 
     def test_label_sensitivity(self):
-        a = LabeledBall(2, [(0, 1, 0)], 1, ("x", "y"))
-        b = LabeledBall(2, [(0, 1, 1)], 1, ("x", "y"))
+        a = LabeledBall(2, [(0, 1, 0)], ("x", "y"))
+        b = LabeledBall(2, [(0, 1, 1)], ("x", "y"))
         assert canonical_code(a) != canonical_code(b)
 
     def test_root_sensitivity(self):
         # A path rooted at its end vs rooted in the middle.
-        a = LabeledBall(3, [(0, 1, 0), (1, 2, 0)], 2, ("x",))
-        b = LabeledBall(3, [(1, 0, 0), (0, 2, 0)], 2, ("x",))
+        a = LabeledBall(3, [(0, 1, 0), (1, 2, 0)], ("x",))
+        b = LabeledBall(3, [(1, 0, 0), (0, 2, 0)], ("x",))
         assert canonical_code(a) != canonical_code(b)
 
     def test_rejects_unreachable_vertex(self):
         with pytest.raises(ValueError, match="unreachable"):
-            canonical_code(LabeledBall(4, [(0, 1, 0), (2, 3, 0)], 1, ("x",)))
+            canonical_code(LabeledBall(4, [(0, 1, 0), (2, 3, 0)], ("x",)))
 
     def test_same_classes_as_reference_on_random_balls(self):
         # 160 balls, so 25,600 ordered pairs; half are relabeled copies.

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from groupoid_growth import cli, subshift
+from groupoid_growth import errors
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "groupoid_growth"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -367,47 +367,38 @@ def test_cli_import_generates_no_code():
     assert out.stdout.split() == ["False"]
 
 
-def unmapped_errors(modules, resource, identity) -> list[str]:
+def defined_exceptions(modules) -> list[str]:
     """``module:class`` of each exception class that a module of ``modules``
-    defines and that does not map to exactly one exit code: 2 for a
-    ValueError not in ``resource``, 3 for a member of ``resource``, 4 for a
-    subclass of ``identity``."""
+    defines, rather than imports."""
     return sorted(
         f"{module.__name__}:{name}"
         for module in modules
         for name, obj in vars(module).items()
-        if isinstance(obj, type)
-        and issubclass(obj, BaseException)
-        and obj.__module__ == module.__name__
-        and [issubclass(obj, ValueError) and obj not in resource, obj in resource, issubclass(obj, identity)].count(True)
-        != 1
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
     )
 
 
-def test_detects_an_unlisted_runtime_error():
-    # An imported exception, a ValueError, a listed cap and an identity
-    # error are not flagged; a bare Exception maps to no exit code.
+def test_detects_a_defined_exception():
+    # An imported exception and a class that is no exception are not flagged.
     module = types.ModuleType("caps")
     exec(
         "from concurrent.futures import BrokenExecutor\n"
-        "class Listed(RuntimeError): pass\n"
-        "class Unlisted(RuntimeError): pass\n"
-        "class Derived(Listed): pass\n"
-        "class Usage(ValueError): pass\n"
-        "class Bare(Exception): pass\n"
-        "class Identity(AssertionError): pass\n"
-        "class Twice(Identity, ValueError): pass\n",
+        "class Plain: pass\n"
+        "class Cap(RuntimeError): pass\n"
+        "class Derived(Cap): pass\n"
+        "class Usage(ValueError): pass\n",
         vars(module),
     )
-    flagged = unmapped_errors([module], (module.Listed,), module.Identity)
-    assert flagged == ["caps:Bare", "caps:Derived", "caps:Twice", "caps:Unlisted"]
+    assert defined_exceptions([module]) == ["caps:Cap", "caps:Derived", "caps:Usage"]
 
 
-def test_every_cap_exits_3():
-    # cli.main turns each exception class defined in the package into one
-    # exit code, not a traceback: a RuntimeError is a resource cap (exit 3)
-    # only when listed, a ValueError is a usage error (exit 2) unless listed,
-    # as FactorCapExceeded (a LanguageError) is.
+def test_one_exception_class_per_exit_code():
+    # cli.main maps ResourceError to exit 3, IdentityError to 4 and
+    # ValueError to 2; no other module defines an exception class.
     modules = [importlib.import_module(f"groupoid_growth.{p.stem}") for p in MODULES]
-    assert unmapped_errors(modules, cli.RESOURCE_ERRORS, cli.IdentityError) == []
-    assert subshift.FactorCapExceeded in cli.RESOURCE_ERRORS
+    assert defined_exceptions(modules) == [
+        "groupoid_growth.errors:IdentityError",
+        "groupoid_growth.errors:ResourceError",
+    ]
+    assert errors.ResourceError.__bases__ == (RuntimeError,)
+    assert errors.IdentityError.__bases__ == (AssertionError,)

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from groupoid_growth import matrix_recursion as mr
+from groupoid_growth.errors import ResourceError
 from groupoid_growth.fields import GF2, QQ, Field, new_basis
 from groupoid_growth.matrix_recursion import (
     GroupRingElement,
-    IdentityError,
     LevelMatrix,
     ThinnedGrowthResult,
     element_name,
@@ -151,10 +151,10 @@ class TestLevelMatrices:
         elem = parse_element(adding, "a+1", QQ)
         m = image_at_level(elem, 3)
         assert len(format_matrix(m).splitlines()) == 8
-        with pytest.raises(mr.LevelCapExceeded, match="level-4 image on 2 letters exceeds cap 8 on columns"):
+        with pytest.raises(ResourceError, match="level-4 image on 2 letters exceeds cap 8 on columns"):
             image_at_level(elem, 4)
         monkeypatch.setattr(mr, "PRINT_CELL_CAP", 63)
-        with pytest.raises(mr.LevelCapExceeded, match="exceeds cap 63 on cells"):
+        with pytest.raises(ResourceError, match="exceeds cap 63 on cells"):
             format_matrix(m)
 
 
@@ -494,14 +494,14 @@ class TestVectorPass:
         assert thinned_dims_at_level(grig, 8, GF2, 2, {}) == dims
         monkeypatch.setattr(mr, "COORDINATE_CAP", len(cells) - 1)
         monkeypatch.setattr(mr, "_start_level", lambda group, n_max: 2)
-        with pytest.raises(mr.CoordinateCapExceeded, match=f"exceeded cap {len(cells) - 1}"):
+        with pytest.raises(ResourceError, match=f"exceeded cap {len(cells) - 1} on coordinates"):
             thinned_growth(grig, 8, GF2)
 
     def test_rank_coordinate_cap(self):
         # Level 1 is far too shallow for n=64: its basis would reach rank x
         # coordinates ~1e10.  The pass stops before the coordinate cap.
         cells: dict = {}
-        with pytest.raises(mr.CoordinateCapExceeded, match="rank x coordinates"):
+        with pytest.raises(ResourceError, match="rank x coordinates"):
             thinned_dims_at_level(SelfSimilarGroup(GRIGORCHUK), 64, GF2, 1, cells)
         assert len(cells) < mr.COORDINATE_CAP
 

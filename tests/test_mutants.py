@@ -9,7 +9,8 @@ import ast
 
 import pytest
 
-from groupoid_growth import groupoid, shift_algebra, verify
+from groupoid_growth import groupoid, selfsimilar, shift_algebra, verify, words
+from groupoid_growth import matrix_recursion as mr
 from groupoid_growth.fields import QQ
 
 
@@ -54,16 +55,61 @@ def block_rank_over_q(monkeypatch):
     monkeypatch.setattr(shift_algebra._BlockRank, "__init__", lambda self, space, field: init(self, space, QQ))
 
 
+def every_germ_a_unit(monkeypatch):
+    """``germ_is_unit`` answers True at every point."""
+    monkeypatch.setattr(selfsimilar.SelfSimilarGroup, "germ_is_unit", lambda self, g, point: True)
+
+
+def thinned_growth_unstabilized(monkeypatch):
+    """``thinned_growth`` returns its table flagged as not stabilized."""
+    original = mr.thinned_growth
+    monkeypatch.setattr(mr, "thinned_growth", lambda *args: original(*args)._replace(stabilized=False))
+
+
+def level_two_in_row_zero(monkeypatch):
+    """``level_sections(g, 2)`` puts every column's section in row 0."""
+    original = selfsimilar.SelfSimilarGroup.level_sections
+
+    def mutant(self, g, level):
+        out = original(self, g, level)
+        return tuple((0, e) for _, e in out) if level == 2 else out
+
+    monkeypatch.setattr(selfsimilar.SelfSimilarGroup, "level_sections", mutant)
+
+
+def sturmian_short_witness(monkeypatch):
+    """A Sturmian source offers its (n+1)-letter prefix as an exact witness."""
+    monkeypatch.setattr(words.SturmianSource, "witnesses", lambda self, n, budget: ([self.prefix(n + 1)], True))
+
+
+def contraction_ratio_doubled(monkeypatch):
+    """``contraction_estimate`` reports twice its ratio."""
+    original = selfsimilar.SelfSimilarGroup.contraction_estimate
+
+    def mutant(self, *args, **kwargs):
+        est = original(self, *args, **kwargs)
+        return est._replace(ratio=2 * est.ratio)
+
+    monkeypatch.setattr(selfsimilar.SelfSimilarGroup, "contraction_estimate", mutant)
+
+
 # mutant -> the checks it must make FAIL
 KILLED = {
     code_without_labels: {"02-delta-consistency"},
     code_in_edge_order: {"02-delta-consistency"},
     no_mirror_twin: {"05-oracle-equivalence"},
+    every_germ_a_unit: {"09-grig-structure"},
+    thinned_growth_unstabilized: {"11-thinned-growth"},
+    level_two_in_row_zero: {"07-adding-machine-matrices", "10-homomorphism", "11-thinned-growth"},
+    sturmian_short_witness: {"01-sturmian-complexity", "04-sturmian-sandwich"},
 }
 
 # mutant -> the ROADMAP item meant to kill it
 SURVIVORS = {
     block_rank_over_q: "item 10: exact algebra growth from p(n), which differs between Q and F2",
+    # Both estimates are 1/6 at quick (1/8 at full): twice that is still
+    # within check 12's bound of 3/5.
+    contraction_ratio_doubled: "item 2: check 12 reads the certified nucleus, not an estimate",
 }
 
 

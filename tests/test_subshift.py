@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 
 from groupoid_growth import subshift
-from groupoid_growth.subshift import LanguageError, build_language, language_from_witnesses
+from groupoid_growth.errors import ResourceError
+from groupoid_growth.subshift import build_language, language_from_witnesses
 from groupoid_growth.words import (
-    BudgetExceeded,
     EventuallyPeriodicSource,
     ExplicitSource,
     SturmianSource,
@@ -51,7 +51,7 @@ class TestBuildLanguage:
         assert lang.complexity(4) <= 16
 
     def test_budget_validation(self):
-        with pytest.raises(LanguageError):
+        with pytest.raises(ValueError, match="prefix budget 5 smaller than n_max 10"):
             build_language(golden_sturmian(), n_max=10, prefix_budget=5)
 
     def test_monotone_complexity(self):
@@ -68,7 +68,7 @@ class TestBuildLanguage:
 class TestComplexityQueries:
     def test_out_of_range(self):
         lang = build_language(golden_sturmian(), n_max=5, prefix_budget=1024)
-        with pytest.raises(LanguageError):
+        with pytest.raises(ValueError, match="complexity queried at n=6 beyond n_max=5"):
             lang.complexity(6)
 
     def test_sturmian_range(self):
@@ -95,7 +95,7 @@ class TestDeltaFormula:
 
     def test_range_check(self):
         lang = build_language(golden_sturmian(), n_max=10, prefix_budget=4096)
-        with pytest.raises(LanguageError):
+        with pytest.raises(ValueError, match="complexity queried at n=12 beyond n_max=10"):
             lang.complexity(12)
 
 
@@ -144,7 +144,7 @@ class TestAgainstWindowScan:
                 for budget in (n_max, n_max + 1, 3 * n_max, 40):
                     source = source_from_config(cfg)
                     if len(source.prefix(budget)) < n_max:
-                        with pytest.raises(LanguageError):
+                        with pytest.raises(ValueError, match="source ended before n_max letters were produced"):
                             prefix_language(source, n_max, budget)
                         continue
                     prefix, lang = prefix_language(source, n_max, budget)
@@ -189,12 +189,12 @@ class TestAgainstWindowScan:
         lang = build_language(source, n_max=4, prefix_budget=100)
         assert lang.prefix_len == 5 and lang.exact
         assert lang.factors[3] == [b"\x00\x01\x01", b"\x01\x00\x01", b"\x01\x01\x00"]
-        with pytest.raises(BudgetExceeded, match="needs 5 letters, more than the budget of 4"):
+        with pytest.raises(ResourceError, match="needs 5 letters, more than the budget of 4"):
             build_language(source, n_max=4, prefix_budget=4)
 
     def test_truncated_budget(self):
         # The exact language reads sigma^2(a) sigma^2(b) for ab in 00, 01, 10, 11.
-        with pytest.raises(BudgetExceeded, match="needs 32 letters"):
+        with pytest.raises(ResourceError, match="needs 32 letters"):
             build_language(thue_morse(), n_max=5, prefix_budget=31)
         lang = build_language(thue_morse(), n_max=5, prefix_budget=32)
         assert (lang.exact, lang.prefix_len, lang.complexity(5)) == (True, 32, 12)
@@ -205,7 +205,7 @@ class TestAgainstWindowScan:
         monkeypatch.setattr(subshift, "FACTOR_CAP", total)
         assert build_language(thue_morse(), n_max=8, prefix_budget=512).factors == lang.factors
         monkeypatch.setattr(subshift, "FACTOR_CAP", total - 1)
-        with pytest.raises(LanguageError, match=f"exceeded cap {total - 1}"):
+        with pytest.raises(ResourceError, match=f"factor enumeration exceeded cap {total - 1}"):
             build_language(thue_morse(), n_max=8, prefix_budget=512)
 
     def test_cap_several_witnesses(self, monkeypatch):
@@ -215,7 +215,7 @@ class TestAgainstWindowScan:
         lang = language_from_witnesses(words, 12, 2, exact=False)
         assert sum(lang.complexity(n) for n in range(1, 13)) == total
         monkeypatch.setattr(subshift, "FACTOR_CAP", total - 1)
-        with pytest.raises(LanguageError, match=f"exceeded cap {total - 1}"):
+        with pytest.raises(ResourceError, match=f"factor enumeration exceeded cap {total - 1}"):
             language_from_witnesses(words, 12, 2, exact=False)
 
 
@@ -238,7 +238,7 @@ class TestCountsAndFactors:
                     assert lang.complexity(n) == len(factors), (cfg, n_max, n)
                     assert factors == union_scan(witnesses, n), (cfg, n_max, n)
                 for n in (-1, n_max + 1):
-                    with pytest.raises(LanguageError):
+                    with pytest.raises(ValueError, match=f"factors queried at n={n} beyond n_max={n_max}"):
                         lang.factors_at(n)
                 kinds.add(cfg["kind"])
         assert kinds == {"sturmian", "substitution", "toeplitz", "eventually_periodic", "explicit"}
@@ -287,7 +287,8 @@ class TestExactPaths:
                 for budget in (2 * n_max, 8192):
                     try:
                         lang = build_language(source, n_max, budget)
-                    except BudgetExceeded:
+                    except ResourceError as e:
+                        assert "budget" in str(e), e
                         assert budget < 8192 and cfg["kind"] != "toeplitz", cfg
                         continue
                     if not lang.exact:
@@ -339,7 +340,7 @@ class TestExactPaths:
             n_max = rng.randint(1, 12)
             need = len(pre) + len(per) + n_max
             source = EventuallyPeriodicSource(pre, per, 3)
-            with pytest.raises(BudgetExceeded, match=f"needs {need} letters, more than the budget of {need - 1}"):
+            with pytest.raises(ResourceError, match=f"needs {need} letters, more than the budget of {need - 1}"):
                 build_language(source, n_max, need - 1)
             for budget in (need, need + rng.randint(1, 60), 8192):
                 lang = build_language(source, n_max, budget)
@@ -350,5 +351,5 @@ class TestExactPaths:
                     assert lang.heads == ref.heads
 
     def test_sturmian_over_budget(self):
-        with pytest.raises(BudgetExceeded, match="fewer than the 51"):
+        with pytest.raises(ResourceError, match="fewer than the 51"):
             build_language(golden_sturmian(), 50, 60)

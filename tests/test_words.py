@@ -1,15 +1,16 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
+from groupoid_growth.errors import ResourceError
 from groupoid_growth.words import (
     EventuallyPeriodicSource,
     ExplicitSource,
     SturmianSource,
     SubstitutionSource,
     ToeplitzSource,
-    WordSourceError,
     golden_sturmian,
     source_from_config,
     thue_morse,
@@ -30,7 +31,7 @@ class TestAlphabet:
             lambda: EventuallyPeriodicSource((), (0,), 0),
             lambda: ExplicitSource((0,), 0),
         ):
-            with pytest.raises(WordSourceError, match="alphabet must have at least one letter"):
+            with pytest.raises(ValueError, match="alphabet must have at least one letter"):
                 make()
 
 
@@ -53,17 +54,32 @@ class TestSturmian:
         lang = build_language(SturmianSource([2], cf_periodic=True), n_max=10, prefix_budget=2048)
         assert lang.complexity(10) == 11
 
+    def test_large_term_builds_only_the_letters_asked(self):
+        # cf [a] gives s(1) = 0^a 1: a prefix of n <= a letters builds n
+        # letters, not the a + 1 of s(1), and a longer one extends it.
+        src = SturmianSource([10**8], cf_periodic=True)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="holds fewer than the 6 Sturmian factors of length 5"):
+                src.witnesses(5, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert src.prefix(3) == bytes(3)
+        assert src.prefix(20_000) == bytes(20_000)
+
     def test_requires_terms(self):
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="terms must be nonempty"):
             SturmianSource([], cf_periodic=False)
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="terms must be positive integers"):
             SturmianSource([1, 0, 1], cf_periodic=True)
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="supply at least 8 continued-fraction terms"):
             SturmianSource([1, 1, 1], cf_periodic=False)  # too few terms without a periodic tail
 
     def test_finite_terms_exhaust_loudly(self):
         src = SturmianSource([1] * 8, cf_periodic=False)
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="continued-fraction terms exhausted at index"):
             src.prefix(10_000)
 
 
@@ -93,7 +109,7 @@ class TestSubstitution:
         assert src.prefix(64) == letters(w[:64])
 
     def test_seed_rule_must_start_with_seed(self):
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match=r"rules\(seed\) must begin with the seed letter"):
             SubstitutionSource({0: (1, 0), 1: (1,)}, 0, 2)
 
 
@@ -149,11 +165,11 @@ class TestToeplitz:
             assert src.prefix(n) == ref
 
     def test_validation(self):
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="skeleton must not start with a hole"):
             ToeplitzSource((-1, 1), 2)  # hole first
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="skeleton must contain at least one letter"):
             ToeplitzSource((-1, -1), 2)
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="skeleton must contain at least one hole"):
             ToeplitzSource((1, 0), 2)  # no hole
 
 
@@ -168,7 +184,7 @@ class TestEventuallyPeriodic:
         assert src.prefix(6) == bytes([1] * 6)
 
     def test_empty_period(self):
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="period must be nonempty"):
             EventuallyPeriodicSource((0,), (), 2)
 
 
@@ -187,6 +203,7 @@ class TestDeterminism:
             thue_morse,
             lambda: ToeplitzSource((1, 0, -1, -1), 2),
             lambda: EventuallyPeriodicSource((0,), (1, 0), 2),
+            lambda: SturmianSource([3, 40, 2], cf_periodic=True, period_start=1),
         ],
     )
     def test_random_query_order(self, make):
@@ -220,5 +237,5 @@ class TestConfig:
         assert src.prefix(5) == letters("01001")
 
     def test_unknown_kind(self):
-        with pytest.raises(WordSourceError):
+        with pytest.raises(ValueError, match="unknown source kind 'random'"):
             source_from_config({"kind": "random"})
