@@ -31,12 +31,13 @@ EXIT_IDENTITY = 4
 
 
 def _read_spec(text: str):
-    """Inline JSON or a path to a JSON file; any other text is returned
-    stripped, as a preset name."""
+    """Inline JSON, or a path to a JSON file: text that names a file, holds a
+    ``/`` or ends in ``.json``, so a missing file is reported as such.  Any
+    other text is returned stripped, as a preset name."""
     text = text.strip()
     if text.startswith("{"):
         return json.loads(text)
-    if os.path.exists(text):
+    if "/" in text or text.endswith(".json") or os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
             return json.load(fh)
     return text

@@ -22,6 +22,13 @@ coordinate, so a new row whose pivot is above every old pivot needs no
 back-substitution, and a new vector reduces in one accumulation over the
 pivots it hits.  :class:`BitRowBasis` is the GF(2) specialization (rows
 are Python ints used as bit masks, pivot on the highest bit).
+
+Over Q a :class:`RowBasis` has two phases.  First it keeps a GF(2) shadow,
+a :class:`BitRowBasis` of the same supports, and while the shadow accepts,
+an insert only queues its support: 0/1 rows independent mod 2 have an odd
+maximal minor, which is nonzero, so they are independent over Q.  From the
+shadow's first rejection on, every support is reduced over Q, the queued
+ones first.  No shadow is kept over F_p.
 """
 
 from __future__ import annotations
@@ -112,28 +119,67 @@ class RowBasis:
       Math. Comp. 22, 1968): no fraction is built.
     - F_p: entries are ints in ``[0, p)`` and the pivot entry is 1.
 
-    ``top`` is the largest pivot (-1 while the basis is empty).  A new row
-    is reduced against the old ones, so its pivot is not an old pivot; when
-    it exceeds ``top`` it is above every column of every old row, none of
-    them holds it, and there is nothing to back-substitute.  Callers that
-    number coordinates in order of first use (thinned growth) mostly insert
-    such rows.
+    Over Q a basis starts in a shadow phase.  A :class:`BitRowBasis` holds
+    the GF(2) image of every support inserted so far, and while it accepts,
+    ``insert`` queues the support and returns True with no elimination over
+    Q: 0/1 rows independent mod 2 have an odd maximal minor, which is
+    nonzero, so they are independent over Q (the one-sided fact behind
+    exact modular linear algebra, Dixon, Numer. Math. 40, 1982).  At the
+    shadow's first rejection the basis drops the shadow and reduces the
+    queue into its rows in arrival order; that support and every later one
+    are reduced over Q.  Reading ``rows`` also reduces the queue, so it is
+    the reduced echelon form of the supports in arrival order.  Over F_p
+    there is no shadow: independence mod 2 says nothing mod p.
+
+    A new row is reduced against the old ones, so its pivot is not an old
+    pivot; when it exceeds every old pivot it is above every column of
+    every old row, none of them holds it, and there is nothing to
+    back-substitute.  Callers that number coordinates in order of first use
+    (thinned growth) mostly insert such rows.
     """
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows: dict[int, dict[int, int]] = {}
-        self.top = -1
+        self._rows: dict[int, dict[int, int]] = {}
+        self._top = -1  # the largest pivot of _rows
+        self._shadow = None if field.characteristic else BitRowBasis()
+        self._queue: list = []  # supports the shadow accepted, not yet in _rows
+
+    @property
+    def rows(self) -> dict[int, dict[int, int]]:
+        self._reduce_queue()
+        return self._rows
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows) + len(self._queue)
 
     def insert(self, support) -> bool:
         """Insert the 0/1 vector that is 1 exactly at the coordinates in
         ``support``, an iterable or an int bitmask; return True iff the rank
         increased.  A negative coordinate or bitmask raises ``ValueError``."""
-        rows = self.rows
+        shadow = self._shadow
+        if shadow is None:
+            return self._insert_exact(support)
+        if not isinstance(support, int):
+            support = tuple(support)
+        if shadow.insert(support):
+            self._queue.append(support)
+            return True
+        self._shadow = None
+        self._reduce_queue()
+        return self._insert_exact(support)
+
+    def _reduce_queue(self) -> None:
+        queue = self._queue
+        if queue:
+            self._queue = []
+            for support in queue:
+                self._insert_exact(support)
+
+    def _insert_exact(self, support) -> bool:
+        """:meth:`insert` by elimination over the field."""
+        rows = self._rows
         p = self.field.characteristic
         vec = dict.fromkeys(set_bits(support) if isinstance(support, int) else support, 1)
         # Reduced echelon form: subtracting row q changes no entry of vec at
@@ -182,10 +228,10 @@ class RowBasis:
         # the support is never cancelled and always reaches this point.
         if min(vec) < 0:
             raise ValueError(f"negative coordinate {min(vec)}")
-        if pivot < self.top:
+        if pivot < self._top:
             self._back_substitute(pivot, vec, p)
         else:
-            self.top = pivot
+            self._top = pivot
         rows[pivot] = vec
         return True
 
@@ -193,7 +239,7 @@ class RowBasis:
         """Clear coordinate ``pivot`` from every stored row with the new row
         ``vec``, whose pivot it is, keeping each row's scaling."""
         d = vec[pivot]
-        for q, row in self.rows.items():
+        for q, row in self._rows.items():
             a = row.get(pivot)
             if a is None:
                 continue

@@ -644,6 +644,11 @@ class TestMalformedInput:
                 "n_max = 4",
             ),
             (["matrix-recursion", "--group", "grigorchuk", "--element", "x*a", "--levels", "1"], "'x*a'"),
+            (
+                ["complexity", "--source", "/nonexistent/file.json", "--n-max", "5"],
+                "No such file or directory: '/nonexistent/file.json'",
+            ),
+            (["nucleus", "--group", "/nonexistent.json"], "No such file or directory: '/nonexistent.json'"),
         ],
         ids=[
             "generators-list",
@@ -676,6 +681,8 @@ class TestMalformedInput:
             "unit-not-a-factor",
             "unit-past-n_max",
             "element-coefficient",
+            "source-missing-file",
+            "group-missing-file",
         ],
     )
     def test_wrong_type_exit_2(self, capsys, argv, field):

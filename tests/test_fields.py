@@ -14,6 +14,9 @@ from groupoid_growth.fields import (
     parse_field,
     set_bits,
 )
+from groupoid_growth.shift_algebra import growth_dims
+from groupoid_growth.subshift import build_language
+from groupoid_growth.words import golden_sturmian
 
 
 class TestFieldArithmetic:
@@ -53,15 +56,20 @@ class TestRowBasis:
         basis = RowBasis(QQ)
         assert basis.insert([2, 0])
         assert basis.rows == {2: {0: 1, 2: 1}}
-        assert basis.top == 2
+        assert max(basis.rows, default=-1) == 2
 
     def test_reduce_scalar_multiple(self):
         # {0,2} reduces to 2*e_2 over Q, which is stored as the primitive e_2
-        # and back-substituted into the other rows.
+        # and back-substituted into the other rows.  It is {0,1} + {1,2} mod
+        # 2, so the GF(2) shadow rejects it and the basis reduces over Q
+        # from then on: {0,1,2}, half the sum of the three rows, is
+        # dependent, although the shadow, which holds only {0,1} and {1,2},
+        # would accept it.
         basis = RowBasis(QQ)
         assert basis.insert([0, 1])
         assert basis.insert([1, 2])
         assert basis.insert([0, 2])
+        assert not basis.insert([0, 1, 2])
         assert basis.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
     def test_reduce_f2_one_step(self):
@@ -81,7 +89,7 @@ class TestRowBasis:
         assert basis.rows[3] == ({0: -1, 3: 1} if field == QQ else {0: 2, 3: 1})
         assert basis.insert([0])
         assert basis.rows == {5: {5: 1}, 3: {3: 1}, 0: {0: 1}}
-        assert basis.top == 5
+        assert max(basis.rows, default=-1) == 5
         assert not basis.insert([5])
         assert not basis.insert([3])
         assert basis.rank == 3
@@ -276,13 +284,15 @@ class TestAgainstOracle:
 
     def test_corpus_separates_the_fields(self):
         # The corpus tests the field arithmetic only if some of its matrices
-        # have different ranks over Q, F_3 and F_7.
+        # have different ranks over Q, F_3 and F_7.  Those that differ over
+        # Q and F_2 (the m = 3 rows have determinant +-2) take a rational
+        # basis past its shadow's first rejection.
         differ = set()
         for dim, supports in corpus():
             matrix = dense(supports, dim)
             q = oracle_rank(matrix)
-            differ |= {p for p in (3, 7) if oracle_rank(matrix, p) != q}
-        assert differ == {3, 7}
+            differ |= {p for p in (2, 3, 7) if oracle_rank(matrix, p) != q}
+        assert differ == {2, 3, 7}
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_row_invariants(self, field):
@@ -292,7 +302,6 @@ class TestAgainstOracle:
             basis = RowBasis(field)
             for support in random_supports(rng, 10, 8):
                 basis.insert(support)
-            assert basis.top == max(basis.rows, default=-1)
             for pivot, row in basis.rows.items():
                 assert max(row) == pivot
                 assert all(i <= pivot for i in row)
@@ -315,3 +324,35 @@ class TestAgainstOracle:
         assert not basis.insert([1, 0, 3])
         assert basis.insert([0])
         assert basis.rows == {i: {i: 1} for i in range(4)}
+
+
+class TestShadow:
+    def test_golden_growth_makes_no_rational_elimination(self, monkeypatch):
+        # Every insert of the golden word's growth at n = 32 is independent
+        # mod 2, so the shadow answers each one and none is reduced over Q.
+        def fail(self, support):
+            raise AssertionError("reduced over Q")
+
+        monkeypatch.setattr(RowBasis, "_insert_exact", fail)
+        lang = build_language(golden_sturmian(), n_max=65, prefix_budget=40 * 65 * 65)
+        assert growth_dims(lang, 32, QQ) == [(n, 2 * n * n + 2) for n in range(1, 33)]
+
+    def test_one_call_per_insert(self, monkeypatch):
+        # The benchmark counts inserts by wrapping RowBasis.insert on the
+        # class: reducing the queue must not go through it.
+        calls = []
+        insert = RowBasis.insert
+
+        def counted(self, support):
+            calls.append(support)
+            return insert(self, support)
+
+        monkeypatch.setattr(RowBasis, "insert", counted)
+        outside = 0
+        for dim, supports in corpus():
+            basis = RowBasis(QQ)
+            for support in supports:
+                basis.insert(support)
+                outside += 1
+            assert basis.rank == len(basis.rows)
+        assert len(calls) == outside

@@ -82,6 +82,17 @@ def sturmian_short_witness(monkeypatch):
     monkeypatch.setattr(words.SturmianSource, "witnesses", lambda self, n, budget: ([self.prefix(n + 1)], True))
 
 
+def element_without_one(monkeypatch):
+    """``parse_element`` drops every ``1`` term; the element ``1`` parses as 0."""
+    original = mr.parse_element
+
+    def mutant(group, text, field):
+        terms = [t for t in text.replace(" ", "").split("+") if t != "1"]
+        return original(group, "+".join(terms) or "0", field)
+
+    monkeypatch.setattr(mr, "parse_element", mutant)
+
+
 def contraction_ratio_doubled(monkeypatch):
     """``contraction_estimate`` reports twice its ratio."""
     original = selfsimilar.SelfSimilarGroup.contraction_estimate
@@ -102,6 +113,7 @@ KILLED = {
     thinned_growth_unstabilized: {"11-thinned-growth"},
     level_two_in_row_zero: {"07-adding-machine-matrices", "10-homomorphism", "11-thinned-growth"},
     sturmian_short_witness: {"01-sturmian-complexity", "04-sturmian-sandwich"},
+    element_without_one: {"07-adding-machine-matrices", "08-grig-witness"},
 }
 
 # mutant -> the ROADMAP item meant to kill it
