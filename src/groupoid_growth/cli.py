@@ -19,8 +19,8 @@ from . import matrix_recursion as mr
 from . import shift_algebra as sa
 from .errors import IdentityError, ResourceError
 from .fields import parse_field
-from .groupoid import GermGroupoidModel, SubshiftModel, WindowUnit, ball_to_dot, delta_enumerated
-from .selfsimilar import EventuallyPeriodicPoint, group_from_spec
+from .groupoid import GermGroupoidModel, SubshiftModel, ball_to_dot, delta_enumerated
+from .selfsimilar import group_from_spec, parse_point
 from .subshift import Language, build_language
 from .verify import format_report, run_checks
 from .words import parse_letters, read_fields, source_from_config
@@ -105,20 +105,25 @@ def _model_from_arg(text: str):
 
 
 def _parse_unit(model, text: str, r: int):
-    """A point 'pre|period' of a germ model, or a window '<letters>:<origin>'
-    of a subshift model, whose radius-r window must be a factor."""
+    """A point 'pre|period' of a germ model, or of a subshift model the
+    radius-r window of '<letters>:<origin>': the 2r letters at positions
+    -r .. r-1, where the letter at position k is ``letters[origin + k]``.
+    The window must be a factor of the language read."""
     if isinstance(model, GermGroupoidModel):
-        return EventuallyPeriodicPoint.parse(text, model.group.d)
+        return parse_point(text, model.group.d)
     word, colon, origin = text.rpartition(":")
     if not (colon and origin.isdecimal()):
         raise ValueError(f"subshift unit {text!r}: the syntax is '<letters>:<origin>'")
     lang, o = model.lang, int(origin)
-    unit = WindowUnit(bytes(parse_letters(word, lang.alphabet_size, f"unit {text!r}")), o)
+    letters = bytes(parse_letters(word, lang.alphabet_size, f"unit {text!r}"))
     if 2 * r > lang.n_max:
         raise ValueError(f"unit {text!r}: a radius-{r} window is longer than n_max = {lang.n_max}, so it cannot be checked")
-    if r <= unit.max_radius() and unit.word[o - r : o + r] not in lang.factors_at(2 * r):
+    if not r <= o <= len(letters) - r:
+        raise ValueError(f"window too short for radius {r}")
+    window = letters[o - r : o + r]
+    if window not in lang.factors_at(2 * r):
         raise ValueError(f"unit {text!r}: its radius-{r} window {word[o - r : o + r]} is not a factor of the language read")
-    return unit
+    return window
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -242,9 +247,9 @@ def cmd_expansive(args) -> int:
 
 def cmd_nucleus(args) -> int:
     group = group_from_spec(_read_spec(args.group))
-    nuc = group.nucleus(cap=args.cap)
-    names = sorted(mr.element_name(group, s) for s in nuc.states)
-    print(f"nucleus size {len(nuc)} (closure complete: True)")  # nucleus() raises otherwise
+    nucleus = group.nucleus(cap=args.cap)
+    names = sorted(mr.element_name(group, s) for s in nucleus)
+    print(f"nucleus size {len(nucleus)} (closure complete: True)")  # nucleus() raises otherwise
     print("states: " + " ".join(names))
     return 0
 
@@ -252,7 +257,7 @@ def cmd_nucleus(args) -> int:
 def cmd_germ(args) -> int:
     group = group_from_spec(_read_spec(args.group))
     g = group.word_id(args.element)
-    point = EventuallyPeriodicPoint.parse(args.point, group.d)
+    point = parse_point(args.point, group.d)
     print("unit" if group.germ_is_unit(g, point) else "nontrivial")
     return 0
 

@@ -6,7 +6,7 @@ One :class:`Field` type names both by its characteristic: 0 for the
 rationals, p for F_p.  Scalars are Python ints: a group ring only adds
 and multiplies its integer coefficients, so a rational scalar is an int
 (nothing divides one), and a prime-field scalar is an int in ``[0, p)``,
-reduced once per result by whoever computes it.
+reduced once per result by :func:`reduced`.
 
 Rank is incremental (rank-by-insertion): growth computations extend a
 basis level by level, so a batch eliminator would be the wrong shape.
@@ -103,6 +103,14 @@ def parse_field(spec: str) -> Field:
             raise ValueError("prime field modulus out of range: 0")
         return Field(p)
     raise ValueError(f"unknown field spec {spec!r}; expected Q or Fp:<prime>")
+
+
+def reduced(coeffs: dict, p: int) -> dict:
+    """The int scalars of ``coeffs`` taken mod ``p`` when ``p`` is nonzero,
+    without the zero ones: a result's residues over characteristic p."""
+    if p:
+        return {k: r for k, c in coeffs.items() if (r := c % p)}
+    return {k: c for k, c in coeffs.items() if c}
 
 
 class RowBasis:
@@ -206,10 +214,7 @@ class RowBasis:
             for i, c in row.items():
                 vec[i] = vec.get(i, 0) - m * c
         if mixed:
-            if p:
-                vec = {i: r for i, c in vec.items() if (r := c % p)}
-            else:
-                vec = {i: c for i, c in vec.items() if c}
+            vec = reduced(vec, p)
         if not vec:
             return False
         pivot = max(vec)

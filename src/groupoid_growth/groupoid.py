@@ -17,10 +17,9 @@ time linear in the ball.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 from .errors import ResourceError
-from .selfsimilar import EventuallyPeriodicPoint, SelfSimilarGroup
+from .selfsimilar import SelfSimilarGroup
 from .subshift import Language
 
 
@@ -58,21 +57,6 @@ class LabeledBall:
         self.labels = labels
 
 
-class WindowUnit(NamedTuple):
-    """A subshift unit presented by a finite window around the origin.
-
-    ``word[origin + k]`` is the letter at position k; a radius-r ball
-    needs positions -r .. r-1, i.e. ``origin >= r`` and
-    ``len(word) - origin >= r``.
-    """
-
-    word: bytes
-    origin: int
-
-    def max_radius(self) -> int:
-        return min(self.origin, len(self.word) - self.origin)
-
-
 class SubshiftModel:
     """Groupoid of a subshift with the generator cover {S_x : x in X}."""
 
@@ -80,17 +64,16 @@ class SubshiftModel:
         self.lang = lang
         self.labels = tuple(f"S_{x}" for x in range(lang.alphabet_size))
 
-    def ball(self, unit: WindowUnit, r: int) -> LabeledBall:
-        if r < 0:
-            raise ValueError("radius must be >= 0")
-        if r > unit.max_radius():
-            raise ValueError(f"window too short for radius {r}")
+    def ball(self, window: bytes, r: int) -> LabeledBall:
+        """The radius-r ball at the unit whose letters at positions -r .. r-1
+        are ``window``."""
+        if len(window) != 2 * r:
+            raise ValueError(f"radius {r} needs a window of 2r = {2 * r} letters, got {len(window)}")
         # The fiber is {s^k}, free, so the ball is a path: the germ s^k is
         # vertex 2|k| - (k < 0), numbering k = 0, -1, 1, -2, 2, ... in
         # turn, and s^k -> s^(k+1) is an edge labeled by the letter at
         # position k.
         vertex = [2 * abs(k) - (k < 0) for k in range(-r, r + 1)]
-        window = unit.word[unit.origin - r : unit.origin + r]
         edges = [(vertex[i], vertex[i + 1], window[i]) for i in range(2 * r)]
         return LabeledBall(2 * r + 1, edges, self.labels)
 
@@ -105,7 +88,7 @@ class GermGroupoidModel:
         # repeat never finds a new germ.
         self.steps = list(dict.fromkeys(group.generator_states()))
 
-    def ball(self, unit: EventuallyPeriodicPoint, r: int) -> LabeledBall:
+    def ball(self, unit: tuple[tuple[int, ...], tuple[int, ...]], r: int) -> LabeledBall:
         if r < 0:
             raise ValueError("radius must be >= 0")
         grp = self.group
@@ -138,8 +121,9 @@ class GermGroupoidModel:
                     edges.append((i, j, lid))  # g -> s.g, labeled by s
         return LabeledBall(len(reps), sorted(edges), self.labels)
 
-    def periodic_units(self, pre_cap: int, period_cap: int) -> list[EventuallyPeriodicPoint]:
-        """All eventually periodic points with bounded preperiod and period.
+    def periodic_units(self, pre_cap: int, period_cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """All eventually periodic points (preperiod, period) with bounded
+        preperiod and period.
 
         There are sum_{q <= period_cap} d^q * sum_{p <= pre_cap} d^p of them
         (periods from 1, preperiods from 0); past ``UNIT_CAP`` this raises
@@ -154,7 +138,7 @@ class GermGroupoidModel:
             for per in itertools.product(range(d), repeat=plen):
                 for klen in range(pre_cap + 1):
                     for pre in itertools.product(range(d), repeat=klen):
-                        units.append(EventuallyPeriodicPoint(pre, per))
+                        units.append((pre, per))
         return units
 
 

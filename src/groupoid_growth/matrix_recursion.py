@@ -25,16 +25,8 @@ import random
 from typing import NamedTuple
 
 from .errors import IdentityError, ResourceError
-from .fields import GF2, Field, new_basis
+from .fields import GF2, Field, new_basis, reduced
 from .selfsimilar import SelfSimilarGroup
-
-
-def _reduced(coeffs: dict, p: int) -> dict:
-    """``coeffs`` taken mod ``p`` when ``p`` is nonzero, without its zero
-    coefficients."""
-    if p:
-        return {g: r for g, c in coeffs.items() if (r := c % p)}
-    return {g: c for g, c in coeffs.items() if c}
 
 
 class GroupRingElement:
@@ -47,7 +39,7 @@ class GroupRingElement:
     def __init__(self, group: SelfSimilarGroup, field: Field, coeffs: dict):
         self.group = group
         self.field = field
-        self.coeffs = _reduced(coeffs, field.characteristic)
+        self.coeffs = reduced(coeffs, field.characteristic)
 
     def is_zero(self) -> bool:
         return not self.coeffs

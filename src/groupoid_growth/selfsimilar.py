@@ -20,9 +20,10 @@ by sections in strongly connected components, hash-conses an acyclic word
 by (permutation, child ids) and minimizes a cyclic component by Moore
 refinement against the known classes.
 
-Boundary points are restricted to eventually periodic sequences, where
-a germ has a canonical key by cycle detection over (canonical id, phase)
-pairs, so germ equality and germ triviality are key compares.
+Boundary points are restricted to eventually periodic sequences
+pre.per^inf, each a (preperiod, period) pair of letter tuples, where a germ
+has a canonical key by cycle detection over (canonical id, phase) pairs, so
+germ equality and germ triviality are key compares.
 """
 
 from __future__ import annotations
@@ -98,39 +99,15 @@ GRIGORCHUK = WreathRecursion(
 PRESETS = {"adding_machine": ADDING_MACHINE, "grigorchuk": GRIGORCHUK}
 
 
-class EventuallyPeriodicPoint:
-    """Boundary point given as preperiod + repeating period, e.g. 1^inf = ('', '1')."""
-
-    __slots__ = ("preperiod", "period")
-
-    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
-        if not period:
-            raise ValueError("period must be nonempty")
-        self.preperiod = preperiod
-        self.period = period
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EventuallyPeriodicPoint)
-            and self.preperiod == other.preperiod
-            and self.period == other.period
-        )
-
-    def __hash__(self):
-        return hash((self.preperiod, self.period))
-
-    def __repr__(self) -> str:
-        return f"EventuallyPeriodicPoint(preperiod={self.preperiod!r}, period={self.period!r})"
-
-    @classmethod
-    def parse(cls, text: str, alphabet_size: int) -> "EventuallyPeriodicPoint":
-        """Parse 'pre|period' over ``alphabet_size`` letters, e.g. '|1' for 1^inf or '0|10'."""
-        pre, bar, period = text.partition("|")
-        if not bar:
-            raise ValueError(f"point {text!r}: the syntax is 'preperiod|period', e.g. '|1'")
-        if not period:
-            raise ValueError(f"point {text!r}: the period must be nonempty")
-        return cls(*(parse_letters(part, alphabet_size, f"point {text!r}") for part in (pre, period)))
+def parse_point(text: str, alphabet_size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The boundary point pre|period over ``alphabet_size`` letters as a
+    (preperiod, period) tuple, e.g. '|1' for 1^inf or '0|10'."""
+    pre, bar, period = text.partition("|")
+    if not bar:
+        raise ValueError(f"point {text!r}: the syntax is 'preperiod|period', e.g. '|1'")
+    if not period:
+        raise ValueError(f"point {text!r}: the period must be nonempty")
+    return tuple(parse_letters(part, alphabet_size, f"point {text!r}") for part in (pre, period))
 
 
 class SelfSimilarGroup:
@@ -419,9 +396,10 @@ class SelfSimilarGroup:
 
     # -- germs ---------------------------------------------------------------
 
-    def germ_key(self, g: int, point: EventuallyPeriodicPoint) -> tuple:
-        """Canonical form of the germ of g at x = pre|per: germs at x are
-        equal iff g(x) = h(x) and g|_v = h|_v for a prefix v of x.
+    def germ_key(self, g: int, point: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple:
+        """Canonical form of the germ of g at the point x = (pre, per): germs
+        at x are equal iff g(x) = h(x) and g|_v = h|_v for a prefix v of x.
+        A letter outside the alphabet or an empty period raises ValueError.
 
         One map drives t -> (id of g|_{x[:t]}, t - |pre| mod |per|) from
         t = |pre|, so the walk enters a cycle of length L at a time c (from
@@ -430,7 +408,9 @@ class SelfSimilarGroup:
         period) and the section at the first such time from c on.  Past
         ``GERM_STEP_CAP`` letters it raises :class:`ResourceError`.
         """
-        pre, per = point.preperiod, point.period
+        pre, per = point
+        if not per:
+            raise ValueError("period must be nonempty")
         if min(pre + per) < 0 or max(pre + per) >= self.d:
             raise ValueError(f"point has a letter outside the alphabet of size {self.d}")
         perms, children = self.perms, self.children
@@ -455,7 +435,7 @@ class SelfSimilarGroup:
         head, tail = _eventually_periodic(image[: len(pre) + entry], image[len(pre) + entry :])
         return head, tail, sections[-(-entry // cycle) * cycle]
 
-    def germ_is_unit(self, g: int, point: EventuallyPeriodicPoint) -> bool:
+    def germ_is_unit(self, g: int, point: tuple[tuple[int, ...], tuple[int, ...]]) -> bool:
         """Whether the germ of g at a point is a unit: has the identity's key."""
         return self.germ_key(g, point) == self.germ_key(self.identity, point)
 
@@ -469,14 +449,16 @@ class SelfSimilarGroup:
                 out.append(inv)
         return out
 
-    def nucleus(self, cap: int = 10_000) -> "Nucleus":
-        """The nucleus, certified.
+    def nucleus(self, cap: int = 10_000) -> frozenset[int]:
+        """The nucleus, certified, as a set of canonical ids.
 
         N is the recurrent core of the restriction closure of the pairwise
         products of 1, the generators and their inverses.  It is returned
         only if the recurrent core for {g*h : g, h in N} lies in N, which
         certifies that the group is contracting with nucleus N; else, or
-        when a closure grows past ``cap`` ids, ResourceError is raised.
+        when a closure grows past ``cap`` ids, ResourceError is raised.  N
+        is closed under restriction: ``_recurrent_core`` adds every
+        successor of a core member.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
@@ -485,7 +467,7 @@ class SelfSimilarGroup:
         square = self._recurrent_core([self.multiply(g, h) for g in core for h in core], cap)
         if not square <= core:
             raise ResourceError(f"not contracting: products of the {len(core)} candidates recur outside them")
-        return Nucleus(group=self, states=frozenset(core))
+        return frozenset(core)
 
     def _recurrent_core(self, states: list[int], cap: int) -> set[int]:
         """Ids reachable from a cycle in the restriction closure of states."""
@@ -657,20 +639,6 @@ def _strongly_connected_components(roots, successors):
                     for w in comp:
                         index[w] = math.inf
                     yield comp
-
-
-class Nucleus:
-    """A certified nucleus.  Its states are closed under restriction by
-    construction: ``_recurrent_core`` adds every successor of a core member."""
-
-    __slots__ = ("group", "states")
-
-    def __init__(self, group: SelfSimilarGroup, states: frozenset[int]):
-        self.group = group
-        self.states = states  # canonical ids
-
-    def __len__(self):
-        return len(self.states)
 
 
 class ContractionEstimate(NamedTuple):

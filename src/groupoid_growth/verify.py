@@ -13,7 +13,7 @@ from . import shift_algebra as sa
 from .errors import IdentityError
 from .fields import GF2, QQ
 from .groupoid import GermGroupoidModel, LabeledBall, canonical_code
-from .selfsimilar import ADDING_MACHINE, GRIGORCHUK, EventuallyPeriodicPoint, SelfSimilarGroup, group_from_spec
+from .selfsimilar import ADDING_MACHINE, GRIGORCHUK, SelfSimilarGroup, group_from_spec, parse_point
 from .subshift import build_language
 from .words import SturmianSource, ToeplitzSource, golden_sturmian, thue_morse
 
@@ -25,18 +25,16 @@ class Scale(NamedTuple):
     delta_groups: tuple[str, ...]  # criterion 2: presets whose germ balls are coded
     growth_n: int  # criteria 3-4
     oracle_n: int  # criterion 5
-    module_n: int  # criterion 6
+    module_n: int  # criteria 6 and 12: gamma = 2r+1 for r <= module_n
     hom_samples: int  # criterion 10
-    thinned_n: int  # criterion 11
-    thinned_fit: tuple[int, int]
+    thinned_n: int  # criterion 11, its slope fit on [ceil(thinned_n/3), thinned_n]
     contraction_cap: int  # criterion 12
-    gamma_r: int
 
 
 SCALES = {
-    "full": Scale(200, 5, 2, ("grigorchuk", "adding_machine"), 12, 5, 10, 100, 48, (16, 48), 16, 10),
-    "quick": Scale(50, 3, 1, ("grigorchuk",), 6, 4, 6, 20, 24, (8, 24), 12, 6),
-    "tiny": Scale(12, 1, 1, ("grigorchuk",), 3, 3, 3, 5, 10, (4, 10), 8, 3),
+    "full": Scale(200, 5, 2, ("grigorchuk", "adding_machine"), 12, 5, 10, 100, 48, 16),
+    "quick": Scale(50, 3, 1, ("grigorchuk",), 6, 4, 6, 20, 24, 12),
+    "tiny": Scale(12, 1, 1, ("grigorchuk",), 3, 3, 3, 5, 10, 8),
 }
 
 
@@ -215,9 +213,9 @@ def check_09_grig_structure(s: Scale) -> CheckResult:
             problems.append(f"{name} not involution")
     if grp.multiply(grp.gens["b"], grp.gens["c"]) != grp.gens["d"]:
         problems.append("b.c != d")
-    if not grp.germ_is_unit(grp.gens["d"], EventuallyPeriodicPoint((), (0,))):
+    if not grp.germ_is_unit(grp.gens["d"], ((), (0,))):
         problems.append("germ of d at 0^inf not a unit")
-    if grp.germ_is_unit(grp.gens["b"], EventuallyPeriodicPoint((), (1,))):
+    if grp.germ_is_unit(grp.gens["b"], ((), (1,))):
         problems.append("germ of b at 1^inf reported trivial")
     ok = not problems
     detail = "nucleus {1,a,b,c,d}; involutions; b.c=d; germ facts at 0^inf/1^inf" if ok else "; ".join(problems)
@@ -239,7 +237,7 @@ def check_10_homomorphism(s: Scale, seed: int) -> CheckResult:
 def check_11_thinned_growth(s: Scale) -> CheckResult:
     grp = SelfSimilarGroup(GRIGORCHUK)
     res = mr.thinned_growth(grp, s.thinned_n, GF2)
-    lo, hi = s.thinned_fit
+    lo, hi = -(-s.thinned_n // 3), s.thinned_n
     slope = mr.loglog_slope(res.dims, lo, hi)
     ok = res.stabilized and 1.5 <= slope <= 2.5
     detail = (
@@ -257,15 +255,15 @@ def check_12_contraction(s: Scale) -> CheckResult:
         if est.ratio > Fraction(3, 5):
             problems.append(f"{name} estimate {est.ratio} at depth {est.depth}")
     model = GermGroupoidModel(SelfSimilarGroup(ADDING_MACHINE))
-    units = [EventuallyPeriodicPoint.parse(text, 2) for text in ("|1", "|0", "|01", "1|0", "0|1")]
-    for u in units:
-        for r in range(s.gamma_r + 1):
-            g = model.ball(u, r).num_vertices
+    for text in ("|1", "|0", "|01", "1|0", "0|1"):
+        unit = parse_point(text, 2)
+        for r in range(s.module_n + 1):
+            g = model.ball(unit, r).num_vertices
             if g != 2 * r + 1:
-                problems.append(f"gamma({u},{r})={g}")
+                problems.append(f"gamma({text},{r})={g}")
     ok = not problems
     detail = (
-        f"estimates <= 3/5 at cap {s.contraction_cap}; adding-machine gamma=2r+1, r<={s.gamma_r}, 5 units"
+        f"estimates <= 3/5 at cap {s.contraction_cap}; adding-machine gamma=2r+1, r<={s.module_n}, 5 units"
         if ok
         else "; ".join(problems[:3])
     )

@@ -325,6 +325,30 @@ class TestBall:
         )
         assert code == 0 and "digraph ball" in out
 
+    # (source, unit, r) -> exit code, sha256 of stdout and the stderr line,
+    # at n_max = 10.  The letter at position k is letters[origin + k], so
+    # the ball spells the 2r letters from origin - r.
+    SUBSHIFT_BALLS = {
+        (GOLDEN, "01001010:4", 3): (0, "966c65ae0ac9ca406cd72b22591aa6b09e3db950eca72b030a9c06c4182f9bff", "vertices=7 edges=6\n"),
+        (GOLDEN, "0100101:2", 2): (0, "81236b9313e0e3c5b3411fa8f3995622462a188794b99c2de85fd5333843c50d", "vertices=5 edges=4\n"),
+        (TM, "0110100110:5", 5): (0, "e76a5de27a720efbe377678963fdc4912eaa76bfee33c9c31ee8c21f7806f228", "vertices=11 edges=10\n"),
+        (GOLDEN, "0100:1", 2): (
+            2,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "usage error: window too short for radius 2\n",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "source, unit, r",
+        list(SUBSHIFT_BALLS),
+        ids=["golden-r3", "golden-off-centre", "thue-morse-r5", "window-too-short"],
+    )
+    def test_subshift_ball_bytes(self, capsys, source, unit, r):
+        model = json.dumps({"kind": "subshift", "source": json.loads(source), "n_max": 10})
+        code, out, err = run(capsys, ["ball", "--model", model, "--unit", unit, "--r", str(r)])
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == self.SUBSHIFT_BALLS[source, unit, r]
+
 
 class TestAlgebraGrowth:
     def test_with_oracle(self, capsys):

@@ -7,7 +7,6 @@ from groupoid_growth.groupoid import (
     GermGroupoidModel,
     LabeledBall,
     SubshiftModel,
-    WindowUnit,
     ball_to_dot,
     canonical_code,
     delta_enumerated,
@@ -15,7 +14,6 @@ from groupoid_growth.groupoid import (
 from groupoid_growth.selfsimilar import (
     ADDING_MACHINE,
     GRIGORCHUK,
-    EventuallyPeriodicPoint,
     SelfSimilarGroup,
     WreathRecursion,
 )
@@ -158,11 +156,11 @@ HANOI = WreathRecursion(
 GERM_GROUPS = {"grigorchuk": GRIGORCHUK, "adding": ADDING_MACHINE, "basilica": BASILICA, "hanoi": HANOI}
 
 
-def reference_germ_is_unit(grp: SelfSimilarGroup, g: int, point: EventuallyPeriodicPoint) -> bool:
+def reference_germ_is_unit(grp: SelfSimilarGroup, g: int, point: tuple) -> bool:
     """Germ triviality by an early-exit walk: follow x through g; reaching
     the identity is a unit, a moved letter or a repeated (canonical id,
     phase) pair a nontrivial germ."""
-    pre, per = point.preperiod, point.period
+    pre, per = point
     k, seen = g, set()
     for pos in range(10_000):
         if k == grp.identity:
@@ -179,7 +177,7 @@ def reference_germ_is_unit(grp: SelfSimilarGroup, g: int, point: EventuallyPerio
     raise AssertionError("germ walk did not settle")
 
 
-def reference_germ_ball(model: GermGroupoidModel, unit: EventuallyPeriodicPoint, r: int) -> LabeledBall:
+def reference_germ_ball(model: GermGroupoidModel, unit: tuple, r: int) -> LabeledBall:
     """The germ ball by a pairwise scan: each new element is tested against
     every vertex found so far, h^-1 g by :func:`reference_germ_is_unit`."""
     grp = model.group
@@ -237,30 +235,9 @@ class TestLabeledBall:
         LabeledBall(3, [(1, 0, 0), (2, 0, 1)], ("x", "y"))
 
 
-class TestWindowUnit:
-    def test_letter_indexing(self, golden_model):
-        # word[origin + k] is the letter at position k: the radius-2 ball
-        # at origin 2 labels its edges k -> k+1, k = -2..1, by word[0:4].
-        u = WindowUnit(bytes((0, 1, 0, 0, 1)), 2)
-        ball = golden_model.ball(u, 2)
-        succ = {a: (b, label) for a, b, label in ball.edges}
-        (v,) = set(succ) - {b for b, _ in succ.values()}
-        spelled = []
-        while v in succ:
-            v, label = succ[v]
-            spelled.append(label)
-        assert bytes(spelled) == u.word[:4]
-        with pytest.raises(ValueError, match="window too short"):
-            golden_model.ball(u, 3)
-
-    def test_max_radius(self):
-        assert WindowUnit(bytes(6), 2).max_radius() == 2
-
-
 class TestSubshiftBall:
     def test_is_a_path(self, golden_model):
-        u = WindowUnit(golden_model.lang.factors[6][0], 3)
-        ball = golden_model.ball(u, 3)
+        ball = golden_model.ball(golden_model.lang.factors[6][0], 3)
         assert ball.num_vertices == 7
         assert len(ball.edges) == 6
         outdeg = {}
@@ -272,7 +249,7 @@ class TestSubshiftBall:
 
     def test_edge_labels_spell_window(self, golden_model):
         word = golden_model.lang.factors[4][0]
-        ball = golden_model.ball(WindowUnit(word, 2), 2)
+        ball = golden_model.ball(word, 2)
         # Walking the path from the leftmost vertex reads off the window.
         succ = {a: (b, l) for a, b, l in ball.edges}
         start = ({v for v in range(ball.num_vertices)} - {b for _, b, _ in ball.edges}).pop()
@@ -284,27 +261,27 @@ class TestSubshiftBall:
         assert bytes(letters) == word
 
     def test_radius_checks(self, golden_model):
-        u = WindowUnit(golden_model.lang.factors[4][0], 2)
-        with pytest.raises(ValueError):
-            golden_model.ball(u, 3)
-        with pytest.raises(ValueError):
-            golden_model.ball(u, -1)
+        # A radius-r ball takes exactly the 2r letters at positions -r .. r-1.
+        window = golden_model.lang.factors[4][0]
+        for r in (3, 1, -1):
+            with pytest.raises(ValueError, match=f"radius {r} needs a window of 2r = {2 * r} letters, got 4"):
+                golden_model.ball(window, r)
 
 
 class TestGamma:
     # gamma(x, r) is the number of vertices of the radius-r ball at x.
     def test_subshift_linear(self, golden_model):
+        word = golden_model.lang.factors[10][0]
         for r in range(5):
-            u = WindowUnit(golden_model.lang.factors[10][0], 5)
-            assert golden_model.ball(u, r).num_vertices == 2 * r + 1
+            assert golden_model.ball(word[5 - r : 5 + r], r).num_vertices == 2 * r + 1
 
     def test_adding_machine_linear(self, adding_model):
-        point = EventuallyPeriodicPoint((), (0,))
+        point = ((), (0,))
         for r in range(6):
             assert adding_model.ball(point, r).num_vertices == 2 * r + 1
 
     def test_monotone_and_degree_bounded(self, grig_model):
-        point = EventuallyPeriodicPoint((), (0,))
+        point = ((), (0,))
         prev = None
         for r in range(5):
             g = grig_model.ball(point, r).num_vertices
@@ -315,7 +292,7 @@ class TestGamma:
     def test_grig_gamma_value(self, grig_model):
         # At 0^inf the germ of d is a unit and b, c agree (bc = d), so the
         # radius-1 ball is {identity, a, b}.
-        assert grig_model.ball(EventuallyPeriodicPoint((), (0,)), 1).num_vertices == 3
+        assert grig_model.ball(((), (0,)), 1).num_vertices == 3
 
 
 class TestCanonicalCode:
@@ -357,7 +334,7 @@ class TestCanonicalCode:
     def test_same_classes_as_reference_on_windows(self, source):
         model = SubshiftModel(build_language(source(), n_max=14, prefix_budget=8192))
         for r in range(8):
-            balls = [model.ball(WindowUnit(f, r), r) for f in model.lang.factors_at(2 * r)]
+            balls = [model.ball(f, r) for f in model.lang.factors_at(2 * r)]
             assert assert_same_classes(balls) == len(balls)
 
     @pytest.mark.parametrize("rec", [GRIGORCHUK, ADDING_MACHINE], ids=["grigorchuk", "adding"])
@@ -437,7 +414,7 @@ class TestDelta:
     # length 2r give p(2r) distinct classes: the CLI prints delta(r) = p(2r).
     @staticmethod
     def window_classes(model: SubshiftModel, r: int) -> int:
-        return len({canonical_code(model.ball(WindowUnit(f, r), r)) for f in model.lang.factors_at(2 * r)})
+        return len({canonical_code(model.ball(f, r)) for f in model.lang.factors_at(2 * r)})
 
     def test_matches_formula_golden(self, golden_model):
         for r in range(1, 6):
@@ -465,7 +442,7 @@ class TestDelta:
 
 class TestDot:
     def test_root_and_edges_present(self, golden_model):
-        ball = golden_model.ball(WindowUnit(golden_model.lang.factors[2][0], 1), 1)
+        ball = golden_model.ball(golden_model.lang.factors[2][0], 1)
         dot = ball_to_dot(ball)
         assert dot.startswith("digraph ball {")
         assert "doublecircle" in dot

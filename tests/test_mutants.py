@@ -93,6 +93,22 @@ def element_without_one(monkeypatch):
     monkeypatch.setattr(mr, "parse_element", mutant)
 
 
+def germ_steps_without_inverses(monkeypatch):
+    """``GermGroupoidModel.steps`` keeps only the generators, not their inverses."""
+    init = groupoid.GermGroupoidModel.__init__
+
+    def mutant(self, group):
+        init(self, group)
+        self.steps = [group.gens[n] for n in group.gen_names]
+
+    monkeypatch.setattr(groupoid.GermGroupoidModel, "__init__", mutant)
+
+
+def module_growth_one_sided(monkeypatch):
+    """``module_growth`` gives dim V^n.delta_0 = n+1, one side of the orbit."""
+    monkeypatch.setattr(shift_algebra, "module_growth", lambda lang, n_max: [(n, n + 1) for n in range(n_max + 1)])
+
+
 def contraction_ratio_doubled(monkeypatch):
     """``contraction_estimate`` reports twice its ratio."""
     original = selfsimilar.SelfSimilarGroup.contraction_estimate
@@ -114,6 +130,8 @@ KILLED = {
     level_two_in_row_zero: {"07-adding-machine-matrices", "10-homomorphism", "11-thinned-growth"},
     sturmian_short_witness: {"01-sturmian-complexity", "04-sturmian-sandwich"},
     element_without_one: {"07-adding-machine-matrices", "08-grig-witness"},
+    germ_steps_without_inverses: {"12-contraction"},
+    module_growth_one_sided: {"06-module-bound"},
 }
 
 # mutant -> the ROADMAP item meant to kill it
