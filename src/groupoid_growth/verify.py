@@ -1,9 +1,17 @@
 """End-to-end verification suite: thirteen numbered checks over the whole
 toolkit, runnable at three scales (tiny for smoke, quick for development,
-full for the complete claims)."""
+full for the complete claims).
+
+Checks 02 and 07-12 test the self-similar presets.  One ``run_checks`` call
+builds each preset group once and hands it to every check that uses it: the
+Grigorchuk group to checks 02 and 08-12, the adding machine to checks 07 and
+12 (and 02 at full).  The groups are dropped before check 13, whose two tiny
+runs each build their own, so it compares two cold runs; no group outlives
+the call."""
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -13,7 +21,7 @@ from . import shift_algebra as sa
 from .errors import IdentityError
 from .fields import GF2, QQ
 from .groupoid import GermGroupoidModel, LabeledBall, canonical_code
-from .selfsimilar import ADDING_MACHINE, GRIGORCHUK, SelfSimilarGroup, group_from_spec, parse_point
+from .selfsimilar import group_from_spec, parse_point
 from .subshift import build_language
 from .words import SturmianSource, ToeplitzSource, golden_sturmian, thue_morse
 
@@ -62,12 +70,12 @@ def check_01_sturmian_complexity(s: Scale) -> CheckResult:
     return CheckResult("01-sturmian-complexity", ok, detail)
 
 
-def check_02_delta_consistency(s: Scale) -> CheckResult:
+def check_02_delta_consistency(s: Scale, group) -> CheckResult:
     r, cap = s.delta_r, s.delta_units
     rng = random.Random(2)
     bad = []
     for name in s.delta_groups:
-        model = GermGroupoidModel(group_from_spec(name))
+        model = GermGroupoidModel(group(name))
         first = {}  # code -> the first ball with it
         for unit in model.periodic_units(cap, cap):
             ball = model.ball(unit, r)
@@ -174,8 +182,8 @@ def check_06_module_bound(s: Scale) -> CheckResult:
     return CheckResult("06-module-bound", ok, detail)
 
 
-def check_07_adding_machine_matrices(s: Scale) -> CheckResult:
-    grp = SelfSimilarGroup(ADDING_MACHINE)
+def check_07_adding_machine_matrices(s: Scale, group) -> CheckResult:
+    grp = group("adding_machine")
     a = mr.parse_element(grp, "a", QQ)
     one = mr.parse_element(grp, "1", QQ)
     m1 = mr.image_at_level(a, 1)
@@ -189,8 +197,8 @@ def check_07_adding_machine_matrices(s: Scale) -> CheckResult:
     return CheckResult("07-adding-machine-matrices", ok, detail)
 
 
-def check_08_grig_witness(s: Scale) -> CheckResult:
-    grp = SelfSimilarGroup(GRIGORCHUK)
+def check_08_grig_witness(s: Scale, group) -> CheckResult:
+    grp = group("grigorchuk")
     try:
         m = mr.grig_witness(grp)
     except IdentityError as e:
@@ -201,8 +209,8 @@ def check_08_grig_witness(s: Scale) -> CheckResult:
     return CheckResult("08-grig-witness", ok, detail)
 
 
-def check_09_grig_structure(s: Scale) -> CheckResult:
-    grp = SelfSimilarGroup(GRIGORCHUK)
+def check_09_grig_structure(s: Scale, group) -> CheckResult:
+    grp = group("grigorchuk")
     problems = []
     nuc = grp.nucleus()
     if len(nuc) != 5:
@@ -222,8 +230,8 @@ def check_09_grig_structure(s: Scale) -> CheckResult:
     return CheckResult("09-grig-structure", ok, detail)
 
 
-def check_10_homomorphism(s: Scale, seed: int) -> CheckResult:
-    grp = SelfSimilarGroup(GRIGORCHUK)
+def check_10_homomorphism(s: Scale, group, seed: int) -> CheckResult:
+    grp = group("grigorchuk")
     bad = []
     for field in (GF2, QQ):
         for level in (1, 2, 3):
@@ -234,8 +242,8 @@ def check_10_homomorphism(s: Scale, seed: int) -> CheckResult:
     return CheckResult("10-homomorphism", ok, detail)
 
 
-def check_11_thinned_growth(s: Scale) -> CheckResult:
-    grp = SelfSimilarGroup(GRIGORCHUK)
+def check_11_thinned_growth(s: Scale, group) -> CheckResult:
+    grp = group("grigorchuk")
     res = mr.thinned_growth(grp, s.thinned_n, GF2)
     lo, hi = -(-s.thinned_n // 3), s.thinned_n
     slope = mr.loglog_slope(res.dims, lo, hi)
@@ -247,14 +255,13 @@ def check_11_thinned_growth(s: Scale) -> CheckResult:
     return CheckResult("11-thinned-growth", ok, detail)
 
 
-def check_12_contraction(s: Scale) -> CheckResult:
+def check_12_contraction(s: Scale, group) -> CheckResult:
     problems = []
-    for name, rec in (("adding_machine", ADDING_MACHINE), ("grigorchuk", GRIGORCHUK)):
-        grp = SelfSimilarGroup(rec)
-        est = grp.contraction_estimate(length_cap=s.contraction_cap)
+    for name in ("adding_machine", "grigorchuk"):
+        est = group(name).contraction_estimate(length_cap=s.contraction_cap)
         if est.ratio > Fraction(3, 5):
             problems.append(f"{name} estimate {est.ratio} at depth {est.depth}")
-    model = GermGroupoidModel(SelfSimilarGroup(ADDING_MACHINE))
+    model = GermGroupoidModel(group("adding_machine"))
     for text in ("|1", "|0", "|01", "1|0", "0|1"):
         unit = parse_point(text, 2)
         for r in range(s.module_n + 1):
@@ -279,23 +286,31 @@ def check_13_determinism(s: Scale, seed: int) -> CheckResult:
 
 
 def run_checks(profile: str, seed: int, include_determinism: bool = True) -> list[CheckResult]:
+    """Run the checks of one profile.  Each preset group is built once per
+    call and shared: checks 02 and 08-12 use one Grigorchuk group, checks
+    07 and 12 (and 02 at full) one adding-machine group.  The groups are
+    dropped before check 13, whose two runs each build their own, so it
+    still compares two cold runs and the outer run's groups are not held
+    alive while they run."""
     if profile not in SCALES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(SCALES)}")
     s = SCALES[profile]
+    group = functools.cache(group_from_spec)
     results = [
         check_01_sturmian_complexity(s),
-        check_02_delta_consistency(s),
+        check_02_delta_consistency(s, group),
         check_03_main_inequality(s),
         check_04_sturmian_sandwich(s),
         check_05_oracle_equivalence(s),
         check_06_module_bound(s),
-        check_07_adding_machine_matrices(s),
-        check_08_grig_witness(s),
-        check_09_grig_structure(s),
-        check_10_homomorphism(s, seed=seed),
-        check_11_thinned_growth(s),
-        check_12_contraction(s),
+        check_07_adding_machine_matrices(s, group),
+        check_08_grig_witness(s, group),
+        check_09_grig_structure(s, group),
+        check_10_homomorphism(s, group, seed=seed),
+        check_11_thinned_growth(s, group),
+        check_12_contraction(s, group),
     ]
+    group.cache_clear()
     if include_determinism:
         results.append(check_13_determinism(s, seed=seed))
     return results

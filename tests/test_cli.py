@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from groupoid_growth import cli, matrix_recursion, selfsimilar, subshift
+from groupoid_growth import cli, matrix_recursion, selfsimilar, subshift, verify
 
 GOLDEN = '{"kind":"sturmian","cf":[1],"cf_periodic":true}'
 TM = '{"kind":"substitution","rules":{"0":"01","1":"10"},"seed":"0"}'
@@ -619,6 +619,35 @@ class TestVerifyAll:
         with pytest.raises(SystemExit):
             cli.main(["verify-all", "--profile", "tiny"])
         capsys.readouterr()
+
+    # (profile, seed) -> sha256 of the whole report.
+    REPORTS = {
+        ("quick", 0): "309402fd9c84199def9e3056a4f62a1bb5d08f52eb11375707ae16b51ac1301d",
+        ("quick", 3): "b6a6c2202f62631800ab17a8ff363eb09d6f38338edc2a42561d19aac5ea2e84",
+        ("full", 0): "ae7fdab4c3c7fe1ffe07a52efe52d3246781f7daab0a164d0e4fff34224f4dd3",
+        ("full", 3): "a5b72b5579b1be74d3b06d59bb3c240d2037f422b2a9c3bcf22658fc5e14c4aa",
+    }
+
+    @pytest.mark.parametrize("profile, seed", list(REPORTS), ids=lambda v: str(v))
+    def test_report_bytes(self, capsys, profile, seed):
+        code, out, _ = run(capsys, ["--seed", str(seed), "verify-all", "--profile", profile])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == self.REPORTS[profile, seed]
+
+    def test_groups_built_per_run(self, monkeypatch):
+        # Each run builds each preset once, and so does each of check 13's
+        # two tiny runs: 3 x 2 groups.  No group is kept for a later run.
+        built = []
+        init = selfsimilar.SelfSimilarGroup.__init__
+
+        def counting_init(self, recursion):
+            built.append(recursion)
+            init(self, recursion)
+
+        monkeypatch.setattr(selfsimilar.SelfSimilarGroup, "__init__", counting_init)
+        verify.run_checks("quick", seed=0)
+        assert len(built) == 6
+        verify.run_checks("quick", seed=0)
+        assert len(built) == 12
 
 
 class TestMalformedInput:

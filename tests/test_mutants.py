@@ -6,6 +6,7 @@ change that closes the gap has to move its row.
 """
 
 import ast
+import random
 
 import pytest
 
@@ -120,6 +121,16 @@ def contraction_ratio_doubled(monkeypatch):
     monkeypatch.setattr(selfsimilar.SelfSimilarGroup, "contraction_estimate", mutant)
 
 
+def homomorphism_seed_ignored(monkeypatch):
+    """``homomorphism_check`` draws its own random seed instead of the one it is given."""
+    original = mr.homomorphism_check
+
+    def mutant(group, samples, level, field, seed):
+        return original(group, samples, level, field, seed=random.randrange(2**32))
+
+    monkeypatch.setattr(mr, "homomorphism_check", mutant)
+
+
 # mutant -> the checks it must make FAIL
 KILLED = {
     code_without_labels: {"02-delta-consistency"},
@@ -140,6 +151,9 @@ SURVIVORS = {
     # Both estimates are 1/6 at quick (1/8 at full): twice that is still
     # within check 12's bound of 3/5.
     contraction_ratio_doubled: "item 2: check 12 reads the certified nucleus, not an estimate",
+    # Check 13 compares report text, and check 10's detail prints no
+    # sampled value, so two runs that sample different elements agree.
+    homomorphism_seed_ignored: "item 15: a check-13 row that sees what check 10 sampled",
 }
 
 
