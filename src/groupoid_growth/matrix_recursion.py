@@ -8,11 +8,16 @@ embeds A_0 = k[G] into arbitrarily deep levels.  Ranks of these images
 are nonincreasing in the level, since each level's vectors are a linear
 image of the previous level's, and eventually equal dimensions in the
 convolution algebra.  The thinned-algebra growth table raises the level
-until two consecutive levels agree.  Its pass works on level-L vectors,
-not on group elements: the level-L image psi_L of a group element is
-injective and multiplicative, so each candidate s*h is the vector
-psi_L(s)*psi_L(h), deduplicated by vector, and only products of sections
-and of two generators are ever built as automata.  That the next level agrees is proved
+until two consecutive levels agree.  Its pass works on vectors, not on
+group elements: the level-m image psi_m of a group element is injective and
+multiplicative, so each candidate s*h is the vector psi_m(s)*psi_m(h),
+deduplicated by vector, and only products of sections and of two
+generators are ever built as automata.  The rank is taken at level L >= m.
+Over GF(2) the pass maps at m = L - 2 from L = 3 on, and each level-m
+coordinate is expanded once into its chunk, the int mask of the d^2
+level-L coordinates below it, so a support is the OR of d^m chunk masks
+instead of d^L single bits; over other fields m = L, since their time is
+in the basis.  That the next level agrees is proved
 without its pass whenever one recursion step is injective on the span of
 the current level's cells (:func:`step_is_injective`); that no later level
 drops further is a heuristic, not a proof that the limit has been reached.
@@ -20,8 +25,11 @@ drops further is a heuristic, not a proof that the limit has been reached.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .errors import IdentityError, ResourceError
@@ -232,34 +240,43 @@ def grig_witness(group: SelfSimilarGroup) -> LevelMatrix:
     return m
 
 
-def random_element(group, field, rng: random.Random):
-    """A random element: 1 to 3 terms, each a word of 0 to 3 generators
-    with a coefficient from 1 to 5."""
+def random_terms(names, rng: random.Random) -> tuple[tuple[str, int], ...]:
+    """1 to 3 random terms (word, coefficient): each word has 0 to 3 of the
+    generator ``names``, each coefficient is from 1 to 5."""
+    return tuple(
+        ("".join(rng.choice(names) for _ in range(rng.randint(0, 3))), rng.randint(1, 5))
+        for _ in range(rng.randint(1, 3))
+    )
+
+
+def element_of_terms(group: SelfSimilarGroup, field: Field, terms) -> GroupRingElement:
+    """The sum of coefficient * word over ``terms``."""
     coeffs: dict = {}
-    names = group.gen_names
-    for _ in range(rng.randint(1, 3)):
-        word = "".join(rng.choice(names) for _ in range(rng.randint(0, 3)))
+    for word, c in terms:
         g = group.word_id(word)
-        coeffs[g] = coeffs.get(g, 0) + rng.randint(1, 5)
+        coeffs[g] = coeffs.get(g, 0) + c
     return GroupRingElement(group, field, coeffs)
 
 
 def homomorphism_check(
     group: SelfSimilarGroup, samples: int, level: int, field: Field, seed: int
-) -> bool:
-    """Random product/sum compatibility of the iterated recursion map."""
+) -> tuple[bool, str]:
+    """Random product/sum compatibility of the iterated recursion map: whether
+    every sample passed, and the sha256 hex digest of the terms sampled up to
+    the first failure, words and coefficients as drawn, not element ids, so
+    that two runs can be compared by what they sampled."""
     if level < 1:
         raise ValueError("level must be >= 1")
     rng = random.Random(seed)
+    drawn = hashlib.sha256()
     for _ in range(samples):
-        p = random_element(group, field, rng)
-        q = random_element(group, field, rng)
+        terms = random_terms(group.gen_names, rng), random_terms(group.gen_names, rng)
+        drawn.update(repr(terms).encode())
+        p, q = (element_of_terms(group, field, t) for t in terms)
         ip, iq = image_at_level(p, level), image_at_level(q, level)
-        if image_at_level(p.mul(q), level) != ip.mul(iq):
-            return False
-        if image_at_level(p.add(q), level) != ip.add(iq):
-            return False
-    return True
+        if image_at_level(p.mul(q), level) != ip.mul(iq) or image_at_level(p.add(q), level) != ip.add(iq):
+            return False, drawn.hexdigest()
+    return True, drawn.hexdigest()
 
 
 # -- thinned algebra growth -----------------------------------------------------
@@ -268,9 +285,10 @@ def homomorphism_check(
 # Most coordinates one thinned_dims_at_level pass may use: three times what
 # the default n=128 Grigorchuk run needs.
 COORDINATE_CAP = 100_000
-# Largest rank x coordinates a pass may reach: the basis holds up to that many
-# bits.  The default n=128 Grigorchuk run over F2 ends at 21,326 x 32,960,
-# about 7e8.
+# Largest (rank + chunk masks) x coordinates a pass may reach: the basis rows
+# and the chunk masks of a GF(2) pass hold up to that many bits.  The default
+# n=128 Grigorchuk run over F2 (level 6, mapped at level 4) ends at
+# (21,326 + 24,448) x 32,960, about 1.51e9.
 RANK_COORDINATE_CAP = 2_000_000_000
 
 
@@ -294,6 +312,15 @@ class ThinnedGrowthResult(NamedTuple):
     stabilized: bool
 
 
+def mapping_level(field: Field, level: int) -> int:
+    """The level m at which :func:`thinned_dims_at_level` maps candidates
+    for a level-``level`` table: two levels up over GF(2) from level 3 on,
+    ``level`` itself otherwise (level 0 would build every candidate as an
+    automaton, and over other fields the time is in the basis, not in the
+    supports)."""
+    return level - 2 if field.characteristic == 2 and level >= 3 else level
+
+
 def thinned_dims_at_level(
     group: SelfSimilarGroup,
     n_max: int,
@@ -307,20 +334,28 @@ def thinned_dims_at_level(
     column: g has the coordinate (g(col), col, g|_col).  V is spanned by 1
     and the generators, and each length adds the candidates s*h for the
     elements h that were newly independent.  A candidate is never built as
-    an automaton: its vector is psi(s)*psi(h), read coordinate by coordinate
-    through the map of s, which sends (row, col, e) to (s(row), col,
-    s|_row * e).  The level-L image holds every section, so it is injective
-    and candidates are deduplicated by vector.  An h made as t*h' skips
-    every s with s*t the identity or a generator u: s*h is then h' or
-    u*h', offered one length earlier, so only vectors already seen are
-    skipped.  ``coord_index`` numbers coordinates across passes and is
-    filled with every coordinate this pass used; more than
-    ``COORDINATE_CAP`` of them, or a rank times coordinates above
-    ``RANK_COORDINATE_CAP``, raise :class:`ResourceError`.
+    an automaton: it is the vector psi_m(s)*psi_m(h) at the mapping level
+    m = :func:`mapping_level`, read coordinate by coordinate through the map
+    of s, which sends (row, col, e) to (s(row), col, s|_row * e).  Each
+    level-m image holds every section, so it is injective and candidates
+    are deduplicated by level-m vector.  Its level-L support, L = ``level``
+    and k = L - m, is the union of the chunks of its level-m coordinates:
+    the chunk of (row, col, e) is the d^k level-L coordinates
+    (row*d^k + e(w), col*d^k + w, e|_w), one per word w of length k, and
+    over GF(2) it is kept as one int mask, built once.  Level-L coordinates
+    are numbered in order of first use, candidate by candidate and column
+    by column, whatever m is.  An h made as t*h' skips every s with s*t the
+    identity or a generator u: s*h is then h' or u*h', offered one length
+    earlier, so only vectors already seen are skipped.  ``coord_index``
+    numbers level-L coordinates across passes and is filled with every one
+    this pass used; more than ``COORDINATE_CAP`` of them, or a rank plus
+    chunk masks times coordinates above ``RANK_COORDINATE_CAP``, raise
+    :class:`ResourceError`.
     """
     basis = new_basis(field)
     gens = [group.gens[n] for n in group.gen_names]
     cells = list(coord_index)
+    m = mapping_level(field, level)
 
     def index(cell: tuple) -> int:
         i = coord_index.get(cell)
@@ -331,16 +366,35 @@ def thinned_dims_at_level(
             cells.append(cell)
         return i
 
+    chunks: list[int] = []  # level-m coordinate index -> its chunk mask
+    if m == level:
+        keys, mindex = cells, index
+    else:
+        keys, key_index, size = [], {}, group.d ** (level - m)
+
+        def mindex(cell: tuple) -> int:
+            i = key_index.get(cell)
+            if i is None:
+                row, col, e = cell
+                row, col = row * size, col * size
+                mask = 0
+                for w, (x, f) in enumerate(group.level_sections(e, level - m)):
+                    mask |= 1 << index((row + x, col + w, f))
+                i = key_index[cell] = len(keys)
+                keys.append(cell)
+                chunks.append(mask)
+            return i
+
     def vectorize(rid: int) -> tuple[int, ...]:
-        return tuple(index((row, col, e)) for col, (row, e) in enumerate(group.level_sections(rid, level)))
+        return tuple(mindex((row, col, e)) for col, (row, e) in enumerate(group.level_sections(rid, m)))
 
     def coordinate_map(s: int) -> _CoordinateMap:
-        entries = group.level_sections(s, level)
+        entries = group.level_sections(s, m)
 
         def image(c: int) -> int:
-            row, col, e = cells[c]
+            row, col, e = keys[c]
             s_row, section = entries[row]
-            return index((s_row, col, group.multiply(section, e)))
+            return mindex((s_row, col, group.multiply(section, e)))
 
         return _CoordinateMap(image)
 
@@ -353,10 +407,10 @@ def thinned_dims_at_level(
         if vec in seen:
             return
         seen.add(vec)
-        if basis.insert(vec):
+        if basis.insert(vec if m == level else reduce(or_, map(chunks.__getitem__, vec))):
             new.append((vec, t))
-            if basis.rank * len(cells) > RANK_COORDINATE_CAP:
-                raise ResourceError(f"level-{level} pass exceeded cap {RANK_COORDINATE_CAP} on rank x coordinates")
+        if (basis.rank + len(chunks)) * len(cells) > RANK_COORDINATE_CAP:
+            raise ResourceError(f"level-{level} pass exceeded cap {RANK_COORDINATE_CAP} on rank x coordinates")
 
     consider(vectorize(group.identity), -1)
     for t, g in enumerate(gens):

@@ -12,6 +12,7 @@ the call."""
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -233,13 +234,17 @@ def check_09_grig_structure(s: Scale, group) -> CheckResult:
 def check_10_homomorphism(s: Scale, group, seed: int) -> CheckResult:
     grp = group("grigorchuk")
     bad = []
+    sampled = hashlib.sha256()
     for field in (GF2, QQ):
         for level in (1, 2, 3):
-            if not mr.homomorphism_check(grp, s.hom_samples, level, field, seed=seed + level):
+            passed, digest = mr.homomorphism_check(grp, s.hom_samples, level, field, seed=seed + level)
+            sampled.update(digest.encode())
+            if not passed:
                 bad.append((field.name, level))
     ok = not bad
     detail = f"{s.hom_samples} product/sum samples at levels 1-3 over F2 and Q" if ok else f"failures {bad}"
-    return CheckResult("10-homomorphism", ok, detail)
+    # What was sampled, so that check 13 compares the samples of two runs.
+    return CheckResult("10-homomorphism", ok, f"{detail}, samples sha256 {sampled.hexdigest()[:12]}")
 
 
 def check_11_thinned_growth(s: Scale, group) -> CheckResult:

@@ -228,10 +228,19 @@ class TestLevelSections:
 
 class TestHomomorphism:
     def test_grig(self, grig):
-        assert homomorphism_check(grig, samples=10, level=2, field=GF2, seed=1)
+        assert homomorphism_check(grig, samples=10, level=2, field=GF2, seed=1)[0] is True
 
     def test_adding(self, adding):
-        assert homomorphism_check(adding, samples=10, level=2, field=QQ, seed=2)
+        assert homomorphism_check(adding, samples=10, level=2, field=QQ, seed=2)[0] is True
+
+    def test_digest_names_the_samples(self, grig):
+        # The digest is of the drawn words and coefficients: it follows the
+        # seed, and neither the field nor the level nor a fresh group's ids
+        # change it.
+        digest = homomorphism_check(grig, samples=5, level=1, field=GF2, seed=1)[1]
+        assert homomorphism_check(SelfSimilarGroup(GRIGORCHUK), 5, 2, QQ, seed=1)[1] == digest
+        assert homomorphism_check(grig, samples=5, level=1, field=GF2, seed=2)[1] != digest
+        assert homomorphism_check(grig, samples=4, level=1, field=GF2, seed=1)[1] != digest
 
     def test_level_validation(self, grig):
         with pytest.raises(ValueError):
@@ -276,6 +285,15 @@ class TestThinnedGrowth:
         res = thinned_growth(grig, 16, field)
         assert [d for _, d in res.dims][-4:] == tail
         assert (res.level, res.stabilized) == (5, True)
+
+    def test_dyadic_tables(self, grig):
+        # dim V^(2^k) over F2 for k = 3..6, and over Q at n = 16; the two
+        # fields first split at n = 9.
+        f2 = dict(thinned_growth(grig, 64, GF2).dims)
+        q = dict(thinned_growth(grig, 16, QQ).dims)
+        assert [f2[n] for n in (8, 16, 32, 64)] == [96, 354, 1366, 5374]
+        assert q[16] == 362
+        assert (f2[8], f2[9], q[8], q[9]) == (96, 119, 96, 120)
 
     def test_quadratic_slope(self, grig):
         res = thinned_growth(grig, 24, GF2)
@@ -478,9 +496,12 @@ class TestVectorPass:
         ids=["grig", "adding", "basilica", "hanoi"],
     )
     def test_matches_element_pass(self, rec, n, field):
-        # Candidates multiplied as level-L vectors give the table and the
-        # coordinates, in order, of candidates built as automata.
-        for level in (1, 2, 3, 4):
+        # Candidates multiplied as level-m vectors give the table and the
+        # level-L coordinates, in order, of candidates built as automata.
+        # Over F2 the pass maps two levels up from level 3 on: levels 5 and
+        # 6 map at levels 3 and 4.
+        levels = (1, 2, 3, 4, 5, 6) if (rec, field) == (GRIGORCHUK, GF2) else (1, 2, 3, 4)
+        for level in levels:
             grp = SelfSimilarGroup(rec)
             cells, oracle_cells = {}, {}
             dims = thinned_dims_at_level(grp, n, field, level, cells)
@@ -504,6 +525,22 @@ class TestVectorPass:
         with pytest.raises(ResourceError, match="rank x coordinates"):
             thinned_dims_at_level(SelfSimilarGroup(GRIGORCHUK), 64, GF2, 1, cells)
         assert len(cells) < mr.COORDINATE_CAP
+
+    @pytest.mark.parametrize("level", [2, 5])
+    def test_chunk_masks_count_against_the_cap(self, grig, level, monkeypatch):
+        # The cap is set to the pass's final rank x coordinates, which the
+        # rank alone never exceeds.  At level 2 the pass maps at level 2 and
+        # keeps no chunk masks, so it finishes; at level 5 it maps at level 3
+        # and keeps one chunk mask per level-3 coordinate, which count with
+        # the rank, so it stops.
+        cells: dict = {}
+        dims = thinned_dims_at_level(grig, 16, GF2, level, cells)
+        monkeypatch.setattr(mr, "RANK_COORDINATE_CAP", dims[-1][1] * len(cells))
+        if mr.mapping_level(GF2, level) == level:
+            assert thinned_dims_at_level(grig, 16, GF2, level, {}) == dims
+        else:
+            with pytest.raises(ResourceError, match="rank x coordinates"):
+                thinned_dims_at_level(grig, 16, GF2, level, {})
 
 
 def unskipped_pass(group, n_max, field, level):
@@ -565,5 +602,6 @@ class TestKnownProducts:
             dims = thinned_dims_at_level(grp, 12, field, level, {})
             expected, every = unskipped_pass(grp, 12, field, level)
             assert dims == expected
-            built = len(lookups) // grp.d**level  # one lookup per column
+            # One lookup per column of the level the pass maps at.
+            built = len(lookups) // grp.d ** mr.mapping_level(field, level)
             assert built < every if rec is GRIGORCHUK else built == every
