@@ -25,6 +25,7 @@ ranks only the blocks k >= 0.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .errors import ResourceError
@@ -33,7 +34,8 @@ from .subshift import Language
 
 
 # Most generator words :func:`bruteforce_dims` evaluates at its top level;
-# (3 + 2)^8 = 390,625 lets it reach n = 8 on two letters.
+# (3 + 2)^8 = 390,625 lets it reach n = 8 on two letters.  The words are
+# streamed, so the cap bounds time, not memory.
 ORACLE_CAP = 400_000
 
 
@@ -242,8 +244,17 @@ def bruteforce_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int,
     """Rank of all explicit generator products, evaluated straight from the
     germ-composition definition — an oracle independent of :func:`growth_dims`.
 
-    Level m has (3 + |A|)^m words, held in memory; a top level of more than
-    ``ORACLE_CAP`` words raises :class:`ResourceError` before any is built.
+    Every word of every length m <= n_max is evaluated, in
+    ``itertools.product`` order, and none is kept: a top level of more
+    than ``ORACLE_CAP`` words raises :class:`ResourceError` before any is
+    evaluated.  A word's value at (k, u) comes from simulating it from the
+    right at the point with central window u, where D_x tests the letter
+    at the running shift j.  The shifts do not depend on u, so one pass
+    simulates the word at every window at once: ``alive`` is the bitmask
+    of the windows that pass every test so far, and the word is 1 exactly
+    at coordinates (j + n) * p + i for the windows i alive at its final
+    shift j.  A support already inserted is skipped, since a repeated
+    vector cannot raise the rank.
     """
     n = n_max
     gens = [(0, None), (1, None), (-1, None)] + [(0, x) for x in range(lang.alphabet_size)]
@@ -253,31 +264,29 @@ def bruteforce_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int,
         )
     windows = lang.factors_at(2 * n + 1)
     p = len(windows)
+    # letter[j + n][x]: the windows with letter x at position j
+    letter = [[0] * lang.alphabet_size for _ in range(2 * n + 1)]
+    for i, u in enumerate(windows):
+        for masks, x in zip(letter, u):
+            masks[x] |= 1 << i
+    every = (1 << p) - 1
 
-    def evaluate(word):
-        # value at (k, u): simulate the product from the right at the point
-        # with central window u; D_x tests the letter at the running shift.
-        support = []
-        for ui, u in enumerate(windows):
+    basis = new_basis(field)
+    inserted = set()
+    dims = []
+    for m in range(1, n_max + 1):
+        for word in product(gens, repeat=m):
             j = 0
-            alive = True
+            alive = every
             for step, x in reversed(word):
                 if x is None:
                     j += step
-                elif u[j + n] != x:
-                    alive = False
-                    break
-            if alive:
-                support.append((j + n) * p + ui)
-        return support
-
-    basis = new_basis(field)
-    words = [[]]
-    dims = []
-    for m in range(1, n_max + 1):
-        words = [w + [g] for w in words for g in gens]
-        for w in words:
-            basis.insert(evaluate(w))
+                else:
+                    alive &= letter[j + n][x]
+            support = alive << (j + n) * p
+            if support not in inserted:
+                inserted.add(support)
+                basis.insert(support)
         dims.append((m, basis.rank))
     return dims
 

@@ -622,8 +622,23 @@ class TestGroupCommands:
         [
             ["thinned-growth", "--group", "grigorchuk", "--n-max", "32", "--field", "F2"],
             ["thinned-growth", "--group", "grigorchuk", "--n-max", "16", "--field", "Q"],
+            ["verify-all", "--profile", "quick"],
+            ["verify-all", "--profile", "full"],
+            ["nucleus", "--group", "grigorchuk"],
+            ["delta", "--model", "grigorchuk", "--units-policy", "periodic:pre=2,period=2", "--r", "3"],
+            ["algebra-growth", "--source", GOLDEN, "--n-max", "32", "--field", "F2", "--oracle-upto", "4"],
+            ["matrix-recursion", "--group", "grigorchuk", "--element", "ab+2*cda+1", "--levels", "7"],
         ],
-        ids=["thinned-grig-f2", "thinned-grig-q"],
+        ids=[
+            "thinned-grig-f2",
+            "thinned-grig-q",
+            "verify-all-quick",
+            "verify-all-full",
+            "nucleus-grig",
+            "delta-germ-grig",
+            "algebra-growth-golden-oracle",
+            "matrix-recursion-grig",
+        ],
     )
     def test_bytes_independent_of_hash_seed(self, argv):
         # Check 13 compares two runs in one interpreter, so it cannot see

@@ -187,6 +187,45 @@ def test_no_unreferenced_public_code():
     assert not KEPT_PUBLIC_METHODS.keys() & used
 
 
+# What shift_algebra's oracle must not read: growth_dims and the
+# evaluation space and generator action it is built on.  Check 05 compares
+# the two, so an oracle that shared them could not catch their faults.
+ORACLE_FORBIDDEN = {
+    "growth_dims",
+    "WindowSpace",
+    "_BlockRank",
+    "apply_generator",
+    "generator_monomials",
+    "unit_monomial",
+    "Monomial",
+    "_tested_positions",
+}
+
+
+def names_referenced_by(source: str, function: str) -> set[str]:
+    """Names that the top-level function ``function`` of ``source`` loads,
+    as a name or as an attribute."""
+    (node,) = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_detects_an_oracle_dependency():
+    source = (
+        "def growth_dims(lang): pass\n"
+        "def bruteforce_dims(lang, n):\n"
+        "    space = WindowSpace(lang, n)\n"
+        "    masks = space.letter_mask\n"
+        "    return shift_algebra.apply_generator(space, masks)\n"
+    )
+    assert names_referenced_by(source, "bruteforce_dims") & ORACLE_FORBIDDEN == {"WindowSpace", "apply_generator"}
+
+
+def test_oracle_is_independent_of_growth_dims():
+    source = (PACKAGE / "shift_algebra.py").read_text(encoding="utf-8")
+    assert names_referenced_by(source, "bruteforce_dims") & ORACLE_FORBIDDEN == set()
+
 
 # Defaulted parameters that no package call passes, kept on purpose.
 KEPT_UNSET_PARAMETERS = {

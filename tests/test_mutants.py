@@ -67,6 +67,34 @@ def thinned_growth_unstabilized(monkeypatch):
     monkeypatch.setattr(mr, "thinned_growth", lambda *args: original(*args)._replace(stabilized=False))
 
 
+def thinned_growth_over_q(monkeypatch):
+    """``thinned_growth`` ranks over Q, whatever field it is asked for."""
+    original = mr.thinned_growth
+    monkeypatch.setattr(mr, "thinned_growth", lambda group, n_max, field: original(group, n_max, QQ))
+
+
+def thinned_growth_plus_n(monkeypatch):
+    """``thinned_growth`` adds n to every dim V^n of its table."""
+    original = mr.thinned_growth
+
+    def mutant(*args):
+        res = original(*args)
+        return res._replace(dims=[(n, d + n) for n, d in res.dims])
+
+    monkeypatch.setattr(mr, "thinned_growth", mutant)
+
+
+def thinned_growth_nine_tenths(monkeypatch):
+    """``thinned_growth`` reports 9/10 of every dim V^n, rounded down."""
+    original = mr.thinned_growth
+
+    def mutant(*args):
+        res = original(*args)
+        return res._replace(dims=[(n, d * 9 // 10) for n, d in res.dims])
+
+    monkeypatch.setattr(mr, "thinned_growth", mutant)
+
+
 def level_two_in_row_zero(monkeypatch):
     """``level_sections(g, 2)`` puts every column's section in row 0."""
     original = selfsimilar.SelfSimilarGroup.level_sections
@@ -154,6 +182,11 @@ SURVIVORS = {
     # Both estimates are 1/6 at quick (1/8 at full): twice that is still
     # within check 12's bound of 3/5.
     contraction_ratio_doubled: "item 2: check 12 reads the certified nucleus, not an estimate",
+    # Each keeps check 11's log-log slope within [1.5, 2.5]: 1.934, 1.864
+    # and 1.911 at quick, in this order.
+    thinned_growth_over_q: "item 16: check 11 tests the dyadic closed form, which differs between Q and F2",
+    thinned_growth_plus_n: "item 16: check 11 tests the dyadic closed form, not a float slope",
+    thinned_growth_nine_tenths: "item 16: check 11 tests the dyadic closed form, not a float slope",
 }
 
 

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from groupoid_growth import cli, shift_algebra
+from groupoid_growth import cli, fields, shift_algebra
 from groupoid_growth.errors import ResourceError
 from groupoid_growth.fields import GF2, QQ, BitRowBasis, Field, new_basis, set_bits
 from groupoid_growth.shift_algebra import (
@@ -83,6 +84,58 @@ def uncompressed_growth_dims(lang, n_max, field):
         new = frontier
         dims.append((n, rank()))
     return dims
+
+
+def reference_bruteforce_dims(lang, n_max, field):
+    """:func:`bruteforce_dims` as first written: each level's words held in
+    a list and each word walked through one window at a time, its support a
+    list of coordinates.  The streamed oracle must match it."""
+    n = n_max
+    gens = [(0, None), (1, None), (-1, None)] + [(0, x) for x in range(lang.alphabet_size)]
+    windows = lang.factors_at(2 * n + 1)
+    p = len(windows)
+
+    def evaluate(word):
+        support = []
+        for ui, u in enumerate(windows):
+            j = 0
+            alive = True
+            for step, x in reversed(word):
+                if x is None:
+                    j += step
+                elif u[j + n] != x:
+                    alive = False
+                    break
+            if alive:
+                support.append((j + n) * p + ui)
+        return support
+
+    basis = new_basis(field)
+    words = [[]]
+    dims = []
+    for m in range(1, n_max + 1):
+        words = [w + [g] for w in words for g in gens]
+        for w in words:
+            basis.insert(evaluate(w))
+        dims.append((m, basis.rank))
+    return dims
+
+
+class RecordingBasis:
+    """Wraps a rank accumulator and logs each support it is given, as an
+    int bitmask."""
+
+    def __init__(self, basis, log):
+        self.basis = basis
+        self.log = log
+
+    def insert(self, support):
+        self.log.append(support if isinstance(support, int) else sum(1 << i for i in support))
+        return self.basis.insert(support)
+
+    @property
+    def rank(self):
+        return self.basis.rank
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +254,36 @@ class TestGrowthDims:
         monkeypatch.setattr(shift_algebra, "ORACLE_CAP", 624)
         with pytest.raises(ResourceError, match="625 generator words at n=4, over its cap 624"):
             bruteforce_dims(golden, 4, GF2)
+
+    @pytest.mark.parametrize(
+        "name", ["golden", "thue-morse", "paperfolding", "sturmian-3-1", "eventually-periodic", "tribonacci"]
+    )
+    def test_oracle_matches_reference(self, name, monkeypatch):
+        # eventually-periodic (1101|001) is not closed under reversal, and
+        # tribonacci has three letters.  Each distinct support is inserted
+        # once, in the order the reference first inserts it.
+        lang = source_language(name, 9)
+        for field in (QQ, GF2, Field(3)):
+            for n in range(1, 5):
+                old, new = [], []
+                monkeypatch.setitem(globals(), "new_basis", lambda f: RecordingBasis(fields.new_basis(f), old))
+                expected = reference_bruteforce_dims(lang, n, field)
+                monkeypatch.setattr(shift_algebra, "new_basis", lambda f: RecordingBasis(fields.new_basis(f), new))
+                assert bruteforce_dims(lang, n, field) == expected
+                assert new == list(dict.fromkeys(old))
+                monkeypatch.undo()
+
+    def test_oracle_memory_is_flat(self, tm):
+        # The oracle streams its words: holding the 5^7 = 78,125 words of
+        # the top level took a tracemalloc peak of ~10.6 MiB.
+        tracemalloc.start()
+        try:
+            dims = bruteforce_dims(tm, 7, GF2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dims == growth_dims(tm, 7, GF2)
+        assert peak < 2**20
 
     @pytest.mark.parametrize("name", sorted(SOURCES))
     def test_matches_uncompressed_loop(self, name):
