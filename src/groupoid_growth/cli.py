@@ -268,11 +268,12 @@ def cmd_matrix_recursion(args) -> int:
     level = _positive("--levels", args.levels)
     mr.check_level(group.d, level, printed=args.print_matrix)
     elem = mr.parse_element(group, args.element, field)
-    m = mr.image_at_level(elem, level)
+    m = mr.image_at_level(group, elem, level, field)
     if args.print_matrix:
-        print(mr.format_matrix(m))
+        print(mr.format_matrix(group, m, level))
     else:
-        print(f"level {m.level}: {len(m.entries)} nonzero entries in {m.size}x{m.size}")
+        size = group.d**level
+        print(f"level {level}: {len(m)} nonzero entries in {size}x{size}")
     return 0
 
 

@@ -1,5 +1,13 @@
 """Group rings, level matrix algebras, matrix recursions, thinned growth.
 
+A group-ring element is a plain dict from canonical id to a nonzero int
+scalar, reduced mod the field's characteristic p when p is nonzero; equal
+group elements have equal ids, so each coefficient has one key.  A level
+matrix is a dict from (row, col) to a nonzero element.  Neither carries its
+group, field or level: the functions that make or combine them take those
+explicitly, and every one that returns an element or a matrix returns it
+reduced, with no zero scalar and no empty entry.
+
 The level-n algebra A_n is the d^n x d^n matrix algebra over the group
 ring, rows and columns indexed by length-n words (lexicographic, read as
 base-d integers).  The recursion map sends a group-ring entry g at
@@ -37,48 +45,25 @@ from .fields import GF2, Field, new_basis, reduced
 from .selfsimilar import SelfSimilarGroup
 
 
-class GroupRingElement:
-    """Finitely supported map from group elements (ids) to int scalars,
-    reduced mod the field's characteristic p when p is nonzero.  Equal
-    elements have equal ids, so each coefficient has one key."""
-
-    __slots__ = ("group", "field", "coeffs")
-
-    def __init__(self, group: SelfSimilarGroup, field: Field, coeffs: dict):
-        self.group = group
-        self.field = field
-        self.coeffs = reduced(coeffs, field.characteristic)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def add(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) + c
-        return GroupRingElement(self.group, self.field, out)
-
-    def mul(self, other: "GroupRingElement") -> "GroupRingElement":
-        grp = self.group
-        out: dict = {}
-        for g, cg in self.coeffs.items():
-            for h, ch in other.coeffs.items():
-                k = grp.multiply(g, h)
-                out[k] = out.get(k, 0) + cg * ch
-        return GroupRingElement(grp, self.field, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+def ring_sum(a: dict, b: dict, field: Field) -> dict:
+    """The group-ring element a + b."""
+    out = dict(a)
+    for g, c in b.items():
+        out[g] = out.get(g, 0) + c
+    return reduced(out, field.characteristic)
 
 
-def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> GroupRingElement:
+def ring_product(group: SelfSimilarGroup, a: dict, b: dict, field: Field) -> dict:
+    """The group-ring element a * b, each pair of ids multiplied in ``group``."""
+    out: dict = {}
+    for g, cg in a.items():
+        for h, ch in b.items():
+            k = group.multiply(g, h)
+            out[k] = out.get(k, 0) + cg * ch
+    return reduced(out, field.characteristic)
+
+
+def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> dict:
     """Parse a group-ring element like 'b+c+d+1' or '2*ab+1'."""
     coeffs: dict = {}
     for term in text.replace(" ", "").split("+"):
@@ -100,7 +85,7 @@ def parse_element(group: SelfSimilarGroup, text: str, field: Field) -> GroupRing
         else:
             g = group.word_id(term)
         coeffs[g] = coeffs.get(g, 0) + coeff
-    return GroupRingElement(group, field, coeffs)
+    return reduced(coeffs, field.characteristic)
 
 
 def element_name(group: SelfSimilarGroup, rid: int) -> str:
@@ -116,66 +101,32 @@ def element_name(group: SelfSimilarGroup, rid: int) -> str:
     return f"g{rid}"
 
 
-def format_element(elem: GroupRingElement) -> str:
-    if elem.is_zero():
-        return "0"
-    parts = []
-    for rid in sorted(elem.coeffs, key=lambda r: (element_name(elem.group, r))):
-        c = elem.coeffs[rid]
-        name = element_name(elem.group, rid)
-        parts.append(name if c == 1 else f"{c}*{name}")
-    return "+".join(parts)
+def format_element(group: SelfSimilarGroup, elem: dict) -> str:
+    """The terms of ``elem`` sorted by name (names are distinct), or "0"."""
+    terms = sorted((element_name(group, rid), c) for rid, c in elem.items())
+    return "+".join(name if c == 1 else f"{c}*{name}" for name, c in terms) or "0"
 
 
-class LevelMatrix:
-    """Sparse d^level x d^level matrix over the group ring."""
+def matrix_sum(a: dict, b: dict, field: Field) -> dict:
+    """The level matrix a + b."""
+    out = dict(a)
+    for rc, e in b.items():
+        out[rc] = ring_sum(out[rc], e, field) if rc in out else e
+    return {rc: e for rc, e in out.items() if e}
 
-    __slots__ = ("group", "field", "level", "entries")
 
-    def __init__(self, group: SelfSimilarGroup, field: Field, level: int, entries: dict):
-        self.group = group
-        self.field = field
-        self.level = level
-        # (row, col) -> GroupRingElement, all nonzero
-        self.entries = {rc: e for rc, e in entries.items() if not e.is_zero()}
-
-    @property
-    def size(self) -> int:
-        return self.group.d**self.level
-
-    def add(self, other: "LevelMatrix") -> "LevelMatrix":
-        self._compat(other)
-        out = dict(self.entries)
-        for rc, e in other.entries.items():
-            out[rc] = out[rc].add(e) if rc in out else e
-        return LevelMatrix(self.group, self.field, self.level, out)
-
-    def mul(self, other: "LevelMatrix") -> "LevelMatrix":
-        self._compat(other)
-        bycol: dict = {}
-        for (r, c), e in other.entries.items():
-            bycol.setdefault(r, []).append((c, e))
-        out: dict = {}
-        for (r, c), e in self.entries.items():
-            for c2, e2 in bycol.get(c, ()):
-                prod = e.mul(e2)
-                if prod.is_zero():
-                    continue
-                key = (r, c2)
-                out[key] = out[key].add(prod) if key in out else prod
-        return LevelMatrix(self.group, self.field, self.level, out)
-
-    def _compat(self, other):
-        if self.level != other.level or self.field != other.field:
-            raise ValueError("level/field mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LevelMatrix)
-            and self.level == other.level
-            and self.field == other.field
-            and self.entries == other.entries
-        )
+def matrix_product(group: SelfSimilarGroup, a: dict, b: dict, field: Field) -> dict:
+    """The level matrix a * b."""
+    bycol: dict = {}
+    for (r, c), e in b.items():
+        bycol.setdefault(r, []).append((c, e))
+    out: dict = {}
+    for (r, c), e in a.items():
+        for c2, e2 in bycol.get(c, ()):
+            key = (r, c2)
+            prod = ring_product(group, e, e2, field)
+            out[key] = ring_sum(out[key], prod, field) if key in out else prod
+    return {rc: e for rc, e in out.items() if e}
 
 
 # Most columns d^level an image_at_level call builds: on two letters, level
@@ -198,34 +149,34 @@ def check_level(d: int, level: int, printed: bool = False) -> None:
         raise ResourceError(f"level-{level} image on {d} letters exceeds cap {cap} on {what}")
 
 
-def image_at_level(elem: GroupRingElement, level: int) -> LevelMatrix:
+def image_at_level(group: SelfSimilarGroup, elem: dict, level: int, field: Field) -> dict:
     """The recursion map iterated ``level`` times, read off the level
     images of the support's elements (the ones thinned growth uses).
     Past ``COLUMN_CAP`` columns it raises :class:`ResourceError`."""
-    grp, f = elem.group, elem.field
-    check_level(grp.d, level)
+    check_level(group.d, level)
     cells: dict = {}
-    for g, c in elem.coeffs.items():
-        for col, (row, e) in enumerate(grp.level_sections(g, level)):
+    for g, c in elem.items():
+        for col, (row, e) in enumerate(group.level_sections(g, level)):
             cell = cells.setdefault((row, col), {})
-            cell[e] = cell[e] + c if e in cell else c
-    return LevelMatrix(grp, f, level, {rc: GroupRingElement(grp, f, cs) for rc, cs in cells.items()})
+            cell[e] = cell.get(e, 0) + c
+    p = field.characteristic
+    return {rc: entry for rc, cs in cells.items() if (entry := reduced(cs, p))}
 
 
-def format_matrix(m: LevelMatrix) -> str:
-    """One bracketed line per row; past ``PRINT_CELL_CAP`` cells it raises
-    :class:`ResourceError`."""
-    check_level(m.group.d, m.level, printed=True)
-    size = m.size
+def format_matrix(group: SelfSimilarGroup, m: dict, level: int) -> str:
+    """One bracketed line per row of the level-``level`` matrix ``m``; past
+    ``PRINT_CELL_CAP`` cells it raises :class:`ResourceError`."""
+    check_level(group.d, level, printed=True)
+    size = group.d**level
     cells = [
-        [format_element(m.entries[(r, c)]) if (r, c) in m.entries else "0" for c in range(size)]
+        [format_element(group, m[(r, c)]) if (r, c) in m else "0" for c in range(size)]
         for r in range(size)
     ]
     width = max(len(s) for row in cells for s in row)
     return "\n".join("[" + "  ".join(s.rjust(width) for s in row) + "]" for row in cells)
 
 
-def grig_witness(group: SelfSimilarGroup) -> LevelMatrix:
+def grig_witness(group: SelfSimilarGroup) -> dict:
     """The level-1 image of b+c+d+1 over GF(2).
 
     The image is diagonal with a zero block and the block b+c+d+1, which
@@ -233,9 +184,8 @@ def grig_witness(group: SelfSimilarGroup) -> LevelMatrix:
     the germs at 111...; any other result is a recursion bug.
     """
     elem = parse_element(group, "b+c+d+1", GF2)
-    m = image_at_level(elem, 1)
-    expected = LevelMatrix(group, GF2, 1, {(1, 1): elem})
-    if m != expected:
+    m = image_at_level(group, elem, 1, GF2)
+    if m != {(1, 1): elem}:
         raise IdentityError("matrix recursion of b+c+d+1 is not diag(0, b+c+d+1)")
     return m
 
@@ -249,13 +199,13 @@ def random_terms(names, rng: random.Random) -> tuple[tuple[str, int], ...]:
     )
 
 
-def element_of_terms(group: SelfSimilarGroup, field: Field, terms) -> GroupRingElement:
+def element_of_terms(group: SelfSimilarGroup, field: Field, terms) -> dict:
     """The sum of coefficient * word over ``terms``."""
     coeffs: dict = {}
     for word, c in terms:
         g = group.word_id(word)
         coeffs[g] = coeffs.get(g, 0) + c
-    return GroupRingElement(group, field, coeffs)
+    return reduced(coeffs, field.characteristic)
 
 
 def homomorphism_check(
@@ -269,12 +219,17 @@ def homomorphism_check(
         raise ValueError("level must be >= 1")
     rng = random.Random(seed)
     drawn = hashlib.sha256()
+
+    def image(elem: dict) -> dict:
+        return image_at_level(group, elem, level, field)
+
     for _ in range(samples):
         terms = random_terms(group.gen_names, rng), random_terms(group.gen_names, rng)
         drawn.update(repr(terms).encode())
         p, q = (element_of_terms(group, field, t) for t in terms)
-        ip, iq = image_at_level(p, level), image_at_level(q, level)
-        if image_at_level(p.mul(q), level) != ip.mul(iq) or image_at_level(p.add(q), level) != ip.add(iq):
+        ip, iq = image(p), image(q)
+        product_ok = image(ring_product(group, p, q, field)) == matrix_product(group, ip, iq, field)
+        if not product_ok or image(ring_sum(p, q, field)) != matrix_sum(ip, iq, field):
             return False, drawn.hexdigest()
     return True, drawn.hexdigest()
 

@@ -187,10 +187,8 @@ def check_07_adding_machine_matrices(s: Scale, group) -> CheckResult:
     grp = group("adding_machine")
     a = mr.parse_element(grp, "a", QQ)
     one = mr.parse_element(grp, "1", QQ)
-    m1 = mr.image_at_level(a, 1)
-    m2 = mr.image_at_level(a, 2)
-    lvl1_ok = m1.entries == {(0, 1): a, (1, 0): one}
-    lvl2_ok = m2.entries == {(0, 3): a, (1, 2): one, (2, 0): one, (3, 1): one}
+    lvl1_ok = mr.image_at_level(grp, a, 1, QQ) == {(0, 1): a, (1, 0): one}
+    lvl2_ok = mr.image_at_level(grp, a, 2, QQ) == {(0, 3): a, (1, 2): one, (2, 0): one, (3, 1): one}
     ok = lvl1_ok and lvl2_ok
     detail = "level-1 [[0,a],[1,0]] and level-2 4x4 image verified entrywise" if ok else (
         f"level1={lvl1_ok} level2={lvl2_ok}"
@@ -204,8 +202,8 @@ def check_08_grig_witness(s: Scale, group) -> CheckResult:
         m = mr.grig_witness(grp)
     except IdentityError as e:
         return CheckResult("08-grig-witness", False, str(e))
-    entry = mr.format_element(m.entries[(1, 1)])
-    ok = set(m.entries) == {(1, 1)} and entry == "1+b+c+d"
+    entry = mr.format_element(grp, m[(1, 1)])
+    ok = set(m) == {(1, 1)} and entry == "1+b+c+d"
     detail = f"image of b+c+d+1 is diag(0, {entry}): the nonzero block repeats the element itself"
     return CheckResult("08-grig-witness", ok, detail)
 

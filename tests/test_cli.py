@@ -598,6 +598,15 @@ class TestGroupCommands:
                 ["matrix-recursion", "--group", "grigorchuk", "--element", "2*ab+3*b+1", "--levels", "2", "--print"],
                 "6215239d89f10960711642d4c145457e378246a5f802135acaff0cf676280664",
             ),
+            # bc+d is 0 over F2, and 3*a is 0 over F3.
+            (
+                ["matrix-recursion", "--group", "grigorchuk", "--element", "bc+d+a", "--levels", "3", "--field", "F2", "--print"],
+                "5563204930208323afdb95b40568984a667fd2afa4c037df0465c372ea11b0fb",
+            ),
+            (
+                ["matrix-recursion", "--group", "grigorchuk", "--element", "3*a+2*b+c+1", "--levels", "2", "--field", "Fp:3", "--print"],
+                "a5fc54eab7c7e6e0b945fda5fea2c5d75e3e7a5d091dd6a51e29a2c87c2d1e73",
+            ),
             (
                 ["thinned-growth", "--group", "grigorchuk", "--n-max", "24", "--field", "Q"],
                 "ae7f9eaf99457fb02c1731e130d1ab078602ffc4a4a11fabb156f0f9481e0e59",
@@ -611,7 +620,14 @@ class TestGroupCommands:
                 "03cc6ceff805b3f579436a7495fef854fcf7073e0b2d25765048cc7412c3f7ac",
             ),
         ],
-        ids=["matrix-recursion-q", "thinned-grig-q", "thinned-adding-f5", "expansive-thue-morse"],
+        ids=[
+            "matrix-recursion-q",
+            "matrix-recursion-f2",
+            "matrix-recursion-f3",
+            "thinned-grig-q",
+            "thinned-adding-f5",
+            "expansive-thue-morse",
+        ],
     )
     def test_output_bytes(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv)
@@ -628,6 +644,7 @@ class TestGroupCommands:
             ["delta", "--model", "grigorchuk", "--units-policy", "periodic:pre=2,period=2", "--r", "3"],
             ["algebra-growth", "--source", GOLDEN, "--n-max", "32", "--field", "F2", "--oracle-upto", "4"],
             ["matrix-recursion", "--group", "grigorchuk", "--element", "ab+2*cda+1", "--levels", "7"],
+            ["matrix-recursion", "--group", "grigorchuk", "--element", "bc+d+a", "--levels", "3", "--field", "F2", "--print"],
         ],
         ids=[
             "thinned-grig-f2",
@@ -638,6 +655,7 @@ class TestGroupCommands:
             "delta-germ-grig",
             "algebra-growth-golden-oracle",
             "matrix-recursion-grig",
+            "matrix-recursion-f2-print",
         ],
     )
     def test_bytes_independent_of_hash_seed(self, argv):

@@ -4,19 +4,22 @@ import pytest
 
 from groupoid_growth import matrix_recursion as mr
 from groupoid_growth.errors import ResourceError
-from groupoid_growth.fields import GF2, QQ, Field, new_basis
+from groupoid_growth.fields import GF2, QQ, Field, new_basis, reduced
 from groupoid_growth.matrix_recursion import (
-    GroupRingElement,
-    LevelMatrix,
     ThinnedGrowthResult,
     element_name,
+    element_of_terms,
     format_element,
     format_matrix,
     grig_witness,
     homomorphism_check,
     image_at_level,
     loglog_slope,
+    matrix_product,
+    matrix_sum,
     parse_element,
+    ring_product,
+    ring_sum,
     step_is_injective,
     thinned_dims_at_level,
     thinned_growth,
@@ -29,27 +32,26 @@ from groupoid_growth.selfsimilar import (
 )
 
 
-def identity_matrix(group, field, level: int) -> LevelMatrix:
-    one = GroupRingElement(group, field, {group.identity: 1})
-    return LevelMatrix(group, field, level, {(i, i): one for i in range(group.d**level)})
+def identity_matrix(group, level: int) -> dict:
+    return {(i, i): {group.identity: 1} for i in range(group.d**level)}
 
 
-def level0(elem: GroupRingElement) -> LevelMatrix:
-    return LevelMatrix(elem.group, elem.field, 0, {(0, 0): elem})
+def level0(elem: dict) -> dict:
+    return {(0, 0): elem} if elem else {}
 
 
-def recursion_step(m: LevelMatrix) -> LevelMatrix:
+def recursion_step(group, m: dict, field) -> dict:
     """Reference for image_at_level, one level at a time: entry g at (u, v)
     contributes g|_x at (u.g(x), v.x) for every letter x, same coefficient."""
-    grp, f, d = m.group, m.field, m.group.d
+    d = group.d
     out: dict = {}
-    for (u, v), elem in m.entries.items():
-        for g, c in elem.coeffs.items():
+    for (u, v), elem in m.items():
+        for g, c in elem.items():
             for x in range(d):
-                key = (u * d + grp.perms[g][x], v * d + x)
-                child = GroupRingElement(grp, f, {grp.children[g][x]: c})
-                out[key] = out[key].add(child) if key in out else child
-    return LevelMatrix(grp, f, m.level + 1, out)
+                cell = out.setdefault((u * d + group.perms[g][x], v * d + x), {})
+                child = group.children[g][x]
+                cell[child] = cell.get(child, 0) + c
+    return {rc: e for rc, cs in out.items() if (e := reduced(cs, field.characteristic))}
 
 
 F3 = Field(3)
@@ -79,12 +81,11 @@ def grig():
 class TestGroupRing:
     def test_coefficients_merge_by_equality(self, grig):
         # b*c and d are the same group element, so the coefficients add.
-        e = parse_element(grig, "bc+d", GF2)
-        assert e.is_zero()
+        assert parse_element(grig, "bc+d", GF2) == {}
 
     def test_parse_constants(self, grig):
         e = parse_element(grig, "2*a+1", QQ)
-        assert sorted(map(str, e.coeffs.values())) == ["1", "2"]
+        assert sorted(map(str, e.values())) == ["1", "2"]
         with pytest.raises(ValueError):
             parse_element(grig, "a++b", QQ)
 
@@ -96,52 +97,117 @@ class TestGroupRing:
 
     def test_rational_coefficients_are_ints(self, grig):
         e = parse_element(grig, "2*ab+3*b+1", QQ)
-        assert all(type(c) is int for c in e.mul(e).coeffs.values())
+        assert all(type(c) is int for c in ring_product(grig, e, e, QQ).values())
 
     def test_mul_convolves(self, grig):
         a = parse_element(grig, "a", GF2)
-        assert a.mul(a) == parse_element(grig, "1", GF2)
+        assert ring_product(grig, a, a, GF2) == parse_element(grig, "1", GF2)
 
     def test_format(self, grig):
-        assert format_element(parse_element(grig, "d+c+b+1", GF2)) == "1+b+c+d"
-        assert format_element(parse_element(grig, "bc+d", GF2)) == "0"
+        assert format_element(grig, parse_element(grig, "d+c+b+1", GF2)) == "1+b+c+d"
+        assert format_element(grig, parse_element(grig, "bc+d", GF2)) == "0"
+
+
+def assert_reduced(elem: dict, field: Field) -> None:
+    """Every scalar is a nonzero int, in [1, p) over F_p."""
+    p = field.characteristic
+    assert all(type(c) is int and c and (not p or 0 < c < p) for c in elem.values()), elem
+
+
+def assert_reduced_matrix(m: dict, field: Field) -> None:
+    for entry in m.values():
+        assert entry, m
+        assert_reduced(entry, field)
+
+
+class TestReducedForm:
+    """Every function that returns an element or a level matrix returns it
+    reduced: no zero scalar, no residue outside [1, p), no empty entry."""
+
+    # Each field's list holds terms that cancel or reduce in it.
+    TEXTS = {
+        GF2: ["bc+d", "a+b", "b+c+d+1", "3*ab+2*c+1"],
+        F3: ["a+2*a", "3*a+2*b+c+1", "4*b+5*d+1", "ab+2*ba+c"],
+        QQ: ["2*b+-2*b", "a+-1*b", "a+b", "2*ab+3*b+1"],
+    }
+
+    @pytest.mark.parametrize("field", [GF2, F3, QQ], ids=["F2", "F3", "Q"])
+    def test_every_producer(self, grig, field):
+        elems = [parse_element(grig, text, field) for text in self.TEXTS[field]]
+        elems.append(element_of_terms(grig, field, (("bc", 3), ("d", 3), ("a", 4), ("", -1))))
+        assert {} in elems
+        for e in elems:
+            assert_reduced(e, field)
+        for x in elems:
+            for y in elems:
+                assert_reduced(ring_sum(x, y, field), field)
+                assert_reduced(ring_product(grig, x, y, field), field)
+        for level in (1, 2):
+            images = [image_at_level(grig, e, level, field) for e in elems]
+            for m in images:
+                assert_reduced_matrix(m, field)
+            for x in images:
+                for y in images:
+                    assert_reduced_matrix(matrix_sum(x, y, field), field)
+                    assert_reduced_matrix(matrix_product(grig, x, y, field), field)
+
+    def test_cancellations_over_f2(self, grig):
+        ab = parse_element(grig, "a+b", GF2)
+        # aa = bb = 1, so (a+b)(a+b) = 1+ab+ba+1 = ab+ba over F2.
+        assert ring_product(grig, ab, ab, GF2) == parse_element(grig, "ab+ba", GF2)
+        assert len(ring_product(grig, ab, ab, GF2)) == 2
+        assert ring_sum(ab, ab, GF2) == {}
+        # The sections of b, c, d, 1 at letter 0 are a, a, 1, 1, so the
+        # level-1 cell (0, 0) is a+a+1+1 = 0.
+        elem = parse_element(grig, "b+c+d+1", GF2)
+        m = image_at_level(grig, elem, 1, GF2)
+        assert set(m) == {(1, 1)}
+        assert matrix_sum(m, m, GF2) == {}
+        square = ring_product(grig, elem, elem, GF2)
+        assert matrix_product(grig, m, m, GF2) == image_at_level(grig, square, 1, GF2)
+
+    def test_cancellations_over_q_and_f3(self, grig):
+        assert parse_element(grig, "2*b+-2*b", QQ) == {}
+        assert parse_element(grig, "a+2*a", F3) == {}
+        x, y = parse_element(grig, "a+b", QQ), parse_element(grig, "a+-1*b", QQ)
+        # (a+b)(a-b) = 1-ab+ba-1 = ba-ab.
+        assert ring_product(grig, x, y, QQ) == parse_element(grig, "ba+-1*ab", QQ)
+        two_a = parse_element(grig, "2*a", QQ)
+        assert image_at_level(grig, ring_sum(x, y, QQ), 2, QQ) == image_at_level(grig, two_a, 2, QQ)
 
 
 class TestLevelMatrices:
     def test_adding_machine_level1(self, adding):
         a = parse_element(adding, "a", QQ)
         one = parse_element(adding, "1", QQ)
-        m = image_at_level(a, 1)
-        assert m.entries == {(0, 1): a, (1, 0): one}
+        assert image_at_level(adding, a, 1, QQ) == {(0, 1): a, (1, 0): one}
 
     def test_adding_machine_level2(self, adding):
         a = parse_element(adding, "a", QQ)
         one = parse_element(adding, "1", QQ)
-        m = image_at_level(a, 2)
-        assert m.entries == {(0, 3): a, (1, 2): one, (2, 0): one, (3, 1): one}
+        m = image_at_level(adding, a, 2, QQ)
+        assert m == {(0, 3): a, (1, 2): one, (2, 0): one, (3, 1): one}
 
     def test_identity_maps_to_identity(self, grig):
         one = parse_element(grig, "1", QQ)
         for level in (1, 2, 3):
-            assert image_at_level(one, level) == identity_matrix(grig, QQ, level)
+            assert image_at_level(grig, one, level, QQ) == identity_matrix(grig, level)
 
     def test_recursion_of_relation(self, grig):
         # bc = d must persist through the recursion.
-        b = parse_element(grig, "b", QQ)
-        c = parse_element(grig, "c", QQ)
-        d = parse_element(grig, "d", QQ)
         for level in (1, 2, 3):
-            assert image_at_level(b, level).mul(image_at_level(c, level)) == image_at_level(
-                d, level
-            )
+            b, c, d = (image_at_level(grig, parse_element(grig, w, QQ), level, QQ) for w in "bcd")
+            assert matrix_product(grig, b, c, QQ) == d
 
     def test_step_increments_level(self, adding):
-        m = level0(parse_element(adding, "a", QQ))
-        m1 = recursion_step(m)
-        assert m1.level == 1 and m1.size == 2
+        # One step from level 0 is the level-1 image, inside 2x2.
+        a = parse_element(adding, "a", QQ)
+        m1 = recursion_step(adding, level0(a), QQ)
+        assert m1 == image_at_level(adding, a, 1, QQ)
+        assert all(r < 2 and c < 2 for r, c in m1)
 
     def test_format_matrix(self, adding):
-        text = format_matrix(image_at_level(parse_element(adding, "a", QQ), 1))
+        text = format_matrix(adding, image_at_level(adding, parse_element(adding, "a", QQ), 1, QQ), 1)
         assert text.splitlines() == ["[0  a]", "[1  0]"]
 
     def test_level_caps(self, adding, monkeypatch):
@@ -149,41 +215,43 @@ class TestLevelMatrices:
         monkeypatch.setattr(mr, "COLUMN_CAP", 8)
         monkeypatch.setattr(mr, "PRINT_CELL_CAP", 64)
         elem = parse_element(adding, "a+1", QQ)
-        m = image_at_level(elem, 3)
-        assert len(format_matrix(m).splitlines()) == 8
+        m = image_at_level(adding, elem, 3, QQ)
+        assert len(format_matrix(adding, m, 3).splitlines()) == 8
         with pytest.raises(ResourceError, match="level-4 image on 2 letters exceeds cap 8 on columns"):
-            image_at_level(elem, 4)
+            image_at_level(adding, elem, 4, QQ)
         monkeypatch.setattr(mr, "PRINT_CELL_CAP", 63)
         with pytest.raises(ResourceError, match="exceeds cap 63 on cells"):
-            format_matrix(m)
+            format_matrix(adding, m, 3)
 
 
 class TestWitness:
     def test_diagonal_form(self, grig):
         m = grig_witness(grig)
-        assert set(m.entries) == {(1, 1)}
-        assert format_element(m.entries[(1, 1)]) == "1+b+c+d"
+        assert set(m) == {(1, 1)}
+        assert format_element(grig, m[(1, 1)]) == "1+b+c+d"
 
     def test_second_iteration_nonzero(self, grig):
         # One more recursion step keeps the corner block equal to the element.
-        m2 = recursion_step(grig_witness(grig))
-        assert format_element(m2.entries[(3, 3)]) == "1+b+c+d"
-        assert all(r == c for (r, c) in m2.entries)
+        m2 = recursion_step(grig, grig_witness(grig), GF2)
+        assert format_element(grig, m2[(3, 3)]) == "1+b+c+d"
+        assert all(r == c for (r, c) in m2)
 
     def test_over_gf2(self, grig):
-        # The witness lives in characteristic 2.
-        m = grig_witness(grig)
-        assert m.field == GF2 and all(e.field == GF2 for e in m.entries.values())
+        # The witness lives in characteristic 2: over Q the zero block of
+        # the level-1 image is a+a+1+1 = 2*1+2*a.
+        elem = parse_element(grig, "b+c+d+1", QQ)
+        assert format_element(grig, image_at_level(grig, elem, 1, QQ)[(0, 0)]) == "2*1+2*a"
+        assert grig_witness(grig) == {(1, 1): parse_element(grig, "b+c+d+1", GF2)}
 
 
-def random_element(group, field, rng: random.Random, max_terms: int, max_len: int) -> GroupRingElement:
+def random_element(group, field, rng: random.Random, max_terms: int, max_len: int) -> dict:
     """A random element of 1 to ``max_terms`` terms, each a word of 0 to
     ``max_len`` generators with a coefficient from 1 to 5."""
     coeffs: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         g = group.word_id("".join(rng.choice(group.gen_names) for _ in range(rng.randint(0, max_len))))
         coeffs[g] = coeffs.get(g, 0) + rng.randint(1, 5)
-    return GroupRingElement(group, field, coeffs)
+    return reduced(coeffs, field.characteristic)
 
 
 class TestImageAtLevel:
@@ -196,12 +264,12 @@ class TestImageAtLevel:
             elem = random_element(grp, field, rng, max_terms=4, max_len=5)
             m = level0(elem)
             for level in range(1, 5):
-                m = recursion_step(m)
-                assert image_at_level(elem, level) == m
+                m = recursion_step(grp, m, field)
+                assert image_at_level(grp, elem, level, field) == m
 
     def test_level_zero(self, grig):
         elem = parse_element(grig, "ab+2*c+1", QQ)
-        assert image_at_level(elem, 0) == level0(elem)
+        assert image_at_level(grig, elem, 0, QQ) == level0(elem)
 
 
 class TestLevelSections:
@@ -213,12 +281,12 @@ class TestLevelSections:
         letters = "".join(grp.gen_names) + "".join(grp.gen_names).upper()
         for length in range(6):
             g = grp.word_id("".join(rng.choice(letters) for _ in range(length)))
-            m = level0(GroupRingElement(grp, QQ, {g: 1}))
+            m = level0({g: 1})
             for level in range(5):
-                by_col = {col: (row, e) for (row, col), e in m.entries.items()}
-                got = [(row, GroupRingElement(grp, QQ, {e: 1})) for row, e in grp.level_sections(g, level)]
+                by_col = {col: (row, e) for (row, col), e in m.items()}
+                got = [(row, {e: 1}) for row, e in grp.level_sections(g, level)]
                 assert got == [by_col[col] for col in range(grp.d**level)]
-                m = recursion_step(m)
+                m = recursion_step(grp, m, QQ)
 
     def test_memoized_by_canonical_id(self, grig):
         # bc = d: two words of one element share the memoized image.
@@ -232,6 +300,13 @@ class TestHomomorphism:
 
     def test_adding(self, adding):
         assert homomorphism_check(adding, samples=10, level=2, field=QQ, seed=2)[0] is True
+
+    def test_hanoi_over_f3(self):
+        # Three letters and a field of odd characteristic, which check 10
+        # (two letters, F2 and Q) does not reach.
+        hanoi = SelfSimilarGroup(HANOI)
+        for level in (1, 2):
+            assert homomorphism_check(hanoi, samples=10, level=level, field=F3, seed=3)[0] is True
 
     def test_digest_names_the_samples(self, grig):
         # The digest is of the drawn words and coefficients: it follows the
@@ -294,6 +369,30 @@ class TestThinnedGrowth:
         assert [f2[n] for n in (8, 16, 32, 64)] == [96, 354, 1366, 5374]
         assert q[16] == 362
         assert (f2[8], f2[9], q[8], q[9]) == (96, 119, 96, 120)
+
+    @staticmethod
+    def second_differences(dims, n_max: int) -> tuple[dict, dict]:
+        """a(n) = dim V^n - dim V^(n-1), with dim V^0 = 1, and a(n) - a(n-1)."""
+        dim = {0: 1, **dict(dims)}
+        a = {n: dim[n] - dim[n - 1] for n in range(1, n_max + 1)}
+        return a, {n: a[n] - a[n - 1] for n in range(2, n_max + 1)}
+
+    @pytest.mark.parametrize("field, n_max", [(GF2, 128), (QQ, 64)], ids=["F2", "Q"])
+    def test_dyadic_form(self, grig, field, n_max):
+        # The observed form of ROADMAP item 16: on each block (2^k, 2^(k+1)]
+        # with k >= 2 the second difference is constant on each half over
+        # F2 and on each quarter over Q, and a(2^k) = 5*2^(k-1) over both.
+        a, delta = self.second_differences(thinned_growth(grig, n_max, field).dims, n_max)
+        top = n_max.bit_length() - 1  # n_max = 2^top
+        for k in range(2, top):
+            block = [delta[n] for n in range(2**k + 1, 2 ** (k + 1) + 1)]
+            if field == GF2:
+                steps = (3, 2)
+            else:
+                steps = (4, 3, 1, 2) if k >= 3 else (3, 3, 2, 2)
+            part = len(block) // len(steps)
+            assert block == [s for s in steps for _ in range(part)], k
+        assert [a[2**k] for k in range(2, top + 1)] == [5 * 2 ** (k - 1) for k in range(2, top + 1)]
 
     def test_quadratic_slope(self, grig):
         res = thinned_growth(grig, 24, GF2)

@@ -159,6 +159,12 @@ def homomorphism_seed_ignored(monkeypatch):
     monkeypatch.setattr(mr, "homomorphism_check", mutant)
 
 
+def ring_product_reversed(monkeypatch):
+    """``ring_product(group, a, b, field)`` computes b*a."""
+    original = mr.ring_product
+    monkeypatch.setattr(mr, "ring_product", lambda group, a, b, field: original(group, b, a, field))
+
+
 # mutant -> the checks it must make FAIL
 KILLED = {
     code_without_labels: {"02-delta-consistency"},
@@ -174,6 +180,7 @@ KILLED = {
     # Check 10's detail ends with a digest of what it sampled, which differs
     # between check 13's two runs.
     homomorphism_seed_ignored: {"13-determinism"},
+    ring_product_reversed: {"10-homomorphism"},
 }
 
 # mutant -> the ROADMAP item meant to kill it

@@ -224,6 +224,48 @@ class TestGeneratorAction:
             apply_generator(space, (0, 2), unit_monomial(space))
 
 
+class TestGrowthFromComplexity:
+    """ROADMAP item 10: where the right extensions of every right special
+    factor form a forest, every exponent block reaches its bound and
+    dim V^n = sum over k = -n..n of p(|J_k(n)|), over every field."""
+
+    N = 16
+    # Name -> (source, closed form of dim V^n).
+    ACYCLIC = {
+        "golden": (SOURCES["golden"], lambda n: 2 * n * n + 2),
+        "cf-2": ({"kind": "sturmian", "cf": [2], "cf_periodic": True}, lambda n: 2 * n * n + 2),
+        "cf-3-1-2": ({"kind": "sturmian", "cf": [3, 1, 2], "cf_periodic": True}, lambda n: 2 * n * n + 2),
+        "cf-1-2-1-3": ({"kind": "sturmian", "cf": [1, 2, 1, 3], "cf_periodic": True}, lambda n: 2 * n * n + 2),
+        "cf-4": ({"kind": "sturmian", "cf": [4], "cf_periodic": True}, lambda n: 2 * n * n + 2),
+        "tribonacci": (SOURCES["tribonacci"], lambda n: 4 * n * n - 2 * n + 3),
+    }
+
+    @staticmethod
+    def block_bounds(lang, n_max: int) -> list[tuple[int, int]]:
+        def bound(n):
+            spans = (shift_algebra._tested_positions(k, n) for k in range(-n, n + 1))
+            return sum(lang.complexity(hi - lo) for lo, hi in spans)
+
+        return [(n, bound(n)) for n in range(1, n_max + 1)]
+
+    @pytest.mark.parametrize("name", list(ACYCLIC))
+    def test_dims_reach_the_block_bounds(self, name):
+        cfg, closed = self.ACYCLIC[name]
+        lang = build_language(source_from_config(cfg), n_max=2 * self.N + 1, prefix_budget=4096)
+        bounds = self.block_bounds(lang, self.N)
+        assert bounds == [(n, closed(n)) for n in range(1, self.N + 1)]
+        for field in (QQ, GF2, Field(3)):
+            assert growth_dims(lang, self.N, field) == bounds, field
+
+    def test_thue_morse_falls_short_from_n_2(self):
+        # Thue-Morse has a cycle among its right extensions.
+        lang = build_language(thue_morse(), n_max=2 * self.N + 1, prefix_budget=4096)
+        bounds = self.block_bounds(lang, self.N)
+        for field in (QQ, GF2, Field(3)):
+            dims = growth_dims(lang, self.N, field)
+            assert [n for (n, d), (_, b) in zip(dims, bounds) if d != b] == list(range(2, self.N + 1)), field
+
+
 class TestGrowthDims:
     def test_first_level(self, golden):
         # 1, T, T^-1, D_0 are independent; D_1 = 1 - D_0.
