@@ -4,9 +4,10 @@ An algebra element spanned by products of length <= n is determined by
 its values on germs (s^k, w) with |k| <= n and w seen through its
 central window of length 2n+1.  Every product of the generators
 {1, T, T^-1, D_x} evaluates to a 0/1 vector supported in a single shift
-exponent k, which this module exploits: candidates are (exponent, int
-bitmask of windows) pairs and the rank splits into one small elimination
-block per exponent.  A product ending at exponent k walks from 0 to k and
+exponent k, which this module exploits: :func:`growth_dims` holds each
+candidate as a plain (exponent, int bitmask of windows) pair, on which T
+and T^-1 move the exponent and D_x masks by a letter, and the rank splits
+into one small elimination block per exponent.  A product ending at exponent k walks from 0 to k and
 tests a letter only where it stands, so it sees only the positions J_k of
 :class:`WindowSpace`; block k has one column per distinct restriction
 u[J_k], at its first window, not one per window.  The evaluation space
@@ -26,7 +27,6 @@ ranks only the blocks k >= 0.
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple
 
 from .errors import ResourceError
 from .fields import Field, new_basis, set_bits
@@ -78,115 +78,55 @@ class WindowSpace:
             raise ValueError(f"language too shallow: need factors of length {2 * n + 1}")
         self.lang = lang
         self.n = n
-        self.windows = lang.factors_at(2 * n + 1)
-        self.p = len(self.windows)
-        self.letter_mask = [[0] * lang.alphabet_size for _ in range(2 * n + 1)]
-        for i, u in enumerate(self.windows):
-            for masks, x in zip(self.letter_mask, u):
-                masks[x] |= 1 << i
+        self.windows = windows = lang.factors_at(2 * n + 1)
+        self.p = p = len(windows)
+        # Column j of the joined windows holds letter j of every window, in
+        # window order; a table sending letter x to "1" and every other byte
+        # to "0" turns it into the bits of letter_mask[j][x], lowest last.
+        flat = b"".join(windows)
+        tables = [bytes(49 if c == x else 48 for c in range(256)) for x in range(lang.alphabet_size)]
+        self.letter_mask = []
+        for j in range(2 * n + 1):
+            col = flat[j :: 2 * n + 1]
+            self.letter_mask.append([int(col.translate(table)[::-1], 2) for table in tables])
         self.block_reps = []
         for lo, hi in (_tested_positions(k, n) for k in range(-n, n + 1)):
-            first = {}
-            for i, u in enumerate(self.windows):
-                first.setdefault(u[lo + n : hi + n], i)
+            cuts = [u[lo + n : hi + n] for u in windows]
+            # Filled from the last window back, each fibre keeps its first.
+            first = dict(zip(reversed(cuts), range(p - 1, -1, -1)))
             self.block_reps.append(sum(1 << i for i in first.values()))
+        # |J_k(m)| = |k| + 2t + 1 = m - (m - 1 - |k|) % 2 when |k| < m, else 0.
+        counts = lang.counts
         self.rank_bound = [
-            [lang.complexity(hi - lo) for lo, hi in (_tested_positions(k, m) for k in range(-n, n + 1))]
+            [counts[m - (m - 1 - abs(k)) % 2] if abs(k) < m else counts[0] for k in range(-n, n + 1)]
             for m in range(n + 1)
         ]
-        rank_of = {u: i for i, u in enumerate(self.windows)}
-        mirror = [rank_of.get(u[::-1]) for u in self.windows]
+        rank_of = dict(zip(windows, range(p)))
+        mirror = [rank_of.get(u[::-1]) for u in windows]
         self.mirror = None if None in mirror else mirror
-
-
-class Monomial(NamedTuple):
-    """A 0/1 evaluation vector: exponent k, bitmask of the window ranks where it is 1."""
-
-    k: int
-    support: int
-
-
-def apply_generator(space: WindowSpace, gen: tuple, mono: Monomial) -> Monomial:
-    """Left-multiply the algebra element by a generator, on evaluations.
-
-    A generator is a pair (step, letter): (0, None), (1, None) and
-    (-1, None) are 1, T and T^-1, and (0, x) is D_x.  On values:
-    (T f)(k, u) = f(k-1, u); (T^-1 f)(k, u) = f(k+1, u);
-    (D_x f)(k, u) = f(k, u) if u has letter x at position k, else 0.
-    """
-    step, x = gen
-    k, support = mono
-    if x is None:
-        k += step
-        if not -space.n <= k <= space.n:
-            raise ResourceError(f"radius exhausted: exponent {k} outside window")
-        return Monomial(k, support)
-    return Monomial(k, support & space.letter_mask[k + space.n][x])
-
-
-def unit_monomial(space: WindowSpace) -> Monomial:
-    """Evaluation of the algebra unit: 1 exactly on the units (k = 0)."""
-    return Monomial(0, (1 << space.p) - 1)
-
-
-def generator_monomials(space: WindowSpace) -> dict[tuple, Monomial]:
-    """Evaluations of the generating set {1, T, T^-1, D_x}, keyed by
-    (step, letter) as in :func:`apply_generator`."""
-    every = unit_monomial(space).support
-    gens = {(0, None): Monomial(0, every), (1, None): Monomial(1, every), (-1, None): Monomial(-1, every)}
-    for x in range(space.lang.alphabet_size):
-        gens[(0, x)] = Monomial(0, space.letter_mask[space.n][x])
-    return gens
-
-
-class _BlockRank:
-    """Rank accumulator split by exponent block (monomials never mix blocks).
-
-    Block k's columns are the representatives ``space.block_reps[k + n]``.
-    A union of fibres is fixed by the representatives it holds, and linear
-    combinations of such supports are constant on fibres, so the rank of
-    the bitmask rows ``support & block_reps[k + n]`` is the rank over windows.
-
-    When ``space.mirror`` is set, only blocks k >= 0 are inserted into,
-    and ``rank`` counts each block k > 0 twice: block -k is its image
-    under the reversal Phi and has the same rank.
-    """
-
-    def __init__(self, space: WindowSpace, field: Field):
-        self.space = space
-        self.field = field
-        self.blocks: dict[int, object] = {}
-
-    def insert(self, mono: Monomial, m: int) -> bool:
-        """Insert ``mono``, a product of at most ``m`` generators; return
-        True iff the rank grew.  A block whose rank has reached
-        ``space.rank_bound`` for length m is full, and ``mono`` is dependent."""
-        k, support = mono
-        if not support:
-            return False
-        blk = self.blocks.get(k)
-        if blk is None:
-            blk = self.blocks[k] = new_basis(self.field)
-        elif blk.rank >= self.space.rank_bound[m][k + self.space.n]:
-            return False
-        return blk.insert(support & self.space.block_reps[k + self.space.n])
-
-    @property
-    def rank(self) -> int:
-        fold = 1 if self.space.mirror is None else 2
-        return sum(b.rank * (fold if k > 0 else 1) for k, b in self.blocks.items())
 
 
 def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int]]:
     """Exact dim V^n for n = 1..n_max, V = span{1, T, T^-1, D_x}.
 
     Levelwise closure: V^(m+1) = V^m + sum_g g * (new part of V^m), which
-    spans the same space as the full product set.  D_x for the last letter
-    x is not applied to a monomial m: D_x m = m - sum_(y != x) D_y m, since
-    sum_x D_x = 1 at m's exponent, and the right side is already spanned
-    once the level's other moves are inserted.  Supports are bitmasks over
-    the windows, and ranks are taken over the fibre representatives of
-    :class:`WindowSpace`, see :class:`_BlockRank`.
+    spans the same space as the full product set.  A candidate is the pair
+    (k, mask) of its exponent and its support, a bitmask over the windows,
+    and the generators act on it as (T f)(k, u) = f(k-1, u), (T^-1 f)(k, u)
+    = f(k+1, u) and (D_x f)(k, u) = f(k, u) if u has letter x at position
+    k, else 0: T and T^-1 move k by one, and D_x masks by
+    ``letter_mask[k + n][x]``.  The new part of level m - 1 holds products
+    of at most m - 1 <= n - 1 generators, so |k| <= n - 1 and one more
+    shift stays within the window radius n.  D_x for the last letter x is
+    not applied to a candidate f: D_x f = f - sum_(y != x) D_y f, since
+    sum_x D_x = 1 at f's exponent, and the right side is already spanned
+    once the level's other moves are inserted.
+
+    The candidates of exponent k are ranked in a basis of their own, over
+    the representatives ``block_reps[k + n]`` of :class:`WindowSpace`: a
+    union of fibres is fixed by the representatives it holds, and linear
+    combinations of such supports are constant on fibres, so the rank of
+    the rows ``mask & block_reps[k + n]`` is the rank over windows.
 
     Block k stops taking inserts once it is full: at level n every
     candidate of exponent k is a function of u[J_k(n)], so the block spans
@@ -198,8 +138,8 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     When the window set is closed under reversal (``WindowSpace.mirror``),
     the loop folds by the reversal Phi of the module docstring.  Phi maps
     V^m onto V^m and block k onto block -k, so every candidate with k < 0
-    is dropped and :class:`_BlockRank` counts blocks k > 0 twice.  Block 0
-    is Phi-invariant, and its level-(m+1) candidates include T * V^m_-1 =
+    is dropped and the rank counts blocks k > 0 twice.  Block 0 is
+    Phi-invariant, and its level-(m+1) candidates include T * V^m_-1 =
     Phi(T^-1 * V^m_1): the loop reaches those only as the mirror twin
     (support mapped through ``mirror``) of a candidate T^-1 * f at k = 0,
     so each new candidate at k = 0 is followed by its twin.  The twin lies
@@ -210,33 +150,47 @@ def growth_dims(lang: Language, n_max: int, field: Field) -> list[tuple[int, int
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     space = WindowSpace(lang, n_max)
+    n = n_max
     mirror = space.mirror
-    gens = generator_monomials(space)
-    moves = [g for g in gens if g not in ((0, None), (0, lang.alphabet_size - 1))]
-    rank = _BlockRank(space, field)
+    letter_mask = space.letter_mask
+    block_reps = space.block_reps
+    tests = range(lang.alphabet_size - 1)
+    blocks: dict[int, object] = {}
     seen: set = set()
 
-    def offer(cand: Monomial, m: int, out: list) -> None:
-        k, support = cand
-        if mirror is not None and k < 0 or cand in seen:
+    def offer(k: int, mask: int, bound: list, out: list) -> None:
+        if mirror is not None and k < 0 or (k, mask) in seen:
             return
-        seen.add(cand)
-        if rank.insert(cand, m):
-            out.append(cand)
+        seen.add((k, mask))
+        if mask:
+            blk = blocks.get(k)
+            if blk is None:
+                blk = blocks[k] = new_basis(field)
+            if blk.rank < bound[k + n] and blk.insert(mask & block_reps[k + n]):
+                out.append((k, mask))
         if mirror is not None and k == 0:
-            offer(Monomial(0, sum(1 << mirror[i] for i in set_bits(support))), m, out)
+            offer(0, sum(1 << mirror[i] for i in set_bits(mask)), bound, out)
 
-    new: list[Monomial] = []
-    for mono in gens.values():
-        offer(mono, 1, new)
-    dims = [(1, rank.rank)]
-    for n in range(2, n_max + 1):
-        frontier = []
-        for mono in new:
-            for g in moves:
-                offer(apply_generator(space, g, mono), n, frontier)
+    def rank() -> int:
+        fold = 1 if mirror is None else 2
+        return sum(b.rank * (fold if k > 0 else 1) for k, b in blocks.items())
+
+    every = (1 << space.p) - 1
+    new: list[tuple[int, int]] = []
+    for k, mask in [(0, every), (1, every), (-1, every)] + [(0, x_mask) for x_mask in letter_mask[n]]:
+        offer(k, mask, space.rank_bound[1], new)
+    dims = [(1, rank())]
+    for m in range(2, n_max + 1):
+        frontier: list[tuple[int, int]] = []
+        bound = space.rank_bound[m]
+        for k, mask in new:
+            offer(k + 1, mask, bound, frontier)
+            offer(k - 1, mask, bound, frontier)
+            row = letter_mask[k + n]
+            for x in tests:
+                offer(k, mask & row[x], bound, frontier)
         new = frontier
-        dims.append((n, rank.rank))
+        dims.append((m, rank()))
     return dims
 
 

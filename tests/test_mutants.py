@@ -12,7 +12,8 @@ import pytest
 
 from groupoid_growth import groupoid, selfsimilar, shift_algebra, verify, words
 from groupoid_growth import matrix_recursion as mr
-from groupoid_growth.fields import QQ
+from groupoid_growth.fields import GF2, QQ
+from groupoid_growth.subshift import build_language
 
 
 def _patch_canonical_code(monkeypatch, mutant):
@@ -51,9 +52,9 @@ def no_mirror_twin(monkeypatch):
 
 
 def block_rank_over_q(monkeypatch):
-    """Every exponent block of ``growth_dims`` ranks over Q, whatever the field."""
-    init = shift_algebra._BlockRank.__init__
-    monkeypatch.setattr(shift_algebra._BlockRank, "__init__", lambda self, space, field: init(self, space, QQ))
+    """``growth_dims`` ranks every exponent block over Q, whatever the field."""
+    original = shift_algebra.growth_dims
+    monkeypatch.setattr(shift_algebra, "growth_dims", lambda lang, n, field: original(lang, n, QQ))
 
 
 def every_germ_a_unit(monkeypatch):
@@ -211,3 +212,13 @@ def test_killed(monkeypatch, mutant):
 def test_survivor_passes_every_check(monkeypatch, mutant):
     mutant(monkeypatch)
     assert failing_checks() == set()
+
+
+def test_block_rank_over_q_is_live(monkeypatch):
+    # The mutant survives because check 05 compares only the golden
+    # language, where Q and F2 agree; it is live elsewhere: the toeplitz
+    # 0??1 language has dim V^6 = 144 over F2 and 146 over Q.
+    lang = build_language(words.source_from_config({"kind": "toeplitz", "skeleton": "0??1"}), n_max=13, prefix_budget=4096)
+    assert shift_algebra.growth_dims(lang, 6, GF2)[-1] == (6, 144)
+    block_rank_over_q(monkeypatch)
+    assert shift_algebra.growth_dims(lang, 6, GF2)[-1] == (6, 146)

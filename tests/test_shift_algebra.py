@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 
@@ -8,14 +9,11 @@ from groupoid_growth.errors import ResourceError
 from groupoid_growth.fields import GF2, QQ, BitRowBasis, Field, new_basis, set_bits
 from groupoid_growth.shift_algebra import (
     WindowSpace,
-    apply_generator,
     bruteforce_dims,
     expansive_certificate,
-    generator_monomials,
     growth_dims,
     module_growth,
     semigroup_dims,
-    unit_monomial,
 )
 from groupoid_growth.subshift import build_language
 from groupoid_growth.words import golden_sturmian, source_from_config, thue_morse
@@ -48,6 +46,48 @@ SOURCES = {
 
 def source_language(name: str, n_max: int):
     return build_language(source_from_config(SOURCES[name]), n_max=n_max, prefix_budget=4096)
+
+
+# The generator action on (exponent, support) evaluations, one monomial at
+# a time: the reference for the flat candidate loop of growth_dims.
+class Monomial(NamedTuple):
+    """A 0/1 evaluation vector: exponent k, bitmask of the window ranks where it is 1."""
+
+    k: int
+    support: int
+
+
+def apply_generator(space: WindowSpace, gen: tuple, mono: Monomial) -> Monomial:
+    """Left-multiply the algebra element by a generator, on evaluations.
+
+    A generator is a pair (step, letter): (0, None), (1, None) and
+    (-1, None) are 1, T and T^-1, and (0, x) is D_x.  On values:
+    (T f)(k, u) = f(k-1, u); (T^-1 f)(k, u) = f(k+1, u);
+    (D_x f)(k, u) = f(k, u) if u has letter x at position k, else 0.
+    """
+    step, x = gen
+    k, support = mono
+    if x is None:
+        k += step
+        if not -space.n <= k <= space.n:
+            raise ResourceError(f"radius exhausted: exponent {k} outside window")
+        return Monomial(k, support)
+    return Monomial(k, support & space.letter_mask[k + space.n][x])
+
+
+def unit_monomial(space: WindowSpace) -> Monomial:
+    """Evaluation of the algebra unit: 1 exactly on the units (k = 0)."""
+    return Monomial(0, (1 << space.p) - 1)
+
+
+def generator_monomials(space: WindowSpace) -> dict[tuple, Monomial]:
+    """Evaluations of the generating set {1, T, T^-1, D_x}, keyed by
+    (step, letter) as in :func:`apply_generator`."""
+    every = unit_monomial(space).support
+    gens = {ONE: Monomial(0, every), T: Monomial(1, every), T_INV: Monomial(-1, every)}
+    for x in range(space.lang.alphabet_size):
+        gens[(0, x)] = Monomial(0, space.letter_mask[space.n][x])
+    return gens
 
 
 def uncompressed_growth_dims(lang, n_max, field):
@@ -189,6 +229,48 @@ class TestWindowSpace:
             assert set_bits(space.block_reps[k + n]) == sorted(first.values())
             assert len(first) == tm.complexity(width)
             assert space.rank_bound[n][k + n] == tm.complexity(width)
+
+    @staticmethod
+    def per_window_tables(lang, n):
+        """``letter_mask``, ``block_reps``, ``rank_bound`` and ``mirror`` of
+        :class:`WindowSpace`, built by a loop over every (position, window)
+        pair and every block's windows."""
+        windows = lang.factors_at(2 * n + 1)
+        letter_mask = [[0] * lang.alphabet_size for _ in range(2 * n + 1)]
+        for i, u in enumerate(windows):
+            for masks, x in zip(letter_mask, u):
+                masks[x] |= 1 << i
+        block_reps = []
+        for lo, hi in (shift_algebra._tested_positions(k, n) for k in range(-n, n + 1)):
+            first = {}
+            for i, u in enumerate(windows):
+                first.setdefault(u[lo + n : hi + n], i)
+            block_reps.append(sum(1 << i for i in first.values()))
+        rank_bound = [
+            [lang.complexity(hi - lo) for lo, hi in (shift_algebra._tested_positions(k, m) for k in range(-n, n + 1))]
+            for m in range(n + 1)
+        ]
+        rank_of = {u: i for i, u in enumerate(windows)}
+        mirror = [rank_of.get(u[::-1]) for u in windows]
+        return letter_mask, block_reps, rank_bound, None if None in mirror else mirror
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"kind": "substitution", "rules": {"0": "012", "1": "02", "2": "1"}, "seed": 0},
+            SOURCES["thue-morse"],
+            SOURCES["eventually-periodic"],
+        ],
+        ids=["three-letters", "thue-morse", "eventually-periodic"],
+    )
+    def test_tables_match_per_window_loop(self, cfg):
+        # The eventually periodic source is not closed under reversal.
+        lang = build_language(source_from_config(cfg), n_max=21, prefix_budget=4096)
+        for n in range(1, 11):
+            space = WindowSpace(lang, n)
+            tables = space.letter_mask, space.block_reps, space.rank_bound, space.mirror
+            assert tables == self.per_window_tables(lang, n), n
+        assert (space.mirror is None) == (cfg is SOURCES["eventually-periodic"])
 
 
 class TestGeneratorAction:
@@ -486,19 +568,28 @@ class TestReversalFold:
 
     def test_no_negative_block_when_folded(self, monkeypatch):
         # A closed language never inserts into a block k < 0; one that is
-        # not closed does.
-        blocks = []
-        init = shift_algebra._BlockRank.__init__
+        # not closed does.  Block k's row is read from block_reps[k + N]
+        # once per insert.
+        exponents = []
 
-        def recording(self, space, field):
-            init(self, space, field)
-            blocks.append(self.blocks)
+        class Recording(list):
+            def __getitem__(self, j):
+                exponents[-1].append(j - TestReversalFold.N)
+                return super().__getitem__(j)
 
-        monkeypatch.setattr(shift_algebra._BlockRank, "__init__", recording)
+        class RecordingSpace(WindowSpace):
+            def __init__(self, lang, n):
+                super().__init__(lang, n)
+                self.block_reps = Recording(self.block_reps)
+
+        monkeypatch.setattr(shift_algebra, "WindowSpace", RecordingSpace)
+        inserts = TestCandidateStream.recording(monkeypatch)
         for name in ("thue-morse", "eventually-periodic"):
+            exponents.append([])
             growth_dims(source_language(name, 2 * self.N + 1), self.N, QQ)
-        assert min(blocks[0]) == 0 and max(blocks[0]) == self.N
-        assert min(blocks[1]) == -self.N
+        assert len(inserts) == sum(map(len, exponents))
+        assert min(exponents[0]) == 0 and max(exponents[0]) == self.N
+        assert min(exponents[1]) == -self.N
 
 
 class TestCandidateStream:
