@@ -52,7 +52,7 @@ def _emit_csv(path: str | None, header: list[str], rows: list[list], config) -> 
     lines = [f"#config={_config_digest(config)}"]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_csv_cell(c) for c in row))
+        lines.append(",".join(map(_csv_cell, row)))
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -63,7 +63,7 @@ def _emit_csv(path: str | None, header: list[str], rows: list[list], config) -> 
 
 def _csv_cell(value) -> str:
     s = str(value)
-    if any(ch in s for ch in ',"\n'):
+    if "," in s or '"' in s or "\n" in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
 
@@ -302,16 +302,40 @@ def cmd_verify_all(args) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
+class _OnDemandParser(argparse.ArgumentParser):
+    """A subcommand's parser that records its ``add_argument`` and
+    ``set_defaults`` calls; its first parse makes it a plain
+    ``ArgumentParser``, replays them in order and parses, so a run sets up
+    only the parser of the command it runs."""
+
+    def __init__(self, **kwargs):
+        self._kwargs, self._calls = kwargs, []
+
+    def add_argument(self, *args, **kwargs):
+        self._calls.append(("add_argument", args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self._calls.append(("set_defaults", (), kwargs))
+
+    def parse_known_args(self, args, namespace):
+        self.__class__ = argparse.ArgumentParser
+        argparse.ArgumentParser.__init__(self, **self._kwargs)
+        for name, a, kw in self._calls:
+            getattr(self, name)(*a, **kw)
+        return self.parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parsing leaves no state in
-    it, since each call fills a fresh namespace."""
+    """The CLI parser, built once per process.  A subcommand's first parse
+    sets its parser up (see ``_OnDemandParser``); no call leaves any other
+    state, since each call fills a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="groupoid-growth",
         description="Exact growth and complexity of subshift/germ groupoids and their algebras",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_OnDemandParser)
 
     sp = sub.add_parser("complexity", help="subword complexity p(n)")
     sp.add_argument("--source", required=True)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -184,6 +185,165 @@ class TestParserReuse:
         assert [code for code, _ in fresh] == [0, 0, 2, 0]
         assert fresh[0][1] == "" and fresh[1][1].startswith("#config=") and fresh[3][1].startswith("#config=")
         assert cli.build_parser() is cli.build_parser()
+
+
+def subparsers(parser):
+    """The subcommand parsers of ``parser``, by name, in declaration order."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def is_set_up(parser) -> bool:
+    return type(parser) is argparse.ArgumentParser
+
+
+def action_rows(parser):
+    return [
+        (
+            tuple(a.option_strings),
+            a.dest,
+            a.default,
+            a.type and a.type.__name__,
+            a.required,
+            a.choices and tuple(a.choices),
+            type(a).__name__,
+        )
+        for a in parser._actions
+        if not isinstance(a, argparse._SubParsersAction)
+    ]
+
+
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, False, None, "_HelpAction")
+SOURCE = (("--source",), "source", None, None, True, None, "_StoreAction")
+MODEL = (("--model",), "model", None, None, True, None, "_StoreAction")
+GROUP = (("--group",), "group", None, None, True, None, "_StoreAction")
+ELEMENT = (("--element",), "element", None, None, True, None, "_StoreAction")
+N_MAX = (("--n-max",), "n_max", None, "int", True, None, "_StoreAction")
+R = (("--r",), "r", None, "int", True, None, "_StoreAction")
+BUDGET = (("--budget",), "budget", None, "int", False, None, "_StoreAction")
+CSV = (("--csv",), "csv", None, None, False, None, "_StoreAction")
+FIELD_Q = (("--field",), "field", "Q", None, False, None, "_StoreAction")
+
+# Each subcommand's actions and defaults, as the parser built every
+# subcommand up front before its parsers were set up on their first parse.
+DECLARATIONS = {
+    "complexity": ([HELP, SOURCE, N_MAX, BUDGET, CSV], "cmd_complexity"),
+    "delta": (
+        [HELP, MODEL, R, (("--units-policy",), "units_policy", "windows", None, False, None, "_StoreAction"), CSV],
+        "cmd_delta",
+    ),
+    "ball": (
+        [
+            HELP,
+            MODEL,
+            (("--unit",), "unit", None, None, True, None, "_StoreAction"),
+            R,
+            (("--dot",), "dot", None, None, False, None, "_StoreAction"),
+        ],
+        "cmd_ball",
+    ),
+    "algebra-growth": (
+        [
+            HELP,
+            SOURCE,
+            N_MAX,
+            FIELD_Q,
+            BUDGET,
+            (("--oracle-upto",), "oracle_upto", 0, "int", False, None, "_StoreAction"),
+            CSV,
+        ],
+        "cmd_algebra_growth",
+    ),
+    "semigroup-growth": ([HELP, SOURCE, N_MAX, BUDGET, CSV], "cmd_semigroup_growth"),
+    "module-growth": ([HELP, SOURCE, N_MAX, FIELD_Q, BUDGET, CSV], "cmd_module_growth"),
+    "expansive": (
+        [HELP, SOURCE, (("--n",), "n", None, "int", True, None, "_StoreAction"), BUDGET, CSV],
+        "cmd_expansive",
+    ),
+    "nucleus": ([HELP, GROUP, (("--cap",), "cap", 10_000, "int", False, None, "_StoreAction")], "cmd_nucleus"),
+    "germ": (
+        [HELP, GROUP, ELEMENT, (("--point",), "point", None, None, True, None, "_StoreAction")],
+        "cmd_germ",
+    ),
+    "matrix-recursion": (
+        [
+            HELP,
+            GROUP,
+            ELEMENT,
+            FIELD_Q,
+            (("--levels",), "levels", None, "int", True, None, "_StoreAction"),
+            (("--print",), "print_matrix", False, None, False, None, "_StoreTrueAction"),
+        ],
+        "cmd_matrix_recursion",
+    ),
+    "thinned-growth": (
+        [HELP, GROUP, N_MAX, (("--field",), "field", "F2", None, False, None, "_StoreAction"), CSV],
+        "cmd_thinned_growth",
+    ),
+    "verify-all": (
+        [HELP, (("--profile",), "profile", "quick", None, False, ("quick", "full"), "_StoreAction")],
+        "cmd_verify_all",
+    ),
+}
+
+
+class TestParserSetUp:
+    def test_only_the_invoked_subcommand_is_set_up(self, capsys):
+        cli.build_parser.cache_clear()
+        parsers = subparsers(cli.build_parser())
+        assert list(parsers) == list(DECLARATIONS) and not any(map(is_set_up, parsers.values()))
+        code, out, _ = run(capsys, ["complexity", "--source", TM, "--n-max", "6"])
+        assert code == 0 and out.startswith("#config=")
+        assert [name for name, p in parsers.items() if is_set_up(p)] == ["complexity"]
+        first = parsers["complexity"]
+        actions = list(first._actions)
+        code, _, _ = run(capsys, ["semigroup-growth", "--source", GOLDEN, "--n-max", "4"])
+        assert code == 0
+        assert [name for name, p in parsers.items() if is_set_up(p)] == ["complexity", "semigroup-growth"]
+        assert parsers["complexity"] is first and first._actions == actions
+
+    def test_declarations(self, capsys):
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        assert action_rows(parser) == [HELP, (("--seed",), "seed", 0, "int", False, None, "_StoreAction")]
+        for name, p in subparsers(parser).items():
+            with pytest.raises(SystemExit) as exit:
+                p.parse_args(["--help"])  # sets the parser up, then prints its help
+            assert exit.value.code == 0 and capsys.readouterr().out.startswith(f"usage: groupoid-growth {name} [-h]")
+            actions, fn = DECLARATIONS[name]
+            assert (name, action_rows(p), p._defaults) == (name, actions, {"fn": getattr(cli, fn)})
+
+
+class TestCsvCells:
+    CELLS = [
+        (3, "3"),
+        (True, "True"),
+        ("plain", "plain"),
+        ("", ""),
+        ("a,b", '"a,b"'),
+        ('say "hi"', '"say ""hi"""'),
+        ("two\nlines", '"two\nlines"'),
+        ('x,"y"\nz', '"x,""y""\nz"'),
+    ]
+
+    @pytest.mark.parametrize("value, cell", CELLS)
+    def test_cell(self, value, cell):
+        assert cli._csv_cell(value) == cell
+
+    def test_mixed_table(self, capsys, tmp_path):
+        rows = [[1, "a,b", True], [2, 'q"uote', False], [3, "", "line\nbreak"]]
+        want = (
+            "#config=a0da1fce57d0e4f9f0ae4e4cbe040d34dcc046255c6c8d18e97f55aaed0655f0\n"
+            "n,text,flag\n"
+            '1,"a,b",True\n'
+            '2,"q""uote",False\n'
+            '3,,"line\nbreak"\n'
+        )
+        cli._emit_csv(None, ["n", "text", "flag"], rows, {"k": 1})
+        assert capsys.readouterr().out == want
+        path = tmp_path / "t.csv"
+        cli._emit_csv(str(path), ["n", "text", "flag"], rows, {"k": 1})
+        assert path.read_bytes() == want.encode()
 
 
 class TestDelta:
