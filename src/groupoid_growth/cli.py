@@ -2,8 +2,11 @@
 
 Every subcommand reads JSON descriptors, runs one library operation, and
 emits deterministic artifacts: CSV tables (with a config-digest comment
-row), DOT graphs, or plain text.  Exit codes: 0 success, 2 usage error,
-3 resource cap hit, 4 violated internal identity.
+row), DOT graphs, or plain text.  A table of a language read off a prefix,
+which is not exact, has a second comment row ``#language=prefix,<letters
+read>``, and a DOT ball of one starts with the comment ``// language=...``.
+Exit codes: 0 success, 2 usage error, 3 resource cap hit, 4 violated
+internal identity.
 """
 
 from __future__ import annotations
@@ -48,8 +51,12 @@ def _config_digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _emit_csv(path: str | None, header: list[str], rows: list[list], config) -> None:
+def _emit_csv(path: str | None, header: list[str], rows: list[list], config, lang: Language | None = None) -> None:
+    """CSV with a ``#config`` digest row and, for a language read off a
+    prefix, a ``#language=prefix,<letters read>`` row after it."""
     lines = [f"#config={_config_digest(config)}"]
+    if lang is not None and not lang.exact:
+        lines.append(f"#{_prefix_note(lang)}")
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(map(_csv_cell, row)))
@@ -74,20 +81,31 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
+def _prefix_note(lang: Language) -> str:
+    return f"language=prefix,{lang.prefix_len}"
+
+
 def _language(cfg, n_max: int, budget) -> Language:
-    """Factor language of a source descriptor up to length ``n_max``.
+    """Factor language of a source descriptor up to length ``n_max``, read
+    within ``budget`` letters, which must be positive, or within
+    :func:`build_language`'s default when none is given."""
+    if budget is not None:
+        _positive("budget", budget)
+    return build_language(source_from_config(cfg), n_max, budget)
 
-    The budget bounds the letters read.  It is max(8192, 40 n_max^2) when
-    none is given; a given budget must be positive.
-    """
-    budget = max(8192, 40 * n_max * n_max) if budget is None else _positive("budget", budget)
-    return build_language(source_from_config(cfg), n_max=n_max, prefix_budget=budget)
 
-
-def _with_budget(config: dict, budget) -> dict:
-    """A digest payload plus ``budget`` when one was given.  The default
-    budget is a function of the length, which the payload already holds."""
-    return config if budget is None else {**config, "budget": budget}
+def _language_table(args, length: int, header: list[str], rows, **fields) -> int:
+    """Read ``--source``, build its language up to ``length`` and emit
+    ``rows(lang)`` as CSV.  The digest payload holds the command, the source
+    and ``fields``, plus ``budget`` when one was given: the default budget
+    is a function of the length, which ``fields`` determine."""
+    cfg = _read_spec(args.source)
+    lang = _language(cfg, length, args.budget)
+    config = {"cmd": args.command, "source": cfg, **fields}
+    if args.budget is not None:
+        config["budget"] = args.budget
+    _emit_csv(args.csv, header, rows(lang), config, lang)
+    return 0
 
 
 def _model_from_arg(text: str):
@@ -131,12 +149,11 @@ def _parse_unit(model, text: str, r: int):
 
 def cmd_complexity(args) -> int:
     n_max = _positive("--n-max", args.n_max)
-    cfg = _read_spec(args.source)
-    lang = _language(cfg, n_max, args.budget)
-    rows = [[n, lang.complexity(n)] for n in range(1, n_max + 1)]
-    config = _with_budget({"cmd": "complexity", "source": cfg, "n_max": n_max}, args.budget)
-    _emit_csv(args.csv, ["n", "p_n"], rows, config)
-    return 0
+
+    def rows(lang):
+        return [[n, lang.complexity(n)] for n in range(1, n_max + 1)]
+
+    return _language_table(args, n_max, ["n", "p_n"], rows, n_max=n_max)
 
 
 def cmd_delta(args) -> int:
@@ -159,10 +176,10 @@ def cmd_delta(args) -> int:
             raise ValueError(f"units policy {policy!r}: the syntax is 'periodic:pre=<int>,period=<int>'")
         params = {k: int(v) for k, _, v in pairs}
         units = model.periodic_units(params["pre"], params["period"])
-        row = [r, delta_enumerated(model, units, r), "lower_bound"]
+        row, lang = [r, delta_enumerated(model, units, r), "lower_bound"], None
     else:
         raise ValueError(f"unknown units policy {policy!r}")
-    _emit_csv(args.csv, ["r", "delta", "flag"], [row], {"cmd": "delta", "model": cfg, "r": r, "policy": policy})
+    _emit_csv(args.csv, ["r", "delta", "flag"], [row], {"cmd": "delta", "model": cfg, "r": r, "policy": policy}, lang)
     return 0
 
 
@@ -173,6 +190,8 @@ def cmd_ball(args) -> int:
     unit = _parse_unit(model, args.unit, args.r)
     ball = model.ball(unit, args.r)
     dot = ball_to_dot(ball)
+    if isinstance(model, SubshiftModel) and not model.lang.exact:
+        dot = f"// {_prefix_note(model.lang)}\n{dot}"
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
@@ -187,62 +206,52 @@ def cmd_algebra_growth(args) -> int:
     if args.oracle_upto < 0:
         raise ValueError("--oracle-upto must be >= 0")
     field = parse_field(args.field)
-    cfg = _read_spec(args.source)
-    lang = _language(cfg, 2 * n_max + 1, args.budget)
-    dims = sa.growth_dims(lang, n_max, field)
-    if args.oracle_upto:
-        k = min(args.oracle_upto, n_max)
-        if dims[:k] != sa.bruteforce_dims(lang, k, field)[:k]:
-            raise IdentityError("levelwise growth disagrees with brute-force oracle")
-    rows = []
-    for n, dim in dims:
-        lower = (n // 2) * lang.complexity(n // 2)
-        upper = (2 * n + 1) * lang.complexity(2 * n)
-        rows.append([n, dim, lower, upper, lower <= dim <= upper])
-    if not all(r[4] for r in rows):
-        raise IdentityError("growth bound floor(n/2)p(floor(n/2)) <= dim V^n <= (2n+1)p(2n) violated")
-    _emit_csv(
-        args.csv,
-        ["n", "dim", "lower_bound", "upper_bound", "bound_ok"],
-        rows,
-        _with_budget({"cmd": "algebra-growth", "source": cfg, "n_max": n_max, "field": args.field}, args.budget),
-    )
-    return 0
+
+    def rows(lang):
+        dims = sa.growth_dims(lang, n_max, field)
+        if args.oracle_upto:
+            k = min(args.oracle_upto, n_max)
+            if dims[:k] != sa.bruteforce_dims(lang, k, field)[:k]:
+                raise IdentityError("levelwise growth disagrees with brute-force oracle")
+        table = []
+        for n, dim in dims:
+            lower = (n // 2) * lang.complexity(n // 2)
+            upper = (2 * n + 1) * lang.complexity(2 * n)
+            table.append([n, dim, lower, upper, lower <= dim <= upper])
+        if not all(r[4] for r in table):
+            raise IdentityError("growth bound floor(n/2)p(floor(n/2)) <= dim V^n <= (2n+1)p(2n) violated")
+        return table
+
+    header = ["n", "dim", "lower_bound", "upper_bound", "bound_ok"]
+    return _language_table(args, 2 * n_max + 1, header, rows, n_max=n_max, field=args.field)
 
 
 def cmd_semigroup_growth(args) -> int:
     n_max = _positive("--n-max", args.n_max)
-    cfg = _read_spec(args.source)
-    lang = _language(cfg, n_max, args.budget)
-    rows = [[n, d] for n, d in sa.semigroup_dims(lang, n_max)]
-    config = _with_budget({"cmd": "semigroup-growth", "source": cfg, "n_max": n_max}, args.budget)
-    _emit_csv(args.csv, ["n", "dim"], rows, config)
-    return 0
+
+    def rows(lang):
+        return [[n, d] for n, d in sa.semigroup_dims(lang, n_max)]
+
+    return _language_table(args, n_max, ["n", "dim"], rows, n_max=n_max)
 
 
 def cmd_module_growth(args) -> int:
     n_max = _positive("--n-max", args.n_max)
     parse_field(args.field)  # validated and digested; the table does not depend on it
-    cfg = _read_spec(args.source)
-    lang = _language(cfg, 2 * n_max + 1, args.budget)
-    rows = [[n, d, 2 * n + 1] for n, d in sa.module_growth(lang, n_max)]
-    _emit_csv(
-        args.csv,
-        ["n", "dim", "gamma"],
-        rows,
-        _with_budget({"cmd": "module-growth", "source": cfg, "n_max": n_max, "field": args.field}, args.budget),
-    )
-    return 0
+
+    def rows(lang):
+        return [[n, d, 2 * n + 1] for n, d in sa.module_growth(lang, n_max)]
+
+    return _language_table(args, 2 * n_max + 1, ["n", "dim", "gamma"], rows, n_max=n_max, field=args.field)
 
 
 def cmd_expansive(args) -> int:
     n = _positive("--n", args.n)
-    cfg = _read_spec(args.source)
-    lang = _language(cfg, 2 * n, args.budget)
-    rows = [[m, lang.complexity(2 * m), sa.expansive_certificate(lang, m)] for m in range(1, n + 1)]
-    config = _with_budget({"cmd": "expansive", "source": cfg, "n": n}, args.budget)
-    _emit_csv(args.csv, ["n", "windows", "atoms"], rows, config)
-    return 0
+
+    def rows(lang):
+        return [[m, lang.complexity(2 * m), sa.expansive_certificate(lang, m)] for m in range(1, n + 1)]
+
+    return _language_table(args, 2 * n, ["n", "windows", "atoms"], rows, n=n)
 
 
 def cmd_nucleus(args) -> int:

@@ -9,7 +9,8 @@ is for an eventually periodic word read n letters past its preperiod and
 one period and for a whole explicit word; when the budget is too small for
 that, the builder raises instead of returning a truncated table.  Toeplitz
 skeletons and the other substitutions give one prefix of ``budget``
-letters, which is not exact.
+letters, which is not exact.  The budget defaults to max(8192, 40 n_max^2)
+letters in :func:`build_language`, its one home.
 
 Every factor class comes from one sorted list of *heads*: the distinct
 words w[i : i + n_max] over every witness w and every start i, so the last
@@ -102,15 +103,17 @@ class Language:
         return [self.factors_at(n) for n in range(self.n_max + 1)]
 
 
-def build_language(source: WordSource, n_max: int, prefix_budget: int) -> Language:
+def build_language(source: WordSource, n_max: int, prefix_budget: int | None = None) -> Language:
     """The language up to length n_max of the source's witness words, read
-    within ``prefix_budget`` letters.
+    within ``prefix_budget`` letters, by default max(8192, 40 n_max^2).
 
     Raises :class:`~groupoid_growth.errors.ResourceError` when the source
     can certify its language but not within the budget.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if prefix_budget is None:
+        prefix_budget = max(8192, 40 * n_max * n_max)
     if prefix_budget < n_max:
         raise ValueError(f"prefix budget {prefix_budget} smaller than n_max {n_max}")
     witnesses, exact = source.witnesses(n_max, prefix_budget)

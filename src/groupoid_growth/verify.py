@@ -53,16 +53,11 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _lang(source, n_max: int, budget: int):
-    return build_language(source, n_max=n_max, prefix_budget=budget)
-
-
 def check_01_sturmian_complexity(s: Scale) -> CheckResult:
     n = s.sturmian_n
-    budget = 10 * n * (n + 1)
     bad = []
     for cf in ([1], [2]):
-        lang = _lang(SturmianSource(cf, cf_periodic=True), n, budget)
+        lang = build_language(SturmianSource(cf, cf_periodic=True), n)
         for m in range(1, n + 1):
             if lang.complexity(m) != m + 1:
                 bad.append((cf[0], m, lang.complexity(m)))
@@ -134,7 +129,7 @@ def check_03_main_inequality(s: Scale) -> CheckResult:
     n_max = s.growth_n
     bad = []
     for name, src in _growth_suite():
-        lang = _lang(src, 2 * n_max + 1, max(8192, 40 * n_max * n_max))
+        lang = build_language(src, 2 * n_max + 1)
         for field in (QQ, GF2):
             prev = 0
             for n, dim in sa.growth_dims(lang, n_max, field):
@@ -150,7 +145,7 @@ def check_03_main_inequality(s: Scale) -> CheckResult:
 
 def check_04_sturmian_sandwich(s: Scale) -> CheckResult:
     n_max = s.growth_n
-    lang = _lang(golden_sturmian(), 2 * n_max + 1, max(8192, 40 * n_max * n_max))
+    lang = build_language(golden_sturmian(), 2 * n_max + 1)
     bad = []
     for field in (QQ, GF2):
         for n, dim in sa.growth_dims(lang, n_max, field):
@@ -163,7 +158,7 @@ def check_04_sturmian_sandwich(s: Scale) -> CheckResult:
 
 def check_05_oracle_equivalence(s: Scale) -> CheckResult:
     n_max = s.oracle_n
-    lang = _lang(golden_sturmian(), 2 * n_max + 1, 8192)
+    lang = build_language(golden_sturmian(), 2 * n_max + 1)
     bad = []
     for field in (QQ, GF2):
         if sa.growth_dims(lang, n_max, field) != sa.bruteforce_dims(lang, n_max, field):
@@ -175,7 +170,7 @@ def check_05_oracle_equivalence(s: Scale) -> CheckResult:
 
 def check_06_module_bound(s: Scale) -> CheckResult:
     n_max = s.module_n
-    lang = _lang(golden_sturmian(), 2 * n_max + 1, 8192)
+    lang = build_language(golden_sturmian(), 2 * n_max + 1)
     dims = sa.module_growth(lang, n_max)
     bad = [(n, d) for n, d in dims if n >= 1 and d != 2 * n + 1]
     ok = not bad and dims[0] == (0, 1)

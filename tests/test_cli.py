@@ -9,16 +9,27 @@ from pathlib import Path
 
 import pytest
 
-from groupoid_growth import cli, matrix_recursion, selfsimilar, subshift, verify
+from groupoid_growth import cli, matrix_recursion, selfsimilar, subshift, verify, words
 
 GOLDEN = '{"kind":"sturmian","cf":[1],"cf_periodic":true}'
 TM = '{"kind":"substitution","rules":{"0":"01","1":"10"},"seed":"0"}'
+# Toeplitz skeletons, whose languages are read off a prefix.
+PAPERFOLDING = '{"kind":"toeplitz","skeleton":"0?1?"}'
+SKELETON_0_1_0 = '{"kind":"toeplitz","skeleton":"0?1?0"}'
 
 
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def without_prefix_mark(out: str, letters: int) -> str:
+    """A table read off a prefix of ``letters`` letters without its
+    ``#language`` row, which must follow the ``#config`` row."""
+    config, mark, rest = out.split("\n", 2)
+    assert mark == f"#language=prefix,{letters}"
+    return f"{config}\n{rest}"
 
 
 class TestComplexity:
@@ -104,12 +115,12 @@ class TestComplexity:
     def test_paperfolding(self, capsys):
         # A two-hole Toeplitz word resolves at any depth; its complexity is
         # 4n from n = 7 on (Allouche 1992).  The default 8192-letter prefix
-        # reaches 14 filling levels.  "depth_cap" is not a field of a Toeplitz
-        # source, so it exits 2 and is named.
-        source = '{"kind":"toeplitz","skeleton":"0?1?"}'
-        code, out, _ = run(capsys, ["complexity", "--source", source, "--n-max", "12"])
-        assert code == 0
-        assert out.splitlines()[8:] == [f"{n},{4 * n}" for n in range(7, 13)]
+        # reaches 14 filling levels, and the table says it was read off it.
+        # "depth_cap" is not a field of a Toeplitz source, so it exits 2 and
+        # is named.
+        code, out, _ = run(capsys, ["complexity", "--source", PAPERFOLDING, "--n-max", "12"])
+        assert code == 0 and out.splitlines()[1] == "#language=prefix,8192"
+        assert out.splitlines()[9:] == [f"{n},{4 * n}" for n in range(7, 13)]
         source = '{"kind":"toeplitz","skeleton":"0?1?","depth_cap":1}'
         code, out, err = run(capsys, ["complexity", "--source", source, "--n-max", "12"])
         assert (code, out) == (2, "") and "unknown key 'depth_cap'" in err
@@ -459,11 +470,16 @@ class TestDelta:
     @pytest.mark.parametrize("source, r", list(SUBSHIFT_DELTA), ids=[f"{s}-r{r}" for s, r in SUBSHIFT_DELTA])
     def test_subshift_output_bytes(self, capsys, source, r):
         # Digests recorded when delta still built and coded one ball per
-        # window; it now prints p(2r), with the same bytes.
+        # window; it now prints p(2r), with the same bytes.  A lower bound
+        # comes from a prefix-read language, whose table has since gained
+        # a #language row: the rest is unchanged.
         model = json.dumps({"kind": "subshift", "source": self.SUBSHIFT_SOURCES[source], "n_max": 2 * r})
         code, out, _ = run(capsys, ["delta", "--model", model, "--r", str(r)])
         row, digest = self.SUBSHIFT_DELTA[source, r]
-        assert code == 0 and out.splitlines()[-1] == row and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert code == 0 and out.splitlines()[-1] == row
+        if row.endswith("lower_bound"):
+            out = without_prefix_mark(out, max(8192, 40 * (2 * r) ** 2))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_radius_past_n_max_exit_2(self, capsys):
         model = json.dumps({"kind": "subshift", "source": json.loads(GOLDEN), "n_max": 9})
@@ -584,6 +600,100 @@ class TestAlgebraGrowth:
         assert code == 0
         rows = [l.split(",") for l in out.strip().splitlines()[2:]]
         assert all(r[1] == r[2] for r in rows)
+
+
+class TestLanguageTables:
+    # The five commands that print a table of one source's language.
+    ARGS = {
+        "complexity": ["--n-max", "12"],
+        "algebra-growth": ["--n-max", "4"],
+        "semigroup-growth": ["--n-max", "8"],
+        "module-growth": ["--n-max", "5"],
+        "expansive": ["--n", "6"],
+    }
+    SOURCES = {"golden": GOLDEN, "thue-morse": TM, "0?1?": PAPERFOLDING}
+
+    # (command, source, budget) -> sha256 of [exit code, stdout, stderr] as
+    # JSON, recorded while each command still read, built and emitted its
+    # table by itself.  A 0?1? table is read off a prefix and has since
+    # gained a #language row; it is hashed without it.
+    PINS = {
+        ("complexity", "golden", None): "79f93d30cf946e62d78ad405309e850aea6f09104b6d158d09e7835eaaeb0ef7",
+        ("complexity", "golden", 5000): "d54377cdfc1aa8cb45b22452e73377f5c303633e6909fdb74763ba7996d1424a",
+        ("complexity", "golden", 0): "81798ac5aeda25d776cf1a5071d44789110a5b8a5e22a0bc123e1230808bcee4",
+        ("complexity", "thue-morse", None): "a3f38b1b092f66c9e6c8661270776af4a452c4d3460b0101cb6d18378928557e",
+        ("complexity", "thue-morse", 5000): "6b15da2f7e227f3d834125c44c9d45ad0d61e8b9e18a80be44646b7b141bc45d",
+        ("complexity", "0?1?", None): "6fb7ccd9cf49b37a9d2d9652aadf6c796fcc3a2811d1f9a2b0f6c6aafddabba3",
+        ("complexity", "0?1?", 5000): "31a53a04195261d04eb39660788e02ae42a499bf1e535378fc74938fa1522d8b",
+        ("algebra-growth", "golden", None): "d287af6ca1ca1231fac8669d722d0acd17221133704fd7316f9fdd4138db482b",
+        ("algebra-growth", "golden", 5000): "d9bc343fd7b580aabdc0f1af2f34ce3c0e8a299b6e39fd18febcca908f2723bf",
+        ("algebra-growth", "golden", 0): "81798ac5aeda25d776cf1a5071d44789110a5b8a5e22a0bc123e1230808bcee4",
+        ("algebra-growth", "thue-morse", None): "a905e571063f1365b281bae29a15d0925d3bbe0a19e2a10b25321bf505cadb02",
+        ("algebra-growth", "thue-morse", 5000): "15abb662afa0de05274f9b89cf8bea3223866463fd5d43418afdb9cf4eda4973",
+        ("algebra-growth", "0?1?", None): "e6d657ace97c6541678eaf237123b8750d1137c97161d76969bfab34876daae5",
+        ("algebra-growth", "0?1?", 5000): "9b636a1ab17e393bb1da5ad13eee2e197d828b3b1719103ea36ad8c0bb17ef6d",
+        ("semigroup-growth", "golden", None): "0e9d852e1dfa135e26a64fbb69e5328699de6973cadb4b403f15321ff9d293ff",
+        ("semigroup-growth", "golden", 5000): "0394fe505e8d674a059664340416ee1cb10c704a03c27b77940bccdeb3c4e161",
+        ("semigroup-growth", "golden", 0): "81798ac5aeda25d776cf1a5071d44789110a5b8a5e22a0bc123e1230808bcee4",
+        ("semigroup-growth", "thue-morse", None): "3f8c40566016a5378efd29a8f7a6e5ad78775bfc2fe4283e1d73dbf149bc567f",
+        ("semigroup-growth", "thue-morse", 5000): "c7c96d43320d85bc51822163730696e8a54c09b49f1d554dde119ba5c49110c7",
+        ("semigroup-growth", "0?1?", None): "5c7e757a2a289213d32d2a43a731b5199292f78b13d84f1d220a87816475cd3b",
+        ("semigroup-growth", "0?1?", 5000): "afe50e8436e7093e99ff95f813aa4ae70399cb28a920f6cd13a00fa6b293f574",
+        ("module-growth", "golden", None): "3ef7c685e2b9b49590fd0a40d9fda9fa191475473f5aaaea888b507cf62ec724",
+        ("module-growth", "golden", 5000): "5f970917c2f8257e5590c1b7fb1ad4cbad34c3830a0f34620a7a2506cbd036bf",
+        ("module-growth", "golden", 0): "81798ac5aeda25d776cf1a5071d44789110a5b8a5e22a0bc123e1230808bcee4",
+        ("module-growth", "thue-morse", None): "79c045ef3146ddd06528aa608a8196e34b248f434d8f2751223e7868581a7e12",
+        ("module-growth", "thue-morse", 5000): "2b7598090cda11592ebab7a2545f329af05f4dd992636903661c9cf490552558",
+        ("module-growth", "0?1?", None): "5fcd83e98abecee753cec69f734829520c47634f1f42ada23385f9dbfab42fc2",
+        ("module-growth", "0?1?", 5000): "eb994f56682321d1a28d0d3f03ba06f7138443d95099bb20ccd7ed7e375387e0",
+        ("expansive", "golden", None): "373ea30a69d274790a346f1af4f891b55f0b56a8a123f83066e661775826ea53",
+        ("expansive", "golden", 5000): "83678de075c5b1e8784a39c54c2e61b6402cf42b3bae019cd28e4f2d59662c22",
+        ("expansive", "golden", 0): "81798ac5aeda25d776cf1a5071d44789110a5b8a5e22a0bc123e1230808bcee4",
+        ("expansive", "thue-morse", None): "461ee8c3812d068bedf8e3feb9dcdcc50976a5665b42354a70397168cd71b03a",
+        ("expansive", "thue-morse", 5000): "9fd7414993429544bd67440d370a2f841195adb303e4179edfd341ff9f96dc3f",
+        ("expansive", "0?1?", None): "b3e99e29d8cd06d3e2b715b0afb2bde866dea8fe5fdb33a280f7583574a75b89",
+        ("expansive", "0?1?", 5000): "e2875b8fdcf232d87b75812c7db6f7e45b33d732d66d2c50d7bfa71169d6338e",
+    }
+
+    @pytest.mark.parametrize("cmd, source, budget", list(PINS), ids=lambda v: str(v))
+    def test_output_bytes(self, capsys, cmd, source, budget):
+        argv = [cmd, "--source", self.SOURCES[source], *self.ARGS[cmd]]
+        code, out, err = run(capsys, argv + ([] if budget is None else ["--budget", str(budget)]))
+        if source == "0?1?":
+            # max(8192, 40 n^2) letters at every length asked for here.
+            out = without_prefix_mark(out, budget or 8192)
+        assert hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest() == self.PINS[cmd, source, budget]
+
+    @pytest.mark.parametrize("cmd", list(ARGS))
+    def test_prefix_mark(self, capsys, cmd):
+        code, out, _ = run(capsys, [cmd, "--source", SKELETON_0_1_0, *self.ARGS[cmd]])
+        assert code == 0 and out.splitlines()[1] == "#language=prefix,8192"
+
+    def test_visibly_wrong_table_says_so(self, capsys):
+        # 20 letters of 0?1? give p(6) = p(7) = p(8) = 13, which no
+        # aperiodic word has (Morse-Hedlund 1938): the mark names the prefix.
+        code, out, _ = run(capsys, ["complexity", "--source", PAPERFOLDING, "--n-max", "8", "--budget", "20"])
+        assert code == 0 and out.splitlines()[1] == "#language=prefix,20"
+        assert out.splitlines()[-3:] == ["6,13", "7,13", "8,13"]
+
+    @pytest.mark.parametrize("n_max, letters", [(5, 8192), (25, 25_000)])
+    def test_default_budget_is_build_languages(self, capsys, n_max, letters):
+        code, out, _ = run(capsys, ["complexity", "--source", PAPERFOLDING, "--n-max", str(n_max)])
+        lang = subshift.build_language(words.source_from_config(json.loads(PAPERFOLDING)), n_max)
+        assert code == 0 and lang.prefix_len == letters
+        assert out.splitlines()[1] == f"#language=prefix,{letters}"
+
+    def test_delta_prefix_mark(self, capsys):
+        model = json.dumps({"kind": "subshift", "source": json.loads(SKELETON_0_1_0), "n_max": 8})
+        code, out, _ = run(capsys, ["delta", "--model", model, "--r", "3"])
+        lines = out.splitlines()
+        assert code == 0 and lines[1:3] == ["#language=prefix,8192", "r,delta,flag"]
+        assert lines[-1].endswith(",lower_bound")
+
+    def test_ball_prefix_mark(self, capsys):
+        model = json.dumps({"kind": "subshift", "source": json.loads(SKELETON_0_1_0), "n_max": 8, "budget": 5000})
+        code, out, _ = run(capsys, ["ball", "--model", model, "--unit", "0110100110:5", "--r", "2"])
+        assert code == 0 and out.splitlines()[:2] == ["// language=prefix,5000", "digraph ball {"]
 
 
 class TestGroupCommands:
@@ -805,6 +915,7 @@ class TestGroupCommands:
             ["algebra-growth", "--source", GOLDEN, "--n-max", "32", "--field", "F2", "--oracle-upto", "4"],
             ["matrix-recursion", "--group", "grigorchuk", "--element", "ab+2*cda+1", "--levels", "7"],
             ["matrix-recursion", "--group", "grigorchuk", "--element", "bc+d+a", "--levels", "3", "--field", "F2", "--print"],
+            ["complexity", "--source", SKELETON_0_1_0, "--n-max", "12"],
         ],
         ids=[
             "thinned-grig-f2",
@@ -816,6 +927,7 @@ class TestGroupCommands:
             "algebra-growth-golden-oracle",
             "matrix-recursion-grig",
             "matrix-recursion-f2-print",
+            "complexity-prefix-0?1?0",
         ],
     )
     def test_bytes_independent_of_hash_seed(self, argv):

@@ -54,6 +54,14 @@ class TestBuildLanguage:
         with pytest.raises(ValueError, match="prefix budget 5 smaller than n_max 10"):
             build_language(golden_sturmian(), n_max=10, prefix_budget=5)
 
+    @pytest.mark.parametrize("n_max, letters", [(5, 8192), (25, 25_000), (40, 64_000)])
+    def test_default_budget(self, n_max, letters):
+        # With no budget a prefix-read source reads max(8192, 40 n_max^2)
+        # letters, and an exact one reads what it needs within that.
+        lang = build_language(source_from_config({"kind": "toeplitz", "skeleton": "0?1?"}), n_max)
+        assert (lang.exact, lang.prefix_len) == (False, letters)
+        assert build_language(thue_morse(), n_max).exact
+
     def test_monotone_complexity(self):
         lang = build_language(golden_sturmian(), n_max=20, prefix_budget=4096)
         ps = [lang.complexity(n) for n in range(1, 21)]
